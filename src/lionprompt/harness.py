@@ -229,10 +229,11 @@ class LinearProbe:
         return x @ self.w.value.array.T + self.b.value.array
 
     def loss_and_grads(self, x, y):
-        value, g = batch_cross_entropy(self.logits(x), y)
+        logits = self.logits(x)
+        value, g = batch_cross_entropy(logits, y)
         self.w.add_grad(g.T @ x)
         self.b.add_grad(np.sum(g, axis=0))
-        return value
+        return value, logits
 
     def predict(self, x):
         return np.argmax(self.logits(x), axis=1)
@@ -275,10 +276,19 @@ class ClassifierTask:
 
 
 class LionTask:
-    """Adapter putting a PromptModel under the shared trainer."""
+    """Adapter putting a PromptModel under the shared trainer.
+
+    The backbone is frozen and the trainer feeds the same rows every epoch,
+    so `prepare` computes F(x) once per training run, and `loss_and_grads`
+    and `predict` reuse it whenever they are handed those same rows.
+    """
 
     def __init__(self, pm: PromptModel):
         self.pm = pm
+        self._features: tuple[np.ndarray, np.ndarray] | None = None  # (x, F(x))
+
+    def prepare(self, x):
+        self._features = (x, m.backbone_forward(self.pm.backbone, x)[0])
 
     def trainable_params(self):
         return self.pm.trainable_params()
@@ -287,11 +297,16 @@ class LionTask:
         """Everything needed to reconstruct the model, frozen parts included."""
         return self.pm.backbone.params() + self.pm.trainable_params()
 
+    def _cached_features(self, x):
+        if self._features is not None and self._features[0] is x:
+            return self._features[1]
+        return None
+
     def loss_and_grads(self, x, y):
-        return m.loss_and_grads(self.pm, x, y)
+        return m.loss_and_grads(self.pm, x, y, f_x=self._cached_features(x))
 
     def predict(self, x):
-        return m.predict(self.pm, x)
+        return m.predict(self.pm, x, f_x=self._cached_features(x))
 
     def post_step(self):
         self.pm.renormalize()
@@ -338,7 +353,6 @@ class RunSettings:
     kappa: float = 0.9
     solver: SolverConfig = field(default_factory=SolverConfig)
     patience: int | None = 20
-    single_pass: bool = False
 
 
 @dataclass(frozen=True)
@@ -370,8 +384,7 @@ def run_protocol(protocol: str, backbone: Backbone, train_ds: Dataset,
         bb = m.clone_backbone(backbone, frozen=True)
         pm = m.build_prompt_model(bb, train_ds.n_classes, settings.seed,
                                   layers=settings.layers, kappa=settings.kappa,
-                                  solver=settings.solver,
-                                  single_pass=settings.single_pass)
+                                  solver=settings.solver)
         task = LionTask(pm)
         log = robust_opt.train(task, train_ds, state, settings.epochs,
                                patience=settings.patience)
@@ -565,7 +578,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                 rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                          "solver_failed"))
                 continue
-            grad_x, grads = deq.deq_vjp(cell, rep.z_star, x, y, cfg)
+            grad_x, grads = deq.deq_vjp(cell, rep.z_star, x, y)
         except deq.DivergenceError:
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))

@@ -8,14 +8,16 @@ The forward pass follows the two-pass blending scheme literally:
     logits  = head(z_tilde)
 
 so the backbone runs twice per example (once on x for the second prompt's
-input, once on x_tilde for the first blend term). A cheaper single-pass
-variant that feeds P2 from F(x_tilde) is available behind a switch and is
-not the default.
+input, once on x_tilde for the first blend term). F(x) does not depend on
+any trainable parameter, so a trainer that feeds the same rows every epoch
+computes it once and hands it to `loss_and_grads` and `predict` as `f_x`.
 
 Only the prompt cells, the projection, the head and the four gate scalars
 are trainable; backbone gradients are never even computed here. The
 backward pass is a hand-written chain of the per-op VJP rules plus the
-implicit cell backward from `deq`.
+implicit cell backward from `deq`. Every forward solve must converge: a
+prompt block raises `DivergenceError` rather than hand a point that is not
+a fixed point to the implicit backward or to a prediction.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import deq
 from .deq import DeqCell, SolverConfig
-from .errors import ShapeMismatchError, StateError
+from .errors import DivergenceError, ShapeMismatchError, StateError
 from .numerics import Param, Tensor, batch_cross_entropy
 from .rng import substream
 
@@ -199,38 +201,45 @@ class PromptBlock:
             out.extend([w, u, b])
         return out
 
-    def renormalize(self, power_iters: int = 100) -> None:
+    def renormalize(self) -> None:
         """Project every cell's state weight back onto the kappa-ball."""
         for w, _, _ in self.cell_params:
             cell_w = w.value
-            sigma = deq.estimate_spectral_norm(cell_w, iters=power_iters)
+            sigma = deq.estimate_spectral_norm(cell_w)
             if sigma > self.kappa:
                 w.value = Tensor(cell_w.array * (self.kappa / sigma))
 
     def solve(self, x_rows: np.ndarray, cfg: SolverConfig) -> list[np.ndarray]:
-        """Solve the chain on a batch; returns [input, z1*, ..., zk*]."""
+        """Solve the chain on a batch; returns [input, z1*, ..., zk*].
+
+        Raises `DivergenceError`, naming the block and cell, when a solve
+        stops short of the tolerance.
+        """
         states = [np.asarray(x_rows, dtype=np.float64)]
-        for cell in self.cells():
+        for idx, cell in enumerate(self.cells()):
             rep = deq.solve_forward_batch(cell, states[-1], cfg)
+            if not rep.converged:
+                raise DivergenceError(
+                    f"block {self.name} cell {idx}: forward solve stopped at residual "
+                    f"{rep.residual:.3e} after {rep.iterations} evaluations "
+                    f"(tol {cfg.tol:.1e})", residual=rep.residual)
             states.append(rep.z_star.array)
         return states
 
-    def vjp(self, states: list[np.ndarray], y_rows: np.ndarray,
-            cfg: SolverConfig, accumulate: bool = True) -> np.ndarray:
+    def vjp(self, states: list[np.ndarray], y_rows: np.ndarray) -> np.ndarray:
         """Chain the implicit backward through all cells, newest first.
 
-        Accumulates parameter gradients into the block's Params (unless
-        told not to) and returns the gradient w.r.t. the block input.
+        Accumulates parameter gradients into the block's Params and returns
+        the gradient w.r.t. the block input.
         """
         g = y_rows
-        for idx in range(len(self.cell_params) - 1, -1, -1):
-            cell = self.cells()[idx]
-            g, cg = deq.deq_vjp_batch(cell, states[idx + 1], states[idx], g, cfg)
-            if accumulate:
-                w, u, b = self.cell_params[idx]
-                w.add_grad(cg.W)
-                u.add_grad(cg.U)
-                b.add_grad(cg.b)
+        cells = self.cells()
+        for idx in range(len(cells) - 1, -1, -1):
+            g, cg = deq.deq_vjp_batch(cells[idx], states[idx + 1], states[idx], g)
+            w, u, b = self.cell_params[idx]
+            w.add_grad(cg.W)
+            u.add_grad(cg.U)
+            b.add_grad(cg.b)
         return g
 
 
@@ -246,7 +255,6 @@ class PromptModel:
     gate1: GatePair
     gate2: GatePair
     solver: SolverConfig = field(default_factory=SolverConfig)
-    single_pass: bool = False  # feed P2 from F(x_tilde) instead of F(x)
 
     @property
     def in_dim(self) -> int:
@@ -301,8 +309,7 @@ def clone_backbone(backbone: Backbone, frozen: bool) -> Backbone:
 
 def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
                        layers: int = 1, kappa: float = 0.9,
-                       solver: SolverConfig | None = None,
-                       single_pass: bool = False) -> PromptModel:
+                       solver: SolverConfig | None = None) -> PromptModel:
     """Fresh trainable parts wrapped around an existing (frozen) backbone.
 
     Head starts at zero (logits are pure bias until the first step); cells
@@ -336,18 +343,16 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
         gate1=GatePair(Param("gate1.a", Tensor(0.0)), Param("gate1.b", Tensor(0.0))),
         gate2=GatePair(Param("gate2.a", Tensor(0.0)), Param("gate2.b", Tensor(0.0))),
         solver=solver or SolverConfig(),
-        single_pass=single_pass,
     )
 
 
 def init_prompt_model(d: int, h: int, hidden: int, n_classes: int, seed: int,
                       layers: int = 1, kappa: float = 0.9,
-                      solver: SolverConfig | None = None,
-                      single_pass: bool = False) -> PromptModel:
+                      solver: SolverConfig | None = None) -> PromptModel:
     """Fresh trainable parts around a fresh (untrained, frozen) backbone."""
     backbone = make_backbone(d, hidden, h, seed, frozen=True)
     return build_prompt_model(backbone, n_classes, seed, layers=layers,
-                              kappa=kappa, solver=solver, single_pass=single_pass)
+                              kappa=kappa, solver=solver)
 
 
 def blend_input(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
@@ -357,23 +362,31 @@ def blend_input(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
     return a1 * np.asarray(x_rows, dtype=np.float64) + b1 * z1
 
 
-def blend_repr(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
-    """z_tilde = alpha2 * F(x_tilde) + beta2 * proj(P2(z)) on a batch."""
+def _features(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None) -> np.ndarray:
+    """F(x_rows), computed unless the caller already holds it."""
+    if f_x is None:
+        f_x, _ = backbone_forward(model.backbone, x_rows)
+    elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
+        raise ShapeMismatchError(
+            f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
+    return f_x
+
+
+def blend_repr(model: PromptModel, x_rows: np.ndarray,
+               f_x: np.ndarray | None = None) -> np.ndarray:
+    """z_tilde = alpha2 * F(x_tilde) + beta2 * proj(P2(F(x))) on a batch."""
     a2, b2 = model.gate2.coeffs()
     xt = blend_input(model, x_rows)
     f_xt, _ = backbone_forward(model.backbone, xt)
-    if model.single_pass:
-        z = f_xt
-    else:
-        z, _ = backbone_forward(model.backbone, x_rows)
-    z2 = model.p2.solve(z, model.solver)[-1]
+    z2 = model.p2.solve(_features(model, x_rows, f_x), model.solver)[-1]
     r = z2 @ model.proj.w.value.array.T + model.proj.b.value.array
     return a2 * f_xt + b2 * r
 
 
-def forward_full(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
-    """Logits for a batch of rows (n x C)."""
-    zt = blend_repr(model, x_rows)
+def forward_full(model: PromptModel, x_rows: np.ndarray,
+                 f_x: np.ndarray | None = None) -> np.ndarray:
+    """Logits for a batch of rows (n x C); `f_x` as in `loss_and_grads`."""
+    zt = blend_repr(model, x_rows, f_x)
     return zt @ model.head.w.value.array.T + model.head.b.value.array
 
 
@@ -386,11 +399,15 @@ def loss(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -> float:
     return value
 
 
-def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -> float:
+def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
+                   f_x: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean cross-entropy plus gradients accumulated into every Θ_t Param.
 
-    One hand-written reverse sweep: head -> gate2/proj/P2 -> backbone
-    input VJP (parameters skipped: the backbone is frozen) -> gate1/P1.
+    Returns (loss, logits), the logits being those the loss was taken on.
+    `f_x` is F(x_rows), the frozen backbone on the raw rows; it is computed
+    here unless the caller passes it. One hand-written reverse sweep:
+    head -> gate2/proj/P2 -> backbone input VJP (parameters skipped: the
+    backbone is frozen) -> gate1/P1.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     labels = np.asarray(labels)
@@ -405,11 +422,7 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -
     z1 = p1_states[-1]
     xt = a1 * x_rows + b1 * z1
     f_xt, cache_t = backbone_forward(model.backbone, xt)
-    if model.single_pass:
-        z = f_xt
-    else:
-        z, _ = backbone_forward(model.backbone, x_rows)
-    p2_states = model.p2.solve(z, cfg)
+    p2_states = model.p2.solve(_features(model, x_rows, f_x), cfg)
     z2 = p2_states[-1]
     r = z2 @ model.proj.w.value.array.T + model.proj.b.value.array
     zt = a2 * f_xt + b2 * r
@@ -431,13 +444,9 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -
     model.proj.w.add_grad(g_r.T @ z2)
     model.proj.b.add_grad(np.sum(g_r, axis=0))
     g_z2 = g_r @ model.proj.w.value.array
-    g_z = model.p2.vjp(p2_states, g_z2, cfg)
+    model.p2.vjp(p2_states, g_z2)
 
-    g_fxt = a2 * g_zt
-    if model.single_pass:
-        # F(x_tilde) also fed P2, so its cotangent has two contributions
-        g_fxt = g_fxt + g_z
-    g_xt = backbone_input_vjp(model.backbone, cache_t, g_fxt)
+    g_xt = backbone_input_vjp(model.backbone, cache_t, a2 * g_zt)
 
     d_a1 = float(np.sum(g_xt * x_rows))
     d_b1 = float(np.sum(g_xt * z1))
@@ -445,12 +454,13 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -
     model.gate1.g_alpha.add_grad(Tensor(ga1))
     model.gate1.g_beta.add_grad(Tensor(gb1))
 
-    model.p1.vjp(p1_states, b1 * g_xt, cfg)
-    return value
+    model.p1.vjp(p1_states, b1 * g_xt)
+    return value, logits
 
 
-def predict(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
-    return np.argmax(forward_full(model, x_rows), axis=1)
+def predict(model: PromptModel, x_rows: np.ndarray,
+            f_x: np.ndarray | None = None) -> np.ndarray:
+    return np.argmax(forward_full(model, x_rows, f_x), axis=1)
 
 
 # --- classifier wrapper used by the baseline protocols ------------------------
@@ -470,8 +480,10 @@ class BackboneClassifier:
         return np.argmax(self.forward(x_rows), axis=1)
 
     def loss_and_grads(self, x_rows: np.ndarray, labels: np.ndarray,
-                       train_backbone: str = "none") -> float:
+                       train_backbone: str = "none") -> tuple[float, np.ndarray]:
         """Mean cross-entropy with gradients into head (+ backbone per mode).
+
+        Returns (loss, logits), the logits being those the loss was taken on.
 
         train_backbone: "none" (head only), "bias" (backbone biases), or
         "all" (every backbone weight). Modes other than "none" require an
@@ -489,7 +501,7 @@ class BackboneClassifier:
             g_feats = g_logits @ self.head.w.value.array
             backbone_param_vjp(self.backbone, cache, g_feats,
                                bias_only=(train_backbone == "bias"))
-        return value
+        return value, logits
 
 
 def make_head(h: int, n_classes: int, name_prefix: str = "head") -> AffineStage:

@@ -12,13 +12,18 @@ The trainer is duck-typed over a small task surface so the same loop
 drives both the prompted model and the plain-classifier baselines:
 
     task.trainable_params() -> list[Param]
-    task.loss_and_grads(X, y) -> float   # accumulates into .grad
+    task.loss_and_grads(X, y) -> (float, logits)  # accumulates into .grad
     task.predict(X) -> ndarray of labels
+    task.prepare(X)                      # optional, once per train call
     task.post_step()                     # optional (e.g. re-projection)
     task.metrics() -> dict[str, float]   # optional per-epoch extras
 
 Training is full-batch: one optimizer step per epoch, so `repartition_every`
-counts epochs between partition refreshes.
+counts epochs between partition refreshes. Each epoch runs one forward and
+one backward pass; the logged accuracy is read off the logits that
+`loss_and_grads` returns, so it belongs to the same (pre-step) parameters
+as the logged loss. `predict` runs once, after the last step, for the final
+accuracy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, StateError
+from .errors import DivergenceError, EvaluationError, StateError
 from .numerics import Param, Tensor
 
 RULES = ("soft_threshold", "raw_sign")
@@ -143,21 +148,22 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
 
 @dataclass
 class TrainLog:
-    """Per-epoch training trace; lists all share one index."""
+    """Per-epoch training trace; lists all share one index.
+
+    `losses[e]` and `accuracies[e]` are both taken at the parameters epoch e
+    started from. `final_accuracy` is taken after the last step.
+    """
 
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
     crucial_fractions: list[float] = field(default_factory=list)
     noncrucial_mean_abs: list[float] = field(default_factory=list)
     extras: list[dict] = field(default_factory=list)
+    final_accuracy: float = math.nan
 
     @property
     def final_loss(self) -> float:
         return self.losses[-1]
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1]
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +183,8 @@ def train(task, dataset, state: OptState, epochs: int,
     epochs and reused in between. A non-finite loss aborts immediately
     rather than letting the run limp on. With `patience` set, training
     stops early once the loss has not improved by more than `plateau_tol`
-    for that many consecutive epochs.
+    for that many consecutive epochs. A `DivergenceError` from the task is
+    re-raised with the epoch it happened in.
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
@@ -189,10 +196,16 @@ def train(task, dataset, state: OptState, epochs: int,
     part: CriticalityPartition | None = None
     best_loss = math.inf
     stale = 0
+    prepare = getattr(task, "prepare", None)
+    if prepare is not None:
+        prepare(x)
     for epoch in range(epochs):
         for p in params:
             p.zero_grad()
-        value = task.loss_and_grads(x, y)
+        try:
+            value, logits = task.loss_and_grads(x, y)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}", residual=exc.residual) from exc
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
         if part is None or epoch % state.repartition_every == 0:
@@ -205,7 +218,7 @@ def train(task, dataset, state: OptState, epochs: int,
         values = flat_values(params)
         nc = values[part.noncrucial_mask]
         log.losses.append(value)
-        log.accuracies.append(float(np.mean(task.predict(x) == y)))
+        log.accuracies.append(float(np.mean(np.argmax(logits, axis=1) == y)))
         log.crucial_fractions.append(part.crucial_fraction)
         log.noncrucial_mean_abs.append(float(np.mean(np.abs(nc))) if nc.size else 0.0)
         metrics = getattr(task, "metrics", None)
@@ -218,6 +231,11 @@ def train(task, dataset, state: OptState, epochs: int,
                 stale += 1
                 if stale >= patience:
                     break
+    try:
+        log.final_accuracy = float(np.mean(task.predict(x) == y))
+    except DivergenceError as exc:
+        raise DivergenceError(f"final predict after {len(log.losses)} epochs: {exc}",
+                              residual=exc.residual) from exc
     return log
 
 

@@ -184,10 +184,11 @@ class _Softmax:
         return [self.w, self.b]
 
     def loss_and_grads(self, x, y):
-        value, g = batch_cross_entropy(x @ self.w.value.array.T + self.b.value.array, y)
+        logits = x @ self.w.value.array.T + self.b.value.array
+        value, g = batch_cross_entropy(logits, y)
         self.w.add_grad(g.T @ x)
         self.b.add_grad(np.sum(g, axis=0))
-        return value
+        return value, logits
 
     def predict(self, x):
         return np.argmax(x @ self.w.value.array.T + self.b.value.array, axis=1)

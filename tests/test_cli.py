@@ -223,6 +223,14 @@ def test_tune_lion_reports_gates_and_evals_exactly(workdir, capsys):
     assert len(first) == 6 and first[4] != ""
 
 
+def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
+    rc, _, err = run_cli(capsys, ["tune", "--out", str(workdir), "--seed", "0",
+                                  "--protocol", "lion", "--epochs", "3",
+                                  "--max-iters", "2"])
+    assert rc == 1
+    assert "check failed: epoch 0: block p1 cell 0: forward solve stopped" in err
+
+
 def test_eval_without_tuned_model_exits_3(workdir, capsys):
     rc, _, err = run_cli(capsys, ["eval", "--out", str(workdir), "--seed", "0",
                                   "--protocol", "full_finetune"])

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lionprompt import robust_opt
+from lionprompt import model as m, robust_opt
 from lionprompt.deq import SolverConfig
 from lionprompt.errors import ConfigError, SetupError
 from lionprompt.harness import (
     Dataset,
+    LionTask,
     RunSettings,
     ShiftSpec,
     apply_shift,
@@ -278,6 +279,30 @@ def test_prompted_model_beats_head_tuning_on_a_shifted_task():
     full = run_protocol("full_finetune", bb, tr, te, RunSettings(seed=2, epochs=5))
     assert lion.trainable_params <= 0.10 * full.trainable_params
     assert lion.log.extras[-1].keys() == {"alpha1", "alpha2"}
+
+
+def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
+    pm = m.init_prompt_model(d=6, h=5, hidden=7, n_classes=2, seed=3)
+    task = LionTask(pm)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(12, 6))
+    y = np.arange(12) % 2
+    original = m.backbone_forward
+    raw_calls = []
+
+    def counting(backbone, rows):
+        if rows.shape == x.shape and np.array_equal(rows, x):
+            raw_calls.append(rows)
+        return original(backbone, rows)
+
+    monkeypatch.setattr(m, "backbone_forward", counting)
+    for run in (1, 2):
+        log = robust_opt.train(task, (x, y), robust_opt.OptState(eta=0.3), epochs=5)
+        assert len(log.losses) == 5
+        assert len(raw_calls) == run
+    # rows the task was not prepared on get their own features
+    task.predict(x.copy())
+    assert len(raw_calls) == 3
 
 
 # --- optimizer plateau stop -----------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lionprompt.deq import SolverConfig, estimate_spectral_norm
-from lionprompt.errors import StateError
+from lionprompt.errors import DivergenceError, ShapeMismatchError, StateError
 from lionprompt.model import (
     GATE_EPS,
     AffineStage,
@@ -26,6 +26,7 @@ from lionprompt.model import (
     loss_and_grads,
     make_head,
     param_count_report,
+    predict,
 )
 from lionprompt.numerics import Param, Tensor, batch_cross_entropy, rel_error
 from lionprompt.rng import substream
@@ -33,10 +34,9 @@ from lionprompt.rng import substream
 TIGHT = SolverConfig(tol=1e-13)
 
 
-def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2, layers=1, single_pass=False):
+def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2, layers=1):
     model = init_prompt_model(d=d, h=h, hidden=hidden, n_classes=n_classes,
-                              seed=seed, layers=layers, solver=TIGHT,
-                              single_pass=single_pass)
+                              seed=seed, layers=layers, solver=TIGHT)
     # randomize the head: a zero head blocks gradient flow to everything above it
     rng = substream(seed, "head-rand")
     model.head.w.value = Tensor(rng.normal(size=model.head.w.value.shape) * 0.5)
@@ -213,7 +213,40 @@ def test_loss_and_grads_value_matches_loss():
     model = small_model(18)
     x = substream(19, "x").normal(size=(4, 6))
     y = np.array([0, 1, 1, 0])
-    assert abs(loss_and_grads(model, x, y) - loss(model, x, y)) <= 1e-12
+    assert abs(loss_and_grads(model, x, y)[0] - loss(model, x, y)) <= 1e-12
+
+
+def test_loss_and_grads_returns_the_forward_logits():
+    model = small_model(40)
+    x = substream(41, "x").normal(size=(5, 6))
+    y = np.array([0, 1, 1, 0, 1])
+    _, logits = loss_and_grads(model, x, y)
+    assert np.array_equal(logits, forward_full(model, x))
+
+
+def test_precomputed_backbone_features_give_identical_gradients():
+    x = substream(42, "x").normal(size=(4, 6))
+    y = np.array([1, 0, 1, 0])
+    fresh, cached = small_model(43), small_model(43)
+    value_a, logits_a = loss_and_grads(fresh, x, y)
+    f_x, _ = backbone_forward(cached.backbone, x)
+    value_b, logits_b = loss_and_grads(cached, x, y, f_x=f_x)
+    assert value_a == value_b and np.array_equal(logits_a, logits_b)
+    for pa, pb in zip(fresh.trainable_params(), cached.trainable_params()):
+        assert np.array_equal(pa.grad.array, pb.grad.array), pa.name
+    with pytest.raises(ShapeMismatchError):
+        loss_and_grads(cached, x, y, f_x=f_x[:1])
+
+
+def test_unconverged_forward_solve_raises_naming_block_and_cell():
+    model = small_model(44)
+    model.solver = SolverConfig(tol=1e-8, max_iters=2)
+    x = substream(45, "x").normal(size=(3, 6))
+    y = np.array([0, 1, 0])
+    for call in (lambda: loss_and_grads(model, x, y), lambda: predict(model, x)):
+        with pytest.raises(DivergenceError, match=r"block p1 cell 0") as exc:
+            call()
+        assert exc.value.residual > 1e-8
 
 
 def test_frozen_backbone_untouched_by_training_step():
@@ -259,14 +292,6 @@ def test_end_to_end_gradients_two_layer_blocks():
     rng = substream(25, "data")
     x = rng.normal(size=(2, 6))
     y = np.array([1, 0])
-    run_end_to_end_gradcheck(model, x, y)
-
-
-def test_end_to_end_gradients_single_pass_variant():
-    model = small_model(26, single_pass=True)
-    rng = substream(27, "data")
-    x = rng.normal(size=(3, 6))
-    y = np.array([0, 0, 1])
     run_end_to_end_gradcheck(model, x, y)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lionprompt.errors import EvaluationError, StateError
+from lionprompt.errors import DivergenceError, EvaluationError, StateError
 from lionprompt.numerics import Param, Tensor, batch_cross_entropy
 from lionprompt.rng import substream
 from lionprompt.robust_opt import (
@@ -33,10 +33,11 @@ class LogisticTask:
         return x @ self.w.value.array.T + self.b.value.array
 
     def loss_and_grads(self, x, y):
-        value, g = batch_cross_entropy(self.logits(x), y)
+        logits = self.logits(x)
+        value, g = batch_cross_entropy(logits, y)
         self.w.add_grad(g.T @ x)
         self.b.add_grad(np.sum(g, axis=0))
-        return value
+        return value, logits
 
     def predict(self, x):
         return np.argmax(self.logits(x), axis=1)
@@ -182,7 +183,7 @@ def test_train_aborts_on_nonfinite_loss():
 
         def loss_and_grads(self, x, y):
             self.p.add_grad(Tensor([0.0]))
-            return float("nan")
+            return float("nan"), np.zeros((len(x), 1))
 
         def predict(self, x):
             return np.zeros(len(x), dtype=int)
@@ -237,3 +238,79 @@ def test_crucial_fraction_logged_and_bounded():
         assert 0.0 < frac <= 1.0
     # with tau=0.4 over a healthy score spread, roughly 60% should be crucial
     assert log.crucial_fractions[0] >= 0.5
+
+
+class RecordingTask(LogisticTask):
+    """LogisticTask that records every loss/logits pair and counts predicts."""
+
+    def __init__(self, d, c, seed):
+        super().__init__(d, c, seed)
+        self.seen = []
+        self.predicts = 0
+
+    def loss_and_grads(self, x, y):
+        value, logits = super().loss_and_grads(x, y)
+        self.seen.append((value, logits.copy()))
+        return value, logits
+
+    def predict(self, x):
+        self.predicts += 1
+        return super().predict(x)
+
+
+def test_train_predicts_exactly_once():
+    task = RecordingTask(d=4, c=2, seed=15)
+    x, y = two_blobs(16)
+    log = train(task, (x, y), OptState(eta=0.3, tau=0.4), epochs=12)
+    assert task.predicts == 1
+    assert len(task.seen) == len(log.losses) == 12
+
+
+def test_logged_accuracy_belongs_to_the_logged_loss():
+    task = RecordingTask(d=4, c=2, seed=17)
+    x, y = two_blobs(18, gap=1.0)
+    log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=15)
+    for e, (value, logits) in enumerate(task.seen):
+        assert log.losses[e] == value
+        assert log.accuracies[e] == float(np.mean(np.argmax(logits, axis=1) == y))
+    # the logged accuracies move, so the check above is not vacuous
+    assert len(set(log.accuracies)) > 1
+
+
+@pytest.mark.parametrize("patience", [None, 3])
+def test_final_accuracy_is_taken_after_the_last_step(patience):
+    task = LogisticTask(d=4, c=2, seed=19)
+    x, y = two_blobs(20, gap=1.0)
+    log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=400,
+                patience=patience, plateau_tol=1e-3)
+    if patience is not None:
+        assert len(log.losses) < 400   # stopped early on the plateau
+    assert log.final_accuracy == float(np.mean(task.predict(x) == y))
+
+
+def test_train_prepares_the_task_once():
+    class PreparedTask(LogisticTask):
+        def prepare(self, x):
+            self.prepared.append(x)
+
+    task = PreparedTask(d=4, c=2, seed=21)
+    task.prepared = []
+    x, y = two_blobs(22)
+    train(task, (x, y), OptState(eta=0.3), epochs=5)
+    assert len(task.prepared) == 1 and task.prepared[0] is x
+
+
+def test_train_reraises_divergence_with_the_epoch():
+    class DivergingTask(LogisticTask):
+        calls = 0
+
+        def loss_and_grads(self, x, y):
+            self.calls += 1
+            if self.calls == 3:
+                raise DivergenceError("block p1 cell 0: stalled", residual=0.5)
+            return super().loss_and_grads(x, y)
+
+    x, y = two_blobs(23)
+    with pytest.raises(DivergenceError, match=r"epoch 2: block p1 cell 0") as exc:
+        train(DivergingTask(d=4, c=2, seed=24), (x, y), OptState(eta=0.3), epochs=5)
+    assert exc.value.residual == 0.5
