@@ -26,7 +26,7 @@ class RunConfig:
     eta: float = 0.3
     tol: float = 1e-8
     max_iters: int = 500
-    anderson_depth: int = 5
+    anderson_depth: int = 0
     kappa: float = 0.9
     layers: int = 1
     protocol: str = "lion"
@@ -54,8 +54,8 @@ class RunConfig:
             bad("tol", "must be positive")
         if self.max_iters < 1:
             bad("max_iters", "must be >= 1")
-        if self.anderson_depth < 1:
-            bad("anderson_depth", "must be >= 1")
+        if self.anderson_depth < 0:
+            bad("anderson_depth", "must be >= 0")
         if not 0.0 < self.kappa < 1.0:
             bad("kappa", "must be strictly between 0 and 1")
         if self.layers < 1:

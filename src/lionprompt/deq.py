@@ -3,18 +3,18 @@
 The cell body is a single pre-activation layer f(z) = sigma(W z + U x + b)
 whose state weight is rescaled to operator norm <= kappa < 1, so f is a
 contraction and the fixed point z* = f(z*) exists and is unique. The
-forward pass finds z* by damped Picard iteration or Anderson acceleration;
-the backward pass never unrolls the solver. It solves the linear adjoint
-equation (I - J^T) o = y at z* directly, one small LU per row, and then
-takes one ordinary backward step of the cell body seeded with o. Because
-||W||_2 <= kappa and |sigma'| <= 1, that matrix is always invertible with
-condition number at most (1 + kappa) / (1 - kappa).
+forward pass finds z* by plain Picard iteration (the default) or Anderson
+acceleration; the backward pass never unrolls the solver. It solves the
+linear adjoint equation (I - J^T) o = y at z* directly, one small LU per
+row, and then takes one ordinary backward step of the cell body seeded
+with o. Because ||W||_2 <= kappa and |sigma'| <= 1, that matrix is always
+invertible with condition number at most (1 + kappa) / (1 - kappa).
 
-Forward solvers run on flat float64 arrays internally. A batch of inputs is
-solved as one stacked fixed-point problem (rows evolve independently), with
-the Frobenius residual under the same tolerance, so a converged batch solve
-certifies every row's residual individually. The single-row adjoint and VJP
-are the n = 1 case of the batch functions that training runs.
+Every forward solve runs through one driver on an (n, h) float64 stack of
+rows that evolve independently. It stops once the worst row residual
+max_i ||f(z_i) - z_i|| is within tol and reports that residual, so a
+converged solve certifies every row individually. The single-row solve,
+adjoint and VJP are the n = 1 case of the batch code that training runs.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
@@ -23,8 +23,8 @@ gradient cross-checks; it shares no solver machinery with `deq_vjp`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -74,12 +74,16 @@ class DeqCell:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver settings; `anderson_depth=0` selects plain Picard."""
+    """Fixed-point solver settings.
+
+    `anderson_depth=0` (the default) selects plain Picard, z <- f(z). A
+    depth N >= 2 selects Anderson mixing over the last N residuals; depth 1
+    keeps a single history entry, never mixes, and so also runs Picard.
+    """
 
     tol: float = 1e-8
     max_iters: int = 500
-    anderson_depth: int = 5
-    damping: float = 1.0
+    anderson_depth: int = 0
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -88,8 +92,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.anderson_depth < 0:
             raise ValueError(f"anderson_depth must be >= 0, got {self.anderson_depth}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0,1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -155,67 +157,63 @@ def cell_forward(cell: DeqCell, z: Tensor, x: Tensor) -> Tensor:
     return Tensor(_act(a, cell.activation))
 
 
-def _solve(g: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
+def _solve(cell: DeqCell, x_rows: np.ndarray, z0_rows: np.ndarray,
            cfg: SolverConfig) -> tuple[np.ndarray, int, float, bool]:
-    """Generic fixed-point driver on flat arrays.
+    """Fixed-point driver on an (n, h) stack of rows, one input row each.
 
-    Returns (point, evaluations, residual-at-point, converged); the residual
-    always belongs to the returned point, so `converged` iff it is <= tol.
-    Anderson mixing (type II) extrapolates over the last `anderson_depth`
-    residuals via a least-squares combination, falling back to the damped
-    Picard step while the history is shorter than two entries.
+    Stops once the worst row residual max_i ||f(z_i) - z_i|| is <= tol.
+    Returns (point, evaluations, worst-row residual at point, converged);
+    the residual always belongs to the returned point, so `converged` iff
+    every row is within tol. Picard steps z <- f(z). Anderson mixing (type
+    II) extrapolates the whole stack over the last `anderson_depth`
+    residuals with one least-squares combination, taking a Picard step while
+    the history holds fewer than two entries.
     """
-    v = np.array(v0, dtype=np.float64)
-    beta = cfg.damping
+    wa, kind = cell.W.array, cell.activation
+    c = x_rows @ cell.U.array.T + cell.b.array
+    v = np.array(z0_rows, dtype=np.float64)
     depth = cfg.anderson_depth
-    hist_v: list[np.ndarray] = []
+    hist_r: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
-    for k in range(1, cfg.max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            gv = g(v)
-        if not np.all(np.isfinite(gv)):
-            raise DivergenceError(f"non-finite iterate at evaluation {k}")
-        r = gv - v
-        resid = float(np.linalg.norm(r))
-        if resid <= cfg.tol:
-            return v, k, resid, True
-        if k == cfg.max_iters:
-            return v, k, resid, False
-        if depth == 0:
-            v = v + beta * r
-            continue
-        hist_v.append(v)
-        hist_g.append(gv)
-        if len(hist_v) > depth:
-            hist_v.pop(0)
-            hist_g.pop(0)
-        if len(hist_v) == 1:
-            v = v + beta * r
-            continue
-        res = np.stack([gi - vi for vi, gi in zip(hist_v, hist_g)], axis=1)
-        d_res = res[:, 1:] - res[:, :-1]
-        gamma, *_ = np.linalg.lstsq(d_res, res[:, -1], rcond=None)
-        vs = np.stack(hist_v, axis=1)
-        gs = np.stack(hist_g, axis=1)
-        v_bar = v - (vs[:, 1:] - vs[:, :-1]) @ gamma
-        g_bar = gv - (gs[:, 1:] - gs[:, :-1]) @ gamma
-        v = (1.0 - beta) * v_bar + beta * g_bar
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iters + 1):
+            gv = _act(v @ wa.T + c, kind)
+            r = gv - v
+            resid = math.sqrt(np.einsum("ij,ij->i", r, r).max(initial=0.0))
+            if not math.isfinite(resid) and not np.all(np.isfinite(gv)):
+                raise DivergenceError(f"non-finite iterate at evaluation {k}")
+            if resid <= cfg.tol or k == cfg.max_iters:
+                return v, k, resid, resid <= cfg.tol
+            if depth >= 2:
+                hist_r.append(r.reshape(-1))
+                hist_g.append(gv.reshape(-1))
+                if len(hist_r) > depth:
+                    hist_r.pop(0)
+                    hist_g.pop(0)
+            if len(hist_r) < 2:
+                v = gv
+                continue
+            res = np.stack(hist_r, axis=1)
+            gamma, *_ = np.linalg.lstsq(res[:, 1:] - res[:, :-1], res[:, -1], rcond=None)
+            gs = np.stack(hist_g, axis=1)
+            v = gv - ((gs[:, 1:] - gs[:, :-1]) @ gamma).reshape(gv.shape)
     raise AssertionError("unreachable")
 
 
 def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
                   z0: Tensor | None = None) -> SolveReport:
-    """Find z* = f(z*) for one input; cell is assumed spectrally normalized."""
-    cfg = cfg or SolverConfig()
+    """Find z* = f(z*) for one input; cell is assumed spectrally normalized.
+
+    The n = 1 case of the driver behind `solve_forward_batch`, so it returns
+    exactly row 0 of a one-row batch solve.
+    """
     if x.shape != (cell.input_dim,):
         raise ShapeMismatchError(f"input shape {x.shape} != ({cell.input_dim},)")
     start = np.zeros(cell.state_dim) if z0 is None else z0.array
     if start.shape != (cell.state_dim,):
         raise ShapeMismatchError(f"z0 shape {start.shape} != ({cell.state_dim},)")
-    wa, kind = cell.W.array, cell.activation
-    c = cell.U.array @ x.array + cell.b.array
-    v, iters, resid, ok = _solve(lambda z: _act(wa @ z + c, kind), start, cfg)
-    return SolveReport(Tensor(v), iters, resid, ok)
+    v, iters, resid, ok = _solve(cell, x.array[None, :], start[None, :], cfg or SolverConfig())
+    return SolveReport(Tensor(v[0]), iters, resid, ok)
 
 
 def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | None = None,
@@ -223,27 +221,17 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
     """Solve a batch of inputs (rows) as one stacked fixed-point problem.
 
     The report's `z_star` is rank-2 with one state per row, and `residual`
-    is the Frobenius norm of the stacked residual; converged therefore
-    implies every individual row residual is within tol.
+    is the worst row residual, so converged means every row is within tol.
     """
-    cfg = cfg or SolverConfig()
     x_rows = np.asarray(x_rows, dtype=np.float64)
-    n = x_rows.shape[0]
     if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
         raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    h = cell.state_dim
-    start = np.zeros((n, h)) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
-    if start.shape != (n, h):
-        raise ShapeMismatchError(f"z0 shape {start.shape} != ({n}, {h})")
-    wa, kind = cell.W.array, cell.activation
-    c = x_rows @ cell.U.array.T + cell.b.array
-
-    def g(flat: np.ndarray) -> np.ndarray:
-        z = flat.reshape(n, h)
-        return _act(z @ wa.T + c, kind).reshape(-1)
-
-    v, iters, resid, ok = _solve(g, start.reshape(-1), cfg)
-    return SolveReport(Tensor(v.reshape(n, h)), iters, resid, ok)
+    shape = (x_rows.shape[0], cell.state_dim)
+    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
+    if start.shape != shape:
+        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
+    v, iters, resid, ok = _solve(cell, x_rows, start, cfg or SolverConfig())
+    return SolveReport(Tensor(v), iters, resid, ok)
 
 
 # --- backward --------------------------------------------------------------

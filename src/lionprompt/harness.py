@@ -557,8 +557,9 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                     fd_step: float = 1e-5) -> list[GradCheckRow]:
     """Implicit vs finite-difference vs unrolled gradients on seeded cells.
 
-    Solver non-convergence is reported as its own status so a hopeless
-    tolerance setting is distinguishable from a wrong gradient.
+    Solver non-convergence, in the base solve or in any finite-difference
+    solve, is reported as its own status so a hopeless tolerance setting is
+    distinguishable from a wrong gradient.
     """
     cfg = solver or SolverConfig(tol=1e-13)
     rows = []
@@ -572,17 +573,13 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
             b=Tensor(rng.normal(size=h) * 0.1)))
         x = Tensor(rng.normal(size=d))
         y = Tensor(rng.normal(size=h))
-        try:
-            rep = deq.solve_forward(cell, x, cfg)
+
+        def fixed_point(c: DeqCell, x_in: Tensor) -> Tensor:
+            rep = deq.solve_forward(c, x_in, cfg)
             if not rep.converged:
-                rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
-                                         "solver_failed"))
-                continue
-            grad_x, grads = deq.deq_vjp(cell, rep.z_star, x, y)
-        except deq.DivergenceError:
-            rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
-                                     "solver_failed"))
-            continue
+                raise deq.DivergenceError("forward solve stopped short of tol",
+                                          residual=rep.residual)
+            return rep.z_star
 
         def objective(vec: np.ndarray) -> float:
             parts = np.split(vec, [h * h, h * h + h * d, h * h + h * d + h])
@@ -590,17 +587,22 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                         U=Tensor(parts[1].reshape(h, d)),
                         b=Tensor(parts[2]), kappa=cell.kappa,
                         activation=cell.activation)
-            r = deq.solve_forward(c, Tensor(parts[3]), cfg)
-            return float(y.array @ r.z_star.array)
+            return float(y.array @ fixed_point(c, Tensor(parts[3])).array)
 
         packed = np.concatenate([cell.W.array.reshape(-1), cell.U.array.reshape(-1),
                                  cell.b.array, x.array])
         fd = np.zeros_like(packed)
-        for i in range(packed.size):
-            up, down = packed.copy(), packed.copy()
-            up[i] += fd_step
-            down[i] -= fd_step
-            fd[i] = (objective(up) - objective(down)) / (2.0 * fd_step)
+        try:
+            grad_x, grads = deq.deq_vjp(cell, fixed_point(cell, x), x, y)
+            for i in range(packed.size):
+                up, down = packed.copy(), packed.copy()
+                up[i] += fd_step
+                down[i] -= fd_step
+                fd[i] = (objective(up) - objective(down)) / (2.0 * fd_step)
+        except deq.DivergenceError:
+            rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
+                                     "solver_failed"))
+            continue
         analytic = np.concatenate([grads.W.array.reshape(-1), grads.U.array.reshape(-1),
                                    grads.b.array, grad_x.array])
         fd_err = rel_error(analytic, fd)

@@ -50,13 +50,13 @@ def _stage_act(a: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def _stage_act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+def _stage_act_deriv(out: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the stage activation, read off the stage output."""
     if kind == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
+        return 1.0 - out * out
     if kind == "relu":
-        return (a > 0.0).astype(np.float64)
-    return np.ones_like(a)
+        return (out > 0.0).astype(np.float64)
+    return np.ones_like(out)
 
 
 @dataclass
@@ -106,21 +106,21 @@ class Backbone:
 
 
 def backbone_forward(backbone: Backbone, x_rows: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run all stages on a batch; the cache holds per-stage (input, preact)."""
+    """Run all stages on a batch; the cache holds per-stage (input, output)."""
     cache = []
     h = np.asarray(x_rows, dtype=np.float64)
     for s in backbone.stages:
-        a = h @ s.w.value.array.T + s.b.value.array
-        cache.append((h, a))
-        h = _stage_act(a, s.activation)
+        out = _stage_act(h @ s.w.value.array.T + s.b.value.array, s.activation)
+        cache.append((h, out))
+        h = out
     return h, cache
 
 
 def backbone_input_vjp(backbone: Backbone, cache: list, g_out: np.ndarray) -> np.ndarray:
     """Pull a cotangent on the output back to the input; parameters untouched."""
     g = g_out
-    for s, (_, a) in zip(reversed(backbone.stages), reversed(cache)):
-        t = _stage_act_deriv(a, s.activation) * g
+    for s, (_, out) in zip(reversed(backbone.stages), reversed(cache)):
+        t = _stage_act_deriv(out, s.activation) * g
         g = t @ s.w.value.array
     return g
 
@@ -131,8 +131,8 @@ def backbone_param_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
     if backbone.frozen:
         raise StateError("backbone is frozen; parameter gradients are off-limits")
     g = g_out
-    for s, (h_in, a) in zip(reversed(backbone.stages), reversed(cache)):
-        t = _stage_act_deriv(a, s.activation) * g
+    for s, (h_in, out) in zip(reversed(backbone.stages), reversed(cache)):
+        t = _stage_act_deriv(out, s.activation) * g
         if not bias_only:
             s.w.add_grad(t.T @ h_in)
         s.b.add_grad(np.sum(t, axis=0))

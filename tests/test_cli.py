@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from lionprompt import checkpoint
+from lionprompt import checkpoint, deq
 from lionprompt.cli import CSV_HEADER, main
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
@@ -136,6 +136,13 @@ def test_config_errors_name_the_key():
         parse("just some words\n")
 
 
+def test_anderson_depth_zero_selects_picard_and_negative_is_rejected():
+    assert RunConfig().anderson_depth == 0
+    assert RunConfig(anderson_depth=0).anderson_depth == 0
+    with pytest.raises(ConfigError, match="'anderson_depth'"):
+        RunConfig(anderson_depth=-1)
+
+
 # --- command-line surface ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -229,6 +236,44 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
                                   "--max-iters", "2"])
     assert rc == 1
     assert "check failed: epoch 0: block p1 cell 0: forward solve stopped" in err
+
+
+def _record_solver_depths(monkeypatch):
+    solve, depths = deq.solve_forward_batch, set()
+
+    def recording(cell, x_rows, cfg=None, z0_rows=None):
+        depths.add(cfg.anderson_depth)
+        return solve(cell, x_rows, cfg, z0_rows)
+
+    monkeypatch.setattr(deq, "solve_forward_batch", recording)
+    return depths
+
+
+def _own_outdir(workdir, tmp_path):
+    """A fresh output directory holding a copy of the shared backbone."""
+    name = "backbone-blobs-s0.ckpt"
+    (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    return str(tmp_path)
+
+
+def test_default_tune_solves_with_picard(workdir, tmp_path, monkeypatch, capsys):
+    depths = _record_solver_depths(monkeypatch)
+    rc, _, _ = run_cli(capsys, ["tune", "--out", _own_outdir(workdir, tmp_path),
+                                "--seed", "0", "--protocol", "lion", "--epochs", "5"])
+    assert rc == 0
+    assert depths == {0}
+
+
+def test_anderson_tune_still_runs_and_evals_exactly(workdir, tmp_path, monkeypatch, capsys):
+    depths = _record_solver_depths(monkeypatch)
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0", "--protocol", "lion",
+            "--epochs", "20", "--anderson-depth", "5"]
+    rc, tune_out, _ = run_cli(capsys, ["tune", *base])
+    assert rc == 0
+    rc, eval_out, _ = run_cli(capsys, ["eval", *base])
+    assert rc == 0
+    assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
+    assert depths == {5}
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):

@@ -243,6 +243,37 @@ def test_batch_solve_matches_per_row():
         assert np.linalg.norm(rep.z_star.array[i] - single.z_star.array) <= 1e-9
 
 
+@pytest.mark.parametrize("depth", [0, 5])
+def test_batch_residual_is_the_worst_row(depth):
+    cell = random_cell(23, h=8, d=4)
+    xs = substream(24, "batch").normal(size=(60, 4)) * 2.0
+    cfg = SolverConfig(tol=1e-9, anderson_depth=depth)
+    rep = solve_forward_batch(cell, xs, cfg)
+    assert rep.converged
+    rows = np.array([np.linalg.norm(cell_forward(cell, Tensor(z), Tensor(x)).array - z)
+                     for z, x in zip(rep.z_star.array, xs)])
+    assert abs(rep.residual - rows.max()) <= 1e-15
+    assert np.all(rows <= cfg.tol)
+    # it stops at the first certified iterate: one evaluation fewer is not enough
+    short = solve_forward_batch(cell, xs, SolverConfig(tol=1e-9, anderson_depth=depth,
+                                                       max_iters=rep.iterations - 1))
+    assert not short.converged and short.residual > cfg.tol
+
+
+@pytest.mark.parametrize("depth", [0, 5])
+def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
+    cell = random_cell(25, h=9, d=5)
+    rng = substream(26, "one-row")
+    x, z0 = rng.normal(size=5), rng.normal(size=9)
+    for cfg in (SolverConfig(tol=1e-12, anderson_depth=depth),
+                SolverConfig(tol=1e-30, max_iters=7, anderson_depth=depth)):
+        single = solve_forward(cell, Tensor(x), cfg, z0=Tensor(z0))
+        batch = solve_forward_batch(cell, x[None, :], cfg, z0_rows=z0[None, :])
+        assert single.z_star.array.tobytes() == batch.z_star.array[0].tobytes()
+        assert (single.iterations, single.residual, single.converged) == \
+            (batch.iterations, batch.residual, batch.converged)
+
+
 # --- adjoint and implicit gradients ----------------------------------------
 
 def test_adjoint_scalar_geometric():

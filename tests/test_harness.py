@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lionprompt import model as m, robust_opt
+from lionprompt import deq, model as m, robust_opt
 from lionprompt.deq import SolverConfig
 from lionprompt.errors import ConfigError, SetupError
 from lionprompt.harness import (
@@ -349,6 +349,23 @@ def test_gradcheck_rows_all_pass():
     assert all(r.status == "ok" for r in rows)
     assert max(r.fd_rel_err for r in rows) <= 1e-4
     assert max(r.unrolled_rel_err for r in rows) <= 1e-5
+
+
+def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
+    solve, stopped_short = deq.solve_forward, []
+
+    def counting(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        if not rep.converged:
+            stopped_short.append(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(deq, "solve_forward", counting)
+    rows = gradcheck_suite(n_cases=5, seed=0, solver=SolverConfig(tol=1e-30))
+    failed = [r for r in rows if r.status == "solver_failed"]
+    # each failed case ends at its first short solve, and no "ok" case had one
+    assert len(stopped_short) == len(failed) > 0
+    assert stopped_short == [500] * len(failed)
 
 
 def test_gradcheck_reports_solver_failure_distinctly():
