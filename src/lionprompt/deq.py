@@ -11,10 +11,13 @@ with o. Because ||W||_2 <= kappa and |sigma'| <= 1, that matrix is always
 invertible with condition number at most (1 + kappa) / (1 - kappa).
 
 Every forward solve runs through one driver on an (n, h) float64 stack of
-rows that evolve independently. It stops once the worst row residual
-max_i ||f(z_i) - z_i|| is within tol and reports that residual, so a
-converged solve certifies every row individually. The single-row solve,
-adjoint and VJP are the n = 1 case of the batch code that training runs.
+rows that evolve independently, each with its input term c_i = U x_i + b.
+The rows share one state weight, or, for `solve_forward_stack`, may carry
+one weight each (the gradient cross-checks perturb W one entry per row).
+The driver stops once the worst row residual max_i ||f(z_i) - z_i|| is
+within tol and reports that residual, so a converged solve certifies
+every row individually. The single-row solve, adjoint and VJP are the
+n = 1 case of the batch code that training runs.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
@@ -157,27 +160,29 @@ def cell_forward(cell: DeqCell, z: Tensor, x: Tensor) -> Tensor:
     return Tensor(_act(a, cell.activation))
 
 
-def _solve(cell: DeqCell, x_rows: np.ndarray, z0_rows: np.ndarray,
+def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
            cfg: SolverConfig) -> tuple[np.ndarray, int, float, bool]:
-    """Fixed-point driver on an (n, h) stack of rows, one input row each.
+    """Fixed-point driver on an (n, h) stack of rows z_i = sigma(W_i z_i + c_i).
 
-    Stops once the worst row residual max_i ||f(z_i) - z_i|| is <= tol.
-    Returns (point, evaluations, worst-row residual at point, converged);
-    the residual always belongs to the returned point, so `converged` iff
-    every row is within tol. Picard steps z <- f(z). Anderson mixing (type
-    II) extrapolates the whole stack over the last `anderson_depth`
-    residuals with one least-squares combination, taking a Picard step while
-    the history holds fewer than two entries.
+    `w` is one shared (h, h) state weight or an (n, h, h) stack with one
+    weight per row; `c` holds each row's input term U x_i + b. Stops once
+    the worst row residual max_i ||f(z_i) - z_i|| is <= tol. Returns (point,
+    evaluations, worst-row residual at point, converged); the residual
+    always belongs to the returned point, so `converged` iff every row is
+    within tol. Picard steps z <- f(z). Anderson mixing (type II)
+    extrapolates the whole stack over the last `anderson_depth` residuals
+    with one least-squares combination, taking a Picard step while the
+    history holds fewer than two entries.
     """
-    wa, kind = cell.W.array, cell.activation
-    c = x_rows @ cell.U.array.T + cell.b.array
+    shared = w.ndim == 2
     v = np.array(z0_rows, dtype=np.float64)
     depth = cfg.anderson_depth
     hist_r: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
-            gv = _act(v @ wa.T + c, kind)
+            wv = v @ w.T if shared else np.matmul(w, v[:, :, None])[:, :, 0]
+            gv = _act(wv + c, kind)
             r = gv - v
             resid = math.sqrt(np.einsum("ij,ij->i", r, r).max(initial=0.0))
             if not math.isfinite(resid) and not np.all(np.isfinite(gv)):
@@ -200,6 +205,13 @@ def _solve(cell: DeqCell, x_rows: np.ndarray, z0_rows: np.ndarray,
     raise AssertionError("unreachable")
 
 
+def _start(z0_rows, shape: tuple[int, int]) -> np.ndarray:
+    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
+    if start.shape != shape:
+        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
+    return start
+
+
 def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
                   z0: Tensor | None = None) -> SolveReport:
     """Find z* = f(z*) for one input; cell is assumed spectrally normalized.
@@ -212,7 +224,9 @@ def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
     start = np.zeros(cell.state_dim) if z0 is None else z0.array
     if start.shape != (cell.state_dim,):
         raise ShapeMismatchError(f"z0 shape {start.shape} != ({cell.state_dim},)")
-    v, iters, resid, ok = _solve(cell, x.array[None, :], start[None, :], cfg or SolverConfig())
+    c = x.array[None, :] @ cell.U.array.T + cell.b.array
+    v, iters, resid, ok = _solve(cell.W.array, c, cell.activation, start[None, :],
+                                 cfg or SolverConfig())
     return SolveReport(Tensor(v[0]), iters, resid, ok)
 
 
@@ -226,11 +240,36 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
         raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    shape = (x_rows.shape[0], cell.state_dim)
-    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
-    if start.shape != shape:
-        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
-    v, iters, resid, ok = _solve(cell, x_rows, start, cfg or SolverConfig())
+    start = _start(z0_rows, (x_rows.shape[0], cell.state_dim))
+    c = x_rows @ cell.U.array.T + cell.b.array
+    v, iters, resid, ok = _solve(cell.W.array, c, cell.activation, start,
+                                 cfg or SolverConfig())
+    return SolveReport(Tensor(v), iters, resid, ok)
+
+
+def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, cfg: SolverConfig | None = None,
+                        z0_rows: np.ndarray | None = None,
+                        activation: str = "tanh") -> SolveReport:
+    """Solve z_i = sigma(W_i z_i + c_i) for a stack of rows with given input terms.
+
+    `c_rows` is (n, h), each row's U x_i + b already computed. `w` is one
+    shared (h, h) state weight, the same product `solve_forward_batch`
+    runs, or an (n, h, h) stack with one weight per row. Every weight is
+    assumed to have operator norm < 1. The report is that of a batch solve:
+    `residual` is the worst row residual.
+    """
+    c_rows = np.asarray(c_rows, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if c_rows.ndim != 2:
+        raise ShapeMismatchError(f"input terms must be (n, h), got {c_rows.shape}")
+    n, h = c_rows.shape
+    if w.shape not in ((h, h), (n, h, h)):
+        raise ShapeMismatchError(
+            f"state weight shape {w.shape} != ({h}, {h}) or ({n}, {h}, {h})")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    v, iters, resid, ok = _solve(w, c_rows, activation, _start(z0_rows, (n, h)),
+                                 cfg or SolverConfig())
     return SolveReport(Tensor(v), iters, resid, ok)
 
 
@@ -291,28 +330,26 @@ def unrolled_vjp(cell: DeqCell, x: Tensor, y: Tensor, n_iters: int = 500
                  ) -> tuple[Tensor, CellGrads]:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
-    Runs n_iters plain Picard iterations from z0 = 0, keeps every iterate,
-    and reverse-accumulates y^T z_K through the whole chain. Exists to
-    cross-check `deq_vjp`; quadratic in depth memory-wise and never used
-    in the training path.
+    Runs n_iters plain Picard iterations from z0 = 0, records every iterate,
+    and reverse-accumulates y^T z_K through the whole chain. sigma' at step
+    k is read off the recorded output z_{k+1} (1 - z^2 for tanh), and the
+    parameter gradients are sums over steps, taken as one product over the
+    stacked per-step vectors. Exists to cross-check `deq_vjp`; linear in
+    depth memory-wise, shares nothing with the solver or the adjoint, and
+    is never used in the training path.
     """
-    wa, ua, ba = cell.W.array, cell.U.array, cell.b.array
-    kind = cell.activation
-    c = ua @ x.array + ba
-    zs = [np.zeros(cell.state_dim)]
-    for _ in range(n_iters):
-        zs.append(_act(wa @ zs[-1] + c, kind))
-    grad_w = np.zeros_like(wa)
-    grad_u = np.zeros_like(ua)
-    grad_b = np.zeros_like(ba)
-    grad_x = np.zeros(cell.input_dim)
-    zbar = y.array.copy()
+    wa, ua = cell.W.array, cell.U.array
+    c = ua @ x.array + cell.b.array
+    zs = np.zeros((n_iters + 1, cell.state_dim))
+    for k in range(n_iters):
+        zs[k + 1] = _act(wa @ zs[k] + c, cell.activation)
+    sig = 1.0 - zs[1:] * zs[1:] if cell.activation == "tanh" else np.ones_like(zs[1:])
+    ts = np.empty_like(sig)
+    zbar = y.array
     for k in range(n_iters - 1, -1, -1):
-        a = wa @ zs[k] + c
-        t = _act_deriv(a, kind) * zbar
-        grad_w += np.outer(t, zs[k])
-        grad_u += np.outer(t, x.array)
-        grad_b += t
-        grad_x += ua.T @ t
-        zbar = wa.T @ t
-    return Tensor(grad_x), CellGrads(W=Tensor(grad_w), U=Tensor(grad_u), b=Tensor(grad_b))
+        ts[k] = sig[k] * zbar
+        zbar = ts[k] @ wa
+    t_sum = ts.sum(axis=0)
+    return Tensor(t_sum @ ua), CellGrads(W=Tensor(ts.T @ zs[:-1]),
+                                         U=Tensor(np.outer(t_sum, x.array)),
+                                         b=Tensor(t_sum))

@@ -551,15 +551,53 @@ class GradCheckRow:
     status: str                 # "ok" | "solver_failed" | "gradient_failed"
 
 
+def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
+                         step: float) -> np.ndarray:
+    """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
+
+    All 2 (h^2 + hd + h + d) perturbed fixed points are solved as two row
+    stacks, the + step rows first and the - step rows second. Perturbing a
+    scalar of U, b or x only shifts that row's input term c = U x + b, so
+    those rows share the cell's weight; only the W rows get one weight each.
+    Raises DivergenceError if any row stops short of tol.
+    """
+    wa, ua, xa = cell.W.array, cell.U.array, x.array
+    h = cell.state_dim
+    c = ua @ xa + cell.b.array
+    # d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
+    shifts = np.vstack([np.kron(np.eye(h), xa[:, None]), np.eye(h), ua.T])
+    ws = np.broadcast_to(wa.reshape(-1), (2, h * h, h * h)).copy()
+    diag = np.arange(h * h)
+    ws[0, diag, diag] += step
+    ws[1, diag, diag] -= step
+    stacks = ((ws.reshape(-1, h, h), np.broadcast_to(c, (2 * h * h, h))),
+              (wa, np.concatenate([c + step * shifts, c - step * shifts])))
+    fd = []
+    for w, c_rows in stacks:
+        rep = deq.solve_forward_stack(w, c_rows, cfg, activation=cell.activation)
+        if not rep.converged:
+            raise deq.DivergenceError("finite-difference solves stopped short of tol",
+                                      residual=rep.residual)
+        plus, minus = np.split(rep.z_star.array, 2)
+        fd.append((plus - minus) @ y.array / (2.0 * step))
+    return np.concatenate(fd)
+
+
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                     solver: SolverConfig | None = None,
                     fd_tol: float = 1e-4, unrolled_tol: float = 1e-5,
                     fd_step: float = 1e-5) -> list[GradCheckRow]:
     """Implicit vs finite-difference vs unrolled gradients on seeded cells.
 
-    Solver non-convergence, in the base solve or in any finite-difference
-    solve, is reported as its own status so a hopeless tolerance setting is
-    distinguishable from a wrong gradient.
+    The implicit gradient is taken at the base solve's fixed point through
+    `deq.solve_forward` and `deq.deq_vjp`, the n = 1 case of the batch code
+    that training runs. The central differences of each case are one
+    `deq.solve_forward_stack` call for the W perturbations (a weight per
+    row) and one for the rest (the shared-weight product that training
+    runs), on the same worst-row-certified driver. Solver non-convergence,
+    in the base solve or in any row of a stack, is reported as its own
+    status so a hopeless tolerance setting is distinguishable from a wrong
+    gradient.
     """
     cfg = solver or SolverConfig(tol=1e-13)
     rows = []
@@ -573,36 +611,17 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
             b=Tensor(rng.normal(size=h) * 0.1)))
         x = Tensor(rng.normal(size=d))
         y = Tensor(rng.normal(size=h))
-
-        def fixed_point(c: DeqCell, x_in: Tensor) -> Tensor:
-            rep = deq.solve_forward(c, x_in, cfg)
-            if not rep.converged:
-                raise deq.DivergenceError("forward solve stopped short of tol",
-                                          residual=rep.residual)
-            return rep.z_star
-
-        def objective(vec: np.ndarray) -> float:
-            parts = np.split(vec, [h * h, h * h + h * d, h * h + h * d + h])
-            c = DeqCell(W=Tensor(parts[0].reshape(h, h)),
-                        U=Tensor(parts[1].reshape(h, d)),
-                        b=Tensor(parts[2]), kappa=cell.kappa,
-                        activation=cell.activation)
-            return float(y.array @ fixed_point(c, Tensor(parts[3])).array)
-
-        packed = np.concatenate([cell.W.array.reshape(-1), cell.U.array.reshape(-1),
-                                 cell.b.array, x.array])
-        fd = np.zeros_like(packed)
         try:
-            grad_x, grads = deq.deq_vjp(cell, fixed_point(cell, x), x, y)
-            for i in range(packed.size):
-                up, down = packed.copy(), packed.copy()
-                up[i] += fd_step
-                down[i] -= fd_step
-                fd[i] = (objective(up) - objective(down)) / (2.0 * fd_step)
+            base = deq.solve_forward(cell, x, cfg)
+            if not base.converged:
+                raise deq.DivergenceError("base solve stopped short of tol",
+                                          residual=base.residual)
+            fd = _central_differences(cell, x, y, cfg, fd_step)
         except deq.DivergenceError:
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))
             continue
+        grad_x, grads = deq.deq_vjp(cell, base.z_star, x, y)
         analytic = np.concatenate([grads.W.array.reshape(-1), grads.U.array.reshape(-1),
                                    grads.b.array, grad_x.array])
         fd_err = rel_error(analytic, fd)

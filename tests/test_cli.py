@@ -339,3 +339,13 @@ def test_report_rejects_unreadable_run_file(tmp_path, capsys):
     assert "junk.csv" in err
     rc, _, err = run_cli(capsys, ["report", str(tmp_path / "absent.csv")])
     assert rc == 3
+
+
+def test_gradcheck_with_anderson_mixes_the_stacks(tmp_path, capsys):
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text("cases = 3\n")
+    rc, out, _ = run_cli(capsys, ["gradcheck", "--config", str(cfgfile),
+                                  "--anderson-depth", "5"])
+    assert rc == 0
+    assert "3/3 ok" in out
+    assert sum(ln.strip().endswith(" ok") for ln in out.splitlines()) == 3

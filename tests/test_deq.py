@@ -15,6 +15,7 @@ from lionprompt.deq import (
     solve_adjoint_batch,
     solve_forward,
     solve_forward_batch,
+    solve_forward_stack,
     spectral_normalize,
     unrolled_vjp,
 )
@@ -274,6 +275,32 @@ def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
             (batch.iterations, batch.residual, batch.converged)
 
 
+def test_stack_solve_validates_shapes():
+    c = np.zeros((3, 4))
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4, 4)), c)
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((3, 4)), c)
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4)), np.zeros(4))
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4)), c, z0_rows=np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        solve_forward_stack(np.zeros((4, 4)), c, activation="relu")
+
+
+@pytest.mark.parametrize("depth", [0, 5])
+def test_shared_weight_stack_is_the_batch_solve(depth):
+    cell = random_cell(27, h=7, d=4)
+    xs = substream(28, "stack").normal(size=(11, 4))
+    cfg = SolverConfig(tol=1e-12, anderson_depth=depth)
+    batch = solve_forward_batch(cell, xs, cfg)
+    stack = solve_forward_stack(cell.W.array, xs @ cell.U.array.T + cell.b.array, cfg)
+    assert stack.z_star.array.tobytes() == batch.z_star.array.tobytes()
+    assert (stack.iterations, stack.residual, stack.converged) == \
+        (batch.iterations, batch.residual, batch.converged)
+
+
 # --- adjoint and implicit gradients ----------------------------------------
 
 def test_adjoint_scalar_geometric():
@@ -390,6 +417,32 @@ def test_vjp_matches_unrolled_backprop():
         assert rel_error(g_i.W, g_u.W) <= 1e-5
         assert rel_error(g_i.U, g_u.U) <= 1e-5
         assert rel_error(g_i.b, g_u.b) <= 1e-5
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+def test_unrolled_vjp_matches_step_by_step_backprop(activation):
+    cell = random_cell(310, h=7, d=3, activation=activation)
+    rng = substream(410, "unroll-loop")
+    x, y = rng.normal(size=3), rng.normal(size=7)
+    wa, ua = cell.W.array, cell.U.array
+    c = ua @ x + cell.b.array
+    zs = [np.zeros(7)]
+    for _ in range(40):
+        zs.append(np.tanh(wa @ zs[-1] + c) if activation == "tanh" else wa @ zs[-1] + c)
+    grad_w, grad_u = np.zeros((7, 7)), np.zeros((7, 3))
+    grad_b, grad_x = np.zeros(7), np.zeros(3)
+    zbar = y.copy()
+    for k in range(39, -1, -1):
+        a = wa @ zs[k] + c
+        t = (1.0 - np.tanh(a) ** 2 if activation == "tanh" else 1.0) * zbar
+        grad_w += np.outer(t, zs[k])
+        grad_u += np.outer(t, x)
+        grad_b += t
+        grad_x += ua.T @ t
+        zbar = wa.T @ t
+    gx, g = unrolled_vjp(cell, Tensor(x), Tensor(y), n_iters=40)
+    for got, want in ((gx, grad_x), (g.W, grad_w), (g.U, grad_u), (g.b, grad_b)):
+        assert rel_error(got.array, want) <= 1e-12
 
 
 def test_batch_vjp_matches_per_row():

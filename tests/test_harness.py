@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lionprompt.harness import (
     RunSettings,
     ShiftSpec,
     apply_shift,
+    _central_differences,
     gradcheck_suite,
     linear_probe_accuracy,
     make_blobs,
@@ -25,7 +28,8 @@ from lionprompt.harness import (
     run_protocol,
     verify_proposition1,
 )
-from lionprompt.numerics import Tensor
+from lionprompt.numerics import Tensor, finite_diff_grad
+from lionprompt.rng import substream
 
 _BACKBONE_CACHE = {}
 
@@ -352,20 +356,63 @@ def test_gradcheck_rows_all_pass():
 
 
 def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
-    solve, stopped_short = deq.solve_forward, []
+    stopped_short = []
 
-    def counting(*args, **kwargs):
-        rep = solve(*args, **kwargs)
-        if not rep.converged:
-            stopped_short.append(rep.iterations)
-        return rep
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            rep = solve(*args, **kwargs)
+            if not rep.converged:
+                stopped_short.append(rep.iterations)
+            return rep
+        return wrapped
 
-    monkeypatch.setattr(deq, "solve_forward", counting)
+    # the base solve and the stacked finite-difference solves
+    for name in ("solve_forward", "solve_forward_stack"):
+        monkeypatch.setattr(deq, name, counting(getattr(deq, name)))
     rows = gradcheck_suite(n_cases=5, seed=0, solver=SolverConfig(tol=1e-30))
     failed = [r for r in rows if r.status == "solver_failed"]
     # each failed case ends at its first short solve, and no "ok" case had one
     assert len(stopped_short) == len(failed) > 0
     assert stopped_short == [500] * len(failed)
+
+
+def test_gradcheck_fails_a_case_whose_stack_stops_short_after_its_base_converged(
+        monkeypatch):
+    solve, calls = deq.solve_forward_stack, []
+
+    def short_on_third_call(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        calls.append(rep.converged)
+        return replace(rep, converged=False) if len(calls) == 3 else rep
+
+    monkeypatch.setattr(deq, "solve_forward_stack", short_on_third_call)
+    rows = gradcheck_suite(n_cases=4, seed=0)
+    # case 0 runs two stacks; case 1's first stack is reported short
+    assert [r.status for r in rows] == ["ok", "solver_failed", "ok", "ok"]
+    assert np.isnan(rows[1].fd_rel_err) and np.isnan(rows[1].unrolled_rel_err)
+    assert all(calls) and len(calls) == 2 * 3 + 1
+    assert max(r.fd_rel_err for r in rows if r.status == "ok") <= 1e-4
+
+
+def test_gradcheck_stacks_match_per_entry_solves():
+    rng = substream(41, "fd-stack")
+    h, d, step = 5, 3, 1e-5
+    cell = deq.spectral_normalize(deq.DeqCell(W=Tensor(rng.normal(size=(h, h))),
+                                              U=Tensor(rng.normal(size=(h, d))),
+                                              b=Tensor(rng.normal(size=h))))
+    x, y = Tensor(rng.normal(size=d)), Tensor(rng.normal(size=h))
+    cfg = SolverConfig(tol=1e-13)
+    packed = np.concatenate([cell.W.array.reshape(-1), cell.U.array.reshape(-1),
+                             cell.b.array, x.array])
+
+    def objective(vec):
+        w, u, b, xv = np.split(vec.array, [h * h, h * h + h * d, h * h + h * d + h])
+        c = deq.DeqCell(W=Tensor(w.reshape(h, h)), U=Tensor(u.reshape(h, d)), b=Tensor(b))
+        return float(y.array @ deq.solve_forward(c, Tensor(xv), cfg).z_star.array)
+
+    one_by_one = finite_diff_grad(objective, Tensor(packed), step=step).array
+    stacked = _central_differences(cell, x, y, cfg, step)
+    assert np.max(np.abs(stacked - one_by_one)) <= 1e-7
 
 
 def test_gradcheck_reports_solver_failure_distinctly():
