@@ -205,13 +205,6 @@ def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def _start(z0_rows, shape: tuple[int, int]) -> np.ndarray:
-    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
-    if start.shape != shape:
-        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
-    return start
-
-
 def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
                   z0: Tensor | None = None) -> SolveReport:
     """Find z* = f(z*) for one input; cell is assumed spectrally normalized.
@@ -240,23 +233,25 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
         raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    start = _start(z0_rows, (x_rows.shape[0], cell.state_dim))
+    shape = (x_rows.shape[0], cell.state_dim)
+    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
+    if start.shape != shape:
+        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
     c = x_rows @ cell.U.array.T + cell.b.array
     v, iters, resid, ok = _solve(cell.W.array, c, cell.activation, start,
                                  cfg or SolverConfig())
     return SolveReport(Tensor(v), iters, resid, ok)
 
 
-def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, cfg: SolverConfig | None = None,
-                        z0_rows: np.ndarray | None = None,
-                        activation: str = "tanh") -> SolveReport:
+def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
+                        cfg: SolverConfig | None = None) -> SolveReport:
     """Solve z_i = sigma(W_i z_i + c_i) for a stack of rows with given input terms.
 
     `c_rows` is (n, h), each row's U x_i + b already computed. `w` is one
     shared (h, h) state weight, the same product `solve_forward_batch`
     runs, or an (n, h, h) stack with one weight per row. Every weight is
-    assumed to have operator norm < 1. The report is that of a batch solve:
-    `residual` is the worst row residual.
+    assumed to have operator norm < 1. Every row starts from zero. The
+    report is that of a batch solve: `residual` is the worst row residual.
     """
     c_rows = np.asarray(c_rows, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -268,7 +263,7 @@ def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, cfg: SolverConfig | N
             f"state weight shape {w.shape} != ({h}, {h}) or ({n}, {h}, {h})")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    v, iters, resid, ok = _solve(w, c_rows, activation, _start(z0_rows, (n, h)),
+    v, iters, resid, ok = _solve(w, c_rows, activation, np.zeros((n, h)),
                                  cfg or SolverConfig())
     return SolveReport(Tensor(v), iters, resid, ok)
 

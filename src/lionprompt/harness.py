@@ -574,7 +574,7 @@ def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
               (wa, np.concatenate([c + step * shifts, c - step * shifts])))
     fd = []
     for w, c_rows in stacks:
-        rep = deq.solve_forward_stack(w, c_rows, cfg, activation=cell.activation)
+        rep = deq.solve_forward_stack(w, c_rows, cell.activation, cfg)
         if not rep.converged:
             raise deq.DivergenceError("finite-difference solves stopped short of tol",
                                       residual=rep.residual)

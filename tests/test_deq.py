@@ -278,15 +278,13 @@ def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
 def test_stack_solve_validates_shapes():
     c = np.zeros((3, 4))
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4, 4)), c)
+        solve_forward_stack(np.zeros((4, 4, 4)), c, "tanh")
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((3, 4)), c)
+        solve_forward_stack(np.zeros((3, 4)), c, "tanh")
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), np.zeros(4))
-    with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), c, z0_rows=np.zeros((3, 5)))
+        solve_forward_stack(np.zeros((4, 4)), np.zeros(4), "tanh")
     with pytest.raises(ValueError):
-        solve_forward_stack(np.zeros((4, 4)), c, activation="relu")
+        solve_forward_stack(np.zeros((4, 4)), c, "relu")
 
 
 @pytest.mark.parametrize("depth", [0, 5])
@@ -295,7 +293,8 @@ def test_shared_weight_stack_is_the_batch_solve(depth):
     xs = substream(28, "stack").normal(size=(11, 4))
     cfg = SolverConfig(tol=1e-12, anderson_depth=depth)
     batch = solve_forward_batch(cell, xs, cfg)
-    stack = solve_forward_stack(cell.W.array, xs @ cell.U.array.T + cell.b.array, cfg)
+    stack = solve_forward_stack(cell.W.array, xs @ cell.U.array.T + cell.b.array,
+                                cell.activation, cfg)
     assert stack.z_star.array.tobytes() == batch.z_star.array.tobytes()
     assert (stack.iterations, stack.residual, stack.converged) == \
         (batch.iterations, batch.residual, batch.converged)

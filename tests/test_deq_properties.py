@@ -7,12 +7,9 @@ of the same row solved on its own.
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from lionprompt.deq import (  # noqa: E402
+from lionprompt.deq import (
     DeqCell,
     SolverConfig,
     solve_forward,
@@ -20,7 +17,7 @@ from lionprompt.deq import (  # noqa: E402
     solve_forward_stack,
     spectral_normalize,
 )
-from lionprompt.numerics import Tensor  # noqa: E402
+from lionprompt.numerics import Tensor
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -52,7 +49,7 @@ def test_every_stacked_row_is_near_its_own_single_row_solve(shape, per_row):
         cells = [cells[0]] * len(cells)
     u, b = cells[0].U.array, cells[0].b.array
     w = np.stack([c.W.array for c in cells]) if per_row else cells[0].W.array
-    rep = solve_forward_stack(w, xs @ u.T + b, CFG, activation=shape["activation"])
+    rep = solve_forward_stack(w, xs @ u.T + b, shape["activation"], CFG)
     assert rep.converged and rep.z_star.shape == (shape["n"], shape["h"])
     bound = CFG.tol / (1.0 - shape["kappa"])
     for cell, x, z in zip(cells, xs, rep.z_star.array):
@@ -68,8 +65,8 @@ def test_a_stack_of_equal_weights_matches_the_shared_weight_batch(shape):
     cell = cells[0]
     batch = solve_forward_batch(cell, xs, CFG)
     copies = np.broadcast_to(cell.W.array, (shape["n"],) + cell.W.shape)
-    stack = solve_forward_stack(copies, xs @ cell.U.array.T + cell.b.array, CFG,
-                                activation=shape["activation"])
+    stack = solve_forward_stack(copies, xs @ cell.U.array.T + cell.b.array,
+                                shape["activation"], CFG)
     assert batch.converged and stack.converged
     bound = CFG.tol / (1.0 - shape["kappa"])
     assert np.max(np.linalg.norm(stack.z_star.array - batch.z_star.array, axis=1)) <= bound
