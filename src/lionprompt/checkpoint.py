@@ -35,14 +35,25 @@ _MAX_RANK = 2
 
 
 def save(path: str, params: list[Param]) -> None:
-    """Write named tensors in the given order, atomically."""
+    """Write named tensors in the given order, atomically.
+
+    Refuses, before creating any file, a set that `load` would reject:
+    duplicate names, and names that are empty, longer than `_MAX_NAME`
+    UTF-8 bytes, or not encodable as UTF-8.
+    """
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise CheckpointError(f"duplicate parameter names {dupes}")
     chunks = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for p in params:
-        encoded = p.name.encode("utf-8")
+        try:
+            encoded = p.name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CheckpointError(f"parameter name {p.name!r} is not encodable as UTF-8") from exc
+        if not 0 < len(encoded) <= _MAX_NAME:
+            raise CheckpointError(f"parameter name {p.name[:32]!r} is {len(encoded)} UTF-8 "
+                                  f"bytes long (need 1 to {_MAX_NAME})")
         arr = p.value.array
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)

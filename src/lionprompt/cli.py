@@ -3,7 +3,10 @@
 Commands: pretrain, tune, eval, gradcheck, prop1, report. Configuration
 merges three layers — built-in defaults, an optional `--config` file, then
 explicit flags — and every command is a pure function of the resulting
-config, so reruns at equal settings reproduce their outputs byte for byte.
+config, so reruns at equal settings and an equal OpenBLAS thread count
+reproduce their outputs byte for byte (the thread count changes how the
+larger products are summed). `tune` saves its config next to the
+checkpoint, and `eval` refuses to score the checkpoint under any other.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact.
 """
@@ -13,12 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import checkpoint, config as cfgmod, harness, model as m
 from .config import RunConfig
-from .deq import DivergenceError, SolverConfig
+from .deq import DivergenceError
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -127,6 +131,10 @@ def _model_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.out, f"{_run_id(cfg)}.ckpt")
 
 
+def _tuned_config_path(cfg: RunConfig) -> str:
+    return os.path.join(cfg.out, f"{_run_id(cfg)}.cfg")
+
+
 # --- dataset assembly -------------------------------------------------------------
 
 def _make_split(cfg: RunConfig, seed: int, split: str, n: int) -> harness.Dataset:
@@ -152,17 +160,6 @@ def _target_splits(cfg: RunConfig) -> tuple[harness.Dataset, harness.Dataset]:
     if cfg.shots > 0:
         train = harness.resample_fewshot(train, cfg.shots)
     return train, test
-
-
-def _solver(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(tol=cfg.tol, max_iters=cfg.max_iters,
-                        anderson_depth=cfg.anderson_depth)
-
-
-def _settings(cfg: RunConfig) -> harness.RunSettings:
-    return harness.RunSettings(seed=cfg.seed, eta=cfg.eta, tau=cfg.tau,
-                               epochs=cfg.epochs, layers=cfg.layers,
-                               kappa=cfg.kappa, solver=_solver(cfg))
 
 
 def _load_backbone(cfg: RunConfig) -> m.Backbone:
@@ -212,9 +209,10 @@ def _trace_csv(res: harness.ProtocolResult) -> str:
 def cmd_tune(cfg: RunConfig, explicit: set) -> int:
     backbone = _load_backbone(cfg)
     train, test = _target_splits(cfg)
-    res = harness.run_protocol(cfg.protocol, backbone, train, test, _settings(cfg))
+    res = harness.run_protocol(cfg, backbone, train, test)
     os.makedirs(cfg.out, exist_ok=True)
     checkpoint.save(_model_path(cfg), res.task.named_params())
+    _write_text(_tuned_config_path(cfg), cfgmod.serialize(cfg))
     _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}.csv"),
                 CSV_HEADER + "\n" + _run_row(cfg, res) + "\n")
     _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}-trace.csv"), _trace_csv(res))
@@ -236,27 +234,27 @@ def cmd_tune(cfg: RunConfig, explicit: set) -> int:
     return 0
 
 
-def _rebuild_task(cfg: RunConfig, backbone: m.Backbone):
-    """Fresh untrained task matching what cmd_tune constructed and saved."""
-    if cfg.protocol == "lion":
-        pm = m.build_prompt_model(backbone, _N_CLASSES, cfg.seed,
-                                  layers=cfg.layers, kappa=cfg.kappa,
-                                  solver=_solver(cfg))
-        task = harness.LionTask(pm)
-    else:
-        mode = {"head_tuning": "none", "bias_tuning": "bias",
-                "full_finetune": "all"}[cfg.protocol]
-        clf = m.BackboneClassifier(
-            backbone=backbone,
-            head=m.make_head(backbone.out_dim, _N_CLASSES))
-        task = harness.ClassifierTask(clf, mode)
-    return task
+def _check_tuned_config(cfg: RunConfig) -> None:
+    """Refuse settings other than those the checkpoint was tuned under.
+
+    Every key but `out` must match: the seed and shift decide the test
+    split, and the other keys decide what the checkpoint holds and how it
+    is solved.
+    """
+    path = _require(_tuned_config_path(cfg), "tuned model config")
+    tuned = RunConfig(**cfgmod.load_file(path))
+    for f in fields(RunConfig):
+        mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
+        if f.name != "out" and mine != theirs:
+            raise ConfigError(f"{f.name!r} is {mine!r} here but was {theirs!r} when "
+                              f"the model was tuned ({path!r})")
 
 
 def cmd_eval(cfg: RunConfig, explicit: set) -> int:
     backbone = _load_backbone(cfg)
-    task = _rebuild_task(cfg, backbone)
     path = _require(_model_path(cfg), "tuned model checkpoint")
+    _check_tuned_config(cfg)
+    task = harness.make_task(cfg, backbone, _N_CLASSES)
     checkpoint.restore(task.named_params(), checkpoint.load(path))
     _, test = _target_splits(cfg)
     preds = task.predict(test.inputs.array)
@@ -271,8 +269,7 @@ def cmd_gradcheck(cfg: RunConfig, explicit: set) -> int:
     # A training-grade solver tolerance would drown the finite-difference
     # signal, so the check runs much tighter unless one is asked for.
     tol = cfg.tol if "tol" in explicit else 1e-13
-    solver = SolverConfig(tol=tol, max_iters=cfg.max_iters,
-                          anderson_depth=cfg.anderson_depth)
+    solver = replace(cfg.solver, tol=tol)
     rows = harness.gradcheck_suite(n_cases=cfg.cases, seed=cfg.seed, solver=solver)
     print(f"{'case':>4}  {'dims':>7}  {'vs finite diff':>14}  "
           f"{'vs unrolled':>14}  status")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .deq import SolverConfig
 from .errors import ConfigError
 
 PROTOCOL_CHOICES = ("head_tuning", "full_finetune", "bias_tuning", "lion")
@@ -81,6 +82,12 @@ class RunConfig:
             bad("hidden", "must be >= 1")
         if self.feat_dim < 1:
             bad("feat_dim", "must be >= 1")
+
+    @property
+    def solver(self) -> SolverConfig:
+        """The fixed-point solver settings these knobs select."""
+        return SolverConfig(tol=self.tol, max_iters=self.max_iters,
+                            anderson_depth=self.anderson_depth)
 
 
 _FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]

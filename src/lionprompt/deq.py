@@ -16,8 +16,8 @@ The rows share one state weight, or, for `solve_forward_stack`, may carry
 one weight each (the gradient cross-checks perturb W one entry per row).
 The driver stops once the worst row residual max_i ||f(z_i) - z_i|| is
 within tol and reports that residual, so a converged solve certifies
-every row individually. The single-row solve, adjoint and VJP are the
-n = 1 case of the batch code that training runs.
+every row individually. The single-row solve and VJP are the n = 1 case
+of the batch code that training runs.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
@@ -32,9 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, ShapeMismatchError
-from .numerics import Tensor
-
-ACTIVATIONS = ("tanh", "identity")
+from .numerics import ACTIVATIONS, Tensor, activate, activate_deriv
 
 
 @dataclass(frozen=True)
@@ -114,17 +112,6 @@ class CellGrads:
     b: Tensor
 
 
-def _act(a: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(a) if kind == "tanh" else a
-
-
-def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
-    return np.ones_like(a)
-
-
 # --- spectral projection ---------------------------------------------------
 
 def estimate_spectral_norm(w) -> float:
@@ -150,16 +137,6 @@ def spectral_normalize(cell: DeqCell) -> DeqCell:
 
 # --- forward ---------------------------------------------------------------
 
-def cell_forward(cell: DeqCell, z: Tensor, x: Tensor) -> Tensor:
-    """One application of the cell body at state z and input x."""
-    if z.shape != (cell.state_dim,):
-        raise ShapeMismatchError(f"state shape {z.shape} != ({cell.state_dim},)")
-    if x.shape != (cell.input_dim,):
-        raise ShapeMismatchError(f"input shape {x.shape} != ({cell.input_dim},)")
-    a = cell.W.array @ z.array + cell.U.array @ x.array + cell.b.array
-    return Tensor(_act(a, cell.activation))
-
-
 def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
            cfg: SolverConfig) -> tuple[np.ndarray, int, float, bool]:
     """Fixed-point driver on an (n, h) stack of rows z_i = sigma(W_i z_i + c_i).
@@ -182,7 +159,7 @@ def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             wv = v @ w.T if shared else np.matmul(w, v[:, :, None])[:, :, 0]
-            gv = _act(wv + c, kind)
+            gv = activate(wv + c, kind)
             r = gv - v
             resid = math.sqrt(np.einsum("ij,ij->i", r, r).max(initial=0.0))
             if not math.isfinite(resid) and not np.all(np.isfinite(gv)):
@@ -270,16 +247,6 @@ def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
 
 # --- backward --------------------------------------------------------------
 
-def solve_adjoint(cell: DeqCell, z_star: Tensor, x: Tensor, y: Tensor) -> Tensor:
-    """Solve the adjoint equation o = J^T o + y at z* for one input.
-
-    The n = 1 case of `solve_adjoint_batch`, so single-row gradient checks
-    certify the solve that training runs.
-    """
-    o = solve_adjoint_batch(cell, z_star.array[None, :], x.array[None, :], y.array[None, :])
-    return Tensor(o[0])
-
-
 def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
                         y_rows: np.ndarray) -> np.ndarray:
     """Row-wise adjoint solves (I - W^T diag sigma'(a)) o = y, one LU per row.
@@ -290,7 +257,7 @@ def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     """
     h = cell.state_dim
     a = z_rows @ cell.W.array.T + x_rows @ cell.U.array.T + cell.b.array
-    s = _act_deriv(a, cell.activation)
+    s = activate_deriv(activate(a, cell.activation), cell.activation)
     # (W^T diag s)_{jk} = W_kj s_k for every row at once
     mats = np.eye(h) - cell.W.array.T[None, :, :] * s[:, None, :]
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0]
@@ -314,7 +281,7 @@ def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     """Batch form of `deq_vjp`; parameter gradients are summed over rows."""
     o = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
     a = z_rows @ cell.W.array.T + x_rows @ cell.U.array.T + cell.b.array
-    t = _act_deriv(a, cell.activation) * o
+    t = activate_deriv(activate(a, cell.activation), cell.activation) * o
     grads = CellGrads(W=Tensor(t.T @ z_rows),
                       U=Tensor(t.T @ x_rows),
                       b=Tensor(np.sum(t, axis=0)))
@@ -337,8 +304,8 @@ def unrolled_vjp(cell: DeqCell, x: Tensor, y: Tensor, n_iters: int = 500
     c = ua @ x.array + cell.b.array
     zs = np.zeros((n_iters + 1, cell.state_dim))
     for k in range(n_iters):
-        zs[k + 1] = _act(wa @ zs[k] + c, cell.activation)
-    sig = 1.0 - zs[1:] * zs[1:] if cell.activation == "tanh" else np.ones_like(zs[1:])
+        zs[k + 1] = activate(wa @ zs[k] + c, cell.activation)
+    sig = activate_deriv(zs[1:], cell.activation)
     ts = np.empty_like(sig)
     zbar = y.array
     for k in range(n_iters - 1, -1, -1):

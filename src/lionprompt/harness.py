@@ -1,9 +1,10 @@
 """Desk-scale experiment suite.
 
 Synthetic source/target task pairs with controlled domain shift, backbone
-pretraining, the tuning-protocol registry (head / bias / full / prompted),
-long-tail and few-shot resamplers, the input-vs-output prompt-position
-experiment, and the gradient cross-check suite used by the CLI.
+pretraining, the task factory and run of the tuning protocols (head / bias
+/ full / prompted), long-tail and few-shot resamplers, the input-vs-output
+prompt-position experiment, and the gradient cross-check suite used by the
+CLI.
 
 Everything here is a pure function of (spec, seed): all randomness flows
 through named substreams, so any artifact can be regenerated bit-identically
@@ -13,19 +14,23 @@ from its parameters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import deq, model as m, robust_opt
+from .config import RunConfig
 from .deq import DeqCell, SolverConfig
-from .errors import ConfigError, SetupError, ShapeMismatchError
+from .errors import SetupError, ShapeMismatchError
 from .model import Backbone, BackboneClassifier, PromptModel
-from .numerics import Tensor, batch_cross_entropy, rel_error
+from .numerics import Tensor, rel_error
 from .rng import substream
 
-PROTOCOLS = ("head_tuning", "full_finetune", "bias_tuning", "lion")
-DATASETS = ("blobs", "glyphs")
+# Epochs without a loss improvement after which a protocol run stops early.
+PATIENCE = 20
+
+# Which backbone parameters each baseline protocol trains besides its head.
+_BACKBONE_MODES = {"head_tuning": "none", "bias_tuning": "bias", "full_finetune": "all"}
 
 
 # --- datasets ---------------------------------------------------------------
@@ -212,42 +217,7 @@ def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
     return replace(ds, inputs=Tensor(ds.inputs.array[idx]), labels=ds.labels[idx])
 
 
-# --- probes and pretraining ------------------------------------------------------
-
-class LinearProbe:
-    """Softmax regression task for the plain trainer (an independent oracle)."""
-
-    def __init__(self, d: int, c: int, seed: int):
-        rng = substream(seed, "probe-init")
-        self.w = m.Param("probe.W", Tensor(rng.normal(size=(c, d)) * 0.01))
-        self.b = m.Param("probe.b", Tensor(np.zeros(c)))
-
-    def trainable_params(self):
-        return [self.w, self.b]
-
-    def logits(self, x):
-        return x @ self.w.value.array.T + self.b.value.array
-
-    def loss_and_grads(self, x, y):
-        logits = self.logits(x)
-        value, g = batch_cross_entropy(logits, y)
-        self.w.add_grad(g.T @ x)
-        self.b.add_grad(np.sum(g, axis=0))
-        return value, logits
-
-    def predict(self, x):
-        return np.argmax(self.logits(x), axis=1)
-
-
-def linear_probe_accuracy(train_ds: Dataset, eval_ds: Dataset | None = None,
-                          epochs: int = 200, eta: float = 0.5) -> float:
-    """Train accuracy of plain softmax regression (eval_ds overrides split)."""
-    probe = LinearProbe(train_ds.d, train_ds.n_classes, train_ds.seed)
-    robust_opt.train_plain(probe, train_ds, robust_opt.OptState(eta=eta), epochs)
-    target = eval_ds if eval_ds is not None else train_ds
-    preds = probe.predict(target.inputs.array)
-    return float(np.mean(preds == target.labels))
-
+# --- tasks and pretraining ------------------------------------------------------
 
 class ClassifierTask:
     """Adapter putting a BackboneClassifier under the shared trainer."""
@@ -339,21 +309,7 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
     return backbone, accuracy
 
 
-# --- protocol registry ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Knobs shared by every protocol run (the CLI builds one from flags)."""
-
-    seed: int = 0
-    eta: float = 0.3
-    tau: float = 0.4
-    epochs: int = 200
-    layers: int = 1
-    kappa: float = 0.9
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    patience: int | None = 20
-
+# --- protocol runs ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -367,40 +323,40 @@ class ProtocolResult:
     task: object               # the trained adapter, for checkpointing
 
 
-def run_protocol(protocol: str, backbone: Backbone, train_ds: Dataset,
-                 test_ds: Dataset, settings: RunSettings) -> ProtocolResult:
-    """Tune under one protocol and evaluate on the held-out split.
+def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
+    """Fresh, untrained task for `cfg.protocol` around a clone of the backbone.
+
+    Each task gets its own backbone clone, so protocols cannot contaminate
+    one another; only `bias_tuning` and `full_finetune` unfreeze theirs.
+    """
+    if cfg.protocol == "lion":
+        pm = m.build_prompt_model(m.clone_backbone(backbone, frozen=True), n_classes,
+                                  cfg.seed, layers=cfg.layers, kappa=cfg.kappa,
+                                  solver=cfg.solver)
+        return LionTask(pm)
+    mode = _BACKBONE_MODES[cfg.protocol]
+    bb = m.clone_backbone(backbone, frozen=(mode == "none"))
+    return ClassifierTask(BackboneClassifier(backbone=bb,
+                                             head=m.make_head(bb.out_dim, n_classes)), mode)
+
+
+def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
+                 test_ds: Dataset) -> ProtocolResult:
+    """Tune under `cfg.protocol` and evaluate on the held-out split.
 
     Baselines (head / bias / full) train with plain gradient descent; the
-    prompted protocol trains its Θ_t with the partitioned optimizer. Each
-    run gets its own backbone clone, so protocols cannot contaminate one
-    another; only `lion` and `head_tuning` keep the clone frozen.
+    prompted protocol trains its Θ_t with the partitioned optimizer. Both
+    stop early after `PATIENCE` epochs without improvement.
     """
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unsupported protocol {protocol!r}")
     start = time.perf_counter()
-    state = robust_opt.OptState(eta=settings.eta, tau=settings.tau)
-    if protocol == "lion":
-        bb = m.clone_backbone(backbone, frozen=True)
-        pm = m.build_prompt_model(bb, train_ds.n_classes, settings.seed,
-                                  layers=settings.layers, kappa=settings.kappa,
-                                  solver=settings.solver)
-        task = LionTask(pm)
-        log = robust_opt.train(task, train_ds, state, settings.epochs,
-                               patience=settings.patience)
-    else:
-        mode = {"head_tuning": "none", "bias_tuning": "bias",
-                "full_finetune": "all"}[protocol]
-        bb = m.clone_backbone(backbone, frozen=(mode == "none"))
-        clf = BackboneClassifier(backbone=bb,
-                                 head=m.make_head(bb.out_dim, train_ds.n_classes))
-        task = ClassifierTask(clf, mode)
-        log = robust_opt.train_plain(task, train_ds, state, settings.epochs,
-                                     patience=settings.patience)
+    task = make_task(cfg, backbone, train_ds.n_classes)
+    trainer = robust_opt.train if cfg.protocol == "lion" else robust_opt.train_plain
+    log = trainer(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
+                  cfg.epochs, patience=PATIENCE)
     preds = task.predict(test_ds.inputs.array)
     accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
-        protocol=protocol,
+        protocol=cfg.protocol,
         accuracy=accuracy,
         train_accuracy=log.final_accuracy,
         trainable_params=sum(p.size for p in task.trainable_params()),

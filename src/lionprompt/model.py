@@ -11,13 +11,14 @@ so the backbone runs twice per example (once on x for the second prompt's
 input, once on x_tilde for the first blend term). F(x) does not depend on
 any trainable parameter, so a trainer that feeds the same rows every epoch
 computes it once and hands it to `loss_and_grads` and `predict` as `f_x`.
+Both run the one `forward`, which keeps what the reverse sweep reads.
 
 Only the prompt cells, the projection, the head and the four gate scalars
 are trainable; backbone gradients are never even computed here. The
-backward pass is a hand-written chain of the per-op VJP rules plus the
-implicit cell backward from `deq`. Every forward solve must converge: a
-prompt block raises `DivergenceError` rather than hand a point that is not
-a fixed point to the implicit backward or to a prediction.
+backward pass is one hand-written reverse sweep plus the implicit cell
+backward from `deq`. Every forward solve must converge: a prompt block
+raises `DivergenceError` rather than hand a point that is not a fixed
+point to the implicit backward or to a prediction.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import deq
 from .deq import DeqCell, SolverConfig
 from .errors import DivergenceError, ShapeMismatchError, StateError
-from .numerics import Param, Tensor, batch_cross_entropy
+from .numerics import ACTIVATIONS, Param, Tensor, activate, activate_deriv, batch_cross_entropy
 from .rng import substream
 
 # Smallest mixing weight a gate can produce. Keeping alpha inside
@@ -38,25 +39,6 @@ from .rng import substream
 # both coefficients stay strictly inside (0, 1) even for wildly saturated
 # gate scalars, where the unclamped softmax would round to 0 or 1.
 GATE_EPS = 2.0 ** -53
-
-ACT_KINDS = ("tanh", "identity", "relu")
-
-
-def _stage_act(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    return a
-
-
-def _stage_act_deriv(out: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the stage activation, read off the stage output."""
-    if kind == "tanh":
-        return 1.0 - out * out
-    if kind == "relu":
-        return (out > 0.0).astype(np.float64)
-    return np.ones_like(out)
 
 
 @dataclass
@@ -68,7 +50,7 @@ class AffineStage:
     activation: str = "identity"
 
     def __post_init__(self):
-        if self.activation not in ACT_KINDS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.w.value.rank != 2 or self.b.value.shape != (self.w.value.shape[0],):
             raise ShapeMismatchError(
@@ -110,7 +92,7 @@ def backbone_forward(backbone: Backbone, x_rows: np.ndarray) -> tuple[np.ndarray
     cache = []
     h = np.asarray(x_rows, dtype=np.float64)
     for s in backbone.stages:
-        out = _stage_act(h @ s.w.value.array.T + s.b.value.array, s.activation)
+        out = activate(h @ s.w.value.array.T + s.b.value.array, s.activation)
         cache.append((h, out))
         h = out
     return h, cache
@@ -120,7 +102,7 @@ def backbone_input_vjp(backbone: Backbone, cache: list, g_out: np.ndarray) -> np
     """Pull a cotangent on the output back to the input; parameters untouched."""
     g = g_out
     for s, (_, out) in zip(reversed(backbone.stages), reversed(cache)):
-        t = _stage_act_deriv(out, s.activation) * g
+        t = activate_deriv(out, s.activation) * g
         g = t @ s.w.value.array
     return g
 
@@ -132,7 +114,7 @@ def backbone_param_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
         raise StateError("backbone is frozen; parameter gradients are off-limits")
     g = g_out
     for s, (h_in, out) in zip(reversed(backbone.stages), reversed(cache)):
-        t = _stage_act_deriv(out, s.activation) * g
+        t = activate_deriv(out, s.activation) * g
         if not bias_only:
             s.w.add_grad(t.T @ h_in)
         s.b.add_grad(np.sum(t, axis=0))
@@ -203,11 +185,8 @@ class PromptBlock:
 
     def renormalize(self) -> None:
         """Project every cell's state weight back onto the kappa-ball."""
-        for w, _, _ in self.cell_params:
-            cell_w = w.value
-            sigma = deq.estimate_spectral_norm(cell_w)
-            if sigma > self.kappa:
-                w.value = Tensor(cell_w.array * (self.kappa / sigma))
+        for (w, _, _), cell in zip(self.cell_params, self.cells()):
+            w.value = deq.spectral_normalize(cell).W
 
     def solve(self, x_rows: np.ndarray, cfg: SolverConfig) -> list[np.ndarray]:
         """Solve the chain on a batch; returns [input, z1*, ..., zk*].
@@ -272,26 +251,23 @@ class PromptModel:
                     self.gate2.g_alpha, self.gate2.g_beta])
         return out
 
-    def zero_grads(self) -> None:
-        for p in self.trainable_params():
-            p.zero_grad()
-
     def renormalize(self) -> None:
         self.p1.renormalize()
         self.p2.renormalize()
 
 
+def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> Tensor:
+    """Small-uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    lim = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-lim, lim, size=shape))
+
+
 def make_backbone(d: int, hidden: int, h: int, seed: int, frozen: bool = False) -> Backbone:
     """Fresh 2-layer tanh MLP d -> hidden -> h with small-uniform weights."""
     rng = substream(seed, "backbone-init")
-
-    def uniform(shape, fan_in):
-        lim = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-lim, lim, size=shape))
-
-    stages = [AffineStage(Param("backbone.0.W", uniform((hidden, d), d)),
+    stages = [AffineStage(Param("backbone.0.W", _uniform(rng, (hidden, d), d)),
                           Param("backbone.0.b", Tensor(np.zeros(hidden))), "tanh"),
-              AffineStage(Param("backbone.1.W", uniform((h, hidden), hidden)),
+              AffineStage(Param("backbone.1.W", _uniform(rng, (h, hidden), hidden)),
                           Param("backbone.1.b", Tensor(np.zeros(h))), "tanh")]
     return Backbone(stages=stages, frozen=frozen)
 
@@ -319,15 +295,11 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
     d, h = backbone.in_dim, backbone.out_dim
     rng = substream(seed, "prompt-init")
 
-    def uniform(shape, fan_in):
-        lim = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-lim, lim, size=shape))
-
     def block(name: str, dim: int) -> PromptBlock:
         cells = []
         for k in range(layers):
-            cells.append((Param(f"{name}.{k}.W", uniform((dim, dim), dim)),
-                          Param(f"{name}.{k}.U", uniform((dim, dim), dim)),
+            cells.append((Param(f"{name}.{k}.W", _uniform(rng, (dim, dim), dim)),
+                          Param(f"{name}.{k}.U", _uniform(rng, (dim, dim), dim)),
                           Param(f"{name}.{k}.b", Tensor(np.zeros(dim)))))
         blk = PromptBlock(name=name, cell_params=cells, kappa=kappa)
         blk.renormalize()
@@ -337,7 +309,7 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
         backbone=backbone,
         p1=block("p1", d),
         p2=block("p2", h),
-        proj=AffineStage(Param("proj.W", uniform((h, h), h)),
+        proj=AffineStage(Param("proj.W", _uniform(rng, (h, h), h)),
                          Param("proj.b", Tensor(np.zeros(h)))),
         head=make_head(h, n_classes),
         gate1=GatePair(Param("gate1.a", Tensor(0.0)), Param("gate1.b", Tensor(0.0))),
@@ -346,121 +318,90 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
     )
 
 
-def init_prompt_model(d: int, h: int, hidden: int, n_classes: int, seed: int,
-                      layers: int = 1, kappa: float = 0.9,
-                      solver: SolverConfig | None = None) -> PromptModel:
-    """Fresh trainable parts around a fresh (untrained, frozen) backbone."""
-    backbone = make_backbone(d, hidden, h, seed, frozen=True)
-    return build_prompt_model(backbone, n_classes, seed, layers=layers,
-                              kappa=kappa, solver=solver)
+@dataclass(frozen=True)
+class ForwardPass:
+    """Logits of one forward pass plus everything the reverse sweep reads."""
+
+    p1_states: list[np.ndarray]   # [x, z1*, ..., zk*] through P1
+    xt: np.ndarray                # x_tilde = alpha1 * x + beta1 * P1(x)
+    f_xt: np.ndarray              # F(x_tilde)
+    cache_t: list                 # backbone cache of F(x_tilde)
+    p2_states: list[np.ndarray]   # [F(x), z1*, ..., zk*] through P2
+    r: np.ndarray                 # proj(P2(F(x)))
+    zt: np.ndarray                # z_tilde = alpha2 * F(x_tilde) + beta2 * r
+    logits: np.ndarray            # head(z_tilde)
 
 
-def blend_input(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
-    """x_tilde = alpha1 * x + beta1 * P1(x) on a batch of rows."""
+def forward(model: PromptModel, x_rows: np.ndarray,
+            f_x: np.ndarray | None = None) -> ForwardPass:
+    """The blended forward pass on a batch of rows (n x C logits).
+
+    `f_x` is F(x_rows), the frozen backbone on the raw rows; it is computed
+    here unless the caller passes it.
+    """
+    x_rows = np.asarray(x_rows, dtype=np.float64)
     a1, b1 = model.gate1.coeffs()
-    z1 = model.p1.solve(x_rows, model.solver)[-1]
-    return a1 * np.asarray(x_rows, dtype=np.float64) + b1 * z1
-
-
-def _features(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None) -> np.ndarray:
-    """F(x_rows), computed unless the caller already holds it."""
+    a2, b2 = model.gate2.coeffs()
+    p1_states = model.p1.solve(x_rows, model.solver)
+    xt = a1 * x_rows + b1 * p1_states[-1]
+    f_xt, cache_t = backbone_forward(model.backbone, xt)
     if f_x is None:
         f_x, _ = backbone_forward(model.backbone, x_rows)
     elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
         raise ShapeMismatchError(
             f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
-    return f_x
-
-
-def blend_repr(model: PromptModel, x_rows: np.ndarray,
-               f_x: np.ndarray | None = None) -> np.ndarray:
-    """z_tilde = alpha2 * F(x_tilde) + beta2 * proj(P2(F(x))) on a batch."""
-    a2, b2 = model.gate2.coeffs()
-    xt = blend_input(model, x_rows)
-    f_xt, _ = backbone_forward(model.backbone, xt)
-    z2 = model.p2.solve(_features(model, x_rows, f_x), model.solver)[-1]
-    r = z2 @ model.proj.w.value.array.T + model.proj.b.value.array
-    return a2 * f_xt + b2 * r
-
-
-def forward_full(model: PromptModel, x_rows: np.ndarray,
-                 f_x: np.ndarray | None = None) -> np.ndarray:
-    """Logits for a batch of rows (n x C); `f_x` as in `loss_and_grads`."""
-    zt = blend_repr(model, x_rows, f_x)
-    return zt @ model.head.w.value.array.T + model.head.b.value.array
-
-
-def loss(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the batch under the current parameters."""
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.shape[0] == 0:
-        raise ValueError("empty batch")
-    value, _ = batch_cross_entropy(forward_full(model, x_rows), np.asarray(labels))
-    return value
+    p2_states = model.p2.solve(f_x, model.solver)
+    r = p2_states[-1] @ model.proj.w.value.array.T + model.proj.b.value.array
+    zt = a2 * f_xt + b2 * r
+    logits = zt @ model.head.w.value.array.T + model.head.b.value.array
+    return ForwardPass(p1_states, xt, f_xt, cache_t, p2_states, r, zt, logits)
 
 
 def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
                    f_x: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean cross-entropy plus gradients accumulated into every Θ_t Param.
 
-    Returns (loss, logits), the logits being those the loss was taken on.
-    `f_x` is F(x_rows), the frozen backbone on the raw rows; it is computed
-    here unless the caller passes it. One hand-written reverse sweep:
-    head -> gate2/proj/P2 -> backbone input VJP (parameters skipped: the
-    backbone is frozen) -> gate1/P1.
+    Returns (loss, logits), the logits being those the loss was taken on;
+    `f_x` as in `forward`. One hand-written reverse sweep over the forward
+    pass: head -> gate2/proj/P2 -> backbone input VJP (parameters skipped:
+    the backbone is frozen) -> gate1/P1.
     """
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x_rows.shape[0] == 0:
-        raise ValueError("empty batch")
-    cfg = model.solver
+    fw = forward(model, x_rows, f_x)
+    value, g_logits = batch_cross_entropy(fw.logits, np.asarray(labels))
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()
 
-    # forward, keeping everything the backward sweep needs
-    p1_states = model.p1.solve(x_rows, cfg)
-    z1 = p1_states[-1]
-    xt = a1 * x_rows + b1 * z1
-    f_xt, cache_t = backbone_forward(model.backbone, xt)
-    p2_states = model.p2.solve(_features(model, x_rows, f_x), cfg)
-    z2 = p2_states[-1]
-    r = z2 @ model.proj.w.value.array.T + model.proj.b.value.array
-    zt = a2 * f_xt + b2 * r
-    logits = zt @ model.head.w.value.array.T + model.head.b.value.array
-    value, g_logits = batch_cross_entropy(logits, labels)
-
-    # backward
-    model.head.w.add_grad(g_logits.T @ zt)
+    model.head.w.add_grad(g_logits.T @ fw.zt)
     model.head.b.add_grad(np.sum(g_logits, axis=0))
     g_zt = g_logits @ model.head.w.value.array
 
-    d_a2 = float(np.sum(g_zt * f_xt))
-    d_b2 = float(np.sum(g_zt * r))
+    d_a2 = float(np.sum(g_zt * fw.f_xt))
+    d_b2 = float(np.sum(g_zt * fw.r))
     ga2, gb2 = gate_vjp(a2, b2, d_a2, d_b2)
     model.gate2.g_alpha.add_grad(Tensor(ga2))
     model.gate2.g_beta.add_grad(Tensor(gb2))
 
     g_r = b2 * g_zt
-    model.proj.w.add_grad(g_r.T @ z2)
+    model.proj.w.add_grad(g_r.T @ fw.p2_states[-1])
     model.proj.b.add_grad(np.sum(g_r, axis=0))
     g_z2 = g_r @ model.proj.w.value.array
-    model.p2.vjp(p2_states, g_z2)
+    model.p2.vjp(fw.p2_states, g_z2)
 
-    g_xt = backbone_input_vjp(model.backbone, cache_t, a2 * g_zt)
+    g_xt = backbone_input_vjp(model.backbone, fw.cache_t, a2 * g_zt)
 
-    d_a1 = float(np.sum(g_xt * x_rows))
-    d_b1 = float(np.sum(g_xt * z1))
+    d_a1 = float(np.sum(g_xt * fw.p1_states[0]))
+    d_b1 = float(np.sum(g_xt * fw.p1_states[-1]))
     ga1, gb1 = gate_vjp(a1, b1, d_a1, d_b1)
     model.gate1.g_alpha.add_grad(Tensor(ga1))
     model.gate1.g_beta.add_grad(Tensor(gb1))
 
-    model.p1.vjp(p1_states, b1 * g_xt)
-    return value, logits
+    model.p1.vjp(fw.p1_states, b1 * g_xt)
+    return value, fw.logits
 
 
 def predict(model: PromptModel, x_rows: np.ndarray,
             f_x: np.ndarray | None = None) -> np.ndarray:
-    return np.argmax(forward_full(model, x_rows, f_x), axis=1)
+    return np.argmax(forward(model, x_rows, f_x).logits, axis=1)
 
 
 # --- classifier wrapper used by the baseline protocols ------------------------

@@ -1,16 +1,16 @@
-"""Dense rank-<=2 tensor arithmetic with explicit backward rules.
+"""Value types and the elementwise pieces shared by the model and the solver.
 
-Every differentiable primitive comes as a forward function plus a
-companion `*_vjp` returning the vector-Jacobian product for an upstream
-cotangent. There is no tape: the model graph is small and fixed, and the
-chain of VJP calls is written out by hand where it is needed, which keeps
-the gradient machinery auditable. All values are 64-bit reals.
+An immutable finite-checked `Tensor`, a named `Param` with a gradient
+accumulator, the cell and stage activations with their derivatives read
+off the activation output, and the batched cross-entropy with its
+gradient. There is no tape: the model graph is small and fixed, and its
+backward sweep is written out by hand in `model` and `deq`, which keeps the
+gradient machinery auditable. All values are 64-bit reals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class Tensor:
         a.setflags(write=False)
         self._a = a
 
-    @classmethod
-    def zeros(cls, *shape: int) -> "Tensor":
-        return cls(np.zeros(shape))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self._a.shape
@@ -56,11 +52,6 @@ class Tensor:
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the values."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major read-only view."""
-        return self._a.reshape(-1)
 
     def item(self) -> float:
         if self._a.size != 1:
@@ -80,10 +71,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor({self._a.tolist()!r})"
-
-
-def as_tensor(values) -> Tensor:
-    return values if isinstance(values, Tensor) else Tensor(values)
 
 
 @dataclass
@@ -117,48 +104,19 @@ class Param:
             self.grad = Tensor(self.grad.array + ga)
 
 
-# --- primitives -----------------------------------------------------------
+# --- activations and losses ----------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeMismatchError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    return Tensor(a.array @ b.array)
+ACTIVATIONS = ("tanh", "identity")
 
 
-def matmul_vjp(a: Tensor, b: Tensor, ybar: Tensor) -> tuple[Tensor, Tensor]:
-    """Backward rule for matmul: (ybar @ b^T, a^T @ ybar)."""
-    if ybar.shape != (a.shape[0], b.shape[1]):
-        raise ShapeMismatchError(
-            f"cotangent shape {ybar.shape} != product shape {(a.shape[0], b.shape[1])}")
-    return Tensor(ybar.array @ b.array.T), Tensor(a.array.T @ ybar.array)
+def activate(a: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise activation sigma(a) of the given kind."""
+    return np.tanh(a) if kind == "tanh" else a
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0)."""
-    return Tensor(np.maximum(x.array, 0.0))
-
-
-def relu_vjp(x: Tensor, ybar: Tensor) -> Tensor:
-    """Backward rule indicator(x > 0) * ybar; subgradient 0 at the kink."""
-    if ybar.shape != x.shape:
-        raise ShapeMismatchError(f"cotangent shape {ybar.shape} != input shape {x.shape}")
-    return Tensor((x.array > 0.0) * ybar.array)
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    return Tensor(np.tanh(x.array))
-
-
-def tanh_vjp(x: Tensor, ybar: Tensor) -> Tensor:
-    """Backward rule (1 - tanh(x)^2) * ybar."""
-    if ybar.shape != x.shape:
-        raise ShapeMismatchError(f"cotangent shape {ybar.shape} != input shape {x.shape}")
-    t = np.tanh(x.array)
-    return Tensor((1.0 - t * t) * ybar.array)
+def activate_deriv(out: np.ndarray, kind: str) -> np.ndarray:
+    """sigma'(a) read off the output out = sigma(a): 1 - out^2 for tanh."""
+    return 1.0 - out * out if kind == "tanh" else np.ones_like(out)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -168,36 +126,12 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: Tensor, label: int) -> float:
-    """-log softmax(logits)[label], computed with max-subtraction."""
-    if logits.rank != 1 or logits.shape[0] < 2:
-        raise ShapeMismatchError(f"logits must be a vector of length >= 2, got shape {logits.shape}")
-    c = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < c:
-        raise IndexError(f"label {label} out of range for {c} classes")
-    a = logits.array
-    shifted = a - np.max(a)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
-
-
-def cross_entropy_vjp(logits: Tensor, label: int) -> Tensor:
-    """Backward rule softmax(logits) - onehot(label)."""
-    c = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < c:
-        raise IndexError(f"label {label} out of range for {c} classes")
-    g = softmax_rows(logits.array)
-    g = g.copy()
-    g[label] -= 1.0
-    return Tensor(g)
-
-
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over rows plus its gradient w.r.t. the logits.
 
-    Internal ndarray-level helper for batched training; semantics match
-    `cross_entropy` row by row with the 1/N mean folded into the gradient.
+    Each row's loss is -log softmax(logits_i)[label_i], computed with
+    max-subtraction; its gradient softmax(logits_i) - onehot(label_i)
+    carries the 1/N of the mean.
     """
     n = logits.shape[0]
     if n == 0:
@@ -208,26 +142,6 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     grad = softmax_rows(logits)
     grad[np.arange(n), labels] -= 1.0
     return float(np.mean(losses)), grad / n
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, step: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    base = x.array
-    flat = base.reshape(-1)
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        plus = flat.copy()
-        minus = flat.copy()
-        plus[i] += step
-        minus[i] -= step
-        fp = float(f(Tensor(plus.reshape(base.shape))))
-        fm = float(f(Tensor(minus.reshape(base.shape))))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"non-finite function value near coordinate {i}")
-        out[i] = (fp - fm) / (2.0 * step)
-    return Tensor(out.reshape(base.shape))
 
 
 def rel_error(a: np.ndarray | Tensor, b: np.ndarray | Tensor) -> float:

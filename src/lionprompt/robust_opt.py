@@ -3,10 +3,10 @@
 Every trainable scalar is scored by |gradient * value|; the bottom tau
 quantile of the score distribution fixes a threshold, scores at or above
 it are "crucial" and take an ordinary gradient-descent step, the rest are
-shrunk toward zero. The shrink rule defaults to the proximal
-soft-threshold sign(theta)*max(|theta|-eta, 0) — the convergent form of
-the raw sign update theta - eta*sign(theta), which is also available but
-oscillates around zero with amplitude eta instead of settling.
+shrunk toward zero by the proximal soft-threshold
+sign(theta)*max(|theta|-eta, 0) — the convergent form of the raw sign
+update theta - eta*sign(theta), which oscillates around zero with
+amplitude eta instead of settling.
 
 The trainer is duck-typed over a small task surface so the same loop
 drives both the prompted model and the plain-classifier baselines:
@@ -36,23 +36,18 @@ import numpy as np
 from .errors import DivergenceError, EvaluationError, StateError
 from .numerics import Param, Tensor
 
-RULES = ("soft_threshold", "raw_sign")
-
 
 @dataclass(frozen=True)
 class OptState:
     """Optimizer settings. `eta = 0` is allowed as the degenerate null step.
 
     `tau` is a quantile fraction over scores (the paper-style sweep range
-    0.2-0.8 only makes sense relative to the score distribution); setting
-    `absolute_threshold` switches to a raw score cutoff instead.
+    0.2-0.8 only makes sense relative to the score distribution).
     """
 
     eta: float
     tau: float = 0.4
     repartition_every: int = 1
-    rule: str = "soft_threshold"
-    absolute_threshold: float | None = None
 
     def __post_init__(self):
         if self.eta < 0.0:
@@ -61,8 +56,6 @@ class OptState:
             raise ValueError(f"tau must lie in (0,1), got {self.tau}")
         if self.repartition_every < 1:
             raise ValueError(f"repartition_every must be >= 1, got {self.repartition_every}")
-        if self.rule not in RULES:
-            raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +89,7 @@ def criticality_scores(params: list[Param]) -> np.ndarray:
     return np.abs(flat_grads(params) * flat_values(params))
 
 
-def partition(scores: np.ndarray, tau: float,
-              absolute_threshold: float | None = None) -> CriticalityPartition:
+def partition(scores: np.ndarray, tau: float) -> CriticalityPartition:
     """Split scores at the nearest-rank tau-quantile (ties go crucial).
 
     threshold = k-th smallest score with k = ceil(tau * M); crucial means
@@ -109,12 +101,9 @@ def partition(scores: np.ndarray, tau: float,
         raise ValueError("cannot partition an empty score vector")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite entries")
-    if absolute_threshold is not None:
-        threshold = float(absolute_threshold)
-    else:
-        k = math.ceil(tau * scores.size)
-        k = min(max(k, 1), scores.size)
-        threshold = float(np.partition(scores, k - 1)[k - 1])
+    k = math.ceil(tau * scores.size)
+    k = min(max(k, 1), scores.size)
+    threshold = float(np.partition(scores, k - 1)[k - 1])
     crucial = scores >= threshold
     return CriticalityPartition(scores=scores, crucial_mask=crucial,
                                 noncrucial_mask=~crucial, tau=tau,
@@ -125,7 +114,7 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
     """Apply one partitioned update in place.
 
     Crucial scalars descend along the gradient; non-crucial ones shrink by
-    eta (soft_threshold) or move eta against their own sign (raw_sign).
+    eta toward zero (soft-threshold).
     """
     total = sum(p.size for p in params)
     if part.crucial_mask.shape != (total,):
@@ -134,10 +123,7 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
     grads = flat_grads(params)
     values = flat_values(params)
     descended = values - state.eta * grads
-    if state.rule == "soft_threshold":
-        shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
-    else:
-        shrunk = values - state.eta * np.sign(values)
+    shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
     updated = np.where(part.crucial_mask, descended, shrunk)
     offset = 0
     for p in params:
@@ -160,10 +146,6 @@ class TrainLog:
     noncrucial_mean_abs: list[float] = field(default_factory=list)
     extras: list[dict] = field(default_factory=list)
     final_accuracy: float = math.nan
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1]
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +191,7 @@ def train(task, dataset, state: OptState, epochs: int,
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
         if part is None or epoch % state.repartition_every == 0:
-            part = partition(criticality_scores(params), state.tau,
-                             state.absolute_threshold)
+            part = partition(criticality_scores(params), state.tau)
         step(params, part, state)
         post = getattr(task, "post_step", None)
         if post is not None:
@@ -246,6 +227,5 @@ def train_plain(task, dataset, state: OptState, epochs: int,
     Implemented as the partitioned loop with an all-crucial split so the
     two trainers are bit-comparable; used by the baseline protocols.
     """
-    all_crucial = OptState(eta=state.eta, tau=1e-12, repartition_every=1,
-                           rule=state.rule)
+    all_crucial = OptState(eta=state.eta, tau=1e-12, repartition_every=1)
     return train(task, dataset, all_crucial, epochs, patience, plateau_tol)

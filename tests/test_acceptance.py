@@ -14,7 +14,6 @@ from lionprompt import checkpoint, model, robust_opt
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.deq import SolverConfig, solve_forward, spectral_normalize, DeqCell
 from lionprompt.harness import (
-    RunSettings,
     apply_shift,
     gradcheck_suite,
     make_blobs,
@@ -54,17 +53,17 @@ def transfer_sweep():
             shift = make_shift("invertible_linear", 16, seed=100 + seed)
             tr = apply_shift(make_blobs(4, 16, 200, seed=seed, split="train"), shift)
             te = apply_shift(make_blobs(4, 16, 200, seed=seed, split="test"), shift)
-            st = RunSettings(seed=seed)
             variants = {"plain": tr,
                         "longtail": resample_longtail(tr, 50.0),
                         "fewshot": resample_fewshot(tr, 8)}
             for name, train_ds in variants.items():
-                head = run_protocol("head_tuning", bb, train_ds, te, st)
-                lion = run_protocol("lion", bb, train_ds, te, st)
+                head = run_protocol(RunConfig(protocol="head_tuning", seed=seed), bb,
+                                    train_ds, te)
+                lion = run_protocol(RunConfig(protocol="lion", seed=seed), bb, train_ds, te)
                 rows[name].append((head.accuracy, lion.accuracy))
                 if "lion_params" not in _CACHE:
-                    full = run_protocol("full_finetune", bb, train_ds, te,
-                                        RunSettings(seed=seed, epochs=3))
+                    full = run_protocol(RunConfig(protocol="full_finetune", seed=seed,
+                                                  epochs=3), bb, train_ds, te)
                     _CACHE["lion_params"] = lion.trainable_params
                     _CACHE["full_params"] = full.trainable_params
         _CACHE["sweep"] = rows
@@ -279,7 +278,7 @@ def test_criterion_9_persistence(tmp_path):
     bb = shared_backbone()
     tr = make_blobs(4, 16, 200, seed=0, split="train")
     te = make_blobs(4, 16, 200, seed=0, split="test")
-    res = run_protocol("head_tuning", bb, tr, te, RunSettings(seed=0, epochs=5))
+    res = run_protocol(RunConfig(protocol="head_tuning", seed=0, epochs=5), bb, tr, te)
     row_cfg = RunConfig(protocol="head_tuning", epochs=5)
     path = tmp_path / "run.csv"
     path.write_text(CSV_HEADER + "\n" + _run_row(row_cfg, res) + "\n")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lionprompt import checkpoint, deq
 from lionprompt.cli import CSV_HEADER, main
@@ -90,6 +93,41 @@ def test_duplicate_names_rejected(tmp_path):
     p = Param("x", Tensor(1.0))
     with pytest.raises(CheckpointError, match="duplicate"):
         checkpoint.save(str(tmp_path / "m.ckpt"), [p, Param("x", Tensor(2.0))])
+
+
+@pytest.mark.parametrize("name", ["", "n" * (checkpoint._MAX_NAME + 1), "bad\udc80"],
+                         ids=["empty", "too-long", "unencodable"])
+def test_save_refuses_names_load_would_reject(tmp_path, name):
+    with pytest.raises(CheckpointError, match="parameter name"):
+        checkpoint.save(str(tmp_path / "m.ckpt"), sample_params() + [Param(name, Tensor(1.0))])
+    assert os.listdir(tmp_path) == []
+
+
+# UTF-8 names of 1 to 4,096 bytes; surrogates are not encodable
+names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=1400).filter(
+    lambda s: len(s.encode("utf-8")) <= checkpoint._MAX_NAME)
+# names filling the byte budget with characters of 1 to 4 bytes
+long_names = st.builds(
+    lambda stem, c: stem + c * ((checkpoint._MAX_NAME - len(stem)) // len(c.encode("utf-8"))),
+    st.text("abc", max_size=8), st.sampled_from(["e", "\u00e9", "\u20ac", "\U0001f600"]))
+shapes = st.lists(st.integers(0, 4), max_size=2).map(tuple)
+tensors = shapes.flatmap(lambda shape: arrays(
+    np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(names, long_names), min_size=1, max_size=5, unique=True),
+       st.data())
+def test_save_load_save_is_byte_identical_for_fuzzed_names_and_shapes(entry_names, data):
+    params = [Param(n, Tensor(data.draw(tensors))) for n in entry_names]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        checkpoint.save(first, params)
+        blank = [Param(p.name, Tensor(np.zeros(p.value.shape))) for p in params]
+        checkpoint.restore(blank, checkpoint.load(first))
+        checkpoint.save(second, blank)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_restore_rejects_architecture_mismatch(tmp_path):
@@ -274,6 +312,22 @@ def test_anderson_tune_still_runs_and_evals_exactly(workdir, tmp_path, monkeypat
     assert rc == 0
     assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
     assert depths == {5}
+
+
+def test_eval_refuses_settings_other_than_the_tune(workdir, tmp_path, capsys):
+    out = _own_outdir(workdir, tmp_path)
+    base = ["--out", out, "--seed", "0", "--protocol", "head_tuning", "--epochs", "5"]
+    rc, _, _ = run_cli(capsys, ["tune", *base, "--shift", "rotation"])
+    assert rc == 0
+    rc, _, err = run_cli(capsys, ["eval", *base])
+    assert rc == 2
+    assert "'shift' is 'invertible_linear' here but was 'rotation'" in err
+    rc, _, _ = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
+    assert rc == 0
+    os.remove(os.path.join(out, "head_tuning-blobs-s0.cfg"))
+    rc, _, err = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
+    assert rc == 3
+    assert "tuned model config" in err
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):

@@ -7,11 +7,9 @@ from lionprompt.deq import (
     CellGrads,
     DeqCell,
     SolverConfig,
-    cell_forward,
     deq_vjp,
     deq_vjp_batch,
     estimate_spectral_norm,
-    solve_adjoint,
     solve_adjoint_batch,
     solve_forward,
     solve_forward_batch,
@@ -20,8 +18,9 @@ from lionprompt.deq import (
     unrolled_vjp,
 )
 from lionprompt.errors import DivergenceError, ShapeMismatchError
-from lionprompt.numerics import Tensor, finite_diff_grad, rel_error
+from lionprompt.numerics import Tensor, rel_error
 from lionprompt.rng import substream
+from reference import cell_forward, finite_diff_grad
 
 
 def random_cell(seed, h=6, d=4, activation="tanh", kappa=0.9):
@@ -43,6 +42,12 @@ def dense_forward_oracle(cell, x):
     h = cell.state_dim
     rhs = cell.U.array @ x.array + cell.b.array
     return np.linalg.solve(np.eye(h) - cell.W.array, rhs)
+
+
+def solve_adjoint(cell, z, x, y):
+    """The adjoint solve of one row, as a one-row batch."""
+    return Tensor(solve_adjoint_batch(cell, z.array[None, :], x.array[None, :],
+                                      y.array[None, :])[0])
 
 
 def dense_adjoint_oracle(cell, y):

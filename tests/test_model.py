@@ -16,14 +16,12 @@ from lionprompt.model import (
     PromptBlock,
     PromptModel,
     backbone_forward,
-    blend_input,
-    blend_repr,
-    forward_full,
+    build_prompt_model,
+    forward,
     gate_coeffs,
     gate_vjp,
-    init_prompt_model,
-    loss,
     loss_and_grads,
+    make_backbone,
     make_head,
     param_count_report,
     predict,
@@ -32,6 +30,22 @@ from lionprompt.numerics import Param, Tensor, batch_cross_entropy, rel_error
 from lionprompt.rng import substream
 
 TIGHT = SolverConfig(tol=1e-13)
+
+
+def init_prompt_model(d, h, hidden, n_classes, seed, layers=1, solver=None):
+    """Fresh trainable parts around a fresh (untrained, frozen) backbone."""
+    backbone = make_backbone(d, hidden, h, seed, frozen=True)
+    return build_prompt_model(backbone, n_classes, seed, layers=layers, solver=solver)
+
+
+def loss(model, x, y):
+    """Mean cross-entropy of the batch's forward logits."""
+    return batch_cross_entropy(forward(model, x).logits, np.asarray(y))[0]
+
+
+def zero_grads(model):
+    for p in model.trainable_params():
+        p.zero_grad()
 
 
 def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2, layers=1):
@@ -112,7 +126,7 @@ def test_blend_input_saturated_gate_passes_input_through():
     model.gate1.g_alpha.value = Tensor(50.0)
     model.gate1.g_beta.value = Tensor(-50.0)
     x = substream(2, "x").normal(size=(3, 6))
-    xt = blend_input(model, x)
+    xt = forward(model, x).xt
     assert np.max(np.abs(xt - x)) < 1e-12
 
 
@@ -129,14 +143,14 @@ def test_blend_input_closed_form_state_free_cell():
     model.p1 = block
     x = rng.normal(size=(2, d))
     expected = 0.5 * x + 0.5 * (x @ u.T + b)
-    assert np.max(np.abs(blend_input(model, x) - expected)) <= 1e-10
+    assert np.max(np.abs(forward(model, x).xt - expected)) <= 1e-10
 
 
 def test_blend_input_preserves_shape():
     model = small_model(5)
     for n in (1, 4):
         x = substream(6, "shape", n).normal(size=(n, 6))
-        assert blend_input(model, x).shape == (n, 6)
+        assert forward(model, x).xt.shape == (n, 6)
 
 
 def test_blend_repr_saturated_gate_is_backbone_of_blended_input():
@@ -144,9 +158,9 @@ def test_blend_repr_saturated_gate_is_backbone_of_blended_input():
     model.gate2.g_alpha.value = Tensor(50.0)
     model.gate2.g_beta.value = Tensor(-50.0)
     x = substream(8, "x").normal(size=(3, 6))
-    zt = blend_repr(model, x)
-    f_xt, _ = backbone_forward(model.backbone, blend_input(model, x))
-    assert np.max(np.abs(zt - f_xt)) < 1e-12
+    fw = forward(model, x)
+    f_xt, _ = backbone_forward(model.backbone, fw.xt)
+    assert np.max(np.abs(fw.zt - f_xt)) < 1e-12
 
 
 def test_blend_repr_identity_backbone_closed_form():
@@ -175,7 +189,7 @@ def test_blend_repr_identity_backbone_closed_form():
     x = rng.normal(size=(3, d))
     xt = 0.5 * x + 0.5 * (x @ u1.T + b1)
     expected = 0.5 * xt + 0.5 * (x @ u2.T + b2)
-    assert np.max(np.abs(blend_repr(model, x) - expected)) <= 1e-9
+    assert np.max(np.abs(forward(model, x).zt - expected)) <= 1e-9
 
 
 # --- full forward --------------------------------------------------------------
@@ -183,7 +197,7 @@ def test_blend_repr_identity_backbone_closed_form():
 def test_forward_zero_head_returns_bias():
     model = init_prompt_model(d=6, h=5, hidden=7, n_classes=2, seed=11, solver=TIGHT)
     x = substream(12, "x").normal(size=(4, 6))
-    logits = forward_full(model, x)
+    logits = forward(model, x).logits
     assert logits.shape == (4, 2)
     assert np.all(logits == 0.0)
 
@@ -191,22 +205,22 @@ def test_forward_zero_head_returns_bias():
 def test_forward_batch_matches_per_sample():
     model = small_model(13)
     x = substream(14, "x").normal(size=(5, 6))
-    batch = forward_full(model, x)
+    batch = forward(model, x).logits
     for i in range(5):
-        single = forward_full(model, x[i:i + 1])
+        single = forward(model, x[i:i + 1]).logits
         assert np.max(np.abs(batch[i] - single[0])) <= 1e-12
 
 
 def test_loss_uniform_logits():
     model = init_prompt_model(d=6, h=5, hidden=7, n_classes=2, seed=15, solver=TIGHT)
     x = substream(16, "x").normal(size=(1, 6))
-    assert abs(loss(model, x, np.array([0])) - math.log(2.0)) <= 1e-12
+    assert abs(loss_and_grads(model, x, np.array([0]))[0] - math.log(2.0)) <= 1e-12
 
 
 def test_loss_empty_batch_rejected():
     model = small_model(17)
-    with pytest.raises(ValueError):
-        loss(model, np.zeros((0, 6)), np.array([], dtype=int))
+    with pytest.raises(ValueError, match="empty batch"):
+        loss_and_grads(model, np.zeros((0, 6)), np.array([], dtype=int))
 
 
 def test_loss_and_grads_value_matches_loss():
@@ -221,7 +235,7 @@ def test_loss_and_grads_returns_the_forward_logits():
     x = substream(41, "x").normal(size=(5, 6))
     y = np.array([0, 1, 1, 0, 1])
     _, logits = loss_and_grads(model, x, y)
-    assert np.array_equal(logits, forward_full(model, x))
+    assert np.array_equal(logits, forward(model, x).logits)
 
 
 def test_precomputed_backbone_features_give_identical_gradients():
@@ -267,7 +281,7 @@ def test_frozen_backbone_untouched_by_training_step():
 # --- gradient checks ------------------------------------------------------------
 
 def run_end_to_end_gradcheck(model, x, y, tol=1e-5):
-    model.zero_grads()
+    zero_grads(model)
     loss_and_grads(model, x, y)
     analytic = {p.name: p.grad for p in model.trainable_params()}
     worst = ("", 0.0)
@@ -300,7 +314,7 @@ def test_every_trainable_param_receives_gradient():
     rng = substream(29, "data")
     x = rng.normal(size=(5, 6))
     y = np.array([0, 1, 0, 1, 1])
-    model.zero_grads()
+    zero_grads(model)
     loss_and_grads(model, x, y)
     for p in model.trainable_params():
         assert p.grad is not None, p.name

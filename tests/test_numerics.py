@@ -1,4 +1,4 @@
-"""Tensor plumbing and backward rules checked against finite differences."""
+"""Tensor plumbing, activations and the batched loss checked against finite differences."""
 
 import math
 
@@ -9,19 +9,13 @@ from lionprompt.errors import EvaluationError, ShapeMismatchError
 from lionprompt.numerics import (
     Param,
     Tensor,
+    activate,
+    activate_deriv,
     batch_cross_entropy,
-    cross_entropy,
-    cross_entropy_vjp,
-    finite_diff_grad,
-    matmul,
-    matmul_vjp,
     rel_error,
-    relu,
-    relu_vjp,
-    tanh,
-    tanh_vjp,
 )
 from lionprompt.rng import substream
+from reference import finite_diff_grad
 
 
 def test_tensor_is_immutable_and_finite():
@@ -56,101 +50,53 @@ def test_param_grad_accumulates():
         p.add_grad(Tensor([1.0, 2.0, 3.0]))
 
 
-def test_matmul_identity():
-    eye = Tensor(np.eye(2))
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert matmul(eye, a) == a
+def row_cross_entropy(logits: Tensor, label: int) -> float:
+    """Mean cross-entropy of a one-row batch, as a function of that row."""
+    return batch_cross_entropy(logits.array[None, :], np.array([label]))[0]
 
 
-def test_matmul_hand_case():
-    assert matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])) == Tensor([[11.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeMismatchError) as exc:
-        matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
-    assert "(1, 2)" in str(exc.value)
-
-
-def test_matmul_associativity():
-    rng = substream(7, "assoc")
-    a = Tensor(rng.normal(size=(3, 4)))
-    b = Tensor(rng.normal(size=(4, 5)))
-    c = Tensor(rng.normal(size=(5, 2)))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.max(np.abs(left.array - right.array)) <= 1e-12
-
-
-def test_matmul_vjp_against_finite_differences():
-    rng = substream(11, "matmul-vjp")
-    a = Tensor(rng.normal(size=(3, 3)))
-    b = Tensor(rng.normal(size=(3, 3)))
-    ybar = Tensor(rng.normal(size=(3, 3)))
-    ga, gb = matmul_vjp(a, b, ybar)
-    fd_a = finite_diff_grad(lambda t: float(np.sum(matmul(t, b).array * ybar.array)), a)
-    fd_b = finite_diff_grad(lambda t: float(np.sum(matmul(a, t).array * ybar.array)), b)
-    assert rel_error(ga, fd_a) <= 1e-7
-    assert rel_error(gb, fd_b) <= 1e-7
-
-
-def test_relu_definition():
-    assert relu(Tensor([-1.0, 0.0, 2.0])) == Tensor([0.0, 0.0, 2.0])
-
-
-def test_relu_subgradient_zero_at_kink():
-    g = relu_vjp(Tensor([0.0, -1.0, 1.0]), Tensor([1.0, 1.0, 1.0]))
-    assert g == Tensor([0.0, 0.0, 1.0])
+def tanh_sum(t: Tensor) -> float:
+    return float(np.sum(activate(t.array, "tanh")))
 
 
 def test_tanh_odd_at_zero():
-    assert tanh(Tensor([0.0])) == Tensor([0.0])
+    assert activate(np.array([0.0]), "tanh").tolist() == [0.0]
 
 
 def test_tanh_backward_at_half():
     x = Tensor([0.5])
-    g = tanh_vjp(x, Tensor([1.0]))
-    fd = finite_diff_grad(lambda t: float(np.sum(tanh(t).array)), x)
-    assert rel_error(g, fd) <= 1e-7
+    g = activate_deriv(activate(x.array, "tanh"), "tanh")
+    assert rel_error(g, finite_diff_grad(tanh_sum, x)) <= 1e-7
 
 
 def test_cross_entropy_uniform():
-    assert abs(cross_entropy(Tensor([0.0, 0.0]), 0) - math.log(2.0)) <= 1e-12
+    assert abs(row_cross_entropy(Tensor([0.0, 0.0]), 0) - math.log(2.0)) <= 1e-12
 
 
 def test_cross_entropy_saturated():
     # -log sigmoid(20) expressed through log1p for an independent value
     expected = math.log1p(math.exp(-20.0))
-    got = cross_entropy(Tensor([10.0, -10.0]), 0)
+    got = row_cross_entropy(Tensor([10.0, -10.0]), 0)
     assert abs(got - expected) <= 1e-15
     assert got == pytest.approx(2.06e-9, rel=5e-3)
-
-
-def test_cross_entropy_label_range():
-    with pytest.raises(IndexError):
-        cross_entropy(Tensor([1.0, 2.0]), 2)
-    with pytest.raises(IndexError):
-        cross_entropy_vjp(Tensor([1.0, 2.0]), -1)
-    with pytest.raises(ShapeMismatchError):
-        cross_entropy(Tensor([1.0]), 0)
 
 
 def test_cross_entropy_nonnegative_and_stable():
     rng = substream(3, "ce-pos")
     for _ in range(50):
         logits = Tensor(rng.normal(scale=200.0, size=5))
-        assert cross_entropy(logits, int(rng.integers(5))) >= 0.0
+        assert row_cross_entropy(logits, int(rng.integers(5))) >= 0.0
     # extreme logits stay finite thanks to max-subtraction
-    assert math.isfinite(cross_entropy(Tensor([1e4, -1e4, 0.0]), 1))
+    assert math.isfinite(row_cross_entropy(Tensor([1e4, -1e4, 0.0]), 1))
 
 
 def test_cross_entropy_vjp_against_finite_differences():
     rng = substream(5, "ce-vjp")
     for _ in range(5):
-        logits = Tensor(rng.normal(size=6))
-        label = int(rng.integers(6))
-        g = cross_entropy_vjp(logits, label)
-        fd = finite_diff_grad(lambda t: cross_entropy(t, label), logits)
+        logits = Tensor(rng.normal(size=(3, 6)))
+        labels = rng.integers(6, size=3)
+        _, g = batch_cross_entropy(logits.array, labels)
+        fd = finite_diff_grad(lambda t: batch_cross_entropy(t.array, labels)[0], logits)
         assert rel_error(g, fd) <= 1e-6
 
 
@@ -159,11 +105,15 @@ def test_batch_cross_entropy_matches_single():
     logits = rng.normal(size=(4, 3))
     labels = rng.integers(3, size=4)
     loss, grad = batch_cross_entropy(logits, labels)
-    singles = [cross_entropy(Tensor(logits[i]), int(labels[i])) for i in range(4)]
+    # per-row reference: -log softmax(row)[label] and softmax(row) - onehot(label)
+    singles, row_grads = [], []
+    for row, label in zip(logits, labels):
+        exps = [math.exp(v - max(row)) for v in row]
+        singles.append(math.log(sum(exps)) - (row[label] - max(row)))
+        row_grads.append(np.array(exps) / sum(exps) - np.eye(3)[label])
     assert abs(loss - np.mean(singles)) <= 1e-12
     for i in range(4):
-        gi = cross_entropy_vjp(Tensor(logits[i]), int(labels[i]))
-        assert rel_error(grad[i] * 4.0, gi) <= 1e-12
+        assert rel_error(grad[i] * 4.0, row_grads[i]) <= 1e-12
 
 
 def test_finite_diff_quadratic_exact():
@@ -191,11 +141,10 @@ def test_affine_cross_entropy_chain():
     x = Tensor(rng.normal(size=4))
 
     def f(t: Tensor) -> float:
-        return cross_entropy(Tensor(w.array @ t.array), 1)
+        return row_cross_entropy(Tensor(w.array @ t.array), 1)
 
-    logits = Tensor(w.array @ x.array)
-    gl = cross_entropy_vjp(logits, 1)
-    gx = Tensor(w.array.T @ gl.array)
+    _, gl = batch_cross_entropy((w.array @ x.array)[None, :], np.array([1]))
+    gx = Tensor(w.array.T @ gl[0])
     fd = finite_diff_grad(f, x)
     assert rel_error(gx, fd) <= 1e-6
 
@@ -203,26 +152,15 @@ def test_affine_cross_entropy_chain():
 def test_all_primitives_twenty_seeded_points():
     for k in range(20):
         rng = substream(100 + k, "prim-sweep")
-        # tanh
+        # both activations, the derivative read off the output
         x = Tensor(rng.normal(size=5))
-        assert rel_error(tanh_vjp(x, Tensor(np.ones(5))),
-                         finite_diff_grad(lambda t: float(np.sum(tanh(t).array)), x)) <= 1e-6
-        # matmul (left operand)
-        a = Tensor(rng.normal(size=(2, 3)))
-        b = Tensor(rng.normal(size=(3, 2)))
-        yb = Tensor(rng.normal(size=(2, 2)))
-        ga, _ = matmul_vjp(a, b, yb)
-        fd = finite_diff_grad(lambda t: float(np.sum(matmul(t, b).array * yb.array)), a)
-        assert rel_error(ga, fd) <= 1e-6
+        for kind in ("tanh", "identity"):
+            g = activate_deriv(activate(x.array, kind), kind)
+            fd = finite_diff_grad(lambda t: float(np.sum(activate(t.array, kind))), x)
+            assert rel_error(g, fd) <= 1e-6
         # cross_entropy
         logits = Tensor(rng.normal(size=4))
         lab = int(rng.integers(4))
-        assert rel_error(cross_entropy_vjp(logits, lab),
-                         finite_diff_grad(lambda t: cross_entropy(t, lab), logits)) <= 1e-6
-        # relu, points resampled away from the kink
-        xr = rng.normal(size=5)
-        while np.any(np.abs(xr) < 1e-3):
-            xr = rng.normal(size=5)
-        xt = Tensor(xr)
-        assert rel_error(relu_vjp(xt, Tensor(np.ones(5))),
-                         finite_diff_grad(lambda t: float(np.sum(relu(t).array)), xt)) <= 1e-6
+        _, g = batch_cross_entropy(logits.array[None, :], np.array([lab]))
+        assert rel_error(g[0], finite_diff_grad(lambda t: row_cross_entropy(t, lab),
+                                                logits)) <= 1e-6

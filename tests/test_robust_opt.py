@@ -1,7 +1,10 @@
 """Partition semantics and the partitioned training loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lionprompt.errors import DivergenceError, EvaluationError, StateError
 from lionprompt.numerics import Param, Tensor, batch_cross_entropy
@@ -70,8 +73,6 @@ def test_opt_state_validation():
     with pytest.raises(ValueError):
         OptState(eta=0.1, tau=1.0)
     with pytest.raises(ValueError):
-        OptState(eta=0.1, rule="hard_threshold")
-    with pytest.raises(ValueError):
         OptState(eta=0.1, repartition_every=0)
 
 
@@ -121,9 +122,17 @@ def test_partition_rejects_empty_and_nonfinite():
         partition(np.array([1.0, np.nan]), tau=0.4)
 
 
-def test_partition_absolute_threshold_mode():
-    part = partition(np.array([1.0, 2.0, 3.0]), tau=0.4, absolute_threshold=2.5)
-    assert np.array_equal(part.crucial_mask, [False, False, True])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_partition_is_exhaustive_for_arbitrary_scores(scores, tau):
+    part = partition(np.array(scores), tau)
+    assert np.all(part.crucial_mask ^ part.noncrucial_mask)
+    assert np.all(part.scores[part.crucial_mask] >= part.threshold_value)
+    assert np.all(part.scores[part.noncrucial_mask] < part.threshold_value)
+    # ties at the ceil(tau * M)-th smallest score all go crucial
+    m = len(scores)
+    assert int(np.sum(part.crucial_mask)) >= m - math.ceil(tau * m) + 1
 
 
 # --- step ------------------------------------------------------------------------
@@ -143,16 +152,6 @@ def test_step_soft_threshold_shrinks():
                                 tau=0.4, threshold_value=np.inf)
     step(params, part, OptState(eta=0.1))
     assert np.allclose(params[0].value.array, [0.2, 0.0], atol=1e-15)
-
-
-def test_step_raw_sign_oscillates_through_zero():
-    params = params_with_grads([[-0.05]], [[0.0]])
-    part = CriticalityPartition(scores=np.zeros(1),
-                                crucial_mask=np.array([False]),
-                                noncrucial_mask=np.array([True]),
-                                tau=0.4, threshold_value=np.inf)
-    step(params, part, OptState(eta=0.1, rule="raw_sign"))
-    assert abs(params[0].value.item() - 0.05) <= 1e-15
 
 
 def test_step_rejects_misaligned_partition():
