@@ -143,10 +143,6 @@ def _make_split(cfg: RunConfig, seed: int, split: str, n: int) -> harness.Datase
     return harness.make_glyphs(_N_CLASSES, n, seed, split)
 
 
-def _source_split(cfg: RunConfig, split: str) -> harness.Dataset:
-    return _make_split(cfg, cfg.seed, split, _SOURCE_N)
-
-
 def _target_splits(cfg: RunConfig) -> tuple[harness.Dataset, harness.Dataset]:
     """Shifted (and optionally resampled) target task; test stays full-size."""
     d = _INPUT_DIMS[cfg.dataset]
@@ -172,8 +168,8 @@ def _load_backbone(cfg: RunConfig) -> m.Backbone:
 
 # --- commands ---------------------------------------------------------------------
 
-def cmd_pretrain(cfg: RunConfig, explicit: set) -> int:
-    src = _source_split(cfg, "train")
+def cmd_pretrain(cfg: RunConfig) -> int:
+    src = _make_split(cfg, cfg.seed, "train", _SOURCE_N)
     backbone, accuracy = harness.pretrain_backbone(
         src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300))
     os.makedirs(cfg.out, exist_ok=True)
@@ -190,7 +186,7 @@ def cmd_pretrain(cfg: RunConfig, explicit: set) -> int:
 
 
 def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> str:
-    return (f"{_run_id(cfg)},{res.protocol},{cfg.dataset},{cfg.seed},"
+    return (f"{_run_id(cfg)},{cfg.protocol},{cfg.dataset},{cfg.seed},"
             f"{res.accuracy!r},{res.trainable_params},{res.epochs_run},"
             f"{res.wall_time_s!r}")
 
@@ -206,7 +202,7 @@ def _trace_csv(res: harness.ProtocolResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_tune(cfg: RunConfig, explicit: set) -> int:
+def cmd_tune(cfg: RunConfig) -> int:
     backbone = _load_backbone(cfg)
     train, test = _target_splits(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
@@ -216,7 +212,7 @@ def cmd_tune(cfg: RunConfig, explicit: set) -> int:
     _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}.csv"),
                 CSV_HEADER + "\n" + _run_row(cfg, res) + "\n")
     _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}-trace.csv"), _trace_csv(res))
-    print(f"protocol         {res.protocol}")
+    print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
           f"shots={cfg.shots} (train n={train.n})")
     print(f"held-out accuracy {res.accuracy!r}")
@@ -250,7 +246,7 @@ def _check_tuned_config(cfg: RunConfig) -> None:
                               f"the model was tuned ({path!r})")
 
 
-def cmd_eval(cfg: RunConfig, explicit: set) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
     backbone = _load_backbone(cfg)
     path = _require(_model_path(cfg), "tuned model checkpoint")
     _check_tuned_config(cfg)
@@ -292,7 +288,7 @@ def cmd_gradcheck(cfg: RunConfig, explicit: set) -> int:
     return 0
 
 
-def cmd_prop1(cfg: RunConfig, explicit: set) -> int:
+def cmd_prop1(cfg: RunConfig) -> int:
     rep = harness.verify_proposition1(seed=cfg.seed)
     print(f"feasibility gap (closed-form W)   {rep.feasibility_gap:.3e}")
     print(f"input-side loss (retrain W)       {rep.input_side_loss:.3e}")
@@ -331,7 +327,7 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
     return rows
 
 
-def cmd_report(cfg: RunConfig, explicit: set, paths: list[str]) -> int:
+def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
     rows = _read_run_rows(paths)
     rows.sort(key=lambda r: float(r["accuracy"]), reverse=True)
     print(f"{'run_id':<28} {'protocol':<14} {'dataset':<7} {'seed':>4} "
@@ -360,16 +356,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg, explicit = _resolve_config(args)
         if args.command == "pretrain":
-            return cmd_pretrain(cfg, explicit)
+            return cmd_pretrain(cfg)
         if args.command == "tune":
-            return cmd_tune(cfg, explicit)
+            return cmd_tune(cfg)
         if args.command == "eval":
-            return cmd_eval(cfg, explicit)
+            return cmd_eval(cfg)
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, explicit)
         if args.command == "prop1":
-            return cmd_prop1(cfg, explicit)
-        return cmd_report(cfg, explicit, args.paths)
+            return cmd_prop1(cfg)
+        return cmd_report(cfg, args.paths)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

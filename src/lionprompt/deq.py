@@ -12,8 +12,8 @@ invertible with condition number at most (1 + kappa) / (1 - kappa).
 
 Every forward solve runs through one driver on an (n, h) float64 stack of
 rows that evolve independently, each with its input term c_i = U x_i + b.
-The rows share one state weight, or, for `solve_forward_stack`, may carry
-one weight each (the gradient cross-checks perturb W one entry per row).
+The rows share one state weight and its product; the gradient cross-checks
+shift one entry of W per row, an indexed add after that product.
 The driver stops once the worst row residual max_i ||f(z_i) - z_i|| is
 within tol and reports that residual, so a converged solve certifies
 every row individually. The single-row solve and VJP are the n = 1 case
@@ -138,27 +138,30 @@ def spectral_normalize(cell: DeqCell) -> DeqCell:
 # --- forward ---------------------------------------------------------------
 
 def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
-           cfg: SolverConfig) -> tuple[np.ndarray, int, float, bool]:
-    """Fixed-point driver on an (n, h) stack of rows z_i = sigma(W_i z_i + c_i).
+           cfg: SolverConfig, shift=None) -> tuple[np.ndarray, int, float, bool]:
+    """Fixed-point driver on an (n, h) stack of rows z_r = sigma(W_r z_r + c_r).
 
-    `w` is one shared (h, h) state weight or an (n, h, h) stack with one
-    weight per row; `c` holds each row's input term U x_i + b. Stops once
-    the worst row residual max_i ||f(z_i) - z_i|| is <= tol. Returns (point,
-    evaluations, worst-row residual at point, converged); the residual
-    always belongs to the returned point, so `converged` iff every row is
-    within tol. Picard steps z <- f(z). Anderson mixing (type II)
+    `c` holds each row's input term U x_r + b. Row r runs the shared (h, h)
+    `w`, shifted by eps_r in entry (i_r, j_r) if `shift` = (i, j, eps) is
+    given: (W + eps E_ij) z = W z + eps z_j e_i, one indexed add. Stops
+    once the worst row residual max_r ||f(z_r) - z_r|| is <= tol. Returns
+    (point, evaluations, worst-row residual at point, converged); the
+    residual always belongs to the returned point, so `converged` iff every
+    row is within tol. Picard steps z <- f(z). Anderson mixing (type II)
     extrapolates the whole stack over the last `anderson_depth` residuals
     with one least-squares combination, taking a Picard step while the
     history holds fewer than two entries.
     """
-    shared = w.ndim == 2
     v = np.array(z0_rows, dtype=np.float64)
+    rows = np.arange(len(v))
     depth = cfg.anderson_depth
     hist_r: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
-            wv = v @ w.T if shared else np.matmul(w, v[:, :, None])[:, :, 0]
+            wv = v @ w.T
+            if shift is not None:
+                wv[rows, shift[0]] += shift[2] * v[rows, shift[1]]
             gv = activate(wv + c, kind)
             r = gv - v
             resid = math.sqrt(np.einsum("ij,ij->i", r, r).max(initial=0.0))
@@ -221,27 +224,32 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
 
 
 def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
-                        cfg: SolverConfig | None = None) -> SolveReport:
-    """Solve z_i = sigma(W_i z_i + c_i) for a stack of rows with given input terms.
+                        cfg: SolverConfig | None = None, shift=None) -> SolveReport:
+    """Solve z_r = sigma(W_r z_r + c_r) for a stack of rows with given input terms.
 
-    `c_rows` is (n, h), each row's U x_i + b already computed. `w` is one
-    shared (h, h) state weight, the same product `solve_forward_batch`
-    runs, or an (n, h, h) stack with one weight per row. Every weight is
-    assumed to have operator norm < 1. Every row starts from zero. The
-    report is that of a batch solve: `residual` is the worst row residual.
+    `c_rows` is (n, h), each row's U x_r + b already computed; W_r is the
+    shared (h, h) `w`, plus eps_r in entry (i_r, j_r) if `shift` = (i, j,
+    eps), three length-n arrays, is given. Every W_r is assumed to have
+    operator norm < 1. Every row starts from zero. The report is that of a
+    batch solve: `residual` is the worst row residual.
     """
     c_rows = np.asarray(c_rows, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if c_rows.ndim != 2:
         raise ShapeMismatchError(f"input terms must be (n, h), got {c_rows.shape}")
     n, h = c_rows.shape
-    if w.shape not in ((h, h), (n, h, h)):
-        raise ShapeMismatchError(
-            f"state weight shape {w.shape} != ({h}, {h}) or ({n}, {h}, {h})")
+    if w.shape != (h, h):
+        raise ShapeMismatchError(f"state weight shape {w.shape} != ({h}, {h})")
+    if shift is not None:
+        shift = tuple(np.asarray(a) for a in shift)
+        if ([a.shape for a in shift] != [(n,)] * 3
+                or np.any([(a < 0) | (a >= h) for a in shift[:2]])):
+            raise ShapeMismatchError(f"shift must be three ({n},) arrays with indices in "
+                                     f"[0, {h}), got shapes {[a.shape for a in shift]}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     v, iters, resid, ok = _solve(w, c_rows, activation, np.zeros((n, h)),
-                                 cfg or SolverConfig())
+                                 cfg or SolverConfig(), shift)
     return SolveReport(Tensor(v), iters, resid, ok)
 
 

@@ -13,6 +13,7 @@ from its parameters.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -313,7 +314,6 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    protocol: str
     accuracy: float            # held-out split only
     train_accuracy: float
     trainable_params: int
@@ -356,7 +356,6 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     preds = task.predict(test_ds.inputs.array)
     accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
-        protocol=cfg.protocol,
         accuracy=accuracy,
         train_accuracy=log.final_accuracy,
         trainable_params=sum(p.size for p in task.trainable_params()),
@@ -511,32 +510,28 @@ def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
                          step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
-    All 2 (h^2 + hd + h + d) perturbed fixed points are solved as two row
-    stacks, the + step rows first and the - step rows second. Perturbing a
-    scalar of U, b or x only shifts that row's input term c = U x + b, so
-    those rows share the cell's weight; only the W rows get one weight each.
+    All 2 (h^2 + hd + h + d) perturbed fixed points are one row stack on the
+    cell's weight, + step rows first. A W row shifts its entry of W by
+    +-step; one of U, b or x shifts its row's input term c = U x + b.
     Raises DivergenceError if any row stops short of tol.
     """
-    wa, ua, xa = cell.W.array, cell.U.array, x.array
+    ua, xa = cell.U.array, x.array
     h = cell.state_dim
     c = ua @ xa + cell.b.array
-    # d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
-    shifts = np.vstack([np.kron(np.eye(h), xa[:, None]), np.eye(h), ua.T])
-    ws = np.broadcast_to(wa.reshape(-1), (2, h * h, h * h)).copy()
-    diag = np.arange(h * h)
-    ws[0, diag, diag] += step
-    ws[1, diag, diag] -= step
-    stacks = ((ws.reshape(-1, h, h), np.broadcast_to(c, (2 * h * h, h))),
-              (wa, np.concatenate([c + step * shifts, c - step * shifts])))
-    fd = []
-    for w, c_rows in stacks:
-        rep = deq.solve_forward_stack(w, c_rows, cell.activation, cfg)
-        if not rep.converged:
-            raise deq.DivergenceError("finite-difference solves stopped short of tol",
-                                      residual=rep.residual)
-        plus, minus = np.split(rep.z_star.array, 2)
-        fd.append((plus - minus) @ y.array / (2.0 * step))
-    return np.concatenate(fd)
+    # d c / d W = 0, d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
+    shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), xa[:, None]),
+                        np.eye(h), ua.T])
+    # row k < h^2 shifts W[k // h, k % h]; the rest take eps 0 at wrapped indices
+    k = np.arange(len(shifts))
+    eps = np.where(k < h * h, step, 0.0)
+    i, j = np.divmod(np.tile(k % (h * h), 2), h)
+    rep = deq.solve_forward_stack(cell.W.array, c + step * np.vstack([shifts, -shifts]),
+                                  cell.activation, cfg, (i, j, np.concatenate([eps, -eps])))
+    if not rep.converged:
+        raise deq.DivergenceError("finite-difference solves stopped short of tol",
+                                  residual=rep.residual)
+    plus, minus = np.split(rep.z_star.array, 2)
+    return (plus - minus) @ y.array / (2.0 * step)
 
 
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
@@ -547,13 +542,12 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
 
     The implicit gradient is taken at the base solve's fixed point through
     `deq.solve_forward` and `deq.deq_vjp`, the n = 1 case of the batch code
-    that training runs. The central differences of each case are one
-    `deq.solve_forward_stack` call for the W perturbations (a weight per
-    row) and one for the rest (the shared-weight product that training
-    runs), on the same worst-row-certified driver. Solver non-convergence,
-    in the base solve or in any row of a stack, is reported as its own
-    status so a hopeless tolerance setting is distinguishable from a wrong
-    gradient.
+    that training runs. Each case's central differences are one
+    `deq.solve_forward_stack` call on the shared-weight product training
+    runs, and its unrolled reference runs as deep as kappa and
+    `unrolled_tol` need (see below). Solver non-convergence, in the base
+    solve or in any row of the stack, is its own status so a hopeless
+    tolerance setting is distinguishable from a wrong gradient.
     """
     cfg = solver or SolverConfig(tol=1e-13)
     rows = []
@@ -582,7 +576,12 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                                    grads.b.array, grad_x.array])
         fd_err = rel_error(analytic, fd)
 
-        gx_u, g_u = deq.unrolled_vjp(cell, x, y, n_iters=500)
+        # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
+        # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
+        # K kappa^K / (1 - kappa) 100x under unrolled_tol (227 at kappa 0.9, 1e-5).
+        depth = next(k for k in itertools.count(1) if k * cell.kappa ** k
+                     <= (1.0 - cell.kappa) * unrolled_tol / 100.0)
+        gx_u, g_u = deq.unrolled_vjp(cell, x, y, n_iters=depth)
         unrolled = np.concatenate([g_u.W.array.reshape(-1), g_u.U.array.reshape(-1),
                                    g_u.b.array, gx_u.array])
         unrolled_err = rel_error(analytic, unrolled)

@@ -58,9 +58,6 @@ class Tensor:
             raise ShapeMismatchError(f"item() on tensor of shape {self.shape}")
         return float(self._a.reshape(-1)[0])
 
-    def tolist(self):
-        return self._a.tolist()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented

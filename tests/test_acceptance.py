@@ -88,7 +88,7 @@ def test_criterion_1_implicit_gradients():
           and worst_fd <= 1e-4 and worst_unrolled <= 1e-5 and elapsed < 30.0)
     check(1, "implicit gradients", ok,
           f"20 cells: max rel err {worst_fd:.2e} vs finite differences "
-          f"(tol 1e-4), {worst_unrolled:.2e} vs 500-step unrolled (tol 1e-5), "
+          f"(tol 1e-4), {worst_unrolled:.2e} vs unrolled to kappa-derived depth (tol 1e-5), "
           f"{elapsed:.1f}s (budget 30s)")
 
 

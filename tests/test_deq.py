@@ -282,14 +282,23 @@ def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
 
 def test_stack_solve_validates_shapes():
     c = np.zeros((3, 4))
+    # one weight per row is not a form the driver takes
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4, 4)), c, "tanh")
+        solve_forward_stack(np.zeros((3, 4, 4)), c, "tanh")
     with pytest.raises(ShapeMismatchError):
         solve_forward_stack(np.zeros((3, 4)), c, "tanh")
     with pytest.raises(ShapeMismatchError):
         solve_forward_stack(np.zeros((4, 4)), np.zeros(4), "tanh")
     with pytest.raises(ValueError):
         solve_forward_stack(np.zeros((4, 4)), c, "relu")
+    ok = (np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.zeros(3))
+    assert solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=ok).converged
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(ok[0], ok[1], np.zeros(2)))
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(np.array([0, 4, 1]), ok[1], ok[2]))
+    with pytest.raises(ShapeMismatchError):
+        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(ok[0], np.array([0, -1, 1]), ok[2]))
 
 
 @pytest.mark.parametrize("depth", [0, 5])

@@ -29,7 +29,7 @@ from lionprompt.harness import (
     run_protocol,
     verify_proposition1,
 )
-from lionprompt.numerics import Tensor
+from lionprompt.numerics import Tensor, rel_error
 from lionprompt.rng import substream
 from reference import finite_diff_grad
 
@@ -386,18 +386,38 @@ def test_gradcheck_fails_a_case_whose_stack_stops_short_after_its_base_converged
         monkeypatch):
     solve, calls = deq.solve_forward_stack, []
 
-    def short_on_third_call(*args, **kwargs):
+    def short_on_second_call(*args, **kwargs):
         rep = solve(*args, **kwargs)
         calls.append(rep.converged)
-        return replace(rep, converged=False) if len(calls) == 3 else rep
+        return replace(rep, converged=False) if len(calls) == 2 else rep
 
-    monkeypatch.setattr(deq, "solve_forward_stack", short_on_third_call)
+    monkeypatch.setattr(deq, "solve_forward_stack", short_on_second_call)
     rows = gradcheck_suite(n_cases=4, seed=0)
-    # case 0 runs two stacks; case 1's first stack is reported short
+    # each case runs one stack; case 1's is reported short
     assert [r.status for r in rows] == ["ok", "solver_failed", "ok", "ok"]
     assert np.isnan(rows[1].fd_rel_err) and np.isnan(rows[1].unrolled_rel_err)
-    assert all(calls) and len(calls) == 2 * 3 + 1
+    assert all(calls) and len(calls) == 4
     assert max(r.fd_rel_err for r in rows if r.status == "ok") <= 1e-4
+
+
+def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
+    unrolled, depths, gaps = deq.unrolled_vjp, [], []
+
+    def flat(grad_x, grads):
+        return np.concatenate([grads.W.array.reshape(-1), grads.U.array.reshape(-1),
+                               grads.b.array, grad_x.array])
+
+    def against_500(cell, x, y, n_iters):
+        got = unrolled(cell, x, y, n_iters=n_iters)
+        depths.append(n_iters)
+        gaps.append(rel_error(flat(*got), flat(*unrolled(cell, x, y, n_iters=500))))
+        return got
+
+    monkeypatch.setattr(deq, "unrolled_vjp", against_500)
+    for seed in range(4):
+        assert all(r.status == "ok" for r in gradcheck_suite(n_cases=20, seed=seed))
+    assert len(gaps) == 80 and max(depths) < 500
+    assert max(gaps) <= 1e-5 / 100
 
 
 def test_gradcheck_stacks_match_per_entry_solves():
