@@ -256,19 +256,21 @@ def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
 # --- backward --------------------------------------------------------------
 
 def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
-                        y_rows: np.ndarray) -> np.ndarray:
+                        y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise adjoint solves (I - W^T diag sigma'(a)) o = y, one LU per row.
 
     J is the state Jacobian of the cell body at (z*, x); for this body
     J^T o = W^T (sigma'(a*) * o). The equation is linear, so it is solved
-    exactly rather than iterated.
+    exactly rather than iterated. Returns (o, sigma'(a)) with a = W z + U x
+    + b per row, so the cell's backward step reuses the slopes.
     """
     h = cell.state_dim
     a = z_rows @ cell.W.array.T + x_rows @ cell.U.array.T + cell.b.array
     s = activate_deriv(activate(a, cell.activation), cell.activation)
-    # (W^T diag s)_{jk} = W_kj s_k for every row at once
-    mats = np.eye(h) - cell.W.array.T[None, :, :] * s[:, None, :]
-    return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0]
+    # (W^T diag s)_{jk} = W_kj s_k for every row at once, then I minus it in place
+    mats = cell.W.array.T[None, :, :] * s[:, None, :]
+    np.subtract(np.eye(h), mats, out=mats)
+    return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
 def deq_vjp(cell: DeqCell, z_star: Tensor, x: Tensor, y: Tensor
@@ -287,9 +289,8 @@ def deq_vjp(cell: DeqCell, z_star: Tensor, x: Tensor, y: Tensor
 def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
                   y_rows: np.ndarray) -> tuple[np.ndarray, CellGrads]:
     """Batch form of `deq_vjp`; parameter gradients are summed over rows."""
-    o = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
-    a = z_rows @ cell.W.array.T + x_rows @ cell.U.array.T + cell.b.array
-    t = activate_deriv(activate(a, cell.activation), cell.activation) * o
+    o, s = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
+    t = s * o
     grads = CellGrads(W=Tensor(t.T @ z_rows),
                       U=Tensor(t.T @ x_rows),
                       b=Tensor(np.sum(t, axis=0)))

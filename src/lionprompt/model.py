@@ -11,7 +11,9 @@ so the backbone runs twice per example (once on x for the second prompt's
 input, once on x_tilde for the first blend term). F(x) does not depend on
 any trainable parameter, so a trainer that feeds the same rows every epoch
 computes it once and hands it to `loss_and_grads` and `predict` as `f_x`.
-Both run the one `forward`, which keeps what the reverse sweep reads.
+Both run the one `forward`, which keeps what the reverse sweep reads; its
+`cache_t` lives in the model's reusable `workspace` arrays and is valid
+until the next `forward` on that model.
 
 Only the prompt cells, the projection, the head and the four gate scalars
 are trainable; backbone gradients are never even computed here. The
@@ -87,39 +89,70 @@ class Backbone:
         return out
 
 
-def backbone_forward(backbone: Backbone, x_rows: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run all stages on a batch; the cache holds per-stage (input, output)."""
+def _buffer(workspace: dict | None, key, shape: tuple[int, int]) -> np.ndarray | None:
+    """The workspace's array under `key`, reallocated only when `shape` changes."""
+    if workspace is None:
+        return None
+    if key not in workspace or workspace[key].shape != shape:
+        workspace[key] = np.empty(shape)
+    return workspace[key]
+
+
+def backbone_forward(backbone: Backbone, x_rows: np.ndarray,
+                     workspace: dict | None = None) -> tuple[np.ndarray, list]:
+    """Run all stages on a batch; the cache holds per-stage (input, output).
+
+    Given a caller-owned `workspace` dict, each hidden stage writes its output
+    into an array kept there, so the cache is valid until the next call with
+    that dict; the final output is always fresh. Bit-identical either way.
+    """
     cache = []
     h = np.asarray(x_rows, dtype=np.float64)
-    for s in backbone.stages:
-        out = activate(h @ s.w.value.array.T + s.b.value.array, s.activation)
+    last = len(backbone.stages) - 1
+    for i, s in enumerate(backbone.stages):
+        buf = None if i == last else _buffer(workspace, ("out", i), (len(h), s.out_dim))
+        out = np.matmul(h, s.w.value.array.T, out=buf)
+        out += s.b.value.array
+        out = activate(out, s.activation, out=out)
         cache.append((h, out))
         h = out
     return h, cache
 
 
-def backbone_input_vjp(backbone: Backbone, cache: list, g_out: np.ndarray) -> np.ndarray:
-    """Pull a cotangent on the output back to the input; parameters untouched."""
+def _backward(backbone: Backbone, cache: list, g_out: np.ndarray,
+              workspace: dict | None, train: str) -> np.ndarray:
+    """Reverse sweep over the stages; `train` as in `BackboneClassifier`."""
     g = g_out
-    for s, (_, out) in zip(reversed(backbone.stages), reversed(cache)):
-        t = activate_deriv(out, s.activation) * g
-        g = t @ s.w.value.array
+    for i in range(len(backbone.stages) - 1, -1, -1):
+        s, (h_in, out) = backbone.stages[i], cache[i]
+        t = activate_deriv(out, s.activation, _buffer(workspace, ("t", i), out.shape))
+        t *= g
+        if train == "all":
+            s.w.add_grad(t.T @ h_in)
+        if train != "none":
+            s.b.add_grad(np.sum(t, axis=0))
+        buf = _buffer(workspace, ("g", i), (len(t), s.in_dim)) if i else None
+        g = np.matmul(t, s.w.value.array, out=buf)
     return g
+
+
+def backbone_input_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
+                       workspace: dict | None = None) -> np.ndarray:
+    """Pull a cotangent on the output back to the input; parameters untouched.
+
+    The sweep's intermediates live in `workspace` (as in `backbone_forward`;
+    it may be the one behind `cache`), and the result is a fresh array.
+    """
+    return _backward(backbone, cache, g_out, workspace, "none")
 
 
 def backbone_param_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
-                       bias_only: bool = False) -> np.ndarray:
-    """Accumulate parameter gradients for an unfrozen backbone; returns g_in."""
+                       bias_only: bool = False, workspace: dict | None = None) -> np.ndarray:
+    """Accumulate parameter gradients for an unfrozen backbone; returns g_in,
+    with `workspace` as in `backbone_input_vjp`."""
     if backbone.frozen:
         raise StateError("backbone is frozen; parameter gradients are off-limits")
-    g = g_out
-    for s, (h_in, out) in zip(reversed(backbone.stages), reversed(cache)):
-        t = activate_deriv(out, s.activation) * g
-        if not bias_only:
-            s.w.add_grad(t.T @ h_in)
-        s.b.add_grad(np.sum(t, axis=0))
-        g = t @ s.w.value.array
-    return g
+    return _backward(backbone, cache, g_out, workspace, "bias" if bias_only else "all")
 
 
 # --- gates ------------------------------------------------------------------
@@ -234,6 +267,7 @@ class PromptModel:
     gate1: GatePair
     gate2: GatePair
     solver: SolverConfig = field(default_factory=SolverConfig)
+    workspace: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def in_dim(self) -> int:
@@ -320,7 +354,8 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """Logits of one forward pass plus everything the reverse sweep reads."""
+    """Logits of one forward pass plus everything the reverse sweep reads;
+    `cache_t` aliases the model's workspace, valid until its next `forward`."""
 
     p1_states: list[np.ndarray]   # [x, z1*, ..., zk*] through P1
     xt: np.ndarray                # x_tilde = alpha1 * x + beta1 * P1(x)
@@ -344,7 +379,7 @@ def forward(model: PromptModel, x_rows: np.ndarray,
     a2, b2 = model.gate2.coeffs()
     p1_states = model.p1.solve(x_rows, model.solver)
     xt = a1 * x_rows + b1 * p1_states[-1]
-    f_xt, cache_t = backbone_forward(model.backbone, xt)
+    f_xt, cache_t = backbone_forward(model.backbone, xt, model.workspace)
     if f_x is None:
         f_x, _ = backbone_forward(model.backbone, x_rows)
     elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
@@ -387,7 +422,7 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
     g_z2 = g_r @ model.proj.w.value.array
     model.p2.vjp(fw.p2_states, g_z2)
 
-    g_xt = backbone_input_vjp(model.backbone, fw.cache_t, a2 * g_zt)
+    g_xt = backbone_input_vjp(model.backbone, fw.cache_t, a2 * g_zt, model.workspace)
 
     d_a1 = float(np.sum(g_xt * fw.p1_states[0]))
     d_b1 = float(np.sum(g_xt * fw.p1_states[-1]))
@@ -412,9 +447,10 @@ class BackboneClassifier:
 
     backbone: Backbone
     head: AffineStage
+    workspace: dict = field(default_factory=dict, repr=False, compare=False)
 
     def forward(self, x_rows: np.ndarray) -> np.ndarray:
-        feats, _ = backbone_forward(self.backbone, x_rows)
+        feats, _ = backbone_forward(self.backbone, x_rows, self.workspace)
         return feats @ self.head.w.value.array.T + self.head.b.value.array
 
     def predict(self, x_rows: np.ndarray) -> np.ndarray:
@@ -433,7 +469,7 @@ class BackboneClassifier:
         x_rows = np.asarray(x_rows, dtype=np.float64)
         if x_rows.shape[0] == 0:
             raise ValueError("empty batch")
-        feats, cache = backbone_forward(self.backbone, x_rows)
+        feats, cache = backbone_forward(self.backbone, x_rows, self.workspace)
         logits = feats @ self.head.w.value.array.T + self.head.b.value.array
         value, g_logits = batch_cross_entropy(logits, np.asarray(labels))
         self.head.w.add_grad(g_logits.T @ feats)
@@ -441,7 +477,7 @@ class BackboneClassifier:
         if train_backbone != "none":
             g_feats = g_logits @ self.head.w.value.array
             backbone_param_vjp(self.backbone, cache, g_feats,
-                               bias_only=(train_backbone == "bias"))
+                               bias_only=(train_backbone == "bias"), workspace=self.workspace)
         return value, logits
 
 

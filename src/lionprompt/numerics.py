@@ -106,14 +106,17 @@ class Param:
 ACTIVATIONS = ("tanh", "identity")
 
 
-def activate(a: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise activation sigma(a) of the given kind."""
-    return np.tanh(a) if kind == "tanh" else a
+def activate(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise activation sigma(a); given `out`, which must be `a`, in place."""
+    return np.tanh(a, out=out) if kind == "tanh" else a
 
 
-def activate_deriv(out: np.ndarray, kind: str) -> np.ndarray:
-    """sigma'(a) read off the output out = sigma(a): 1 - out^2 for tanh."""
-    return 1.0 - out * out if kind == "tanh" else np.ones_like(out)
+def activate_deriv(out: np.ndarray, kind: str, into: np.ndarray | None = None) -> np.ndarray:
+    """sigma'(a) read off out = sigma(a): 1 - out^2 for tanh, into `into` if given."""
+    if kind != "tanh":
+        return np.ones_like(out)
+    sq = np.multiply(out, out, out=into)
+    return np.subtract(1.0, sq, out=sq)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -46,8 +46,8 @@ def dense_forward_oracle(cell, x):
 
 def solve_adjoint(cell, z, x, y):
     """The adjoint solve of one row, as a one-row batch."""
-    return Tensor(solve_adjoint_batch(cell, z.array[None, :], x.array[None, :],
-                                      y.array[None, :])[0])
+    o, _ = solve_adjoint_batch(cell, z.array[None, :], x.array[None, :], y.array[None, :])
+    return Tensor(o[0])
 
 
 def dense_adjoint_oracle(cell, y):
@@ -347,9 +347,10 @@ def test_direct_adjoint_batch_residual_per_row():
         xs = rng.normal(size=(40, 16)) * 3.0
         ys = rng.normal(size=(40, 16))
         zs = solve_forward_batch(cell, xs, SolverConfig(tol=1e-12)).z_star.array
-        o = solve_adjoint_batch(cell, zs, xs, ys)
+        o, slopes = solve_adjoint_batch(cell, zs, xs, ys)
         a = zs @ cell.W.array.T + xs @ cell.U.array.T + cell.b.array
         s = 1.0 - np.tanh(a) ** 2
+        assert np.max(np.abs(slopes - s)) <= 1e-15
         resid = np.linalg.norm(o - (s * o) @ cell.W.array - ys, axis=1)
         assert np.max(resid) <= 1e-12
 
@@ -360,7 +361,8 @@ def test_direct_adjoint_batch_matches_dense_oracle():
     xs = rng.normal(size=(6, 3))
     ys = rng.normal(size=(6, 8))
     zs = solve_forward_batch(cell, xs, SolverConfig(tol=1e-12)).z_star.array
-    o = solve_adjoint_batch(cell, zs, xs, ys)
+    o, slopes = solve_adjoint_batch(cell, zs, xs, ys)
+    assert np.array_equal(slopes, np.ones_like(ys))
     for i in range(6):
         assert rel_error(o[i], dense_adjoint_oracle(cell, Tensor(ys[i]))) <= 1e-12
 
@@ -487,7 +489,7 @@ def test_adjoint_batch_matches_single():
     ys = rng.normal(size=(3, 5))
     cfg = SolverConfig(tol=1e-12)
     zs = solve_forward_batch(cell, xs, cfg).z_star.array
-    o_b = solve_adjoint_batch(cell, zs, xs, ys)
+    o_b, _ = solve_adjoint_batch(cell, zs, xs, ys)
     for i in range(3):
         o = solve_adjoint(cell, Tensor(zs[i]), Tensor(xs[i]), Tensor(ys[i]))
         assert np.linalg.norm(o_b[i] - o.array) <= 1e-9

@@ -299,10 +299,10 @@ def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
     original = m.backbone_forward
     raw_calls = []
 
-    def counting(backbone, rows):
+    def counting(backbone, rows, workspace=None):
         if rows.shape == x.shape and np.array_equal(rows, x):
             raw_calls.append(rows)
-        return original(backbone, rows)
+        return original(backbone, rows, workspace)
 
     monkeypatch.setattr(m, "backbone_forward", counting)
     for run in (1, 2):

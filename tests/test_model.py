@@ -16,6 +16,8 @@ from lionprompt.model import (
     PromptBlock,
     PromptModel,
     backbone_forward,
+    backbone_input_vjp,
+    backbone_param_vjp,
     build_prompt_model,
     forward,
     gate_coeffs,
@@ -250,6 +252,84 @@ def test_precomputed_backbone_features_give_identical_gradients():
         assert np.array_equal(pa.grad.array, pb.grad.array), pa.name
     with pytest.raises(ShapeMismatchError):
         loss_and_grads(cached, x, y, f_x=f_x[:1])
+
+
+def random_backbone(rng, dims, activations):
+    stages = [AffineStage(Param(f"backbone.{k}.W", Tensor(rng.normal(size=(dout, din)) * 0.4)),
+                          Param(f"backbone.{k}.b", Tensor(rng.normal(size=dout) * 0.1)), act)
+              for k, (din, dout, act) in enumerate(zip(dims, dims[1:], activations))]
+    return Backbone(stages=stages, frozen=False)
+
+
+def backbone_pass(bb, x, g_out, workspace):
+    """Every backbone function on one batch: outputs, caches and gradients as bytes."""
+    out, cache = backbone_forward(bb, x, workspace)
+    seen = [out.tobytes()] + [a.tobytes() for pair in cache for a in pair]
+    seen.append(backbone_input_vjp(bb, cache, g_out, workspace).tobytes())
+    for bias_only in (False, True):
+        for p in bb.params():
+            p.zero_grad()
+        seen.append(backbone_param_vjp(bb, cache, g_out, bias_only, workspace).tobytes())
+        seen += [p.grad.array.tobytes() for p in bb.params() if p.grad is not None]
+    return seen
+
+
+def test_backbone_workspace_is_bit_identical_to_fresh_arrays():
+    for seed in range(6):
+        rng = substream(70, "ws-shapes", seed)
+        dims = [int(v) for v in rng.integers(1, 40, size=int(rng.integers(2, 5)))]
+        acts = [str(a) for a in rng.choice(["tanh", "identity"], size=len(dims) - 1)]
+        bb = random_backbone(rng, dims, acts)
+        workspace = {}
+        n_first = int(rng.integers(1, 30))
+        for n in (n_first, n_first, n_first + 3):  # the last call must reallocate
+            x = rng.normal(size=(n, dims[0]))
+            g_out = rng.normal(size=(n, dims[-1]))
+            # the expression every stage computed before workspaces existed
+            h = x
+            for st in bb.stages:
+                h = h @ st.w.value.array.T + st.b.value.array
+                h = np.tanh(h) if st.activation == "tanh" else h
+            assert backbone_forward(bb, x, workspace)[0].tobytes() == h.tobytes()
+            assert backbone_pass(bb, x, g_out, workspace) == backbone_pass(bb, x, g_out, None)
+            assert {buf.shape[0] for buf in workspace.values()} == {n}
+
+
+def test_consecutive_training_steps_reuse_the_workspace_buffers():
+    x = substream(46, "x").normal(size=(5, 6))
+    y = np.array([0, 1, 0, 1, 1])
+    model = small_model(47)
+    bb = model.backbone
+    clf = BackboneClassifier(backbone=Backbone(bb.stages, frozen=False), head=make_head(5, 2))
+    for owner, step in ((model, lambda: loss_and_grads(model, x, y)),
+                        (clf, lambda: clf.loss_and_grads(x, y, train_backbone="all"))):
+        step()
+        first = dict(owner.workspace)
+        step()
+        assert first and owner.workspace.keys() == first.keys()
+        assert all(owner.workspace[k] is buf for k, buf in first.items())
+
+
+def test_predict_between_epochs_leaves_the_next_epoch_bit_identical():
+    x = substream(48, "x").normal(size=(5, 6))
+    y = np.array([1, 0, 0, 1, 1])
+    for n_other in (3, 5):
+        other = substream(49, "other", n_other).normal(size=(n_other, 6))
+        results = []
+        for interleave in (False, True):
+            model = small_model(50)
+            for epoch in range(2):
+                zero_grads(model)
+                value, logits = loss_and_grads(model, x, y)
+                if epoch == 0:
+                    for p in model.trainable_params():
+                        p.value = Tensor(p.value.array - 0.1 * p.grad.array)
+                    model.renormalize()
+                    if interleave:
+                        predict(model, other)
+            results.append([value, logits.tobytes()]
+                           + [p.grad.array.tobytes() for p in model.trainable_params()])
+        assert results[0] == results[1]
 
 
 def test_unconverged_forward_solve_raises_naming_block_and_cell():
