@@ -16,7 +16,7 @@ from .errors import (
     ShapeMismatchError,
     StateError,
 )
-from .numerics import Param, Tensor
+from .numerics import Param
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "SetupError",
     "ShapeMismatchError",
     "StateError",
-    "Tensor",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Binary tensor checkpoints with bit-exact round trips.
+"""Binary array checkpoints with bit-exact round trips.
 
 Layout (all integers unsigned 32-bit little-endian):
 
@@ -14,8 +14,8 @@ Layout (all integers unsigned 32-bit little-endian):
 
 Files are written to a temporary sibling and renamed into place, so a
 crashed save never leaves a half-written checkpoint behind. Loads validate
-everything before returning anything: an unknown version or a truncated
-file raises without yielding a partial result.
+everything before returning anything: an unknown version, a truncated file
+or a non-finite payload raises without yielding a partial result.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .numerics import Param, Tensor
+from .numerics import Param
 
 MAGIC = b"LIONCKPT"
 VERSION = 1
@@ -35,7 +35,7 @@ _MAX_RANK = 2
 
 
 def save(path: str, params: list[Param]) -> None:
-    """Write named tensors in the given order, atomically.
+    """Write the named parameter values in the given order, atomically.
 
     Refuses, before creating any file, a set that `load` would reject:
     duplicate names, and names that are empty, longer than `_MAX_NAME`
@@ -54,7 +54,7 @@ def save(path: str, params: list[Param]) -> None:
         if not 0 < len(encoded) <= _MAX_NAME:
             raise CheckpointError(f"parameter name {p.name[:32]!r} is {len(encoded)} UTF-8 "
                                   f"bytes long (need 1 to {_MAX_NAME})")
-        arr = p.value.array
+        arr = p.value
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<I", arr.ndim))
@@ -83,8 +83,8 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load(path: str) -> dict[str, Tensor]:
-    """Read a checkpoint back as an ordered name -> Tensor mapping."""
+def load(path: str) -> dict[str, np.ndarray]:
+    """Read a checkpoint back as an ordered name -> float64 array mapping."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -98,7 +98,7 @@ def load(path: str) -> dict[str, Tensor]:
         raise CheckpointError(
             f"{path!r} has unsupported version {version} (expected {VERSION})")
     count = r.u32()
-    out: dict[str, Tensor] = {}
+    out: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u32()
         if name_len == 0 or name_len > _MAX_NAME:
@@ -118,16 +118,15 @@ def load(path: str) -> dict[str, Tensor]:
             raise CheckpointError(f"{path!r}: entry {name!r} dims {dims} overflow file")
         payload = r.take(8 * n_values)
         arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-        try:
-            out[name] = Tensor(arr)
-        except Exception as exc:
-            raise CheckpointError(f"{path!r}: entry {name!r} invalid: {exc}") from exc
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path!r}: entry {name!r} has non-finite values")
+        out[name] = arr
     if r.pos != len(blob):
         raise CheckpointError(f"{path!r}: {len(blob) - r.pos} trailing bytes")
     return out
 
 
-def restore(params: list[Param], loaded: dict[str, Tensor]) -> None:
+def restore(params: list[Param], loaded: dict[str, np.ndarray]) -> None:
     """Overwrite each parameter's value from the mapping, by name.
 
     Every parameter must be present with a matching shape, and every loaded

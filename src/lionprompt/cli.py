@@ -253,7 +253,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     task = harness.make_task(cfg, backbone, _N_CLASSES)
     checkpoint.restore(task.named_params(), checkpoint.load(path))
     _, test = _target_splits(cfg)
-    preds = task.predict(test.inputs.array)
+    preds = task.predict(test.inputs)
     accuracy = float(np.mean(preds == test.labels))
     print(f"run              {_run_id(cfg)}")
     print(f"held-out accuracy {accuracy!r}")

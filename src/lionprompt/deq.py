@@ -32,10 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, ShapeMismatchError
-from .numerics import ACTIVATIONS, Tensor, activate, activate_deriv
+from .numerics import ACTIVATIONS, activate, activate_deriv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeqCell:
     """Parameters of one equilibrium cell f(z) = sigma(W z + U x + b).
 
@@ -45,17 +45,17 @@ class DeqCell:
     stored (projected) weight; training re-projects after each step.
     """
 
-    W: Tensor
-    U: Tensor
-    b: Tensor
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
     kappa: float = 0.9
     activation: str = "tanh"
 
     def __post_init__(self):
-        h = self.W.shape[0] if self.W.rank == 2 else -1
-        if self.W.rank != 2 or self.W.shape != (h, h):
+        h = self.W.shape[0] if self.W.ndim == 2 else -1
+        if self.W.ndim != 2 or self.W.shape != (h, h):
             raise ShapeMismatchError(f"W must be square rank-2, got {self.W.shape}")
-        if self.U.rank != 2 or self.U.shape[0] != h:
+        if self.U.ndim != 2 or self.U.shape[0] != h:
             raise ShapeMismatchError(f"U must be {h}x*, got {self.U.shape}")
         if self.b.shape != (h,):
             raise ShapeMismatchError(f"b must have shape ({h},), got {self.b.shape}")
@@ -95,28 +95,28 @@ class SolverConfig:
             raise ValueError(f"anderson_depth must be >= 0, got {self.anderson_depth}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    z_star: Tensor
+    z_star: np.ndarray
     iterations: int
     residual: float
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellGrads:
     """Gradients for one cell's parameters, summed over the seeding batch."""
 
-    W: Tensor
-    U: Tensor
-    b: Tensor
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
 
 # --- spectral projection ---------------------------------------------------
 
 def estimate_spectral_norm(w) -> float:
     """Largest singular value of a matrix, ||W||_2, from a dense SVD."""
-    wa = w.array if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    wa = np.asarray(w, dtype=np.float64)
     if wa.ndim != 2:
         raise ShapeMismatchError(f"spectral norm needs a matrix, got shape {wa.shape}")
     return float(np.linalg.norm(wa, 2))
@@ -132,7 +132,7 @@ def spectral_normalize(cell: DeqCell) -> DeqCell:
     sigma = estimate_spectral_norm(cell.W)
     if sigma <= cell.kappa:
         return cell
-    return replace(cell, W=Tensor(cell.W.array * (cell.kappa / sigma)))
+    return replace(cell, W=cell.W * (cell.kappa / sigma))
 
 
 # --- forward ---------------------------------------------------------------
@@ -185,8 +185,8 @@ def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
-                  z0: Tensor | None = None) -> SolveReport:
+def solve_forward(cell: DeqCell, x: np.ndarray, cfg: SolverConfig | None = None,
+                  z0: np.ndarray | None = None) -> SolveReport:
     """Find z* = f(z*) for one input; cell is assumed spectrally normalized.
 
     The n = 1 case of the driver behind `solve_forward_batch`, so it returns
@@ -194,33 +194,31 @@ def solve_forward(cell: DeqCell, x: Tensor, cfg: SolverConfig | None = None,
     """
     if x.shape != (cell.input_dim,):
         raise ShapeMismatchError(f"input shape {x.shape} != ({cell.input_dim},)")
-    start = np.zeros(cell.state_dim) if z0 is None else z0.array
+    start = np.zeros(cell.state_dim) if z0 is None else np.asarray(z0, dtype=np.float64)
     if start.shape != (cell.state_dim,):
         raise ShapeMismatchError(f"z0 shape {start.shape} != ({cell.state_dim},)")
-    c = x.array[None, :] @ cell.U.array.T + cell.b.array
-    v, iters, resid, ok = _solve(cell.W.array, c, cell.activation, start[None, :],
+    c = x[None, :] @ cell.U.T + cell.b
+    v, iters, resid, ok = _solve(cell.W, c, cell.activation, start[None, :],
                                  cfg or SolverConfig())
-    return SolveReport(Tensor(v[0]), iters, resid, ok)
+    return SolveReport(v[0], iters, resid, ok)
 
 
-def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | None = None,
-                        z0_rows: np.ndarray | None = None) -> SolveReport:
+def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray,
+                        cfg: SolverConfig | None = None) -> SolveReport:
     """Solve a batch of inputs (rows) as one stacked fixed-point problem.
 
-    The report's `z_star` is rank-2 with one state per row, and `residual`
-    is the worst row residual, so converged means every row is within tol.
+    Every row starts from zero. The report's `z_star` is rank-2 with one
+    state per row, and `residual` is the worst row residual, so converged
+    means every row is within tol.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
         raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    shape = (x_rows.shape[0], cell.state_dim)
-    start = np.zeros(shape) if z0_rows is None else np.asarray(z0_rows, dtype=np.float64)
-    if start.shape != shape:
-        raise ShapeMismatchError(f"z0 shape {start.shape} != {shape}")
-    c = x_rows @ cell.U.array.T + cell.b.array
-    v, iters, resid, ok = _solve(cell.W.array, c, cell.activation, start,
+    c = x_rows @ cell.U.T + cell.b
+    v, iters, resid, ok = _solve(cell.W, c, cell.activation,
+                                 np.zeros((x_rows.shape[0], cell.state_dim)),
                                  cfg or SolverConfig())
-    return SolveReport(Tensor(v), iters, resid, ok)
+    return SolveReport(v, iters, resid, ok)
 
 
 def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
@@ -250,7 +248,7 @@ def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
         raise ValueError(f"unknown activation {activation!r}")
     v, iters, resid, ok = _solve(w, c_rows, activation, np.zeros((n, h)),
                                  cfg or SolverConfig(), shift)
-    return SolveReport(Tensor(v), iters, resid, ok)
+    return SolveReport(v, iters, resid, ok)
 
 
 # --- backward --------------------------------------------------------------
@@ -265,25 +263,24 @@ def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     + b per row, so the cell's backward step reuses the slopes.
     """
     h = cell.state_dim
-    a = z_rows @ cell.W.array.T + x_rows @ cell.U.array.T + cell.b.array
+    a = z_rows @ cell.W.T + x_rows @ cell.U.T + cell.b
     s = activate_deriv(activate(a, cell.activation), cell.activation)
     # (W^T diag s)_{jk} = W_kj s_k for every row at once, then I minus it in place
-    mats = cell.W.array.T[None, :, :] * s[:, None, :]
+    mats = cell.W.T[None, :, :] * s[:, None, :]
     np.subtract(np.eye(h), mats, out=mats)
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
-def deq_vjp(cell: DeqCell, z_star: Tensor, x: Tensor, y: Tensor
-            ) -> tuple[Tensor, CellGrads]:
+def deq_vjp(cell: DeqCell, z_star: np.ndarray, x: np.ndarray, y: np.ndarray
+            ) -> tuple[np.ndarray, CellGrads]:
     """Pull the cotangent y on z* back to the input and cell parameters.
 
     Implicit-function route: solve the adjoint equation for o, then take a
     single backward pass of the cell body seeded with o. Returns (grad_x,
     grads for W, U, b). The n = 1 case of `deq_vjp_batch`.
     """
-    grad_x, grads = deq_vjp_batch(cell, z_star.array[None, :], x.array[None, :],
-                                  y.array[None, :])
-    return Tensor(grad_x[0]), grads
+    grad_x, grads = deq_vjp_batch(cell, z_star[None, :], x[None, :], y[None, :])
+    return grad_x[0], grads
 
 
 def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
@@ -291,14 +288,11 @@ def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     """Batch form of `deq_vjp`; parameter gradients are summed over rows."""
     o, s = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
     t = s * o
-    grads = CellGrads(W=Tensor(t.T @ z_rows),
-                      U=Tensor(t.T @ x_rows),
-                      b=Tensor(np.sum(t, axis=0)))
-    return t @ cell.U.array, grads
+    return t @ cell.U, CellGrads(W=t.T @ z_rows, U=t.T @ x_rows, b=np.sum(t, axis=0))
 
 
-def unrolled_vjp(cell: DeqCell, x: Tensor, y: Tensor, n_iters: int = 500
-                 ) -> tuple[Tensor, CellGrads]:
+def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int = 500
+                 ) -> tuple[np.ndarray, CellGrads]:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
     Runs n_iters plain Picard iterations from z0 = 0, records every iterate,
@@ -309,18 +303,16 @@ def unrolled_vjp(cell: DeqCell, x: Tensor, y: Tensor, n_iters: int = 500
     depth memory-wise, shares nothing with the solver or the adjoint, and
     is never used in the training path.
     """
-    wa, ua = cell.W.array, cell.U.array
-    c = ua @ x.array + cell.b.array
+    wa, ua = cell.W, cell.U
+    c = ua @ x + cell.b
     zs = np.zeros((n_iters + 1, cell.state_dim))
     for k in range(n_iters):
         zs[k + 1] = activate(wa @ zs[k] + c, cell.activation)
     sig = activate_deriv(zs[1:], cell.activation)
     ts = np.empty_like(sig)
-    zbar = y.array
+    zbar = y
     for k in range(n_iters - 1, -1, -1):
         ts[k] = sig[k] * zbar
         zbar = ts[k] @ wa
     t_sum = ts.sum(axis=0)
-    return Tensor(t_sum @ ua), CellGrads(W=Tensor(ts.T @ zs[:-1]),
-                                         U=Tensor(np.outer(t_sum, x.array)),
-                                         b=Tensor(t_sum))
+    return t_sum @ ua, CellGrads(W=ts.T @ zs[:-1], U=np.outer(t_sum, x), b=t_sum)

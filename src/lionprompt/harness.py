@@ -24,7 +24,7 @@ from .config import RunConfig
 from .deq import DeqCell, SolverConfig
 from .errors import SetupError, ShapeMismatchError
 from .model import Backbone, BackboneClassifier, PromptModel
-from .numerics import Tensor, rel_error
+from .numerics import rel_error
 from .rng import substream
 
 # Epochs without a loss improvement after which a protocol run stops early.
@@ -36,16 +36,16 @@ _BACKBONE_MODES = {"head_tuning": "none", "bias_tuning": "bias", "full_finetune"
 
 # --- datasets ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    inputs: Tensor          # N x d
+    inputs: np.ndarray      # N x d, float64
     labels: np.ndarray      # int class indices, length N
     n_classes: int
     split: str              # "train" | "test"
     seed: int
 
     def __post_init__(self):
-        if self.inputs.rank != 2 or len(self.labels) != self.inputs.shape[0]:
+        if self.inputs.ndim != 2 or len(self.labels) != self.inputs.shape[0]:
             raise ShapeMismatchError(
                 f"inputs {self.inputs.shape} vs {len(self.labels)} labels")
         if self.inputs.shape[0] == 0:
@@ -91,7 +91,7 @@ def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train",
     noise_rng = substream(seed, "blob-noise", split)
     inputs = means[labels] + noise_rng.normal(size=(n, d))
     order = noise_rng.permutation(n)
-    return Dataset(Tensor(inputs[order]), labels[order], n_classes, split, seed)
+    return Dataset(inputs[order], labels[order], n_classes, split, seed)
 
 
 def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train",
@@ -113,24 +113,24 @@ def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train",
     flips = noise_rng.random(size=(n, 64)) < flip_prob
     inputs = np.abs(bases[labels] - flips.astype(np.float64))
     order = noise_rng.permutation(n)
-    return Dataset(Tensor(inputs[order]), labels[order], n_classes, split, seed)
+    return Dataset(inputs[order], labels[order], n_classes, split, seed)
 
 
 # --- domain shift -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftSpec:
     kind: str                       # invertible_linear | rotation | noise
-    A: Tensor | None = None         # for the two linear kinds
+    A: np.ndarray | None = None     # for the two linear kinds
     noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("invertible_linear", "rotation", "noise"):
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if self.kind in ("invertible_linear", "rotation"):
-            if self.A is None or self.A.rank != 2 or self.A.shape[0] != self.A.shape[1]:
+            if self.A is None or self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
                 raise ValueError(f"{self.kind} shift needs a square matrix")
-            if abs(float(np.linalg.det(self.A.array))) <= 1e-6:
+            if abs(float(np.linalg.det(self.A))) <= 1e-6:
                 raise ValueError("shift matrix is numerically singular")
 
 
@@ -151,12 +151,12 @@ def make_shift(kind: str, d: int, seed: int, noise_sigma: float = 0.5,
     if kind == "invertible_linear":
         sv = np.linspace(sv_range[0], sv_range[1], d)
         a = _random_orthogonal(rng, d) @ np.diag(sv) @ _random_orthogonal(rng, d).T
-        return ShiftSpec(kind=kind, A=Tensor(a))
+        return ShiftSpec(kind=kind, A=a)
     if kind == "rotation":
         q = _random_orthogonal(rng, d)
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        return ShiftSpec(kind=kind, A=Tensor(q))
+        return ShiftSpec(kind=kind, A=q)
     if kind == "noise":
         return ShiftSpec(kind=kind, noise_sigma=noise_sigma)
     raise ValueError(f"unknown shift kind {kind!r}")
@@ -164,13 +164,13 @@ def make_shift(kind: str, d: int, seed: int, noise_sigma: float = 0.5,
 
 def apply_shift(ds: Dataset, spec: ShiftSpec) -> Dataset:
     """Transform inputs (x -> A x, or add noise); labels are reused as-is."""
-    x = ds.inputs.array
+    x = ds.inputs
     if spec.kind in ("invertible_linear", "rotation"):
-        shifted = x @ spec.A.array.T
+        shifted = x @ spec.A.T
     else:
         rng = substream(ds.seed, "shift-noise", ds.split)
         shifted = x + spec.noise_sigma * rng.normal(size=x.shape)
-    return replace(ds, inputs=Tensor(shifted))
+    return replace(ds, inputs=shifted)
 
 
 # --- resamplers ----------------------------------------------------------------
@@ -199,7 +199,7 @@ def resample_longtail(ds: Dataset, imbalance_ratio: float) -> Dataset:
         rng = substream(ds.seed, "longtail", cls)
         keep_idx.append(rng.choice(members, size=target, replace=False))
     idx = np.sort(np.concatenate(keep_idx))
-    return replace(ds, inputs=Tensor(ds.inputs.array[idx]), labels=ds.labels[idx])
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
 
 
 def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
@@ -215,7 +215,7 @@ def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
         rng = substream(ds.seed, "fewshot", cls)
         keep_idx.append(rng.choice(members, size=shots, replace=False))
     idx = np.sort(np.concatenate(keep_idx))
-    return replace(ds, inputs=Tensor(ds.inputs.array[idx]), labels=ds.labels[idx])
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
 
 
 # --- tasks and pretraining ------------------------------------------------------
@@ -353,7 +353,7 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     trainer = robust_opt.train if cfg.protocol == "lion" else robust_opt.train_plain
     log = trainer(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
                   cfg.epochs, patience=PATIENCE)
-    preds = task.predict(test_ds.inputs.array)
+    preds = task.predict(test_ds.inputs)
     accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
         accuracy=accuracy,
@@ -506,7 +506,7 @@ class GradCheckRow:
     status: str                 # "ok" | "solver_failed" | "gradient_failed"
 
 
-def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
+def _central_differences(cell: DeqCell, x: np.ndarray, y: np.ndarray, cfg: SolverConfig,
                          step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
@@ -515,9 +515,9 @@ def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
     +-step; one of U, b or x shifts its row's input term c = U x + b.
     Raises DivergenceError if any row stops short of tol.
     """
-    ua, xa = cell.U.array, x.array
+    ua, xa = cell.U, x
     h = cell.state_dim
-    c = ua @ xa + cell.b.array
+    c = ua @ xa + cell.b
     # d c / d W = 0, d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
     shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), xa[:, None]),
                         np.eye(h), ua.T])
@@ -525,13 +525,13 @@ def _central_differences(cell: DeqCell, x: Tensor, y: Tensor, cfg: SolverConfig,
     k = np.arange(len(shifts))
     eps = np.where(k < h * h, step, 0.0)
     i, j = np.divmod(np.tile(k % (h * h), 2), h)
-    rep = deq.solve_forward_stack(cell.W.array, c + step * np.vstack([shifts, -shifts]),
+    rep = deq.solve_forward_stack(cell.W, c + step * np.vstack([shifts, -shifts]),
                                   cell.activation, cfg, (i, j, np.concatenate([eps, -eps])))
     if not rep.converged:
         raise deq.DivergenceError("finite-difference solves stopped short of tol",
                                   residual=rep.residual)
-    plus, minus = np.split(rep.z_star.array, 2)
-    return (plus - minus) @ y.array / (2.0 * step)
+    plus, minus = np.split(rep.z_star, 2)
+    return (plus - minus) @ y / (2.0 * step)
 
 
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
@@ -556,11 +556,10 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         h = int(rng.integers(4, 17))
         d = int(rng.integers(2, 17))
         cell = deq.spectral_normalize(DeqCell(
-            W=Tensor(rng.normal(size=(h, h))),
-            U=Tensor(rng.normal(size=(h, d))),
-            b=Tensor(rng.normal(size=h) * 0.1)))
-        x = Tensor(rng.normal(size=d))
-        y = Tensor(rng.normal(size=h))
+            W=rng.normal(size=(h, h)), U=rng.normal(size=(h, d)),
+            b=rng.normal(size=h) * 0.1))
+        x = rng.normal(size=d)
+        y = rng.normal(size=h)
         try:
             base = deq.solve_forward(cell, x, cfg)
             if not base.converged:
@@ -572,8 +571,8 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                                      "solver_failed"))
             continue
         grad_x, grads = deq.deq_vjp(cell, base.z_star, x, y)
-        analytic = np.concatenate([grads.W.array.reshape(-1), grads.U.array.reshape(-1),
-                                   grads.b.array, grad_x.array])
+        analytic = np.concatenate([grads.W.reshape(-1), grads.U.reshape(-1),
+                                   grads.b, grad_x])
         fd_err = rel_error(analytic, fd)
 
         # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
@@ -582,8 +581,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         depth = next(k for k in itertools.count(1) if k * cell.kappa ** k
                      <= (1.0 - cell.kappa) * unrolled_tol / 100.0)
         gx_u, g_u = deq.unrolled_vjp(cell, x, y, n_iters=depth)
-        unrolled = np.concatenate([g_u.W.array.reshape(-1), g_u.U.array.reshape(-1),
-                                   g_u.b.array, gx_u.array])
+        unrolled = np.concatenate([g_u.W.reshape(-1), g_u.U.reshape(-1), g_u.b, gx_u])
         unrolled_err = rel_error(analytic, unrolled)
         status = "ok" if (fd_err <= fd_tol and unrolled_err <= unrolled_tol) \
             else "gradient_failed"

@@ -33,7 +33,7 @@ import numpy as np
 from . import deq
 from .deq import DeqCell, SolverConfig
 from .errors import DivergenceError, ShapeMismatchError, StateError
-from .numerics import ACTIVATIONS, Param, Tensor, activate, activate_deriv, batch_cross_entropy
+from .numerics import ACTIVATIONS, Param, activate, activate_deriv, batch_cross_entropy
 from .rng import substream
 
 # Smallest mixing weight a gate can produce. Keeping alpha inside
@@ -54,7 +54,7 @@ class AffineStage:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.w.value.rank != 2 or self.b.value.shape != (self.w.value.shape[0],):
+        if self.w.value.ndim != 2 or self.b.value.shape != (self.w.value.shape[0],):
             raise ShapeMismatchError(
                 f"stage shapes disagree: W {self.w.value.shape}, b {self.b.value.shape}")
 
@@ -111,8 +111,8 @@ def backbone_forward(backbone: Backbone, x_rows: np.ndarray,
     last = len(backbone.stages) - 1
     for i, s in enumerate(backbone.stages):
         buf = None if i == last else _buffer(workspace, ("out", i), (len(h), s.out_dim))
-        out = np.matmul(h, s.w.value.array.T, out=buf)
-        out += s.b.value.array
+        out = np.matmul(h, s.w.value.T, out=buf)
+        out += s.b.value
         out = activate(out, s.activation, out=out)
         cache.append((h, out))
         h = out
@@ -132,7 +132,7 @@ def _backward(backbone: Backbone, cache: list, g_out: np.ndarray,
         if train != "none":
             s.b.add_grad(np.sum(t, axis=0))
         buf = _buffer(workspace, ("g", i), (len(t), s.in_dim)) if i else None
-        g = np.matmul(t, s.w.value.array, out=buf)
+        g = np.matmul(t, s.w.value, out=buf)
     return g
 
 
@@ -235,7 +235,7 @@ class PromptBlock:
                     f"block {self.name} cell {idx}: forward solve stopped at residual "
                     f"{rep.residual:.3e} after {rep.iterations} evaluations "
                     f"(tol {cfg.tol:.1e})", residual=rep.residual)
-            states.append(rep.z_star.array)
+            states.append(rep.z_star)
         return states
 
     def vjp(self, states: list[np.ndarray], y_rows: np.ndarray) -> np.ndarray:
@@ -290,24 +290,24 @@ class PromptModel:
         self.p2.renormalize()
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> Tensor:
+def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> np.ndarray:
     """Small-uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     lim = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-lim, lim, size=shape))
+    return rng.uniform(-lim, lim, size=shape)
 
 
 def make_backbone(d: int, hidden: int, h: int, seed: int, frozen: bool = False) -> Backbone:
     """Fresh 2-layer tanh MLP d -> hidden -> h with small-uniform weights."""
     rng = substream(seed, "backbone-init")
     stages = [AffineStage(Param("backbone.0.W", _uniform(rng, (hidden, d), d)),
-                          Param("backbone.0.b", Tensor(np.zeros(hidden))), "tanh"),
+                          Param("backbone.0.b", np.zeros(hidden)), "tanh"),
               AffineStage(Param("backbone.1.W", _uniform(rng, (h, hidden), hidden)),
-                          Param("backbone.1.b", Tensor(np.zeros(h))), "tanh")]
+                          Param("backbone.1.b", np.zeros(h)), "tanh")]
     return Backbone(stages=stages, frozen=frozen)
 
 
 def clone_backbone(backbone: Backbone, frozen: bool) -> Backbone:
-    """Independent Param objects over the same (immutable) value tensors.
+    """Independent Param objects over the same (read-only) value arrays.
 
     Protocol runs that train the backbone mutate their own clone, leaving
     the pretrained original untouched for the next protocol.
@@ -334,7 +334,7 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
         for k in range(layers):
             cells.append((Param(f"{name}.{k}.W", _uniform(rng, (dim, dim), dim)),
                           Param(f"{name}.{k}.U", _uniform(rng, (dim, dim), dim)),
-                          Param(f"{name}.{k}.b", Tensor(np.zeros(dim)))))
+                          Param(f"{name}.{k}.b", np.zeros(dim))))
         blk = PromptBlock(name=name, cell_params=cells, kappa=kappa)
         blk.renormalize()
         return blk
@@ -344,10 +344,10 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
         p1=block("p1", d),
         p2=block("p2", h),
         proj=AffineStage(Param("proj.W", _uniform(rng, (h, h), h)),
-                         Param("proj.b", Tensor(np.zeros(h)))),
+                         Param("proj.b", np.zeros(h))),
         head=make_head(h, n_classes),
-        gate1=GatePair(Param("gate1.a", Tensor(0.0)), Param("gate1.b", Tensor(0.0))),
-        gate2=GatePair(Param("gate2.a", Tensor(0.0)), Param("gate2.b", Tensor(0.0))),
+        gate1=GatePair(Param("gate1.a", 0.0), Param("gate1.b", 0.0)),
+        gate2=GatePair(Param("gate2.a", 0.0), Param("gate2.b", 0.0)),
         solver=solver or SolverConfig(),
     )
 
@@ -386,9 +386,9 @@ def forward(model: PromptModel, x_rows: np.ndarray,
         raise ShapeMismatchError(
             f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
     p2_states = model.p2.solve(f_x, model.solver)
-    r = p2_states[-1] @ model.proj.w.value.array.T + model.proj.b.value.array
+    r = p2_states[-1] @ model.proj.w.value.T + model.proj.b.value
     zt = a2 * f_xt + b2 * r
-    logits = zt @ model.head.w.value.array.T + model.head.b.value.array
+    logits = zt @ model.head.w.value.T + model.head.b.value
     return ForwardPass(p1_states, xt, f_xt, cache_t, p2_states, r, zt, logits)
 
 
@@ -408,18 +408,18 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
 
     model.head.w.add_grad(g_logits.T @ fw.zt)
     model.head.b.add_grad(np.sum(g_logits, axis=0))
-    g_zt = g_logits @ model.head.w.value.array
+    g_zt = g_logits @ model.head.w.value
 
     d_a2 = float(np.sum(g_zt * fw.f_xt))
     d_b2 = float(np.sum(g_zt * fw.r))
     ga2, gb2 = gate_vjp(a2, b2, d_a2, d_b2)
-    model.gate2.g_alpha.add_grad(Tensor(ga2))
-    model.gate2.g_beta.add_grad(Tensor(gb2))
+    model.gate2.g_alpha.add_grad(ga2)
+    model.gate2.g_beta.add_grad(gb2)
 
     g_r = b2 * g_zt
     model.proj.w.add_grad(g_r.T @ fw.p2_states[-1])
     model.proj.b.add_grad(np.sum(g_r, axis=0))
-    g_z2 = g_r @ model.proj.w.value.array
+    g_z2 = g_r @ model.proj.w.value
     model.p2.vjp(fw.p2_states, g_z2)
 
     g_xt = backbone_input_vjp(model.backbone, fw.cache_t, a2 * g_zt, model.workspace)
@@ -427,8 +427,8 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
     d_a1 = float(np.sum(g_xt * fw.p1_states[0]))
     d_b1 = float(np.sum(g_xt * fw.p1_states[-1]))
     ga1, gb1 = gate_vjp(a1, b1, d_a1, d_b1)
-    model.gate1.g_alpha.add_grad(Tensor(ga1))
-    model.gate1.g_beta.add_grad(Tensor(gb1))
+    model.gate1.g_alpha.add_grad(ga1)
+    model.gate1.g_beta.add_grad(gb1)
 
     model.p1.vjp(fw.p1_states, b1 * g_xt)
     return value, fw.logits
@@ -451,7 +451,7 @@ class BackboneClassifier:
 
     def forward(self, x_rows: np.ndarray) -> np.ndarray:
         feats, _ = backbone_forward(self.backbone, x_rows, self.workspace)
-        return feats @ self.head.w.value.array.T + self.head.b.value.array
+        return feats @ self.head.w.value.T + self.head.b.value
 
     def predict(self, x_rows: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x_rows), axis=1)
@@ -470,12 +470,12 @@ class BackboneClassifier:
         if x_rows.shape[0] == 0:
             raise ValueError("empty batch")
         feats, cache = backbone_forward(self.backbone, x_rows, self.workspace)
-        logits = feats @ self.head.w.value.array.T + self.head.b.value.array
+        logits = feats @ self.head.w.value.T + self.head.b.value
         value, g_logits = batch_cross_entropy(logits, np.asarray(labels))
         self.head.w.add_grad(g_logits.T @ feats)
         self.head.b.add_grad(np.sum(g_logits, axis=0))
         if train_backbone != "none":
-            g_feats = g_logits @ self.head.w.value.array
+            g_feats = g_logits @ self.head.w.value
             backbone_param_vjp(self.backbone, cache, g_feats,
                                bias_only=(train_backbone == "bias"), workspace=self.workspace)
         return value, logits
@@ -483,8 +483,8 @@ class BackboneClassifier:
 
 def make_head(h: int, n_classes: int, name_prefix: str = "head") -> AffineStage:
     """Zero-initialized classifier head (fresh per downstream task)."""
-    return AffineStage(Param(f"{name_prefix}.W", Tensor(np.zeros((n_classes, h)))),
-                       Param(f"{name_prefix}.b", Tensor(np.zeros(n_classes))))
+    return AffineStage(Param(f"{name_prefix}.W", np.zeros((n_classes, h))),
+                       Param(f"{name_prefix}.b", np.zeros(n_classes)))
 
 
 def param_count_report(d: int, d_tilde: int, L: int, n: int, m: int, C: int

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, EvaluationError, StateError
-from .numerics import Param, Tensor
+from .numerics import Param
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,19 @@ class CriticalityPartition:
 
 
 def flat_values(params: list[Param]) -> np.ndarray:
-    return np.concatenate([p.value.array.reshape(-1) for p in params])
+    return np.concatenate([p.value.reshape(-1) for p in params])
 
 
 def flat_grads(params: list[Param]) -> np.ndarray:
+    """The gradients, flattened in order; refuses missing or non-finite ones."""
     missing = [p.name for p in params if p.grad is None]
     if missing:
         raise StateError(f"gradients missing for {missing}")
-    return np.concatenate([p.grad.array.reshape(-1) for p in params])
+    flat = np.concatenate([p.grad.reshape(-1) for p in params])
+    if not np.all(np.isfinite(flat)):
+        bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
+        raise EvaluationError(f"non-finite gradient for {bad}")
+    return flat
 
 
 def criticality_scores(params: list[Param]) -> np.ndarray:
@@ -128,7 +133,7 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
     offset = 0
     for p in params:
         chunk = updated[offset:offset + p.size]
-        p.value = Tensor(chunk.reshape(p.value.shape))
+        p.value = chunk.reshape(p.value.shape)
         offset += p.size
 
 
@@ -148,15 +153,6 @@ class TrainLog:
     final_accuracy: float = math.nan
 
 
-def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dataset, tuple):
-        x, y = dataset
-    else:
-        x, y = dataset.inputs, dataset.labels
-    x = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    return x, np.asarray(y)
-
-
 def train(task, dataset, state: OptState, epochs: int,
           patience: int | None = None, plateau_tol: float = 1e-6) -> TrainLog:
     """Full-batch partitioned training; returns the per-epoch log.
@@ -165,12 +161,14 @@ def train(task, dataset, state: OptState, epochs: int,
     epochs and reused in between. A non-finite loss aborts immediately
     rather than letting the run limp on. With `patience` set, training
     stops early once the loss has not improved by more than `plateau_tol`
-    for that many consecutive epochs. A `DivergenceError` from the task is
-    re-raised with the epoch it happened in.
+    for that many consecutive epochs. A `DivergenceError` from the task, and
+    an `EvaluationError` from scoring or the step (a non-finite gradient or
+    parameter), are re-raised with the epoch they happened in.
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
-    x, y = _dataset_arrays(dataset)
+    x, y = dataset if isinstance(dataset, tuple) else (dataset.inputs, dataset.labels)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
     params = task.trainable_params()
@@ -190,9 +188,12 @@ def train(task, dataset, state: OptState, epochs: int,
             raise DivergenceError(f"epoch {epoch}: {exc}", residual=exc.residual) from exc
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
-        if part is None or epoch % state.repartition_every == 0:
-            part = partition(criticality_scores(params), state.tau)
-        step(params, part, state)
+        try:
+            if part is None or epoch % state.repartition_every == 0:
+                part = partition(criticality_scores(params), state.tau)
+            step(params, part, state)
+        except EvaluationError as exc:
+            raise EvaluationError(f"epoch {epoch}: {exc}") from exc
         post = getattr(task, "post_step", None)
         if post is not None:
             post()

@@ -25,7 +25,7 @@ from lionprompt.harness import (
     verify_proposition1,
 )
 from lionprompt.model import gate_coeffs
-from lionprompt.numerics import Param, Tensor, batch_cross_entropy
+from lionprompt.numerics import Param, batch_cross_entropy
 from lionprompt.rng import substream
 
 _CACHE = {}
@@ -73,9 +73,9 @@ def transfer_sweep():
 def random_cell(seed, h, d):
     rng = substream(seed, "accept-cell")
     return spectral_normalize(DeqCell(
-        W=Tensor(rng.normal(size=(h, h))),
-        U=Tensor(rng.normal(size=(h, d))),
-        b=Tensor(rng.normal(size=h) * 0.1)))
+        W=rng.normal(size=(h, h)),
+        U=rng.normal(size=(h, d)),
+        b=rng.normal(size=h) * 0.1))
 
 
 def test_criterion_1_implicit_gradients():
@@ -98,7 +98,7 @@ def test_criterion_2_solver_contract():
     agree_ok = True
     for seed in range(20):
         cell = random_cell(seed, h=12, d=6)
-        x = Tensor(substream(seed, "accept-x").normal(size=6))
+        x = substream(seed, "accept-x").normal(size=6)
         anderson = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=5))
         picard = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=0))
         residual_ok &= anderson.converged and anderson.residual <= 1e-8
@@ -106,12 +106,12 @@ def test_criterion_2_solver_contract():
         if anderson.iterations < picard.iterations:
             anderson_wins += 1
     cell = random_cell(99, h=10, d=4)
-    x = Tensor(substream(99, "accept-x").normal(size=4))
+    x = substream(99, "accept-x").normal(size=4)
     cfg = SolverConfig(tol=1e-10)
     starts = [np.zeros(10), np.ones(10), -np.ones(10),
               substream(99, "s1").normal(size=10),
               substream(99, "s2").normal(size=10) * 5.0]
-    points = [solve_forward(cell, x, cfg, z0=Tensor(z)).z_star.array for z in starts]
+    points = [solve_forward(cell, x, cfg, z0=z).z_star for z in starts]
     for i in range(5):
         for j in range(i + 1, 5):
             agree_ok &= bool(np.linalg.norm(points[i] - points[j]) <= 10 * cfg.tol)
@@ -148,9 +148,9 @@ def test_criterion_4_frozen_backbone():
         loss_and_grads = staticmethod(lambda x, y: model.loss_and_grads(pm, x, y))
         post_step = pm.renormalize
 
-    before = [p.value.array.tobytes() for p in pm.backbone.params()]
+    before = [p.value.tobytes() for p in pm.backbone.params()]
     robust_opt.train(Task(), train, robust_opt.OptState(eta=0.3, tau=0.4), epochs=30)
-    after = [p.value.array.tobytes() for p in pm.backbone.params()]
+    after = [p.value.tobytes() for p in pm.backbone.params()]
     grads = [p.grad for p in pm.backbone.params()]
     ok = before == after and all(g is None for g in grads)
     check(4, "frozen backbone", ok,
@@ -176,21 +176,21 @@ class _Softmax:
 
     def __init__(self, d, c, seed):
         rng = substream(seed, "accept-softmax")
-        self.w = Param("sm.W", Tensor(rng.normal(size=(c, d)) * 0.01))
-        self.b = Param("sm.b", Tensor(np.zeros(c)))
+        self.w = Param("sm.W", rng.normal(size=(c, d)) * 0.01)
+        self.b = Param("sm.b", np.zeros(c))
 
     def trainable_params(self):
         return [self.w, self.b]
 
     def loss_and_grads(self, x, y):
-        logits = x @ self.w.value.array.T + self.b.value.array
+        logits = x @ self.w.value.T + self.b.value
         value, g = batch_cross_entropy(logits, y)
         self.w.add_grad(g.T @ x)
         self.b.add_grad(np.sum(g, axis=0))
         return value, logits
 
     def predict(self, x):
-        return np.argmax(x @ self.w.value.array.T + self.b.value.array, axis=1)
+        return np.argmax(x @ self.w.value.T + self.b.value, axis=1)
 
 
 def test_criterion_6_partitioned_optimizer():
@@ -208,10 +208,10 @@ def test_criterion_6_partitioned_optimizer():
     for _ in range(25):
         for p in manual.trainable_params():
             p.zero_grad()
-        manual.loss_and_grads(ds.inputs.array, ds.labels)
+        manual.loss_and_grads(ds.inputs, ds.labels)
         for p in manual.trainable_params():
-            p.value = Tensor(p.value.array - 0.2 * p.grad.array)
-    bitwise = all(a.value.array.tobytes() == b.value.array.tobytes()
+            p.value = p.value - 0.2 * p.grad
+    bitwise = all(a.value.tobytes() == b.value.tobytes()
                   for a, b in zip(trained.trainable_params(),
                                   manual.trainable_params()))
 
@@ -260,12 +260,12 @@ def test_criterion_8_complexity_formulas():
 
 def test_criterion_9_persistence(tmp_path):
     rng = substream(3, "accept-ckpt")
-    params = [Param("a.scalar", Tensor(float(rng.normal()))),
-              Param("b.vec", Tensor(rng.normal(size=9))),
-              Param("c.mat", Tensor(rng.normal(size=(4, 6))))]
+    params = [Param("a.scalar", float(rng.normal())),
+              Param("b.vec", rng.normal(size=9)),
+              Param("c.mat", rng.normal(size=(4, 6)))]
     first, second = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     checkpoint.save(first, params)
-    blank = [Param(p.name, Tensor(np.zeros(p.value.shape))) for p in params]
+    blank = [Param(p.name, np.zeros(p.value.shape)) for p in params]
     checkpoint.restore(blank, checkpoint.load(first))
     checkpoint.save(second, blank)
     ckpt_ok = open(first, "rb").read() == open(second, "rb").read()

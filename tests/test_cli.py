@@ -15,16 +15,16 @@ from lionprompt import checkpoint, deq
 from lionprompt.cli import CSV_HEADER, main
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
-from lionprompt.numerics import Param, Tensor
+from lionprompt.numerics import Param
 from lionprompt.rng import substream
 
 
 def sample_params(seed=0):
     rng = substream(seed, "ckpt-test")
     return [
-        Param("gate.a", Tensor(float(rng.normal()))),
-        Param("vec.b", Tensor(rng.normal(size=7))),
-        Param("mat.W", Tensor(rng.normal(size=(3, 5)))),
+        Param("gate.a", float(rng.normal())),
+        Param("vec.b", rng.normal(size=7)),
+        Param("mat.W", rng.normal(size=(3, 5))),
     ]
 
 
@@ -37,7 +37,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     loaded = checkpoint.load(path)
     assert list(loaded) == [p.name for p in params]
     for p in params:
-        assert loaded[p.name].array.tobytes() == p.value.array.tobytes()
+        assert loaded[p.name].tobytes() == p.value.tobytes()
         assert loaded[p.name].shape == p.value.shape
 
 
@@ -46,7 +46,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     first = str(tmp_path / "a.ckpt")
     second = str(tmp_path / "b.ckpt")
     checkpoint.save(first, params)
-    restored = [Param(p.name, Tensor(np.zeros(p.value.shape))) for p in params]
+    restored = [Param(p.name, np.zeros(p.value.shape)) for p in params]
     checkpoint.restore(restored, checkpoint.load(first))
     checkpoint.save(second, restored)
     assert open(first, "rb").read() == open(second, "rb").read()
@@ -89,17 +89,36 @@ def test_corrupt_checkpoints_rejected(tmp_path):
         checkpoint.load(str(tmp_path / "absent.ckpt"))
 
 
+def _poison(path, entry, value):
+    """Overwrite the first payload value of `entry` in a saved checkpoint."""
+    blob = bytearray(open(path, "rb").read())
+    name = entry.encode("utf-8")
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    rank = struct.unpack_from("<I", blob, at)[0]
+    struct.pack_into("<d", blob, at + 4 + 4 * rank, value)
+    open(path, "wb").write(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "inf"])
+def test_load_rejects_nonfinite_payloads(tmp_path, bad):
+    path = str(tmp_path / "m.ckpt")
+    checkpoint.save(path, sample_params())
+    _poison(path, "vec.b", bad)
+    with pytest.raises(CheckpointError, match="'vec.b'"):
+        checkpoint.load(path)
+
+
 def test_duplicate_names_rejected(tmp_path):
-    p = Param("x", Tensor(1.0))
+    p = Param("x", 1.0)
     with pytest.raises(CheckpointError, match="duplicate"):
-        checkpoint.save(str(tmp_path / "m.ckpt"), [p, Param("x", Tensor(2.0))])
+        checkpoint.save(str(tmp_path / "m.ckpt"), [p, Param("x", 2.0)])
 
 
 @pytest.mark.parametrize("name", ["", "n" * (checkpoint._MAX_NAME + 1), "bad\udc80"],
                          ids=["empty", "too-long", "unencodable"])
 def test_save_refuses_names_load_would_reject(tmp_path, name):
     with pytest.raises(CheckpointError, match="parameter name"):
-        checkpoint.save(str(tmp_path / "m.ckpt"), sample_params() + [Param(name, Tensor(1.0))])
+        checkpoint.save(str(tmp_path / "m.ckpt"), sample_params() + [Param(name, 1.0)])
     assert os.listdir(tmp_path) == []
 
 
@@ -119,11 +138,11 @@ tensors = shapes.flatmap(lambda shape: arrays(
 @given(st.lists(st.one_of(names, long_names), min_size=1, max_size=5, unique=True),
        st.data())
 def test_save_load_save_is_byte_identical_for_fuzzed_names_and_shapes(entry_names, data):
-    params = [Param(n, Tensor(data.draw(tensors))) for n in entry_names]
+    params = [Param(n, data.draw(tensors)) for n in entry_names]
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
         checkpoint.save(first, params)
-        blank = [Param(p.name, Tensor(np.zeros(p.value.shape))) for p in params]
+        blank = [Param(p.name, np.zeros(p.value.shape)) for p in params]
         checkpoint.restore(blank, checkpoint.load(first))
         checkpoint.save(second, blank)
         with open(first, "rb") as a, open(second, "rb") as b:
@@ -135,11 +154,11 @@ def test_restore_rejects_architecture_mismatch(tmp_path):
     checkpoint.save(path, sample_params())
     loaded = checkpoint.load(path)
     with pytest.raises(CheckpointError, match="lacks"):
-        checkpoint.restore([Param("nope", Tensor(0.0))] + sample_params(), loaded)
+        checkpoint.restore([Param("nope", 0.0)] + sample_params(), loaded)
     with pytest.raises(CheckpointError, match="unexpected"):
         checkpoint.restore(sample_params()[:2], loaded)
     wrong = sample_params()
-    wrong[2] = Param("mat.W", Tensor(np.zeros((5, 3))))
+    wrong[2] = Param("mat.W", np.zeros((5, 3)))
     with pytest.raises(CheckpointError, match="shape"):
         checkpoint.restore(wrong, loaded)
 
@@ -279,9 +298,9 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
 def _record_solver_depths(monkeypatch):
     solve, depths = deq.solve_forward_batch, set()
 
-    def recording(cell, x_rows, cfg=None, z0_rows=None):
+    def recording(cell, x_rows, cfg=None):
         depths.add(cfg.anderson_depth)
-        return solve(cell, x_rows, cfg, z0_rows)
+        return solve(cell, x_rows, cfg)
 
     monkeypatch.setattr(deq, "solve_forward_batch", recording)
     return depths
@@ -328,6 +347,16 @@ def test_eval_refuses_settings_other_than_the_tune(workdir, tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
     assert rc == 3
     assert "tuned model config" in err
+
+
+def test_eval_of_a_nonfinite_checkpoint_exits_3(workdir, tmp_path, capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    _poison(str(tmp_path / "head_tuning-blobs-s0.ckpt"), "head.b", float("nan"))
+    rc, _, err = run_cli(capsys, ["eval", *base])
+    assert rc == 3
+    assert "'head.b'" in err
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):

@@ -19,7 +19,6 @@ from lionprompt.deq import (
     solve_forward_stack,
     spectral_normalize,
 )
-from lionprompt.numerics import Tensor
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -36,9 +35,9 @@ shapes = st.fixed_dictionaries({
 def draw_stack(h, d, n, kappa, activation, seed):
     """A projected cell, n inputs, and a shift (i, j, eps) per row, |eps| <= (1 - kappa) / 2."""
     rng = np.random.default_rng(seed)
-    cell = spectral_normalize(DeqCell(W=Tensor(rng.normal(size=(h, h))),
-                                      U=Tensor(rng.normal(size=(h, d))),
-                                      b=Tensor(rng.normal(size=h)),
+    cell = spectral_normalize(DeqCell(W=rng.normal(size=(h, h)),
+                                      U=rng.normal(size=(h, d)),
+                                      b=rng.normal(size=h),
                                       kappa=kappa, activation=activation))
     xs = rng.normal(size=(n, d)) * 2.0
     shift = (rng.integers(0, h, size=n), rng.integers(0, h, size=n),
@@ -51,17 +50,17 @@ def draw_stack(h, d, n, kappa, activation, seed):
 def test_every_stacked_row_is_near_its_own_single_row_solve(shape, shifted):
     cell, xs, (ii, jj, eps) = draw_stack(**shape)
     eps = eps * shifted
-    rep = solve_forward_stack(cell.W.array, xs @ cell.U.array.T + cell.b.array,
+    rep = solve_forward_stack(cell.W, xs @ cell.U.T + cell.b,
                               shape["activation"], CFG, shift=(ii, jj, eps))
     assert rep.converged and rep.z_star.shape == (shape["n"], shape["h"])
-    for x, z, i, j, e in zip(xs, rep.z_star.array, ii, jj, eps):
-        w = cell.W.array.copy()
+    for x, z, i, j, e in zip(xs, rep.z_star, ii, jj, eps):
+        w = cell.W.copy()
         w[i, j] += e
-        single = solve_forward(DeqCell(W=Tensor(w), U=cell.U, b=cell.b, kappa=cell.kappa,
-                                       activation=cell.activation), Tensor(x), CFG)
+        single = solve_forward(DeqCell(W=w, U=cell.U, b=cell.b, kappa=cell.kappa,
+                                       activation=cell.activation), x, CFG)
         assert single.converged
         bound = CFG.tol / (1.0 - shape["kappa"] - abs(e))
-        assert np.linalg.norm(z - single.z_star.array) <= bound
+        assert np.linalg.norm(z - single.z_star) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,10 +68,10 @@ def test_every_stacked_row_is_near_its_own_single_row_solve(shape, shifted):
 def test_a_stack_of_equal_weights_matches_the_shared_weight_batch(shape):
     cell, xs, (ii, jj, _) = draw_stack(**shape)
     batch = solve_forward_batch(cell, xs, CFG)
-    stack = solve_forward_stack(cell.W.array, xs @ cell.U.array.T + cell.b.array,
+    stack = solve_forward_stack(cell.W, xs @ cell.U.T + cell.b,
                                 shape["activation"], CFG,
                                 shift=(ii, jj, np.zeros(shape["n"])))
     assert batch.converged
-    assert stack.z_star.array.tobytes() == batch.z_star.array.tobytes()
+    assert stack.z_star.tobytes() == batch.z_star.tobytes()
     assert (stack.iterations, stack.residual, stack.converged) == \
         (batch.iterations, batch.residual, batch.converged)

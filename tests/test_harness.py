@@ -29,7 +29,7 @@ from lionprompt.harness import (
     run_protocol,
     verify_proposition1,
 )
-from lionprompt.numerics import Tensor, rel_error
+from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
 from reference import finite_diff_grad
 
@@ -58,25 +58,25 @@ def shifted_pair(seed):
 def test_blobs_regenerate_bit_identically():
     a = make_blobs(4, 16, 200, seed=7)
     b = make_blobs(4, 16, 200, seed=7)
-    assert a.inputs.array.tobytes() == b.inputs.array.tobytes()
+    assert a.inputs.tobytes() == b.inputs.tobytes()
     assert np.array_equal(a.labels, b.labels)
     c = make_blobs(4, 16, 200, seed=8)
-    assert not np.array_equal(a.inputs.array, c.inputs.array)
+    assert not np.array_equal(a.inputs, c.inputs)
 
 
 def test_blob_splits_share_means_but_not_noise():
     tr = make_blobs(4, 16, 400, seed=3, split="train")
     te = make_blobs(4, 16, 400, seed=3, split="test")
-    assert not np.array_equal(tr.inputs.array, te.inputs.array)
+    assert not np.array_equal(tr.inputs, te.inputs)
     for cls in range(4):
-        mu_tr = tr.inputs.array[tr.labels == cls].mean(axis=0)
-        mu_te = te.inputs.array[te.labels == cls].mean(axis=0)
+        mu_tr = tr.inputs[tr.labels == cls].mean(axis=0)
+        mu_te = te.inputs[te.labels == cls].mean(axis=0)
         assert np.linalg.norm(mu_tr - mu_te) < 0.8  # same true mean, noise ~N(0,1)/sqrt(100)
 
 
 def test_blob_means_pairwise_separation():
     ds = make_blobs(4, 16, 4000, seed=5, separation=6.0)
-    mus = np.stack([ds.inputs.array[ds.labels == c].mean(axis=0) for c in range(4)])
+    mus = np.stack([ds.inputs[ds.labels == c].mean(axis=0) for c in range(4)])
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(np.linalg.norm(mus[i] - mus[j]) - 6.0) < 0.3
@@ -84,7 +84,7 @@ def test_blob_means_pairwise_separation():
 
 def test_wide_separation_is_linearly_separable():
     ds = make_blobs(4, 16, 400, seed=3, separation=10.0)
-    x = ds.inputs.array
+    x = ds.inputs
     means = np.stack([x[ds.labels == c].mean(axis=0) for c in range(4)])
     # nearest class mean is a linear rule: argmax_c x . mu_c - |mu_c|^2 / 2
     scores = x @ means.T - 0.5 * np.sum(means ** 2, axis=1)
@@ -109,8 +109,8 @@ def test_glyphs_are_binary_and_reproducible():
     a = make_glyphs(4, 200, seed=5)
     b = make_glyphs(4, 200, seed=5)
     assert a.d == 64
-    assert set(np.unique(a.inputs.array)) == {0.0, 1.0}
-    assert a.inputs.array.tobytes() == b.inputs.array.tobytes()
+    assert set(np.unique(a.inputs)) == {0.0, 1.0}
+    assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_glyph_flip_rate_matches_parameter():
@@ -119,14 +119,14 @@ def test_glyph_flip_rate_matches_parameter():
     for ds in (tr, te):
         rates = []
         for cls in range(3):
-            rows = ds.inputs.array[ds.labels == cls]
+            rows = ds.inputs[ds.labels == cls]
             base = np.round(rows.mean(axis=0))    # majority vote recovers the mask
             rates.append(np.mean(rows != base))
         assert abs(np.mean(rates) - 0.1) < 0.02
     # the class masks are split-independent even though the flips are not
     for cls in range(3):
-        base_tr = np.round(tr.inputs.array[tr.labels == cls].mean(axis=0))
-        base_te = np.round(te.inputs.array[te.labels == cls].mean(axis=0))
+        base_tr = np.round(tr.inputs[tr.labels == cls].mean(axis=0))
+        base_te = np.round(te.inputs[te.labels == cls].mean(axis=0))
         assert np.array_equal(base_tr, base_te)
 
 
@@ -136,15 +136,15 @@ def test_invertible_shift_round_trip():
     ds = make_blobs(4, 16, 200, seed=7)
     spec = make_shift("invertible_linear", 16, seed=11)
     back = apply_shift(apply_shift(ds, spec),
-                       ShiftSpec("invertible_linear", Tensor(np.linalg.inv(spec.A.array))))
-    assert np.max(np.abs(back.inputs.array - ds.inputs.array)) <= 1e-10
+                       ShiftSpec("invertible_linear", np.linalg.inv(spec.A)))
+    assert np.max(np.abs(back.inputs - ds.inputs)) <= 1e-10
     assert np.array_equal(back.labels, ds.labels)
 
 
 def test_identity_shift_is_a_no_op():
     ds = make_blobs(4, 16, 200, seed=7)
-    same = apply_shift(ds, ShiftSpec("invertible_linear", Tensor(np.eye(16))))
-    assert np.array_equal(same.inputs.array, ds.inputs.array)
+    same = apply_shift(ds, ShiftSpec("invertible_linear", np.eye(16)))
+    assert np.array_equal(same.inputs, ds.inputs)
     assert np.array_equal(same.labels, ds.labels)
 
 
@@ -152,10 +152,10 @@ def test_rotation_preserves_norms():
     ds = make_blobs(4, 16, 200, seed=7)
     spec = make_shift("rotation", 16, seed=11)
     rotated = apply_shift(ds, spec)
-    before = np.linalg.norm(ds.inputs.array, axis=1)
-    after = np.linalg.norm(rotated.inputs.array, axis=1)
+    before = np.linalg.norm(ds.inputs, axis=1)
+    after = np.linalg.norm(rotated.inputs, axis=1)
     assert np.max(np.abs(before - after)) <= 1e-10
-    assert abs(np.linalg.det(spec.A.array) - 1.0) <= 1e-10
+    assert abs(np.linalg.det(spec.A) - 1.0) <= 1e-10
 
 
 def test_noise_shift_is_deterministic():
@@ -163,19 +163,19 @@ def test_noise_shift_is_deterministic():
     spec = make_shift("noise", 16, seed=11, noise_sigma=0.5)
     a = apply_shift(ds, spec)
     b = apply_shift(ds, spec)
-    assert np.array_equal(a.inputs.array, b.inputs.array)
-    assert not np.array_equal(a.inputs.array, ds.inputs.array)
+    assert np.array_equal(a.inputs, b.inputs)
+    assert not np.array_equal(a.inputs, ds.inputs)
 
 
 def test_shift_regenerates_from_seed():
     a = make_shift("invertible_linear", 16, seed=11)
     b = make_shift("invertible_linear", 16, seed=11)
-    assert a.A.array.tobytes() == b.A.array.tobytes()
+    assert a.A.tobytes() == b.A.tobytes()
 
 
 def test_singular_shift_rejected():
     with pytest.raises(ValueError):
-        ShiftSpec("invertible_linear", Tensor(np.zeros((4, 4))))
+        ShiftSpec("invertible_linear", np.zeros((4, 4)))
     with pytest.raises(ValueError):
         ShiftSpec("warp")
 
@@ -203,9 +203,9 @@ def test_longtail_keeps_real_samples_deterministically():
     ds = make_blobs(4, 16, 400, seed=1)
     a = resample_longtail(ds, 50.0)
     b = resample_longtail(ds, 50.0)
-    assert a.inputs.array.tobytes() == b.inputs.array.tobytes()
-    original = {row.tobytes() for row in ds.inputs.array}
-    assert all(row.tobytes() in original for row in a.inputs.array)
+    assert a.inputs.tobytes() == b.inputs.tobytes()
+    original = {row.tobytes() for row in ds.inputs}
+    assert all(row.tobytes() in original for row in a.inputs)
 
 
 def test_longtail_rejects_emptied_class():
@@ -221,9 +221,9 @@ def test_fewshot_counts_and_determinism():
     fs = resample_fewshot(ds, 8)
     assert fs.n == 4 * 8
     assert list(fs.class_counts()) == [8, 8, 8, 8]
-    assert fs.inputs.array.tobytes() == resample_fewshot(ds, 8).inputs.array.tobytes()
-    original = {row.tobytes() for row in ds.inputs.array}
-    assert all(row.tobytes() in original for row in fs.inputs.array)
+    assert fs.inputs.tobytes() == resample_fewshot(ds, 8).inputs.tobytes()
+    original = {row.tobytes() for row in ds.inputs}
+    assert all(row.tobytes() in original for row in fs.inputs)
     with pytest.raises(ValueError):
         resample_fewshot(ds, 1000)
     assert resample_fewshot(make_blobs(5, 16, 400, seed=1), 8).n == 40
@@ -264,10 +264,10 @@ def test_protocol_runs_are_deterministic():
 def test_protocol_runs_do_not_touch_the_shared_backbone():
     bb, _ = shared_backbone()
     tr, te = shifted_pair(0)
-    before = [p.value.array.tobytes() for p in bb.params()]
+    before = [p.value.tobytes() for p in bb.params()]
     run_protocol(RunConfig(protocol="full_finetune", seed=0, epochs=20), bb, tr, te)
     run_protocol(RunConfig(protocol="bias_tuning", seed=0, epochs=20), bb, tr, te)
-    after = [p.value.array.tobytes() for p in bb.params()]
+    after = [p.value.tobytes() for p in bb.params()]
     assert before == after
 
 
@@ -404,8 +404,8 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
     unrolled, depths, gaps = deq.unrolled_vjp, [], []
 
     def flat(grad_x, grads):
-        return np.concatenate([grads.W.array.reshape(-1), grads.U.array.reshape(-1),
-                               grads.b.array, grad_x.array])
+        return np.concatenate([grads.W.reshape(-1), grads.U.reshape(-1),
+                               grads.b, grad_x])
 
     def against_500(cell, x, y, n_iters):
         got = unrolled(cell, x, y, n_iters=n_iters)
@@ -423,20 +423,20 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
 def test_gradcheck_stacks_match_per_entry_solves():
     rng = substream(41, "fd-stack")
     h, d, step = 5, 3, 1e-5
-    cell = deq.spectral_normalize(deq.DeqCell(W=Tensor(rng.normal(size=(h, h))),
-                                              U=Tensor(rng.normal(size=(h, d))),
-                                              b=Tensor(rng.normal(size=h))))
-    x, y = Tensor(rng.normal(size=d)), Tensor(rng.normal(size=h))
+    cell = deq.spectral_normalize(deq.DeqCell(W=rng.normal(size=(h, h)),
+                                              U=rng.normal(size=(h, d)),
+                                              b=rng.normal(size=h)))
+    x, y = rng.normal(size=d), rng.normal(size=h)
     cfg = SolverConfig(tol=1e-13)
-    packed = np.concatenate([cell.W.array.reshape(-1), cell.U.array.reshape(-1),
-                             cell.b.array, x.array])
+    packed = np.concatenate([cell.W.reshape(-1), cell.U.reshape(-1),
+                             cell.b, x])
 
     def objective(vec):
-        w, u, b, xv = np.split(vec.array, [h * h, h * h + h * d, h * h + h * d + h])
-        c = deq.DeqCell(W=Tensor(w.reshape(h, h)), U=Tensor(u.reshape(h, d)), b=Tensor(b))
-        return float(y.array @ deq.solve_forward(c, Tensor(xv), cfg).z_star.array)
+        w, u, b, xv = np.split(vec, [h * h, h * h + h * d, h * h + h * d + h])
+        c = deq.DeqCell(W=w.reshape(h, h), U=u.reshape(h, d), b=b)
+        return float(y @ deq.solve_forward(c, xv, cfg).z_star)
 
-    one_by_one = finite_diff_grad(objective, Tensor(packed), step=step).array
+    one_by_one = finite_diff_grad(objective, packed, step=step)
     stacked = _central_differences(cell, x, y, cfg, step)
     assert np.max(np.abs(stacked - one_by_one)) <= 1e-7
 

@@ -28,7 +28,7 @@ from lionprompt.model import (
     param_count_report,
     predict,
 )
-from lionprompt.numerics import Param, Tensor, batch_cross_entropy, rel_error
+from lionprompt.numerics import Param, batch_cross_entropy, rel_error
 from lionprompt.rng import substream
 
 TIGHT = SolverConfig(tol=1e-13)
@@ -55,24 +55,24 @@ def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2, layers=1):
                               seed=seed, layers=layers, solver=TIGHT)
     # randomize the head: a zero head blocks gradient flow to everything above it
     rng = substream(seed, "head-rand")
-    model.head.w.value = Tensor(rng.normal(size=model.head.w.value.shape) * 0.5)
-    model.head.b.value = Tensor(rng.normal(size=model.head.b.value.shape) * 0.1)
+    model.head.w.value = rng.normal(size=model.head.w.value.shape) * 0.5
+    model.head.b.value = rng.normal(size=model.head.b.value.shape) * 0.1
     return model
 
 
 def fd_param_grad(fn, param, step=1e-5):
     """Central differences over one Param's entries, restoring the value."""
-    base = param.value.array.copy()
+    base = param.value.copy()
     flat = base.reshape(-1)
     out = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (1.0, -1.0):
             bumped = flat.copy()
             bumped[i] += sign * step
-            param.value = Tensor(bumped.reshape(base.shape))
+            param.value = bumped.reshape(base.shape)
             out[i] += sign * fn()
-    param.value = Tensor(base)
-    return Tensor(out.reshape(base.shape) / (2.0 * step))
+    param.value = base
+    return out.reshape(base.shape) / (2.0 * step)
 
 
 # --- gates -------------------------------------------------------------------
@@ -125,8 +125,8 @@ def test_gate_vjp_matches_finite_differences():
 
 def test_blend_input_saturated_gate_passes_input_through():
     model = small_model(1)
-    model.gate1.g_alpha.value = Tensor(50.0)
-    model.gate1.g_beta.value = Tensor(-50.0)
+    model.gate1.g_alpha.value = 50.0
+    model.gate1.g_beta.value = -50.0
     x = substream(2, "x").normal(size=(3, 6))
     xt = forward(model, x).xt
     assert np.max(np.abs(xt - x)) < 1e-12
@@ -138,9 +138,9 @@ def test_blend_input_closed_form_state_free_cell():
     u = rng.normal(size=(d, d))
     b = rng.normal(size=d)
     block = PromptBlock(name="p1", cell_params=[(
-        Param("p1.0.W", Tensor(np.zeros((d, d)))),
-        Param("p1.0.U", Tensor(u)),
-        Param("p1.0.b", Tensor(b)))], activation="identity")
+        Param("p1.0.W", np.zeros((d, d))),
+        Param("p1.0.U", u),
+        Param("p1.0.b", b))], activation="identity")
     model = small_model(4, d=d, h=3, hidden=5)
     model.p1 = block
     x = rng.normal(size=(2, d))
@@ -157,8 +157,8 @@ def test_blend_input_preserves_shape():
 
 def test_blend_repr_saturated_gate_is_backbone_of_blended_input():
     model = small_model(7)
-    model.gate2.g_alpha.value = Tensor(50.0)
-    model.gate2.g_beta.value = Tensor(-50.0)
+    model.gate2.g_alpha.value = 50.0
+    model.gate2.g_beta.value = -50.0
     x = substream(8, "x").normal(size=(3, 6))
     fw = forward(model, x)
     f_xt, _ = backbone_forward(model.backbone, fw.xt)
@@ -168,25 +168,25 @@ def test_blend_repr_saturated_gate_is_backbone_of_blended_input():
 def test_blend_repr_identity_backbone_closed_form():
     d = 4
     rng = substream(9, "idb")
-    eye = Tensor(np.eye(d))
-    stage = AffineStage(Param("backbone.0.W", eye), Param("backbone.0.b", Tensor(np.zeros(d))))
+    eye = np.eye(d)
+    stage = AffineStage(Param("backbone.0.W", eye), Param("backbone.0.b", np.zeros(d)))
     u1, b1 = rng.normal(size=(d, d)), rng.normal(size=d)
     u2, b2 = rng.normal(size=(d, d)), rng.normal(size=d)
 
     def state_free(name, u, b):
         return PromptBlock(name=name, cell_params=[(
-            Param(f"{name}.0.W", Tensor(np.zeros((d, d)))),
-            Param(f"{name}.0.U", Tensor(u)),
-            Param(f"{name}.0.b", Tensor(b)))], activation="identity")
+            Param(f"{name}.0.W", np.zeros((d, d))),
+            Param(f"{name}.0.U", u),
+            Param(f"{name}.0.b", b))], activation="identity")
 
     model = PromptModel(
         backbone=Backbone(stages=[stage], frozen=True),
         p1=state_free("p1", u1, b1),
         p2=state_free("p2", u2, b2),
-        proj=AffineStage(Param("proj.W", eye), Param("proj.b", Tensor(np.zeros(d)))),
+        proj=AffineStage(Param("proj.W", eye), Param("proj.b", np.zeros(d))),
         head=make_head(d, 2),
-        gate1=GatePair(Param("gate1.a", Tensor(0.0)), Param("gate1.b", Tensor(0.0))),
-        gate2=GatePair(Param("gate2.a", Tensor(0.0)), Param("gate2.b", Tensor(0.0))),
+        gate1=GatePair(Param("gate1.a", 0.0), Param("gate1.b", 0.0)),
+        gate2=GatePair(Param("gate2.a", 0.0), Param("gate2.b", 0.0)),
         solver=TIGHT)
     x = rng.normal(size=(3, d))
     xt = 0.5 * x + 0.5 * (x @ u1.T + b1)
@@ -249,14 +249,14 @@ def test_precomputed_backbone_features_give_identical_gradients():
     value_b, logits_b = loss_and_grads(cached, x, y, f_x=f_x)
     assert value_a == value_b and np.array_equal(logits_a, logits_b)
     for pa, pb in zip(fresh.trainable_params(), cached.trainable_params()):
-        assert np.array_equal(pa.grad.array, pb.grad.array), pa.name
+        assert np.array_equal(pa.grad, pb.grad), pa.name
     with pytest.raises(ShapeMismatchError):
         loss_and_grads(cached, x, y, f_x=f_x[:1])
 
 
 def random_backbone(rng, dims, activations):
-    stages = [AffineStage(Param(f"backbone.{k}.W", Tensor(rng.normal(size=(dout, din)) * 0.4)),
-                          Param(f"backbone.{k}.b", Tensor(rng.normal(size=dout) * 0.1)), act)
+    stages = [AffineStage(Param(f"backbone.{k}.W", rng.normal(size=(dout, din)) * 0.4),
+                          Param(f"backbone.{k}.b", rng.normal(size=dout) * 0.1), act)
               for k, (din, dout, act) in enumerate(zip(dims, dims[1:], activations))]
     return Backbone(stages=stages, frozen=False)
 
@@ -270,7 +270,7 @@ def backbone_pass(bb, x, g_out, workspace):
         for p in bb.params():
             p.zero_grad()
         seen.append(backbone_param_vjp(bb, cache, g_out, bias_only, workspace).tobytes())
-        seen += [p.grad.array.tobytes() for p in bb.params() if p.grad is not None]
+        seen += [p.grad.tobytes() for p in bb.params() if p.grad is not None]
     return seen
 
 
@@ -288,7 +288,7 @@ def test_backbone_workspace_is_bit_identical_to_fresh_arrays():
             # the expression every stage computed before workspaces existed
             h = x
             for st in bb.stages:
-                h = h @ st.w.value.array.T + st.b.value.array
+                h = h @ st.w.value.T + st.b.value
                 h = np.tanh(h) if st.activation == "tanh" else h
             assert backbone_forward(bb, x, workspace)[0].tobytes() == h.tobytes()
             assert backbone_pass(bb, x, g_out, workspace) == backbone_pass(bb, x, g_out, None)
@@ -323,12 +323,12 @@ def test_predict_between_epochs_leaves_the_next_epoch_bit_identical():
                 value, logits = loss_and_grads(model, x, y)
                 if epoch == 0:
                     for p in model.trainable_params():
-                        p.value = Tensor(p.value.array - 0.1 * p.grad.array)
+                        p.value = p.value - 0.1 * p.grad
                     model.renormalize()
                     if interleave:
                         predict(model, other)
             results.append([value, logits.tobytes()]
-                           + [p.grad.array.tobytes() for p in model.trainable_params()])
+                           + [p.grad.tobytes() for p in model.trainable_params()])
         assert results[0] == results[1]
 
 
@@ -347,13 +347,13 @@ def test_frozen_backbone_untouched_by_training_step():
     model = small_model(20)
     x = substream(21, "x").normal(size=(6, 6))
     y = np.array([0, 1, 0, 1, 0, 1])
-    before = [p.value.array.tobytes() for p in model.backbone.params()]
+    before = [p.value.tobytes() for p in model.backbone.params()]
     loss_and_grads(model, x, y)
     for p in model.trainable_params():
         if p.grad is not None:
-            p.value = Tensor(p.value.array - 0.05 * p.grad.array)
+            p.value = p.value - 0.05 * p.grad
     model.renormalize()
-    after = [p.value.array.tobytes() for p in model.backbone.params()]
+    after = [p.value.tobytes() for p in model.backbone.params()]
     assert before == after
     assert all(p.grad is None for p in model.backbone.params())
 
@@ -398,7 +398,7 @@ def test_every_trainable_param_receives_gradient():
     loss_and_grads(model, x, y)
     for p in model.trainable_params():
         assert p.grad is not None, p.name
-        assert np.any(p.grad.array != 0.0), p.name
+        assert np.any(p.grad != 0.0), p.name
 
 
 def test_trainable_set_membership_and_names():
@@ -421,7 +421,7 @@ def test_desk_scale_parameter_budget():
 
 def test_renormalize_caps_state_weights():
     model = small_model(32)
-    model.p1.cell_params[0] = (Param("p1.0.W", Tensor(np.eye(6) * 5.0)),
+    model.p1.cell_params[0] = (Param("p1.0.W", np.eye(6) * 5.0),
                                model.p1.cell_params[0][1],
                                model.p1.cell_params[0][2])
     model.renormalize()
@@ -443,7 +443,7 @@ def test_classifier_head_gradients_match_finite_differences():
     rng = substream(33, "clf")
     model = init_prompt_model(d=5, h=4, hidden=6, n_classes=3, seed=33)
     clf = BackboneClassifier(backbone=model.backbone, head=make_head(4, 3))
-    clf.head.w.value = Tensor(rng.normal(size=(3, 4)))
+    clf.head.w.value = rng.normal(size=(3, 4))
     x = rng.normal(size=(4, 5))
     y = np.array([0, 2, 1, 0])
     clf.head.w.zero_grad()
@@ -457,7 +457,7 @@ def test_classifier_bias_mode_gradients():
     model = init_prompt_model(d=5, h=4, hidden=6, n_classes=2, seed=34)
     model.backbone.frozen = False
     clf = BackboneClassifier(backbone=model.backbone, head=make_head(4, 2))
-    clf.head.w.value = Tensor(rng.normal(size=(2, 4)))
+    clf.head.w.value = rng.normal(size=(2, 4))
     x = rng.normal(size=(3, 5))
     y = np.array([0, 1, 1])
     clf.loss_and_grads(x, y, train_backbone="bias")

@@ -1,62 +1,80 @@
-"""Tensor plumbing, activations and the batched loss checked against finite differences."""
+"""Parameter state, activations and the batched loss checked against finite differences."""
 
 import math
 
 import numpy as np
 import pytest
 
+from lionprompt import checkpoint
 from lionprompt.errors import EvaluationError, ShapeMismatchError
+from lionprompt.model import build_prompt_model, loss_and_grads, make_backbone
 from lionprompt.numerics import (
     Param,
-    Tensor,
     activate,
     activate_deriv,
     batch_cross_entropy,
     rel_error,
 )
 from lionprompt.rng import substream
+from lionprompt.robust_opt import OptState, criticality_scores, partition, step
 from reference import finite_diff_grad
 
 
-def test_tensor_is_immutable_and_finite():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ValueError):
-        t.array[0, 0] = 9.0
-    with pytest.raises(EvaluationError):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(EvaluationError):
-        Tensor([float("inf")])
-    with pytest.raises(ShapeMismatchError):
-        Tensor(np.zeros((2, 2, 2)))
+def _assert_read_only(params):
+    for p in params:
+        assert p.value.dtype == np.float64 and not p.value.flags.writeable, p.name
+        with pytest.raises(ValueError):
+            p.value[...] = 0.0
 
 
-def test_tensor_value_equality():
-    assert Tensor([1.0, 2.0]) == Tensor([1, 2])
-    assert Tensor([1.0]) != Tensor([[1.0]])
-    assert Tensor(3.5).item() == 3.5
-    with pytest.raises(ShapeMismatchError):
-        Tensor([1.0, 2.0]).item()
+def test_param_values_are_read_only_and_finite(tmp_path):
+    pm = build_prompt_model(make_backbone(4, 6, 5, seed=0, frozen=True), 3, seed=0)
+    params = pm.trainable_params()
+    _assert_read_only(pm.backbone.params() + params)
+    x = substream(0, "param-ro").normal(size=(6, 4))
+    loss_and_grads(pm, x, np.array([0, 1, 2, 0, 1, 2]))
+    part = partition(criticality_scores(params), 0.4)
+    step(params, part, OptState(eta=0.1))
+    _assert_read_only(params)
+    pm.renormalize()
+    _assert_read_only(params)
+    path = str(tmp_path / "m.ckpt")
+    checkpoint.save(path, params)
+    checkpoint.restore(params, checkpoint.load(path))
+    _assert_read_only(params)
+
+    w = pm.p1.cell_params[0][0]
+    before = w.value
+    with pytest.raises(EvaluationError, match="p1.0.W"):
+        w.value = np.full(before.shape, np.nan)
+    with pytest.raises(EvaluationError, match="gate1.a"):
+        Param("gate1.a", float("inf"))
+    with pytest.raises(ShapeMismatchError, match="p1.0.W"):
+        w.value = np.zeros((2, 2, 2))
+    assert w.value is before
 
 
 def test_param_grad_accumulates():
-    p = Param("w", Tensor([1.0, 2.0]))
-    assert p.grad is None
-    p.add_grad(Tensor([0.5, 0.5]))
-    p.add_grad(Tensor([0.5, -0.5]))
-    assert p.grad == Tensor([1.0, 0.0])
+    p = Param("w", [1, 2])
+    assert p.value.dtype == np.float64 and p.grad is None
+    g = np.array([0.5, 0.5])
+    p.add_grad(g)
+    g[:] = 9.0                        # the accumulator is the Param's own copy
+    p.add_grad(np.array([0.5, -0.5]))
+    assert p.grad.tolist() == [1.0, 0.0]
     p.zero_grad()
     assert p.grad is None
     with pytest.raises(ShapeMismatchError):
-        p.add_grad(Tensor([1.0, 2.0, 3.0]))
+        p.add_grad(np.array([1.0, 2.0, 3.0]))
 
 
-def row_cross_entropy(logits: Tensor, label: int) -> float:
+def row_cross_entropy(logits: np.ndarray, label: int) -> float:
     """Mean cross-entropy of a one-row batch, as a function of that row."""
-    return batch_cross_entropy(logits.array[None, :], np.array([label]))[0]
+    return batch_cross_entropy(logits[None, :], np.array([label]))[0]
 
 
-def tanh_sum(t: Tensor) -> float:
-    return float(np.sum(activate(t.array, "tanh")))
+def tanh_sum(t: np.ndarray) -> float:
+    return float(np.sum(activate(t, "tanh")))
 
 
 def test_tanh_odd_at_zero():
@@ -64,19 +82,19 @@ def test_tanh_odd_at_zero():
 
 
 def test_tanh_backward_at_half():
-    x = Tensor([0.5])
-    g = activate_deriv(activate(x.array, "tanh"), "tanh")
+    x = np.array([0.5])
+    g = activate_deriv(activate(x, "tanh"), "tanh")
     assert rel_error(g, finite_diff_grad(tanh_sum, x)) <= 1e-7
 
 
 def test_cross_entropy_uniform():
-    assert abs(row_cross_entropy(Tensor([0.0, 0.0]), 0) - math.log(2.0)) <= 1e-12
+    assert abs(row_cross_entropy(np.array([0.0, 0.0]), 0) - math.log(2.0)) <= 1e-12
 
 
 def test_cross_entropy_saturated():
     # -log sigmoid(20) expressed through log1p for an independent value
     expected = math.log1p(math.exp(-20.0))
-    got = row_cross_entropy(Tensor([10.0, -10.0]), 0)
+    got = row_cross_entropy(np.array([10.0, -10.0]), 0)
     assert abs(got - expected) <= 1e-15
     assert got == pytest.approx(2.06e-9, rel=5e-3)
 
@@ -84,19 +102,19 @@ def test_cross_entropy_saturated():
 def test_cross_entropy_nonnegative_and_stable():
     rng = substream(3, "ce-pos")
     for _ in range(50):
-        logits = Tensor(rng.normal(scale=200.0, size=5))
+        logits = rng.normal(scale=200.0, size=5)
         assert row_cross_entropy(logits, int(rng.integers(5))) >= 0.0
     # extreme logits stay finite thanks to max-subtraction
-    assert math.isfinite(row_cross_entropy(Tensor([1e4, -1e4, 0.0]), 1))
+    assert math.isfinite(row_cross_entropy(np.array([1e4, -1e4, 0.0]), 1))
 
 
 def test_cross_entropy_vjp_against_finite_differences():
     rng = substream(5, "ce-vjp")
     for _ in range(5):
-        logits = Tensor(rng.normal(size=(3, 6)))
+        logits = rng.normal(size=(3, 6))
         labels = rng.integers(6, size=3)
-        _, g = batch_cross_entropy(logits.array, labels)
-        fd = finite_diff_grad(lambda t: batch_cross_entropy(t.array, labels)[0], logits)
+        _, g = batch_cross_entropy(logits, labels)
+        fd = finite_diff_grad(lambda t: batch_cross_entropy(t, labels)[0], logits)
         assert rel_error(g, fd) <= 1e-6
 
 
@@ -117,34 +135,34 @@ def test_batch_cross_entropy_matches_single():
 
 
 def test_finite_diff_quadratic_exact():
-    g = finite_diff_grad(lambda t: t.item() ** 2, Tensor(3.0), step=1e-5)
+    g = finite_diff_grad(lambda t: t.item() ** 2, np.array(3.0), step=1e-5)
     assert abs(g.item() - 6.0) <= 1e-6
 
 
 def test_finite_diff_linear():
-    x = Tensor([1.0, -2.0, 0.3])
-    g = finite_diff_grad(lambda t: float(np.sum(t.array)), x)
-    assert np.allclose(g.array, 1.0, atol=1e-9)
+    x = np.array([1.0, -2.0, 0.3])
+    g = finite_diff_grad(lambda t: float(np.sum(t)), x)
+    assert np.allclose(g, 1.0, atol=1e-9)
 
 
 def test_finite_diff_rejects_bad_step_and_nonfinite():
     with pytest.raises(ValueError):
-        finite_diff_grad(lambda t: 0.0, Tensor([1.0]), step=0.0)
+        finite_diff_grad(lambda t: 0.0, np.array([1.0]), step=0.0)
     with pytest.raises(EvaluationError):
-        finite_diff_grad(lambda t: float("nan"), Tensor([1.0]))
+        finite_diff_grad(lambda t: float("nan"), np.array([1.0]))
 
 
 def test_affine_cross_entropy_chain():
     """Hand-chained analytic backward through affine + cross-entropy."""
     rng = substream(13, "affine-chain")
-    w = Tensor(rng.normal(size=(3, 4)))
-    x = Tensor(rng.normal(size=4))
+    w = rng.normal(size=(3, 4))
+    x = rng.normal(size=4)
 
-    def f(t: Tensor) -> float:
-        return row_cross_entropy(Tensor(w.array @ t.array), 1)
+    def f(t: np.ndarray) -> float:
+        return row_cross_entropy(w @ t, 1)
 
-    _, gl = batch_cross_entropy((w.array @ x.array)[None, :], np.array([1]))
-    gx = Tensor(w.array.T @ gl[0])
+    _, gl = batch_cross_entropy((w @ x)[None, :], np.array([1]))
+    gx = w.T @ gl[0]
     fd = finite_diff_grad(f, x)
     assert rel_error(gx, fd) <= 1e-6
 
@@ -153,14 +171,14 @@ def test_all_primitives_twenty_seeded_points():
     for k in range(20):
         rng = substream(100 + k, "prim-sweep")
         # both activations, the derivative read off the output
-        x = Tensor(rng.normal(size=5))
+        x = rng.normal(size=5)
         for kind in ("tanh", "identity"):
-            g = activate_deriv(activate(x.array, kind), kind)
-            fd = finite_diff_grad(lambda t: float(np.sum(activate(t.array, kind))), x)
+            g = activate_deriv(activate(x, kind), kind)
+            fd = finite_diff_grad(lambda t: float(np.sum(activate(t, kind))), x)
             assert rel_error(g, fd) <= 1e-6
         # cross_entropy
-        logits = Tensor(rng.normal(size=4))
+        logits = rng.normal(size=4)
         lab = int(rng.integers(4))
-        _, g = batch_cross_entropy(logits.array[None, :], np.array([lab]))
+        _, g = batch_cross_entropy(logits[None, :], np.array([lab]))
         assert rel_error(g[0], finite_diff_grad(lambda t: row_cross_entropy(t, lab),
                                                 logits)) <= 1e-6

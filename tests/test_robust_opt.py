@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lionprompt.errors import DivergenceError, EvaluationError, StateError
-from lionprompt.numerics import Param, Tensor, batch_cross_entropy
+from lionprompt.numerics import Param, batch_cross_entropy
 from lionprompt.rng import substream
 from lionprompt.robust_opt import (
     CriticalityPartition,
@@ -26,14 +26,14 @@ class LogisticTask:
 
     def __init__(self, d, c, seed):
         rng = substream(seed, "logistic-init")
-        self.w = Param("w", Tensor(rng.normal(size=(c, d)) * 0.1))
-        self.b = Param("b", Tensor(np.zeros(c)))
+        self.w = Param("w", rng.normal(size=(c, d)) * 0.1)
+        self.b = Param("b", np.zeros(c))
 
     def trainable_params(self):
         return [self.w, self.b]
 
     def logits(self, x):
-        return x @ self.w.value.array.T + self.b.value.array
+        return x @ self.w.value.T + self.b.value
 
     def loss_and_grads(self, x, y):
         logits = self.logits(x)
@@ -58,8 +58,8 @@ def two_blobs(seed, n=60, d=4, gap=3.0):
 def params_with_grads(values, grads):
     out = []
     for i, (v, g) in enumerate(zip(values, grads)):
-        p = Param(f"p{i}", Tensor(v))
-        p.add_grad(Tensor(g))
+        p = Param(f"p{i}", v)
+        p.add_grad(g)
         out.append(p)
     return out
 
@@ -82,7 +82,7 @@ def test_scores_value_times_grad():
 
 
 def test_scores_require_grads():
-    p = Param("w", Tensor([1.0]))
+    p = Param("w", [1.0])
     with pytest.raises(StateError):
         criticality_scores([p])
 
@@ -151,7 +151,7 @@ def test_step_soft_threshold_shrinks():
                                 noncrucial_mask=np.array([True, True]),
                                 tau=0.4, threshold_value=np.inf)
     step(params, part, OptState(eta=0.1))
-    assert np.allclose(params[0].value.array, [0.2, 0.0], atol=1e-15)
+    assert np.allclose(params[0].value, [0.2, 0.0], atol=1e-15)
 
 
 def test_step_rejects_misaligned_partition():
@@ -166,22 +166,22 @@ def test_step_rejects_misaligned_partition():
 def test_train_eta_zero_is_identity():
     task = LogisticTask(d=4, c=2, seed=5)
     x, y = two_blobs(6)
-    before = [p.value.array.copy() for p in task.trainable_params()]
+    before = [p.value.copy() for p in task.trainable_params()]
     train(task, (x, y), OptState(eta=0.0, tau=0.4), epochs=7)
     for p, orig in zip(task.trainable_params(), before):
-        assert np.array_equal(p.value.array, orig)
+        assert np.array_equal(p.value, orig)
 
 
 def test_train_aborts_on_nonfinite_loss():
     class BadTask:
         def __init__(self):
-            self.p = Param("p", Tensor([1.0]))
+            self.p = Param("p", [1.0])
 
         def trainable_params(self):
             return [self.p]
 
         def loss_and_grads(self, x, y):
-            self.p.add_grad(Tensor([0.0]))
+            self.p.add_grad(np.array([0.0]))
             return float("nan"), np.zeros((len(x), 1))
 
         def predict(self, x):
@@ -203,9 +203,9 @@ def test_all_crucial_matches_manual_gradient_descent_bitwise():
             p.zero_grad()
         task_b.loss_and_grads(x, y)
         for p in task_b.trainable_params():
-            p.value = Tensor(p.value.array - eta * p.grad.array)
+            p.value = p.value - eta * p.grad
     for pa, pb in zip(task_a.trainable_params(), task_b.trainable_params()):
-        assert pa.value.array.tobytes() == pb.value.array.tobytes()
+        assert pa.value.tobytes() == pb.value.tobytes()
 
 
 def test_train_separable_blobs_reaches_high_accuracy():
@@ -313,3 +313,25 @@ def test_train_reraises_divergence_with_the_epoch():
     with pytest.raises(DivergenceError, match=r"epoch 2: block p1 cell 0") as exc:
         train(DivergingTask(d=4, c=2, seed=24), (x, y), OptState(eta=0.3), epochs=5)
     assert exc.value.residual == 0.5
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["at-scoring", "at-step"])
+def test_train_names_the_epoch_and_parameter_of_a_nonfinite_gradient(every):
+    class PoisonedTask(LogisticTask):
+        calls = 0
+        at_epoch_3 = None
+
+        def loss_and_grads(self, x, y):
+            self.calls += 1
+            out = super().loss_and_grads(x, y)
+            if self.calls == 4:
+                self.at_epoch_3 = [p.value for p in self.trainable_params()]
+                self.b.add_grad(np.array([np.nan, 0.0]))
+            return out
+
+    task = PoisonedTask(d=4, c=2, seed=25)
+    x, y = two_blobs(25)
+    # epoch 3 rescores with every = 1 and reuses epoch 2's partition with every = 2
+    with pytest.raises(EvaluationError, match=r"^epoch 3: .*'b'"):
+        train(task, (x, y), OptState(eta=0.3, repartition_every=every), epochs=6)
+    assert all(p.value is v for p, v in zip(task.trainable_params(), task.at_epoch_3))
