@@ -217,7 +217,9 @@ def cmd_tune(cfg: RunConfig) -> int:
           f"shots={cfg.shots} (train n={train.n})")
     print(f"held-out accuracy {res.accuracy!r}")
     print(f"train accuracy   {res.train_accuracy:.4f}")
+    zeros = sum(int(np.count_nonzero(p.value == 0.0)) for p in res.task.trainable_params())
     print(f"trainable params {res.trainable_params}")
+    print(f"zero params      {zeros}")
     print(f"epochs run       {res.epochs_run}")
     if res.log.extras and res.log.extras[-1]:
         first, last = res.log.extras[0], res.log.extras[-1]

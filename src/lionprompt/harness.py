@@ -251,15 +251,19 @@ class LionTask:
 
     The backbone is frozen and the trainer feeds the same rows every epoch,
     so `prepare` computes F(x) once per training run, and `loss_and_grads`
-    and `predict` reuse it whenever they are handed those same rows.
+    and `predict` reuse it whenever they are handed those same rows. Those
+    rows' epochs also warm-start their forward solves from the fixed points
+    of the epochs before (`model.WarmStart`). Every other solve, `predict`
+    included, starts from zero, so predictions never depend on training
+    history and `eval` reproduces a tune's held-out accuracy exactly.
     """
 
     def __init__(self, pm: PromptModel):
         self.pm = pm
-        self._features: tuple[np.ndarray, np.ndarray] | None = None  # (x, F(x))
+        self._rows: tuple | None = None  # (x, F(x), WarmStart) of the training rows
 
     def prepare(self, x):
-        self._features = (x, m.backbone_forward(self.pm.backbone, x)[0])
+        self._rows = (x, m.backbone_forward(self.pm.backbone, x)[0], m.WarmStart())
 
     def trainable_params(self):
         return self.pm.trainable_params()
@@ -268,16 +272,18 @@ class LionTask:
         """Everything needed to reconstruct the model, frozen parts included."""
         return self.pm.backbone.params() + self.pm.trainable_params()
 
-    def _cached_features(self, x):
-        if self._features is not None and self._features[0] is x:
-            return self._features[1]
-        return None
+    def _training_rows(self, x):
+        """(F(x), warm start) when `x` are the training rows, else (None, None)."""
+        if self._rows is not None and self._rows[0] is x:
+            return self._rows[1:]
+        return None, None
 
     def loss_and_grads(self, x, y):
-        return m.loss_and_grads(self.pm, x, y, f_x=self._cached_features(x))
+        f_x, warm = self._training_rows(x)
+        return m.loss_and_grads(self.pm, x, y, f_x=f_x, warm=warm)
 
     def predict(self, x):
-        return m.predict(self.pm, x, f_x=self._cached_features(x))
+        return m.predict(self.pm, x, f_x=self._training_rows(x)[0])
 
     def post_step(self):
         self.pm.renormalize()

@@ -221,15 +221,18 @@ class PromptBlock:
         for (w, _, _), cell in zip(self.cell_params, self.cells()):
             w.value = deq.spectral_normalize(cell).W
 
-    def solve(self, x_rows: np.ndarray, cfg: SolverConfig) -> list[np.ndarray]:
+    def solve(self, x_rows: np.ndarray, cfg: SolverConfig,
+              starts: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """Solve the chain on a batch; returns [input, z1*, ..., zk*].
 
-        Raises `DivergenceError`, naming the block and cell, when a solve
-        stops short of the tolerance.
+        Cell k starts from `starts[k]` if given, else from zero. Raises
+        `DivergenceError`, naming the block and cell, when a solve stops
+        short of the tolerance.
         """
         states = [np.asarray(x_rows, dtype=np.float64)]
         for idx, cell in enumerate(self.cells()):
-            rep = deq.solve_forward_batch(cell, states[-1], cfg)
+            rep = deq.solve_forward_batch(cell, states[-1], cfg,
+                                          z0_rows=None if starts is None else starts[idx])
             if not rep.converged:
                 raise DivergenceError(
                     f"block {self.name} cell {idx}: forward solve stopped at residual "
@@ -268,14 +271,6 @@ class PromptModel:
     gate2: GatePair
     solver: SolverConfig = field(default_factory=SolverConfig)
     workspace: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def in_dim(self) -> int:
-        return self.backbone.in_dim
-
-    @property
-    def n_classes(self) -> int:
-        return self.head.out_dim
 
     def trainable_params(self) -> list[Param]:
         """The full trainable set, in a stable documented order."""
@@ -367,17 +362,37 @@ class ForwardPass:
     logits: np.ndarray            # head(z_tilde)
 
 
-def forward(model: PromptModel, x_rows: np.ndarray,
-            f_x: np.ndarray | None = None) -> ForwardPass:
+class WarmStart:
+    """Solver starts for rows solved again and again (a trainer's epochs),
+    kept by their owner: zero before any pass, then the last pass's fixed
+    points, then the extrapolation 2 z*_{e-1} - z*_{e-2} of the last two."""
+
+    def __init__(self):
+        self._fixed: list[tuple[list, list]] = []   # per-cell (P1, P2) z*, oldest first
+
+    def starts(self) -> tuple[list, list] | None:
+        if len(self._fixed) < 2:
+            return self._fixed[-1] if self._fixed else None
+        return tuple([2.0 * zn - zo for zn, zo in zip(new, old)]
+                     for new, old in zip(self._fixed[1], self._fixed[0]))
+
+    def record(self, p1_fixed: list[np.ndarray], p2_fixed: list[np.ndarray]) -> None:
+        self._fixed = self._fixed[-1:] + [(p1_fixed, p2_fixed)]
+
+
+def forward(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None = None,
+            warm: WarmStart | None = None) -> ForwardPass:
     """The blended forward pass on a batch of rows (n x C logits).
 
     `f_x` is F(x_rows), the frozen backbone on the raw rows; it is computed
-    here unless the caller passes it.
+    here unless the caller passes it. The solves start from zero, or from
+    `warm.starts()` if given, and record their fixed points in `warm`.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()
-    p1_states = model.p1.solve(x_rows, model.solver)
+    p1_starts, p2_starts = (warm and warm.starts()) or (None, None)
+    p1_states = model.p1.solve(x_rows, model.solver, p1_starts)
     xt = a1 * x_rows + b1 * p1_states[-1]
     f_xt, cache_t = backbone_forward(model.backbone, xt, model.workspace)
     if f_x is None:
@@ -385,23 +400,26 @@ def forward(model: PromptModel, x_rows: np.ndarray,
     elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
         raise ShapeMismatchError(
             f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
-    p2_states = model.p2.solve(f_x, model.solver)
+    p2_states = model.p2.solve(f_x, model.solver, p2_starts)
     r = p2_states[-1] @ model.proj.w.value.T + model.proj.b.value
     zt = a2 * f_xt + b2 * r
     logits = zt @ model.head.w.value.T + model.head.b.value
+    if warm is not None:
+        warm.record(p1_states[1:], p2_states[1:])
     return ForwardPass(p1_states, xt, f_xt, cache_t, p2_states, r, zt, logits)
 
 
 def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
-                   f_x: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                   f_x: np.ndarray | None = None, warm: WarmStart | None = None
+                   ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy plus gradients accumulated into every Θ_t Param.
 
     Returns (loss, logits), the logits being those the loss was taken on;
-    `f_x` as in `forward`. One hand-written reverse sweep over the forward
-    pass: head -> gate2/proj/P2 -> backbone input VJP (parameters skipped:
-    the backbone is frozen) -> gate1/P1.
+    `f_x` and `warm` as in `forward`. One hand-written reverse sweep over
+    the forward pass: head -> gate2/proj/P2 -> backbone input VJP
+    (parameters skipped: the backbone is frozen) -> gate1/P1.
     """
-    fw = forward(model, x_rows, f_x)
+    fw = forward(model, x_rows, f_x, warm)
     value, g_logits = batch_cross_entropy(fw.logits, np.asarray(labels))
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()

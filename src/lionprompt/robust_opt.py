@@ -105,7 +105,7 @@ def partition(scores: np.ndarray, tau: float) -> CriticalityPartition:
     if scores.size == 0:
         raise ValueError("cannot partition an empty score vector")
     if not np.all(np.isfinite(scores)):
-        raise ValueError("scores contain non-finite entries")
+        raise EvaluationError("criticality scores contain non-finite entries")
     k = math.ceil(tau * scores.size)
     k = min(max(k, 1), scores.size)
     threshold = float(np.partition(scores, k - 1)[k - 1])
@@ -116,10 +116,11 @@ def partition(scores: np.ndarray, tau: float) -> CriticalityPartition:
 
 
 def step(params: list[Param], part: CriticalityPartition, state: OptState) -> None:
-    """Apply one partitioned update in place.
+    """Apply one partitioned update in place, all or nothing.
 
     Crucial scalars descend along the gradient; non-crucial ones shrink by
-    eta toward zero (soft-threshold).
+    eta toward zero (soft-threshold). An update with a non-finite entry is
+    refused, naming its parameters, before any parameter changes.
     """
     total = sum(p.size for p in params)
     if part.crucial_mask.shape != (total,):
@@ -130,6 +131,10 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
     descended = values - state.eta * grads
     shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
     updated = np.where(part.crucial_mask, descended, shrunk)
+    if not np.isfinite(updated).all():
+        chunks = np.split(updated, np.cumsum([p.size for p in params])[:-1])
+        bad = [p.name for p, chunk in zip(params, chunks) if not np.isfinite(chunk).all()]
+        raise EvaluationError(f"non-finite update for {bad}")
     offset = 0
     for p in params:
         chunk = updated[offset:offset + p.size]

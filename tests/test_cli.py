@@ -298,9 +298,9 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
 def _record_solver_depths(monkeypatch):
     solve, depths = deq.solve_forward_batch, set()
 
-    def recording(cell, x_rows, cfg=None):
+    def recording(cell, x_rows, cfg=None, z0_rows=None):
         depths.add(cfg.anderson_depth)
-        return solve(cell, x_rows, cfg)
+        return solve(cell, x_rows, cfg, z0_rows)
 
     monkeypatch.setattr(deq, "solve_forward_batch", recording)
     return depths
@@ -331,6 +331,18 @@ def test_anderson_tune_still_runs_and_evals_exactly(workdir, tmp_path, monkeypat
     assert rc == 0
     assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
     assert depths == {5}
+
+
+def test_tune_prints_how_many_trainable_scalars_end_at_zero(workdir, tmp_path, capsys):
+    out = _own_outdir(workdir, tmp_path)
+    rc, tune_out, _ = run_cli(capsys, ["tune", "--out", out, "--seed", "0",
+                                       "--protocol", "lion", "--epochs", "20"])
+    assert rc == 0
+    printed = [line.split() for line in tune_out.splitlines() if line.startswith("zero params")]
+    saved = checkpoint.load(os.path.join(out, "lion-blobs-s0.ckpt"))
+    zeros = sum(int(np.count_nonzero(v == 0.0)) for name, v in saved.items()
+                if not name.startswith("backbone."))
+    assert zeros > 0 and printed == [["zero", "params", str(zeros)]]
 
 
 def test_eval_refuses_settings_other_than_the_tune(workdir, tmp_path, capsys):

@@ -280,6 +280,49 @@ def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
             (batch.iterations, batch.residual, batch.converged)
 
 
+@pytest.mark.parametrize("depth", [0, 5])
+def test_warm_started_batch_lands_within_the_certified_distance_of_the_cold_solve(depth):
+    cell = random_cell(41, h=8, d=4)
+    xs = substream(42, "warm").normal(size=(20, 4))
+    exact = solve_forward_batch(cell, xs, SolverConfig(tol=1e-14, anderson_depth=depth))
+    cfg = SolverConfig(tol=1e-8, anderson_depth=depth)
+    cold = solve_forward_batch(cell, xs, cfg)
+    noise = substream(43, "warm-start").normal(size=exact.z_star.shape)
+    for start in (exact.z_star + 1e-3 * noise, 3.0 * noise):
+        before = start.copy()
+        warm = solve_forward_batch(cell, xs, cfg, z0_rows=start)
+        assert warm.converged and warm.residual <= cfg.tol
+        # a row with residual r lies within r / (1 - kappa) of its fixed point
+        dist = np.linalg.norm(warm.z_star - exact.z_star, axis=1)
+        assert np.all(dist <= (cfg.tol + exact.residual) / (1.0 - cell.kappa))
+        assert np.array_equal(start, before)
+    assert solve_forward_batch(cell, xs, cfg, z0_rows=exact.z_star + 1e-3 * noise
+                               ).iterations < cold.iterations
+    # a start at the answer is certified by its first evaluation
+    assert solve_forward_batch(cell, xs, cfg, z0_rows=cold.z_star).iterations == 1
+
+
+def test_batch_start_of_the_wrong_shape_raises():
+    cell = random_cell(44, h=5, d=3)
+    xs = np.zeros((4, 3))
+    for bad in (np.zeros((4, 4)), np.zeros((3, 5)), np.zeros(5), np.zeros((1, 4, 5))):
+        with pytest.raises(ShapeMismatchError, match="start shape"):
+            solve_forward_batch(cell, xs, z0_rows=bad)
+
+
+@pytest.mark.parametrize("depth", [0, 5])
+def test_a_returned_fixed_point_survives_the_next_solve(depth):
+    cell = random_cell(45, h=6, d=4)
+    rng = substream(46, "reuse")
+    cfg = SolverConfig(tol=1e-10, anderson_depth=depth)
+    first = solve_forward_batch(cell, rng.normal(size=(9, 4)), cfg)
+    kept = first.z_star.copy()
+    second = solve_forward_batch(cell, rng.normal(size=(9, 4)), cfg, z0_rows=first.z_star)
+    solve_forward_batch(cell, rng.normal(size=(9, 4)), cfg)
+    assert np.array_equal(first.z_star, kept)
+    assert not np.shares_memory(first.z_star, second.z_star)
+
+
 def test_stack_solve_validates_shapes():
     c = np.zeros((3, 4))
     # one weight per row is not a form the driver takes

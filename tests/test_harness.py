@@ -314,6 +314,34 @@ def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
     assert len(raw_calls) == 3
 
 
+def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypatch):
+    bb, _ = shared_backbone()
+    tr, te = shifted_pair(0)
+    nfe = []
+    original = deq.solve_forward_batch
+
+    def counting(cell, x_rows, cfg=None, z0_rows=None):
+        rep = original(cell, x_rows, cfg, z0_rows)
+        nfe.append(rep.iterations)
+        return rep
+
+    class ColdLionTask(LionTask):
+        def prepare(self, x):
+            """Keep no features and no fixed points: every solve starts from zero."""
+
+    monkeypatch.setattr(deq, "solve_forward_batch", counting)
+    counts, preds = [], []
+    for cls in (LionTask, ColdLionTask):
+        task = cls(make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes).pm)
+        nfe.clear()
+        robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=30)
+        counts.append(sum(nfe))
+        preds.append(task.predict(te.inputs))
+    # measured 1,272 warm against 1,691 cold evaluations (0.75)
+    assert counts[0] <= 0.8 * counts[1]
+    assert np.array_equal(preds[0], preds[1])
+
+
 # --- optimizer plateau stop -----------------------------------------------------
 
 def test_patience_stops_training_early():

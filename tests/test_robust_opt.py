@@ -118,7 +118,7 @@ def test_partition_masks_complementary():
 def test_partition_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
         partition(np.array([]), tau=0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(EvaluationError, match="non-finite"):
         partition(np.array([1.0, np.nan]), tau=0.4)
 
 
@@ -159,6 +159,14 @@ def test_step_rejects_misaligned_partition():
     part = partition(np.array([1.0]), tau=0.4)
     with pytest.raises(StateError):
         step(params, part, OptState(eta=0.1))
+
+
+def test_step_refuses_an_overflowing_update_before_changing_any_parameter():
+    params = params_with_grads([[1.0], [1e308]], [[1.0], [-1e308]])
+    part = partition(np.zeros(2), tau=1e-12)   # all crucial
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=r"update for \['p1'\]$"):
+        step(params, part, OptState(eta=1.0))
+    assert params[0].value.tolist() == [1.0] and params[1].value.tolist() == [1e308]
 
 
 # --- train -----------------------------------------------------------------------
@@ -313,6 +321,24 @@ def test_train_reraises_divergence_with_the_epoch():
     with pytest.raises(DivergenceError, match=r"epoch 2: block p1 cell 0") as exc:
         train(DivergingTask(d=4, c=2, seed=24), (x, y), OptState(eta=0.3), epochs=5)
     assert exc.value.residual == 0.5
+
+
+def test_train_names_the_epoch_of_overflowing_scores():
+    class OverflowingTask(LogisticTask):
+        calls = 0
+
+        def loss_and_grads(self, x, y):
+            self.calls += 1
+            out = super().loss_and_grads(x, y)
+            if self.calls == 2:
+                self.b.add_grad(np.array([1e308, 0.0]))
+                self.b.value = np.array([2.0, 0.0])
+            return out
+
+    x, y = two_blobs(26)
+    with np.errstate(over="ignore"), pytest.raises(
+            EvaluationError, match=r"^epoch 1: criticality scores contain non-finite"):
+        train(OverflowingTask(d=4, c=2, seed=27), (x, y), OptState(eta=0.3), epochs=4)
 
 
 @pytest.mark.parametrize("every", [1, 2], ids=["at-scoring", "at-step"])
