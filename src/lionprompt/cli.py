@@ -151,10 +151,15 @@ def _target_splits(cfg: RunConfig) -> tuple[harness.Dataset, harness.Dataset]:
     if cfg.shift != "none":
         spec = harness.make_shift(cfg.shift, d, 100 + cfg.seed)
         train, test = harness.apply_shift(train, spec), harness.apply_shift(test, spec)
-    if cfg.ir > 1.0:
-        train = harness.resample_longtail(train, cfg.ir)
-    if cfg.shots > 0:
-        train = harness.resample_fewshot(train, cfg.shots)
+    key = "ir"      # the key whose resampler runs; a ValueError is that key's error
+    try:
+        if cfg.ir > 1.0:
+            train = harness.resample_longtail(train, cfg.ir)
+        key = "shots"
+        if cfg.shots > 0:
+            train = harness.resample_fewshot(train, cfg.shots)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
     return train, test
 
 

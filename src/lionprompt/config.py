@@ -8,6 +8,7 @@ parse(serialize(c)) == c holds exactly for every valid config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .deq import SolverConfig
@@ -82,6 +83,10 @@ class RunConfig:
             bad("hidden", "must be >= 1")
         if self.feat_dim < 1:
             bad("feat_dim", "must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f.name, f"must be finite, got {value!r}")
 
     @property
     def solver(self) -> SolverConfig:

@@ -16,12 +16,13 @@ The rows share one state weight and its product; the gradient cross-checks
 shift one entry of W per row, an indexed add after that product.
 The driver stops once the worst row residual max_i ||f(z_i) - z_i|| is
 within tol and reports that residual, so a converged solve certifies
-every row individually. The single-row solve and VJP are the n = 1 case
-of the batch code that training runs.
+every row individually. `solve_forward_batch` is the one forward solve
+and `deq_vjp_batch` the one implicit VJP, a single row being a one-row
+batch; the gradient cross-checks call the solve by its alias `solve_forward`.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
-gradient cross-checks; it shares no solver machinery with `deq_vjp`.
+gradient cross-checks; it shares no solver machinery with `deq_vjp_batch`.
 """
 
 from __future__ import annotations
@@ -188,74 +189,34 @@ def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def solve_forward(cell: DeqCell, x: np.ndarray, cfg: SolverConfig | None = None,
-                  z0: np.ndarray | None = None) -> SolveReport:
-    """Find z* = f(z*) for one input; cell is assumed spectrally normalized.
-
-    The n = 1 case of the driver behind `solve_forward_batch`, so it returns
-    exactly row 0 of a one-row batch solve.
-    """
-    if x.shape != (cell.input_dim,):
-        raise ShapeMismatchError(f"input shape {x.shape} != ({cell.input_dim},)")
-    start = np.zeros(cell.state_dim) if z0 is None else np.asarray(z0, dtype=np.float64)
-    if start.shape != (cell.state_dim,):
-        raise ShapeMismatchError(f"z0 shape {start.shape} != ({cell.state_dim},)")
-    c = x[None, :] @ cell.U.T + cell.b
-    v, iters, resid, ok = _solve(cell.W, c, cell.activation, start[None, :],
-                                 cfg or SolverConfig())
-    return SolveReport(v[0], iters, resid, ok)
-
-
 def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | None = None,
-                        z0_rows: np.ndarray | None = None) -> SolveReport:
+                        z0_rows: np.ndarray | None = None, shift=None) -> SolveReport:
     """Solve a batch of inputs (rows) as one stacked fixed-point problem.
 
-    Row r starts from `z0_rows[r]` if given, else from zero; the start is
-    copied, never written. The report's `z_star` is rank-2 with one state
-    per row, and `residual` is the worst row residual, so converged means
-    every row is within tol whatever the start.
+    Row r starts from `z0_rows[r]` (copied, never written), else from zero,
+    and runs W + eps_r E_{i_r j_r}, of operator norm < 1, if `shift` =
+    (i, j, eps), three length-n arrays, is given. `z_star` holds one state
+    per row; `residual` is the worst row's, so converged certifies every row.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
         raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    shape = (x_rows.shape[0], cell.state_dim)
+    n, h = x_rows.shape[0], cell.state_dim
     if z0_rows is None:
-        z0_rows = np.zeros(shape)
-    elif np.shape(z0_rows) != shape:
-        raise ShapeMismatchError(f"start shape {np.shape(z0_rows)} != {shape}")
-    c = x_rows @ cell.U.T + cell.b
-    v, iters, resid, ok = _solve(cell.W, c, cell.activation, z0_rows, cfg or SolverConfig())
-    return SolveReport(v, iters, resid, ok)
-
-
-def solve_forward_stack(w: np.ndarray, c_rows: np.ndarray, activation: str,
-                        cfg: SolverConfig | None = None, shift=None) -> SolveReport:
-    """Solve z_r = sigma(W_r z_r + c_r) for a stack of rows with given input terms.
-
-    `c_rows` is (n, h), each row's U x_r + b already computed; W_r is the
-    shared (h, h) `w`, plus eps_r in entry (i_r, j_r) if `shift` = (i, j,
-    eps), three length-n arrays, is given. Every W_r is assumed to have
-    operator norm < 1. Every row starts from zero. The report is that of a
-    batch solve: `residual` is the worst row residual.
-    """
-    c_rows = np.asarray(c_rows, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if c_rows.ndim != 2:
-        raise ShapeMismatchError(f"input terms must be (n, h), got {c_rows.shape}")
-    n, h = c_rows.shape
-    if w.shape != (h, h):
-        raise ShapeMismatchError(f"state weight shape {w.shape} != ({h}, {h})")
+        z0_rows = np.zeros((n, h))
+    elif np.shape(z0_rows) != (n, h):
+        raise ShapeMismatchError(f"start shape {np.shape(z0_rows)} != {(n, h)}")
     if shift is not None:
         shift = tuple(np.asarray(a) for a in shift)
         if ([a.shape for a in shift] != [(n,)] * 3
                 or np.any([(a < 0) | (a >= h) for a in shift[:2]])):
             raise ShapeMismatchError(f"shift must be three ({n},) arrays with indices in "
                                      f"[0, {h}), got shapes {[a.shape for a in shift]}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    v, iters, resid, ok = _solve(w, c_rows, activation, np.zeros((n, h)),
-                                 cfg or SolverConfig(), shift)
-    return SolveReport(v, iters, resid, ok)
+    return SolveReport(*_solve(cell.W, x_rows @ cell.U.T + cell.b, cell.activation, z0_rows,
+                               cfg or SolverConfig(), shift))
+
+
+solve_forward = solve_forward_batch  # the same function; profiles count gradcheck's calls apart
 
 
 # --- backward --------------------------------------------------------------
@@ -279,21 +240,13 @@ def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
-def deq_vjp(cell: DeqCell, z_star: np.ndarray, x: np.ndarray, y: np.ndarray
-            ) -> tuple[np.ndarray, CellGrads]:
-    """Pull the cotangent y on z* back to the input and cell parameters.
-
-    Implicit-function route: solve the adjoint equation for o, then take a
-    single backward pass of the cell body seeded with o. Returns (grad_x,
-    grads for W, U, b). The n = 1 case of `deq_vjp_batch`.
-    """
-    grad_x, grads = deq_vjp_batch(cell, z_star[None, :], x[None, :], y[None, :])
-    return grad_x[0], grads
-
-
 def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
                   y_rows: np.ndarray) -> tuple[np.ndarray, CellGrads]:
-    """Batch form of `deq_vjp`; parameter gradients are summed over rows."""
+    """Pull row cotangents y on z* back to the inputs and cell parameters.
+
+    Solves the adjoint equation for o, then takes one backward step of the
+    cell body seeded with o. Returns (grad_x per row, W, U, b grads summed).
+    """
     o, s = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
     t = s * o
     return t @ cell.U, CellGrads(W=t.T @ z_rows, U=t.T @ x_rows, b=np.sum(t, axis=0))
@@ -307,7 +260,7 @@ def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int = 500
     and reverse-accumulates y^T z_K through the whole chain. sigma' at step
     k is read off the recorded output z_{k+1} (1 - z^2 for tanh), and the
     parameter gradients are sums over steps, taken as one product over the
-    stacked per-step vectors. Exists to cross-check `deq_vjp`; linear in
+    stacked per-step vectors. Exists to cross-check `deq_vjp_batch`; linear in
     depth memory-wise, shares nothing with the solver or the adjoint, and
     is never used in the training path.
     """

@@ -516,23 +516,24 @@ def _central_differences(cell: DeqCell, x: np.ndarray, y: np.ndarray, cfg: Solve
                          step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
-    All 2 (h^2 + hd + h + d) perturbed fixed points are one row stack on the
-    cell's weight, + step rows first. A W row shifts its entry of W by
+    All 2 (h^2 + hd + h + d) perturbed fixed points are one batch solve of
+    the cell (W, I, 0), + step rows first, whose input row is the input
+    term itself: c I^T + 0 = c exactly. A W row shifts its entry of W by
     +-step; one of U, b or x shifts its row's input term c = U x + b.
     Raises DivergenceError if any row stops short of tol.
     """
-    ua, xa = cell.U, x
     h = cell.state_dim
-    c = ua @ xa + cell.b
+    c = cell.U @ x + cell.b
     # d c / d W = 0, d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
-    shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), xa[:, None]),
-                        np.eye(h), ua.T])
+    shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), x[:, None]),
+                        np.eye(h), cell.U.T])
     # row k < h^2 shifts W[k // h, k % h]; the rest take eps 0 at wrapped indices
     k = np.arange(len(shifts))
     eps = np.where(k < h * h, step, 0.0)
     i, j = np.divmod(np.tile(k % (h * h), 2), h)
-    rep = deq.solve_forward_stack(cell.W, c + step * np.vstack([shifts, -shifts]),
-                                  cell.activation, cfg, (i, j, np.concatenate([eps, -eps])))
+    rep = deq.solve_forward(replace(cell, U=np.eye(h), b=np.zeros(h)),
+                            c + step * np.vstack([shifts, -shifts]), cfg,
+                            shift=(i, j, np.concatenate([eps, -eps])))
     if not rep.converged:
         raise deq.DivergenceError("finite-difference solves stopped short of tol",
                                   residual=rep.residual)
@@ -547,13 +548,13 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     """Implicit vs finite-difference vs unrolled gradients on seeded cells.
 
     The implicit gradient is taken at the base solve's fixed point through
-    `deq.solve_forward` and `deq.deq_vjp`, the n = 1 case of the batch code
-    that training runs. Each case's central differences are one
-    `deq.solve_forward_stack` call on the shared-weight product training
-    runs, and its unrolled reference runs as deep as kappa and
-    `unrolled_tol` need (see below). Solver non-convergence, in the base
-    solve or in any row of the stack, is its own status so a hopeless
-    tolerance setting is distinguishable from a wrong gradient.
+    `deq.solve_forward`, the alias of `deq.solve_forward_batch`, and
+    `deq.deq_vjp_batch` on one-row batches: the functions training runs.
+    Each case's central differences are one more solve, on the cell (W, I, 0),
+    and its unrolled reference runs as deep as kappa and `unrolled_tol` need
+    (see below). Solver non-convergence, in the base solve or in any row of
+    the stack, is its own status so a hopeless tolerance setting is
+    distinguishable from a wrong gradient.
     """
     cfg = solver or SolverConfig(tol=1e-13)
     rows = []
@@ -567,7 +568,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         x = rng.normal(size=d)
         y = rng.normal(size=h)
         try:
-            base = deq.solve_forward(cell, x, cfg)
+            base = deq.solve_forward(cell, x[None, :], cfg)
             if not base.converged:
                 raise deq.DivergenceError("base solve stopped short of tol",
                                           residual=base.residual)
@@ -576,9 +577,8 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))
             continue
-        grad_x, grads = deq.deq_vjp(cell, base.z_star, x, y)
-        analytic = np.concatenate([grads.W.reshape(-1), grads.U.reshape(-1),
-                                   grads.b, grad_x])
+        grad_x, grads = deq.deq_vjp_batch(cell, base.z_star, x[None, :], y[None, :])
+        analytic = np.concatenate([grads.W.reshape(-1), grads.U.reshape(-1), grads.b, grad_x[0]])
         fd_err = rel_error(analytic, fd)
 
         # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))

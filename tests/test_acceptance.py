@@ -12,7 +12,7 @@ import numpy as np
 
 from lionprompt import checkpoint, model, robust_opt
 from lionprompt.config import RunConfig, parse, serialize
-from lionprompt.deq import SolverConfig, solve_forward, spectral_normalize, DeqCell
+from lionprompt.deq import SolverConfig, solve_forward_batch, spectral_normalize, DeqCell
 from lionprompt.harness import (
     apply_shift,
     gradcheck_suite,
@@ -99,8 +99,8 @@ def test_criterion_2_solver_contract():
     for seed in range(20):
         cell = random_cell(seed, h=12, d=6)
         x = substream(seed, "accept-x").normal(size=6)
-        anderson = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=5))
-        picard = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=0))
+        anderson = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-8, anderson_depth=5))
+        picard = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-8, anderson_depth=0))
         residual_ok &= anderson.converged and anderson.residual <= 1e-8
         residual_ok &= picard.converged and picard.residual <= 1e-8
         if anderson.iterations < picard.iterations:
@@ -111,7 +111,8 @@ def test_criterion_2_solver_contract():
     starts = [np.zeros(10), np.ones(10), -np.ones(10),
               substream(99, "s1").normal(size=10),
               substream(99, "s2").normal(size=10) * 5.0]
-    points = [solve_forward(cell, x, cfg, z0=z).z_star for z in starts]
+    points = [solve_forward_batch(cell, x[None], cfg, z0_rows=z[None]).z_star[0]
+              for z in starts]
     for i in range(5):
         for j in range(i + 1, 5):
             agree_ok &= bool(np.linalg.norm(points[i] - points[j]) <= 10 * cfg.tol)

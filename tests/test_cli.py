@@ -249,6 +249,26 @@ def test_invalid_config_file_names_the_key(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["eta", "tol", "ir"])
+def test_nonfinite_float_settings_are_config_errors(key, value, capsys):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        RunConfig(**{key: float(value)})
+    rc, _, err = run_cli(capsys, ["tune", f"--{key}", value])
+    assert rc == 2
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("key, value", [("ir", "1000"), ("shots", "100")])
+def test_a_resampling_the_target_cannot_take_is_a_config_error(workdir, tmp_path, capsys,
+                                                                key, value):
+    # the target has 50 rows per class: IR 1000 empties the tail class, 100 shots overdraw
+    rc, _, err = run_cli(capsys, ["tune", "--out", _own_outdir(workdir, tmp_path),
+                                  "--seed", "0", f"--{key}", value])
+    assert rc == 2
+    assert f"invalid value for '{key}'" in err
+
+
 def _accuracy_line(out):
     for line in out.splitlines():
         if line.startswith("held-out accuracy"):
@@ -298,9 +318,9 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
 def _record_solver_depths(monkeypatch):
     solve, depths = deq.solve_forward_batch, set()
 
-    def recording(cell, x_rows, cfg=None, z0_rows=None):
+    def recording(cell, x_rows, cfg=None, z0_rows=None, shift=None):
         depths.add(cfg.anderson_depth)
-        return solve(cell, x_rows, cfg, z0_rows)
+        return solve(cell, x_rows, cfg, z0_rows, shift)
 
     monkeypatch.setattr(deq, "solve_forward_batch", recording)
     return depths

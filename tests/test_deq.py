@@ -7,13 +7,10 @@ from lionprompt.deq import (
     CellGrads,
     DeqCell,
     SolverConfig,
-    deq_vjp,
     deq_vjp_batch,
     estimate_spectral_norm,
     solve_adjoint_batch,
-    solve_forward,
     solve_forward_batch,
-    solve_forward_stack,
     spectral_normalize,
     unrolled_vjp,
 )
@@ -156,7 +153,7 @@ def test_contraction_inherited_from_normalized_weight():
 
 def test_solve_scalar_geometric_series():
     cell = scalar_identity_cell(0.5, u=0.0, b=1.0)
-    rep = solve_forward(cell, np.array([0.0]), SolverConfig(tol=1e-10))
+    rep = solve_forward_batch(cell, np.array([[0.0]]), SolverConfig(tol=1e-10))
     assert rep.converged
     assert abs(rep.z_star.item() - 2.0) <= 1e-9
 
@@ -165,36 +162,36 @@ def test_solve_identity_cell_matches_dense_solve():
     cell = random_cell(7, h=6, d=4, activation="identity")
     rng = substream(8, "x")
     x = rng.normal(size=4)
-    rep = solve_forward(cell, x, SolverConfig(tol=1e-12))
+    rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-12))
     assert rep.converged
-    assert rel_error(rep.z_star, dense_forward_oracle(cell, x)) <= 1e-10
+    assert rel_error(rep.z_star[0], dense_forward_oracle(cell, x)) <= 1e-10
 
 
 def test_solve_tanh_converges_within_budget():
     for seed in range(5):
         cell = random_cell(seed, h=10, d=5)
         x = substream(seed, "input").normal(size=5)
-        rep = solve_forward(cell, x, SolverConfig(tol=1e-8, max_iters=500))
+        rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-8, max_iters=500))
         assert rep.converged and rep.iterations <= 500
         assert rep.residual <= 1e-8
         # oracle: a much longer plain-Picard run lands on the same point
-        deep = solve_forward(cell, x, SolverConfig(tol=1e-15, max_iters=5000,
-                                                   anderson_depth=0))
+        deep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-15, max_iters=5000,
+                                                               anderson_depth=0))
         assert np.linalg.norm(rep.z_star - deep.z_star) <= 1e-7
 
 
 def test_solve_residual_belongs_to_returned_point():
     cell = random_cell(3, h=6, d=4)
     x = substream(4, "x").normal(size=4)
-    rep = solve_forward(cell, x, SolverConfig(tol=1e-9))
-    fz = cell_forward(cell, rep.z_star, x)
-    assert abs(np.linalg.norm(fz - rep.z_star) - rep.residual) <= 1e-15
+    rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-9))
+    fz = cell_forward(cell, rep.z_star[0], x)
+    assert abs(np.linalg.norm(fz - rep.z_star[0]) - rep.residual) <= 1e-15
 
 
 def test_solve_reports_nonconvergence_without_raising():
     cell = random_cell(5)
     x = substream(6, "x").normal(size=4)
-    rep = solve_forward(cell, x, SolverConfig(tol=1e-30, max_iters=10))
+    rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-30, max_iters=10))
     assert not rep.converged
     assert rep.residual > 1e-30
     assert rep.iterations == 10
@@ -204,8 +201,8 @@ def test_solve_divergence_raises():
     cell = DeqCell(W=np.array([[1e6]]), U=np.array([[1.0]]), b=np.array([0.0]),
                    activation="identity")
     with pytest.raises(DivergenceError):
-        solve_forward(cell, np.array([1.0]), SolverConfig(tol=1e-8, max_iters=500,
-                                                        anderson_depth=0))
+        solve_forward_batch(cell, np.array([[1.0]]), SolverConfig(tol=1e-8, max_iters=500,
+                                                                  anderson_depth=0))
 
 
 def test_uniqueness_probe_five_starts():
@@ -216,9 +213,9 @@ def test_uniqueness_probe_five_starts():
     points = []
     for i in range(5):
         z0 = np.zeros(8) if i == 0 else rng.normal(size=8) * 3.0
-        rep = solve_forward(cell, x, cfg, z0=z0)
+        rep = solve_forward_batch(cell, x[None], cfg, z0_rows=z0[None])
         assert rep.converged
-        points.append(rep.z_star)
+        points.append(rep.z_star[0])
     for i in range(5):
         for j in range(i + 1, 5):
             assert np.linalg.norm(points[i] - points[j]) <= 10 * cfg.tol
@@ -229,8 +226,8 @@ def test_anderson_beats_picard_on_suite():
     for seed in range(20):
         cell = random_cell(100 + seed, h=12, d=6)
         x = substream(200 + seed, "x").normal(size=6)
-        and_rep = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=5))
-        pic_rep = solve_forward(cell, x, SolverConfig(tol=1e-8, anderson_depth=0))
+        and_rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-8, anderson_depth=5))
+        pic_rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-8, anderson_depth=0))
         assert and_rep.converged and pic_rep.converged
         if and_rep.iterations < pic_rep.iterations:
             wins += 1
@@ -245,8 +242,8 @@ def test_batch_solve_matches_per_row():
     assert rep.converged
     assert rep.z_star.shape == (5, 7)
     for i in range(5):
-        single = solve_forward(cell, xs[i], SolverConfig(tol=1e-11))
-        assert np.linalg.norm(rep.z_star[i] - single.z_star) <= 1e-9
+        single = solve_forward_batch(cell, xs[i][None], SolverConfig(tol=1e-11))
+        assert np.linalg.norm(rep.z_star[i] - single.z_star[0]) <= 1e-9
 
 
 @pytest.mark.parametrize("depth", [0, 5])
@@ -264,20 +261,6 @@ def test_batch_residual_is_the_worst_row(depth):
     short = solve_forward_batch(cell, xs, SolverConfig(tol=1e-9, anderson_depth=depth,
                                                        max_iters=rep.iterations - 1))
     assert not short.converged and short.residual > cfg.tol
-
-
-@pytest.mark.parametrize("depth", [0, 5])
-def test_single_solve_is_row_zero_of_a_one_row_batch(depth):
-    cell = random_cell(25, h=9, d=5)
-    rng = substream(26, "one-row")
-    x = rng.normal(size=5)
-    for cfg in (SolverConfig(tol=1e-12, anderson_depth=depth),
-                SolverConfig(tol=1e-30, max_iters=7, anderson_depth=depth)):
-        single = solve_forward(cell, x, cfg)
-        batch = solve_forward_batch(cell, x[None, :], cfg)
-        assert single.z_star.tobytes() == batch.z_star[0].tobytes()
-        assert (single.iterations, single.residual, single.converged) == \
-            (batch.iterations, batch.residual, batch.converged)
 
 
 @pytest.mark.parametrize("depth", [0, 5])
@@ -324,37 +307,26 @@ def test_a_returned_fixed_point_survives_the_next_solve(depth):
 
 
 def test_stack_solve_validates_shapes():
+    # the gradient cross-checks' stack: identity input weight, so each row is its input term
+    cell = DeqCell(W=np.zeros((4, 4)), U=np.eye(4), b=np.zeros(4))
     c = np.zeros((3, 4))
-    # one weight per row is not a form the driver takes
+    # one weight per row is not a form a cell takes
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((3, 4, 4)), c, "tanh")
+        DeqCell(W=np.zeros((3, 4, 4)), U=np.eye(4), b=np.zeros(4))
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((3, 4)), c, "tanh")
+        solve_forward_batch(cell, np.zeros(4))
     with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), np.zeros(4), "tanh")
-    with pytest.raises(ValueError):
-        solve_forward_stack(np.zeros((4, 4)), c, "relu")
+        solve_forward_batch(cell, np.zeros((3, 5)))
     ok = (np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.zeros(3))
-    assert solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=ok).converged
-    with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(ok[0], ok[1], np.zeros(2)))
-    with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(np.array([0, 4, 1]), ok[1], ok[2]))
-    with pytest.raises(ShapeMismatchError):
-        solve_forward_stack(np.zeros((4, 4)), c, "tanh", shift=(ok[0], np.array([0, -1, 1]), ok[2]))
-
-
-@pytest.mark.parametrize("depth", [0, 5])
-def test_shared_weight_stack_is_the_batch_solve(depth):
-    cell = random_cell(27, h=7, d=4)
-    xs = substream(28, "stack").normal(size=(11, 4))
-    cfg = SolverConfig(tol=1e-12, anderson_depth=depth)
-    batch = solve_forward_batch(cell, xs, cfg)
-    stack = solve_forward_stack(cell.W, xs @ cell.U.T + cell.b,
-                                cell.activation, cfg)
-    assert stack.z_star.tobytes() == batch.z_star.tobytes()
-    assert (stack.iterations, stack.residual, stack.converged) == \
-        (batch.iterations, batch.residual, batch.converged)
+    assert solve_forward_batch(cell, c, None, shift=ok).converged
+    with pytest.raises(ShapeMismatchError, match="shift"):
+        solve_forward_batch(cell, c, None, shift=(ok[0], ok[1], np.zeros(2)))
+    with pytest.raises(ShapeMismatchError, match="shift"):
+        solve_forward_batch(cell, c, None, shift=(np.array([0, 4, 1]), ok[1], ok[2]))
+    with pytest.raises(ShapeMismatchError, match="shift"):
+        solve_forward_batch(cell, c, None, shift=(ok[0], np.array([0, -1, 1]), ok[2]))
+    with pytest.raises(ShapeMismatchError, match="shift"):
+        solve_forward_batch(cell, c, None, shift=ok[:2])
 
 
 # --- adjoint and implicit gradients ----------------------------------------
@@ -378,7 +350,7 @@ def test_adjoint_matches_dense_solve():
     rng = substream(32, "adj")
     x = rng.normal(size=2)
     y = rng.normal(size=6)
-    z = solve_forward(cell, x, SolverConfig(tol=1e-13)).z_star
+    z = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-13)).z_star[0]
     o = solve_adjoint(cell, z, x, y)
     assert rel_error(o, dense_adjoint_oracle(cell, y)) <= 1e-8
 
@@ -415,8 +387,8 @@ def test_vjp_scalar_closed_form():
     cell = scalar_identity_cell(w, u=u)
     cfg = SolverConfig(tol=1e-13)
     x = np.array([2.0])
-    z = solve_forward(cell, x, cfg).z_star
-    grad_x, grads = deq_vjp(cell, z, x, np.array([1.0]))
+    z = solve_forward_batch(cell, x[None], cfg).z_star
+    grad_x, grads = deq_vjp_batch(cell, z, x[None], np.array([[1.0]]))
     assert abs(grad_x.item() - u / (1 - w)) <= 1e-10
     # z* = ux/(1-w); d z*/dw = ux/(1-w)^2, d z*/du = x/(1-w), d z*/db = 1/(1-w)
     assert abs(grads.W.item() - u * 2.0 / (1 - w) ** 2) <= 1e-9
@@ -430,14 +402,14 @@ def test_vjp_grad_x_matches_finite_differences():
     x = rng.normal(size=5)
     y = rng.normal(size=8)
     cfg = SolverConfig(tol=1e-13)
-    z = solve_forward(cell, x, cfg).z_star
-    grad_x, _ = deq_vjp(cell, z, x, y)
+    z = solve_forward_batch(cell, x[None], cfg).z_star
+    grad_x, _ = deq_vjp_batch(cell, z, x[None], y[None])
 
     def objective(t: np.ndarray) -> float:
-        rep = solve_forward(cell, t, cfg)
-        return float(y @ rep.z_star)
+        rep = solve_forward_batch(cell, t[None], cfg)
+        return float(y @ rep.z_star[0])
 
-    assert rel_error(grad_x, finite_diff_grad(objective, x)) <= 1e-5
+    assert rel_error(grad_x[0], finite_diff_grad(objective, x)) <= 1e-5
 
 
 def test_vjp_param_grads_match_finite_differences():
@@ -446,16 +418,16 @@ def test_vjp_param_grads_match_finite_differences():
     x = rng.normal(size=3)
     y = rng.normal(size=6)
     cfg = SolverConfig(tol=1e-13)
-    z = solve_forward(cell, x, cfg).z_star
-    _, grads = deq_vjp(cell, z, x, y)
+    z = solve_forward_batch(cell, x[None], cfg).z_star
+    _, grads = deq_vjp_batch(cell, z, x[None], y[None])
 
     def obj_w(t: np.ndarray) -> float:
         c = DeqCell(W=t, U=cell.U, b=cell.b, kappa=cell.kappa, activation=cell.activation)
-        return float(y @ solve_forward(c, x, cfg).z_star)
+        return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
     def obj_b(t: np.ndarray) -> float:
         c = DeqCell(W=cell.W, U=cell.U, b=t, kappa=cell.kappa, activation=cell.activation)
-        return float(y @ solve_forward(c, x, cfg).z_star)
+        return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
     assert rel_error(grads.W, finite_diff_grad(obj_w, cell.W)) <= 1e-5
     assert rel_error(grads.b, finite_diff_grad(obj_b, cell.b)) <= 1e-5
@@ -468,10 +440,10 @@ def test_vjp_matches_unrolled_backprop():
         x = rng.normal(size=4)
         y = rng.normal(size=8)
         cfg = SolverConfig(tol=1e-13)
-        z = solve_forward(cell, x, cfg).z_star
-        gx_i, g_i = deq_vjp(cell, z, x, y)
+        z = solve_forward_batch(cell, x[None], cfg).z_star
+        gx_i, g_i = deq_vjp_batch(cell, z, x[None], y[None])
         gx_u, g_u = unrolled_vjp(cell, x, y, n_iters=500)
-        assert rel_error(gx_i, gx_u) <= 1e-5
+        assert rel_error(gx_i[0], gx_u) <= 1e-5
         assert rel_error(g_i.W, g_u.W) <= 1e-5
         assert rel_error(g_i.U, g_u.U) <= 1e-5
         assert rel_error(g_i.b, g_u.b) <= 1e-5
@@ -514,9 +486,9 @@ def test_batch_vjp_matches_per_row():
     acc = CellGrads(W=np.zeros((6, 6)), U=np.zeros((6, 4)),
                     b=np.zeros(6))
     for i in range(4):
-        z = solve_forward(cell, xs[i], cfg).z_star
-        gx, g = deq_vjp(cell, z, xs[i], ys[i])
-        assert rel_error(gx_b[i], gx) <= 1e-8
+        z = solve_forward_batch(cell, xs[i][None], cfg).z_star
+        gx, g = deq_vjp_batch(cell, z, xs[i][None], ys[i][None])
+        assert rel_error(gx_b[i], gx[0]) <= 1e-8
         acc = CellGrads(W=acc.W + g.W,
                         U=acc.U + g.U,
                         b=acc.b + g.b)

@@ -1,4 +1,4 @@
-"""Property tests of the stacked fixed-point solve under fuzzed shapes.
+"""Property tests of the batch fixed-point solve and its per-row shifts under fuzzed shapes.
 
 A Picard iterate z_k of a rho-contraction with residual r_k lies within
 r_k / (1 - rho) of every later iterate, so a row solved inside a stack,
@@ -8,17 +8,12 @@ with ||W||_2 <= kappa by eps runs the map of W + eps E_ij, whose rate is at
 most rho = kappa + |eps|.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lionprompt.deq import (
-    DeqCell,
-    SolverConfig,
-    solve_forward,
-    solve_forward_batch,
-    solve_forward_stack,
-    spectral_normalize,
-)
+from lionprompt.deq import DeqCell, SolverConfig, solve_forward_batch, spectral_normalize
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -50,17 +45,15 @@ def draw_stack(h, d, n, kappa, activation, seed):
 def test_every_stacked_row_is_near_its_own_single_row_solve(shape, shifted):
     cell, xs, (ii, jj, eps) = draw_stack(**shape)
     eps = eps * shifted
-    rep = solve_forward_stack(cell.W, xs @ cell.U.T + cell.b,
-                              shape["activation"], CFG, shift=(ii, jj, eps))
+    rep = solve_forward_batch(cell, xs, CFG, shift=(ii, jj, eps))
     assert rep.converged and rep.z_star.shape == (shape["n"], shape["h"])
     for x, z, i, j, e in zip(xs, rep.z_star, ii, jj, eps):
         w = cell.W.copy()
         w[i, j] += e
-        single = solve_forward(DeqCell(W=w, U=cell.U, b=cell.b, kappa=cell.kappa,
-                                       activation=cell.activation), x, CFG)
+        single = solve_forward_batch(replace(cell, W=w), x[None], CFG)
         assert single.converged
         bound = CFG.tol / (1.0 - shape["kappa"] - abs(e))
-        assert np.linalg.norm(z - single.z_star) <= bound
+        assert np.linalg.norm(z - single.z_star[0]) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,9 +61,7 @@ def test_every_stacked_row_is_near_its_own_single_row_solve(shape, shifted):
 def test_a_stack_of_equal_weights_matches_the_shared_weight_batch(shape):
     cell, xs, (ii, jj, _) = draw_stack(**shape)
     batch = solve_forward_batch(cell, xs, CFG)
-    stack = solve_forward_stack(cell.W, xs @ cell.U.T + cell.b,
-                                shape["activation"], CFG,
-                                shift=(ii, jj, np.zeros(shape["n"])))
+    stack = solve_forward_batch(cell, xs, CFG, shift=(ii, jj, np.zeros(shape["n"])))
     assert batch.converged
     assert stack.z_star.tobytes() == batch.z_star.tobytes()
     assert (stack.iterations, stack.residual, stack.converged) == \

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lionprompt import deq, model as m, robust_opt
 from lionprompt.config import RunConfig
@@ -342,6 +343,47 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
     assert np.array_equal(preds[0], preds[1])
 
 
+_TRAINED = {}
+
+
+def briefly_trained_lion_task():
+    """A layers = 1 lion task trained 20 epochs on the shifted seed-0 target,
+    its held-out split, and each held-out row's logits solved as a one-row batch."""
+    if "task" not in _TRAINED:
+        bb, _ = shared_backbone()
+        tr, te = shifted_pair(0)
+        task = make_task(RunConfig(protocol="lion", seed=0, layers=1), bb, tr.n_classes)
+        robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=20)
+        alone = np.vstack([m.forward(task.pm, x[None]).logits for x in te.inputs])
+        _TRAINED.update(task=task, test=te, alone=alone)
+    return _TRAINED["task"], _TRAINED["test"], _TRAINED["alone"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_predictions_do_not_depend_on_batch_composition(data):
+    task, te, alone = briefly_trained_lion_task()
+    pm = task.pm
+    rows = data.draw(st.one_of(
+        st.lists(st.integers(0, te.n - 1), min_size=1, max_size=40, unique=True),
+        st.permutations(range(te.n))))
+    batch = m.forward(pm, te.inputs[rows]).logits
+    # the solver stops on the worst row, so a row's P1 and P2 fixed points lie within
+    # tol / (1 - kappa) of the exact ones both in the batch and alone; carry that
+    # 2 tol / (1 - kappa) through gate 1, the backbone F, proj, gate 2 and the head
+    (_, b1), (a2, b2) = pm.gate1.coeffs(), pm.gate2.coeffs()
+    lip_f = np.prod([np.linalg.norm(s.w.value, 2) for s in pm.backbone.stages])
+    bound = (np.linalg.norm(pm.head.w.value, 2)
+             * (a2 * lip_f * b1 + b2 * np.linalg.norm(pm.proj.w.value, 2))
+             * 2.0 * pm.solver.tol / (1.0 - pm.p1.kappa) + 1e-12)
+    assert np.all(np.linalg.norm(batch - alone[rows], axis=1) <= bound)
+    # each logit moves by at most the bound, so a top-two margin over twice it holds
+    top2 = np.sort(alone[rows], axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 2.0 * bound
+    assert np.array_equal(task.predict(te.inputs[rows])[clear],
+                          np.argmax(alone[rows], axis=1)[clear])
+
+
 # --- optimizer plateau stop -----------------------------------------------------
 
 def test_patience_stops_training_early():
@@ -389,21 +431,58 @@ def test_gradcheck_rows_all_pass():
     assert max(r.unrolled_rel_err for r in rows) <= 1e-5
 
 
-def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
-    stopped_short = []
+def test_gradcheck_solves_through_the_training_solve_itself():
+    # an alias, not a wrapper: gradcheck's solves run the very function training runs
+    assert deq.solve_forward is deq.solve_forward_batch
 
-    def counting(solve):
-        def wrapped(*args, **kwargs):
-            rep = solve(*args, **kwargs)
-            if not rep.converged:
-                stopped_short.append(rep.iterations)
+
+def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
+    """Log gradcheck's calls of the one forward solve (by its alias) and the one VJP.
+
+    A solve logs ("base" or "stack", converged, evaluations), where a stack is
+    a call with a per-row shift; a VJP logs ("vjp",). `stack_report(rep, k)`
+    may replace the report that the k-th stack returns.
+    """
+    solve, vjp, log = deq.solve_forward, deq.deq_vjp_batch, []
+
+    def solving(cell, x_rows, cfg=None, z0_rows=None, shift=None):
+        rep = solve(cell, x_rows, cfg, z0_rows, shift)
+        log.append(("base" if shift is None else "stack", rep.converged, rep.iterations))
+        if shift is None:
             return rep
-        return wrapped
+        return stack_report(rep, sum(event[0] == "stack" for event in log))
 
-    # the base solve and the stacked finite-difference solves
-    for name in ("solve_forward", "solve_forward_stack"):
-        monkeypatch.setattr(deq, name, counting(getattr(deq, name)))
+    def pulling(*args):
+        log.append(("vjp",))
+        return vjp(*args)
+
+    monkeypatch.setattr(deq, "solve_forward", solving)
+    monkeypatch.setattr(deq, "deq_vjp_batch", pulling)
+    return log
+
+
+def _calls_per_case(rows, log):
+    """Split the log at each base solve; a case that passed made two solves and one VJP."""
+    cases = []
+    for event in log:
+        if event[0] == "base":
+            cases.append([])
+        cases[-1].append(event)
+    assert len(cases) == len(rows)
+    for row, case in zip(rows, cases):
+        if row.status == "ok":
+            assert [e[0] for e in case] == ["base", "stack", "vjp"]
+            assert case[0][1] and case[1][1]
+        else:
+            assert "vjp" not in [e[0] for e in case]
+    return cases
+
+
+def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
+    log = _log_gradcheck_calls(monkeypatch)
     rows = gradcheck_suite(n_cases=5, seed=0, solver=SolverConfig(tol=1e-30))
+    _calls_per_case(rows, log)
+    stopped_short = [e[2] for e in log if e[0] != "vjp" and not e[1]]
     failed = [r for r in rows if r.status == "solver_failed"]
     # each failed case ends at its first short solve, and no "ok" case had one
     assert len(stopped_short) == len(failed) > 0
@@ -412,19 +491,14 @@ def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
 
 def test_gradcheck_fails_a_case_whose_stack_stops_short_after_its_base_converged(
         monkeypatch):
-    solve, calls = deq.solve_forward_stack, []
-
-    def short_on_second_call(*args, **kwargs):
-        rep = solve(*args, **kwargs)
-        calls.append(rep.converged)
-        return replace(rep, converged=False) if len(calls) == 2 else rep
-
-    monkeypatch.setattr(deq, "solve_forward_stack", short_on_second_call)
+    log = _log_gradcheck_calls(
+        monkeypatch, lambda rep, k: replace(rep, converged=False) if k == 2 else rep)
     rows = gradcheck_suite(n_cases=4, seed=0)
     # each case runs one stack; case 1's is reported short
     assert [r.status for r in rows] == ["ok", "solver_failed", "ok", "ok"]
     assert np.isnan(rows[1].fd_rel_err) and np.isnan(rows[1].unrolled_rel_err)
-    assert all(calls) and len(calls) == 4
+    cases = _calls_per_case(rows, log)
+    assert [e[:2] for e in cases[1]] == [("base", True), ("stack", True)]
     assert max(r.fd_rel_err for r in rows if r.status == "ok") <= 1e-4
 
 
@@ -462,7 +536,7 @@ def test_gradcheck_stacks_match_per_entry_solves():
     def objective(vec):
         w, u, b, xv = np.split(vec, [h * h, h * h + h * d, h * h + h * d + h])
         c = deq.DeqCell(W=w.reshape(h, h), U=u.reshape(h, d), b=b)
-        return float(y @ deq.solve_forward(c, xv, cfg).z_star)
+        return float(y @ deq.solve_forward_batch(c, xv[None], cfg).z_star[0])
 
     one_by_one = finite_diff_grad(objective, packed, step=step)
     stacked = _central_differences(cell, x, y, cfg, step)
