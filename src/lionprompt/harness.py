@@ -221,11 +221,17 @@ def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
 # --- tasks and pretraining ------------------------------------------------------
 
 class ClassifierTask:
-    """Adapter putting a BackboneClassifier under the shared trainer."""
+    """Adapter putting a BackboneClassifier under the shared trainer.
+
+    It partitions nothing, so every trainable parameter takes plain descent.
+    """
 
     def __init__(self, clf: BackboneClassifier, mode: str):
         self.clf = clf
         self.mode = mode  # "none" | "bias" | "all"
+
+    def partitioned_params(self):
+        return []
 
     def trainable_params(self):
         params = [self.clf.head.w, self.clf.head.b]
@@ -268,6 +274,11 @@ class LionTask:
     def trainable_params(self):
         return self.pm.trainable_params()
 
+    def partitioned_params(self):
+        """The implicit layers' weights, W and U of every P1/P2 cell; the rest descend."""
+        return [p for block in (self.pm.p1, self.pm.p2)
+                for w, u, _ in block.cell_params for p in (w, u)]
+
     def named_params(self):
         """Everything needed to reconstruct the model, frozen parts included."""
         return self.pm.backbone.params() + self.pm.trainable_params()
@@ -306,8 +317,7 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
     clf = BackboneClassifier(backbone=backbone,
                              head=m.make_head(h, source_train.n_classes, "pretrain_head"))
     task = ClassifierTask(clf, "all")
-    log = robust_opt.train_plain(task, source_train, robust_opt.OptState(eta=eta),
-                                 epochs)
+    log = robust_opt.train(task, source_train, robust_opt.OptState(eta=eta), epochs)
     accuracy = log.final_accuracy
     if accuracy < min_accuracy:
         raise SetupError(
@@ -350,15 +360,15 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
                  test_ds: Dataset) -> ProtocolResult:
     """Tune under `cfg.protocol` and evaluate on the held-out split.
 
-    Baselines (head / bias / full) train with plain gradient descent; the
-    prompted protocol trains its Θ_t with the partitioned optimizer. Both
-    stop early after `PATIENCE` epochs without improvement.
+    Every protocol runs the one trainer, which partitions what the task
+    names: the prompted protocol prunes its cells' W and U, and every other
+    trainable scalar (the baselines' all) takes plain gradient descent.
+    Training stops early after `PATIENCE` epochs without improvement.
     """
     start = time.perf_counter()
     task = make_task(cfg, backbone, train_ds.n_classes)
-    trainer = robust_opt.train if cfg.protocol == "lion" else robust_opt.train_plain
-    log = trainer(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
-                  cfg.epochs, patience=PATIENCE)
+    log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
+                           cfg.epochs, patience=PATIENCE)
     preds = task.predict(test_ds.inputs)
     accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
@@ -380,9 +390,8 @@ class Prop1Report:
 
     feasibility_gap: float      # loss at the closed-form W = W_hat A^{-1}
     input_side_loss: float
-    output_side_loss: float     # B = -I, best over restarts
-    control_loss: float         # B = +I, best over restarts
-    restarts: int
+    output_side_loss: float     # B = -I, least-squares minimum over v
+    control_loss: float         # B = +I, least-squares minimum over v
     asymmetry_confirmed: bool
 
     @property
@@ -421,24 +430,8 @@ def _descend_w(x: np.ndarray, y: np.ndarray, v: np.ndarray, w0: np.ndarray,
     return w, loss
 
 
-def _fit_v(feats: np.ndarray, y: np.ndarray, v0: np.ndarray, steps: int) -> float:
-    """Convex least squares over v by gradient descent at the optimal rate."""
-    n = len(y)
-    gram = feats.T @ feats * (2.0 / n)
-    eigs = np.linalg.eigvalsh(gram)
-    lam_max = float(eigs[-1])
-    if lam_max <= 0.0:         # features identically zero: v cannot matter
-        return _sq_loss(np.zeros(n), y)
-    lr = 1.0 / lam_max
-    v = v0.copy()
-    for _ in range(steps):
-        resid = feats @ v - y
-        v = v - lr * (2.0 / n) * (feats.T @ resid)
-    return _sq_loss(feats @ v, y)
-
-
-def verify_proposition1(seed: int, restarts: int = 10, n: int = 40,
-                        q: int = 6, width: int = 8) -> Prop1Report:
+def verify_proposition1(seed: int, n: int = 40, q: int = 6,
+                        width: int = 8) -> Prop1Report:
     """Contrast retraining the input weights vs the output weights.
 
     A teacher f(x) = v^T relu(W x) with strictly positive data, weights and
@@ -448,10 +441,12 @@ def verify_proposition1(seed: int, restarts: int = 10, n: int = 40,
     descent from the pretrained W must get within 1e-3. Prompting the
     representation with B = -I instead (W frozen, v retrained) zeroes every
     ReLU feature, so predictions are identically 0 and the loss is pinned at
-    mean(y^2) >= 1 no matter how v is trained or restarted; B = +I is the
-    do-nothing control. A is kept near the identity so the warm start has
-    live ReLU units; a shift that silenced all of them would stall descent
-    at zero gradient for the same reason the output side fails.
+    mean(y^2) >= 1 whatever v is; B = +I is the do-nothing control. Both
+    fit v by exact least squares, so each reports the minimum over v that
+    the proposition is about, not where an iterative fit stopped. A is kept
+    near the identity so the warm start has live ReLU units; a shift that
+    silenced all of them would stall descent at zero gradient for the same
+    reason the output side fails.
     """
     rng = substream(seed, "prop1")
     x = rng.uniform(0.8, 1.2, size=(n, q))
@@ -481,20 +476,16 @@ def verify_proposition1(seed: int, restarts: int = 10, n: int = 40,
     _, input_loss = _descend_w(x_pro, y, v_hat, w_hat, steps=4000, lr0=1e-2)
 
     # output side: representation prompt B on the pre-activations, retrain v
-    out_losses, ctl_losses = [], []
-    for r in range(restarts):
-        v0 = substream(seed, "prop1-restart", r).normal(size=width) * 0.1
-        flipped = np.maximum(-pre, 0.0)     # B = -I
-        out_losses.append(_fit_v(flipped, y, v0, steps=20000))
-        ctl_losses.append(_fit_v(np.maximum(pre, 0.0), y, v0, steps=20000))
-    output_loss = float(min(out_losses))
-    control_loss = float(min(ctl_losses))
+    def fit_v(feats: np.ndarray) -> float:
+        return _sq_loss(feats @ np.linalg.lstsq(feats, y, rcond=None)[0], y)
+
+    output_loss = fit_v(np.maximum(-pre, 0.0))     # B = -I
+    control_loss = fit_v(np.maximum(pre, 0.0))     # B = +I
     return Prop1Report(
         feasibility_gap=feasibility_gap,
         input_side_loss=input_loss,
         output_side_loss=output_loss,
         control_loss=control_loss,
-        restarts=restarts,
         asymmetry_confirmed=(input_loss <= 1e-3 and output_loss >= 0.5
                              and control_loss <= 1e-3),
     )

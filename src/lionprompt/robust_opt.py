@@ -1,19 +1,22 @@
 """Criticality-partitioned optimizer.
 
-Every trainable scalar is scored by |gradient * value|; the bottom tau
-quantile of the score distribution fixes a threshold, scores at or above
+Every scalar the partition covers is scored by |gradient * value|; the
+bottom tau quantile of those scores fixes a threshold, scores at or above
 it are "crucial" and take an ordinary gradient-descent step, the rest are
 shrunk toward zero by the proximal soft-threshold
 sign(theta)*max(|theta|-eta, 0) — the convergent form of the raw sign
 update theta - eta*sign(theta), which oscillates around zero with
-amplitude eta instead of settling.
+amplitude eta instead of settling. Every trainable scalar outside the
+partition descends as well, so a task that partitions nothing trains by
+plain gradient descent.
 
-The trainer is duck-typed over a small task surface so the same loop
-drives both the prompted model and the plain-classifier baselines:
+One trainer, duck-typed over a small task surface, drives both the
+prompted model and the plain-classifier baselines:
 
     task.trainable_params() -> list[Param]
     task.loss_and_grads(X, y) -> (float, logits)  # accumulates into .grad
     task.predict(X) -> ndarray of labels
+    task.partitioned_params() -> list[Param]  # optional; default: all trainable
     task.prepare(X)                      # optional, once per train call
     task.post_step()                     # optional (e.g. re-projection)
     task.metrics() -> dict[str, float]   # optional per-epoch extras
@@ -60,7 +63,11 @@ class OptState:
 
 @dataclass(frozen=True)
 class CriticalityPartition:
-    """A frozen split of the flattened trainable set at one moment in time."""
+    """A frozen split of the flattened trainable set at one moment in time.
+
+    Scalars outside the partitioned set are always crucial, so
+    `crucial_fraction` is the share of all trainable scalars that descend.
+    """
 
     scores: np.ndarray
     crucial_mask: np.ndarray
@@ -94,22 +101,28 @@ def criticality_scores(params: list[Param]) -> np.ndarray:
     return np.abs(flat_grads(params) * flat_values(params))
 
 
-def partition(scores: np.ndarray, tau: float) -> CriticalityPartition:
+def partition(scores: np.ndarray, tau: float,
+              pruned: np.ndarray | None = None) -> CriticalityPartition:
     """Split scores at the nearest-rank tau-quantile (ties go crucial).
 
-    threshold = k-th smallest score with k = ceil(tau * M); crucial means
-    score >= threshold, so the split is exhaustive and exclusive and the
-    tau -> 0 limit marks everything crucial.
+    `pruned` masks the scores the partition covers (default: all). Over
+    those M scores, threshold = k-th smallest with k = ceil(tau * M);
+    crucial means score >= threshold or not pruned, so the split is
+    exhaustive and exclusive and the tau -> 0 limit marks everything
+    crucial. With nothing pruned, everything is crucial.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot partition an empty score vector")
-    if not np.all(np.isfinite(scores)):
+    pruned = np.ones(scores.shape, dtype=bool) if pruned is None else pruned
+    covered = scores[pruned]
+    if not np.all(np.isfinite(covered)):
         raise EvaluationError("criticality scores contain non-finite entries")
-    k = math.ceil(tau * scores.size)
-    k = min(max(k, 1), scores.size)
-    threshold = float(np.partition(scores, k - 1)[k - 1])
-    crucial = scores >= threshold
+    threshold = -math.inf
+    if covered.size:
+        k = min(max(math.ceil(tau * covered.size), 1), covered.size)
+        threshold = float(np.partition(covered, k - 1)[k - 1])
+    crucial = ~pruned | (scores >= threshold)
     return CriticalityPartition(scores=scores, crucial_mask=crucial,
                                 noncrucial_mask=~crucial, tau=tau,
                                 threshold_value=threshold)
@@ -162,13 +175,15 @@ def train(task, dataset, state: OptState, epochs: int,
           patience: int | None = None, plateau_tol: float = 1e-6) -> TrainLog:
     """Full-batch partitioned training; returns the per-epoch log.
 
-    The partition is refreshed from fresh scores every `repartition_every`
-    epochs and reused in between. A non-finite loss aborts immediately
-    rather than letting the run limp on. With `patience` set, training
-    stops early once the loss has not improved by more than `plateau_tol`
-    for that many consecutive epochs. A `DivergenceError` from the task, and
-    an `EvaluationError` from scoring or the step (a non-finite gradient or
-    parameter), are re-raised with the epoch they happened in.
+    The partition covers `task.partitioned_params()` when the task has that
+    hook, and every trainable parameter otherwise; the rest descend. It is
+    refreshed from fresh scores every `repartition_every` epochs and reused
+    in between. A non-finite loss aborts immediately rather than letting the
+    run limp on. With `patience` set, training stops early once the loss
+    has not improved by more than `plateau_tol` for that many consecutive
+    epochs. A `DivergenceError` from the task, and an `EvaluationError` from
+    scoring or the step (a non-finite gradient or parameter), are re-raised
+    with the epoch they happened in.
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
@@ -177,6 +192,11 @@ def train(task, dataset, state: OptState, epochs: int,
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
     params = task.trainable_params()
+    hook = getattr(task, "partitioned_params", None)
+    named = {id(p) for p in (params if hook is None else hook())}
+    if not named <= {id(p) for p in params}:
+        raise StateError("partitioned parameters must all be trainable")
+    pruned = np.concatenate([np.full(p.size, id(p) in named) for p in params])
     log = TrainLog()
     part: CriticalityPartition | None = None
     best_loss = math.inf
@@ -195,7 +215,7 @@ def train(task, dataset, state: OptState, epochs: int,
             raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
         try:
             if part is None or epoch % state.repartition_every == 0:
-                part = partition(criticality_scores(params), state.tau)
+                part = partition(criticality_scores(params), state.tau, pruned)
             step(params, part, state)
         except EvaluationError as exc:
             raise EvaluationError(f"epoch {epoch}: {exc}") from exc
@@ -224,14 +244,3 @@ def train(task, dataset, state: OptState, epochs: int,
         raise DivergenceError(f"final predict after {len(log.losses)} epochs: {exc}",
                               residual=exc.residual) from exc
     return log
-
-
-def train_plain(task, dataset, state: OptState, epochs: int,
-                patience: int | None = None, plateau_tol: float = 1e-6) -> TrainLog:
-    """Vanilla full-batch gradient descent sharing the logging format.
-
-    Implemented as the partitioned loop with an all-crucial split so the
-    two trainers are bit-comparable; used by the baseline protocols.
-    """
-    all_crucial = OptState(eta=state.eta, tau=1e-12, repartition_every=1)
-    return train(task, dataset, all_crucial, epochs, patience, plateau_tol)

@@ -162,13 +162,13 @@ def test_criterion_4_frozen_backbone():
 
 def test_criterion_5_prompt_position_asymmetry():
     start = time.perf_counter()
-    rep = verify_proposition1(seed=0, restarts=10)
+    rep = verify_proposition1(seed=0)
     elapsed = time.perf_counter() - start
     ok = (rep.input_side_loss <= 1e-3 and rep.output_side_loss >= 0.5
           and rep.control_loss <= 1e-3 and elapsed < 60.0)
     check(5, "input/output prompt asymmetry", ok,
           f"input side {rep.input_side_loss:.2e} (tol 1e-3); output side "
-          f"min over 10 restarts {rep.output_side_loss:.2f} (floor 0.5); "
+          f"least-squares minimum {rep.output_side_loss:.2f} (floor 0.5); "
           f"control {rep.control_loss:.2e} (tol 1e-3); {elapsed:.1f}s (budget 60s)")
 
 
@@ -194,6 +194,13 @@ class _Softmax:
         return np.argmax(x @ self.w.value.T + self.b.value, axis=1)
 
 
+class _PlainSoftmax(_Softmax):
+    """_Softmax whose partition covers nothing, as the baselines' do."""
+
+    def partitioned_params(self):
+        return []
+
+
 def test_criterion_6_partitioned_optimizer():
     rng = substream(7, "accept-part")
     exhaustive = True
@@ -203,8 +210,8 @@ def test_criterion_6_partitioned_optimizer():
         exhaustive &= bool(np.all(part.crucial_mask ^ part.noncrucial_mask))
 
     ds = make_blobs(3, 6, 120, seed=11)
-    trained = _Softmax(6, 3, seed=5)
-    robust_opt.train_plain(trained, ds, robust_opt.OptState(eta=0.2), epochs=25)
+    trained = _PlainSoftmax(6, 3, seed=5)
+    robust_opt.train(trained, ds, robust_opt.OptState(eta=0.2), epochs=25)
     manual = _Softmax(6, 3, seed=5)
     for _ in range(25):
         for p in manual.trainable_params():

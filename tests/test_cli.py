@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lionprompt import checkpoint, deq
-from lionprompt.cli import CSV_HEADER, main
+from lionprompt.cli import CSV_HEADER, _build_parser, _resolve_config, main
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
 from lionprompt.numerics import Param
@@ -191,6 +192,34 @@ def test_config_errors_name_the_key():
         RunConfig(protocol="vpt")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse("just some words\n")
+
+
+_FILE_ONLY_KEYS = {"cases", "hidden", "feat_dim"}
+
+
+def test_flags_override_the_config_file_and_file_only_keys_come_from_it(tmp_path):
+    from_file = RunConfig(seed=3, tau=0.25, eta=0.7, tol=3e-9, max_iters=123,
+                          anderson_depth=4, kappa=0.85, layers=2, protocol="bias_tuning",
+                          dataset="glyphs", shift="rotation", ir=12.5, shots=8,
+                          epochs=77, out="elsewhere", cases=9, hidden=64, feat_dim=8)
+    from_flags = RunConfig(seed=5, tau=0.3, eta=0.2, tol=4e-9, max_iters=99,
+                           anderson_depth=3, kappa=0.8, layers=3, protocol="lion",
+                           dataset="blobs", shift="noise", ir=2.5, shots=4,
+                           epochs=11, out="there")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(serialize(from_file))
+    argv = ["tune", "--config", str(cfgfile)]
+    for f in fields(RunConfig):
+        if f.name not in _FILE_ONLY_KEYS:
+            argv += [f"--{f.name.replace('_', '-')}", str(getattr(from_flags, f.name))]
+    args = _build_parser().parse_args(argv)
+    cfg, explicit = _resolve_config(args)
+    for f in fields(RunConfig):
+        source = from_file if f.name in _FILE_ONLY_KEYS else from_flags
+        assert getattr(cfg, f.name) == getattr(source, f.name), f.name
+    assert explicit == {f.name for f in fields(RunConfig)}
+    only_file, _ = _resolve_config(_build_parser().parse_args(argv[:3]))
+    assert only_file == from_file
 
 
 def test_anderson_depth_zero_selects_picard_and_negative_is_rejected():

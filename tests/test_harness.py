@@ -338,7 +338,7 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
         robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=30)
         counts.append(sum(nfe))
         preds.append(task.predict(te.inputs))
-    # measured 1,272 warm against 1,691 cold evaluations (0.75)
+    # measured 1,114 warm against 1,558 cold evaluations (0.72)
     assert counts[0] <= 0.8 * counts[1]
     assert np.array_equal(preds[0], preds[1])
 
@@ -357,6 +357,30 @@ def briefly_trained_lion_task():
         alone = np.vstack([m.forward(task.pm, x[None]).logits for x in te.inputs])
         _TRAINED.update(task=task, test=te, alone=alone)
     return _TRAINED["task"], _TRAINED["test"], _TRAINED["alone"]
+
+
+def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train():
+    task, _, _ = briefly_trained_lion_task()
+    pm = task.pm
+    assert all(abs(a - 0.5) > 1e-3 for a in (pm.gate1.coeffs()[0], pm.gate2.coeffs()[0]))
+    # scalars that start at zero score |g * 0| = 0, so a partition would pin them there
+    starts_at_zero = [b for block in (pm.p1, pm.p2) for _, _, b in block.cell_params]
+    starts_at_zero += [pm.proj.b, pm.head.b, pm.gate1.g_alpha, pm.gate1.g_beta,
+                       pm.gate2.g_alpha, pm.gate2.g_beta]
+    assert all(np.all(p.value != 0.0) for p in starts_at_zero)
+    # the exact zeros the soft-threshold leaves all lie in pruned cell weights
+    zeros = {p.name for p in pm.trainable_params() if np.any(p.value == 0.0)}
+    assert zeros and all(name.startswith(("p1.", "p2.")) and name.endswith((".W", ".U"))
+                         for name in zeros)
+
+
+def test_baselines_partition_nothing_and_log_every_scalar_crucial():
+    bb, _ = shared_backbone()
+    tr, te = shifted_pair(1)
+    res = run_protocol(RunConfig(protocol="bias_tuning", seed=1, epochs=5), bb, tr, te)
+    assert res.task.partitioned_params() == []
+    assert res.log.crucial_fractions == [1.0] * 5
+    assert res.log.noncrucial_mean_abs == [0.0] * 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,7 +423,7 @@ def test_patience_must_be_positive():
     bb, _ = shared_backbone()
     task = make_task(RunConfig(protocol="head_tuning"), bb, ds.n_classes)
     with pytest.raises(ValueError, match="patience"):
-        robust_opt.train_plain(task, ds, robust_opt.OptState(eta=0.3), 5, patience=0)
+        robust_opt.train(task, ds, robust_opt.OptState(eta=0.3), 5, patience=0)
 
 
 # --- prompt-position experiment ---------------------------------------------------
@@ -412,7 +436,6 @@ def test_input_output_asymmetry():
     assert rep.control_loss <= 1e-3
     assert rep.asymmetry_confirmed
     assert rep.verdict == "asymmetry confirmed"
-    assert rep.restarts == 10
 
 
 def test_asymmetry_holds_across_seeds():

@@ -17,7 +17,6 @@ from lionprompt.robust_opt import (
     partition,
     step,
     train,
-    train_plain,
 )
 
 
@@ -44,6 +43,13 @@ class LogisticTask:
 
     def predict(self, x):
         return np.argmax(self.logits(x), axis=1)
+
+
+class PlainLogisticTask(LogisticTask):
+    """LogisticTask whose partition covers nothing: every scalar descends."""
+
+    def partitioned_params(self):
+        return []
 
 
 def two_blobs(seed, n=60, d=4, gap=3.0):
@@ -202,10 +208,10 @@ def test_train_aborts_on_nonfinite_loss():
 
 def test_all_crucial_matches_manual_gradient_descent_bitwise():
     x, y = two_blobs(7)
-    task_a = LogisticTask(d=4, c=2, seed=8)
+    task_a = PlainLogisticTask(d=4, c=2, seed=8)
     task_b = LogisticTask(d=4, c=2, seed=8)
     eta = 0.3
-    train_plain(task_a, (x, y), OptState(eta=eta), epochs=25)
+    train(task_a, (x, y), OptState(eta=eta), epochs=25)
     for _ in range(25):
         for p in task_b.trainable_params():
             p.zero_grad()
@@ -214,6 +220,38 @@ def test_all_crucial_matches_manual_gradient_descent_bitwise():
             p.value = p.value - eta * p.grad
     for pa, pb in zip(task_a.trainable_params(), task_b.trainable_params()):
         assert pa.value.tobytes() == pb.value.tobytes()
+
+
+def test_partition_leaves_unpruned_scores_crucial():
+    scores = np.array([5.0, 0.0, 1.0, 2.0, 0.0, 3.0])
+    pruned = np.array([True, False, True, True, False, True])
+    part = partition(scores, tau=0.5, pruned=pruned)
+    assert part.threshold_value == 2.0      # 2nd smallest of the four pruned scores
+    assert np.array_equal(part.crucial_mask, [True, True, False, True, True, True])
+    assert part.crucial_fraction == 5 / 6
+    assert np.all(partition(scores, tau=0.5, pruned=np.zeros(6, bool)).crucial_mask)
+
+
+def test_train_partitions_only_the_named_params():
+    class WeightsOnlyTask(LogisticTask):
+        def partitioned_params(self):
+            return [self.w]
+
+    task = WeightsOnlyTask(d=4, c=2, seed=28)
+    x, y = two_blobs(29)
+    log = train(task, (x, y), OptState(eta=0.3, tau=0.4), epochs=10)
+    # b starts at zero, so only descent can move it; ceil(0.4 * 8) - 1 of w are non-crucial
+    assert np.all(task.b.value != 0.0)
+    assert log.crucial_fractions == [(8 - 3 + 2) / 10] * 10
+
+
+def test_train_refuses_a_partitioned_param_it_does_not_train():
+    class StrayTask(LogisticTask):
+        def partitioned_params(self):
+            return [Param("w", self.w.value)]
+
+    with pytest.raises(StateError, match="trainable"):
+        train(StrayTask(d=4, c=2, seed=30), two_blobs(31), OptState(eta=0.3), epochs=2)
 
 
 def test_train_separable_blobs_reaches_high_accuracy():
