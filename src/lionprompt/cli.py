@@ -32,6 +32,7 @@ from .errors import (
 )
 
 CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
+_NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time_s")
 
 _N_CLASSES = 4
 _SOURCE_N = 400
@@ -160,8 +161,7 @@ def _target_splits(cfg: RunConfig) -> tuple[harness.Dataset, harness.Dataset]:
 
 def _load_backbone(cfg: RunConfig) -> m.Backbone:
     path = _require(_backbone_path(cfg), "backbone checkpoint")
-    bb = m.make_backbone(_INPUT_DIMS[cfg.dataset], cfg.hidden, cfg.feat_dim,
-                         cfg.seed, frozen=True)
+    bb = m.make_backbone(_INPUT_DIMS[cfg.dataset], cfg.hidden, cfg.feat_dim, cfg.seed)
     checkpoint.restore(bb.params(), checkpoint.load(path))
     return bb
 
@@ -322,7 +322,13 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
             parts = ln.split(",")
             if len(parts) != len(keys):
                 raise MissingArtifactError(f"{path!r}: malformed row {ln!r}")
-            rows.append(dict(zip(keys, parts)))
+            row = dict(zip(keys, parts))
+            try:
+                for key in _NUMERIC_COLUMNS:
+                    float(row[key])
+            except ValueError:
+                raise MissingArtifactError(f"{path!r}: non-numeric {key} in row {ln!r}") from None
+            rows.append(row)
     return rows
 
 

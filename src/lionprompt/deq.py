@@ -252,7 +252,7 @@ def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     return t @ cell.U, CellGrads(W=t.T @ z_rows, U=t.T @ x_rows, b=np.sum(t, axis=0))
 
 
-def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int = 500
+def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int
                  ) -> tuple[np.ndarray, CellGrads]:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 

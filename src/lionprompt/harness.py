@@ -22,16 +22,13 @@ import numpy as np
 from . import deq, model as m, robust_opt
 from .config import RunConfig
 from .deq import DeqCell, SolverConfig
-from .errors import SetupError, ShapeMismatchError
-from .model import Backbone, BackboneClassifier, PromptModel
-from .numerics import rel_error
+from .errors import DivergenceError, SetupError, ShapeMismatchError
+from .model import AffineStage, Backbone, PromptModel
+from .numerics import Param, batch_cross_entropy, rel_error
 from .rng import substream
 
 # Epochs without a loss improvement after which a protocol run stops early.
 PATIENCE = 20
-
-# Which backbone parameters each baseline protocol trains besides its head.
-_BACKBONE_MODES = {"head_tuning": "none", "bias_tuning": "bias", "full_finetune": "all"}
 
 
 # --- datasets ---------------------------------------------------------------
@@ -94,12 +91,11 @@ def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train",
     return Dataset(inputs[order], labels[order], n_classes, split, seed)
 
 
-def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train",
-                flip_prob: float = 0.1) -> Dataset:
+def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train") -> Dataset:
     """Procedural 8x8 binary patterns per class, flattened to d = 64.
 
     Each class owns a fixed random mask (seed-determined, split-independent);
-    samples are that mask with independent pixel flips at `flip_prob`.
+    samples are that mask with independent pixel flips at probability 0.1.
     """
     if n_classes < 2:
         raise ValueError(f"need n_classes >= 2, got {n_classes}")
@@ -110,7 +106,7 @@ def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train",
     counts = _split_counts(n, n_classes)
     labels = np.repeat(np.arange(n_classes), counts)
     noise_rng = substream(seed, "glyph-noise", split)
-    flips = noise_rng.random(size=(n, 64)) < flip_prob
+    flips = noise_rng.random(size=(n, 64)) < 0.1
     inputs = np.abs(bases[labels] - flips.astype(np.float64))
     order = noise_rng.permutation(n)
     return Dataset(inputs[order], labels[order], n_classes, split, seed)
@@ -139,17 +135,16 @@ def _random_orthogonal(rng, d: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def make_shift(kind: str, d: int, seed: int, noise_sigma: float = 0.5,
-               sv_range: tuple[float, float] = (0.8, 2.0)) -> ShiftSpec:
+def make_shift(kind: str, d: int, seed: int) -> ShiftSpec:
     """Seed-deterministic shift with controlled conditioning.
 
     invertible_linear builds A = Q1 diag(sv) Q2^T with singular values spread
-    linearly over sv_range — invertible by construction, condition number
-    sv_max/sv_min. rotation is a single orthogonal factor (determinant +1).
+    linearly over [0.8, 2.0]: invertible, condition number 2.5. rotation is a
+    single orthogonal factor (determinant +1); noise has sigma 0.5.
     """
     rng = substream(seed, "shift", kind)
     if kind == "invertible_linear":
-        sv = np.linspace(sv_range[0], sv_range[1], d)
+        sv = np.linspace(0.8, 2.0, d)
         a = _random_orthogonal(rng, d) @ np.diag(sv) @ _random_orthogonal(rng, d).T
         return ShiftSpec(kind=kind, A=a)
     if kind == "rotation":
@@ -158,7 +153,7 @@ def make_shift(kind: str, d: int, seed: int, noise_sigma: float = 0.5,
             q[:, 0] = -q[:, 0]
         return ShiftSpec(kind=kind, A=q)
     if kind == "noise":
-        return ShiftSpec(kind=kind, noise_sigma=noise_sigma)
+        return ShiftSpec(kind=kind, noise_sigma=0.5)
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
@@ -221,35 +216,46 @@ def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
 # --- tasks and pretraining ------------------------------------------------------
 
 class ClassifierTask:
-    """Adapter putting a BackboneClassifier under the shared trainer.
+    """Backbone plus affine head under the shared trainer: the baselines.
 
+    The head and exactly the backbone Params in `backbone_trainable` train.
     It partitions nothing, so every trainable parameter takes plain descent.
     """
 
-    def __init__(self, clf: BackboneClassifier, mode: str):
-        self.clf = clf
-        self.mode = mode  # "none" | "bias" | "all"
+    def __init__(self, backbone: Backbone, head: AffineStage, backbone_trainable: list[Param]):
+        self.backbone = backbone
+        self.head = head
+        self.backbone_trainable = backbone_trainable
+        self.workspace: dict = {}
 
     def partitioned_params(self):
         return []
 
     def trainable_params(self):
-        params = [self.clf.head.w, self.clf.head.b]
-        if self.mode == "bias":
-            params = [s.b for s in self.clf.backbone.stages] + params
-        elif self.mode == "all":
-            params = self.clf.backbone.params() + params
-        return params
+        return self.backbone_trainable + [self.head.w, self.head.b]
 
     def named_params(self):
         """Everything needed to reconstruct the classifier, trained or not."""
-        return self.clf.backbone.params() + [self.clf.head.w, self.clf.head.b]
+        return self.backbone.params() + [self.head.w, self.head.b]
+
+    def forward(self, x):
+        feats, _ = m.backbone_forward(self.backbone, x, self.workspace)
+        return feats @ self.head.w.value.T + self.head.b.value
 
     def loss_and_grads(self, x, y):
-        return self.clf.loss_and_grads(x, y, train_backbone=self.mode)
+        """(mean cross-entropy, logits); gradients go into the trainable Params."""
+        feats, cache = m.backbone_forward(self.backbone, x, self.workspace)
+        logits = feats @ self.head.w.value.T + self.head.b.value
+        value, g_logits = batch_cross_entropy(logits, np.asarray(y))
+        self.head.w.add_grad(g_logits.T @ feats)
+        self.head.b.add_grad(np.sum(g_logits, axis=0))
+        if self.backbone_trainable:
+            m.backbone_param_vjp(self.backbone, cache, g_logits @ self.head.w.value,
+                                 self.backbone_trainable, self.workspace)
+        return value, logits
 
     def predict(self, x):
-        return self.clf.predict(x)
+        return np.argmax(self.forward(x), axis=1)
 
 
 class LionTask:
@@ -310,19 +316,16 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
                       min_accuracy: float = 0.95) -> tuple[Backbone, float]:
     """Fit a fresh backbone (plus throwaway head) on the source task.
 
-    Returns the frozen backbone and the reached source train accuracy;
-    refuses to hand back a feature extractor that never learned the task.
+    Returns the backbone and the reached source train accuracy; refuses to
+    hand back a feature extractor that never learned the task.
     """
-    backbone = m.make_backbone(source_train.d, hidden, h, seed, frozen=False)
-    clf = BackboneClassifier(backbone=backbone,
-                             head=m.make_head(h, source_train.n_classes, "pretrain_head"))
-    task = ClassifierTask(clf, "all")
+    backbone = m.make_backbone(source_train.d, hidden, h, seed)
+    task = ClassifierTask(backbone, m.make_head(h, source_train.n_classes), backbone.params())
     log = robust_opt.train(task, source_train, robust_opt.OptState(eta=eta), epochs)
     accuracy = log.final_accuracy
     if accuracy < min_accuracy:
         raise SetupError(
             f"backbone pretraining reached {accuracy:.3f} < {min_accuracy} train accuracy")
-    backbone.frozen = True
     return backbone, accuracy
 
 
@@ -343,17 +346,16 @@ def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
     """Fresh, untrained task for `cfg.protocol` around a clone of the backbone.
 
     Each task gets its own backbone clone, so protocols cannot contaminate
-    one another; only `bias_tuning` and `full_finetune` unfreeze theirs.
+    one another. Its trainable list alone says which backbone Params train:
+    the biases for `bias_tuning`, all for `full_finetune`, else none.
     """
+    bb = m.clone_backbone(backbone)
     if cfg.protocol == "lion":
-        pm = m.build_prompt_model(m.clone_backbone(backbone, frozen=True), n_classes,
-                                  cfg.seed, layers=cfg.layers, kappa=cfg.kappa,
-                                  solver=cfg.solver)
-        return LionTask(pm)
-    mode = _BACKBONE_MODES[cfg.protocol]
-    bb = m.clone_backbone(backbone, frozen=(mode == "none"))
-    return ClassifierTask(BackboneClassifier(backbone=bb,
-                                             head=m.make_head(bb.out_dim, n_classes)), mode)
+        return LionTask(m.build_prompt_model(bb, n_classes, cfg.seed, layers=cfg.layers,
+                                             kappa=cfg.kappa, solver=cfg.solver))
+    trainable = {"head_tuning": [], "bias_tuning": [s.b for s in bb.stages],
+                 "full_finetune": bb.params()}[cfg.protocol]
+    return ClassifierTask(bb, m.make_head(bb.out_dim, n_classes), trainable)
 
 
 def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
@@ -369,7 +371,10 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     task = make_task(cfg, backbone, train_ds.n_classes)
     log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
                            cfg.epochs, patience=PATIENCE)
-    preds = task.predict(test_ds.inputs)
+    try:
+        preds = task.predict(test_ds.inputs)
+    except DivergenceError as exc:
+        raise DivergenceError(f"held-out predict: {exc}", residual=exc.residual) from exc
     accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
         accuracy=accuracy,
@@ -430,8 +435,7 @@ def _descend_w(x: np.ndarray, y: np.ndarray, v: np.ndarray, w0: np.ndarray,
     return w, loss
 
 
-def verify_proposition1(seed: int, n: int = 40, q: int = 6,
-                        width: int = 8) -> Prop1Report:
+def verify_proposition1(seed: int) -> Prop1Report:
     """Contrast retraining the input weights vs the output weights.
 
     A teacher f(x) = v^T relu(W x) with strictly positive data, weights and
@@ -448,6 +452,7 @@ def verify_proposition1(seed: int, n: int = 40, q: int = 6,
     silenced all of them would stall descent at zero gradient for the same
     reason the output side fails.
     """
+    n, q, width = 40, 6, 8                  # samples, input dim, hidden units
     rng = substream(seed, "prop1")
     x = rng.uniform(0.8, 1.2, size=(n, q))
     w_hat = rng.uniform(0.3, 0.7, size=(width, q))
@@ -533,9 +538,7 @@ def _central_differences(cell: DeqCell, x: np.ndarray, y: np.ndarray, cfg: Solve
 
 
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
-                    solver: SolverConfig | None = None,
-                    fd_tol: float = 1e-4, unrolled_tol: float = 1e-5,
-                    fd_step: float = 1e-5) -> list[GradCheckRow]:
+                    solver: SolverConfig | None = None) -> list[GradCheckRow]:
     """Implicit vs finite-difference vs unrolled gradients on seeded cells.
 
     The implicit gradient is taken at the base solve's fixed point through
@@ -548,6 +551,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     distinguishable from a wrong gradient.
     """
     cfg = solver or SolverConfig(tol=1e-13)
+    fd_tol, unrolled_tol, fd_step = 1e-4, 1e-5, 1e-5
     rows = []
     for case in range(n_cases):
         rng = substream(seed, "gradcheck", case)
@@ -580,7 +584,6 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         gx_u, g_u = deq.unrolled_vjp(cell, x, y, n_iters=depth)
         unrolled = np.concatenate([g_u.W.reshape(-1), g_u.U.reshape(-1), g_u.b, gx_u])
         unrolled_err = rel_error(analytic, unrolled)
-        status = "ok" if (fd_err <= fd_tol and unrolled_err <= unrolled_tol) \
-            else "gradient_failed"
+        status = "ok" if fd_err <= fd_tol and unrolled_err <= unrolled_tol else "gradient_failed"
         rows.append(GradCheckRow(case, h, d, fd_err, unrolled_err, status))
     return rows

@@ -16,7 +16,7 @@ Both run the one `forward`, which keeps what the reverse sweep reads; its
 until the next `forward` on that model.
 
 Only the prompt cells, the projection, the head and the four gate scalars
-are trainable; backbone gradients are never even computed here. The
+are trainable; the backbone's parameter gradients are never computed. The
 backward pass is one hand-written reverse sweep plus the implicit cell
 backward from `deq`. Every forward solve must converge: a prompt block
 raises `DivergenceError` rather than hand a point that is not a fixed
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import deq
 from .deq import DeqCell, SolverConfig
-from .errors import DivergenceError, ShapeMismatchError, StateError
+from .errors import DivergenceError, ShapeMismatchError
 from .numerics import ACTIVATIONS, Param, activate, activate_deriv, batch_cross_entropy
 from .rng import substream
 
@@ -69,10 +69,9 @@ class AffineStage:
 
 @dataclass
 class Backbone:
-    """Feature extractor as a stack of affine stages; frozen by default."""
+    """Feature extractor as a stack of affine stages."""
 
     stages: list[AffineStage]
-    frozen: bool = True
 
     @property
     def in_dim(self) -> int:
@@ -83,10 +82,7 @@ class Backbone:
         return self.stages[-1].out_dim
 
     def params(self) -> list[Param]:
-        out = []
-        for s in self.stages:
-            out.extend([s.w, s.b])
-        return out
+        return [p for s in self.stages for p in (s.w, s.b)]
 
 
 def _buffer(workspace: dict | None, key, shape: tuple[int, int]) -> np.ndarray | None:
@@ -120,16 +116,16 @@ def backbone_forward(backbone: Backbone, x_rows: np.ndarray,
 
 
 def _backward(backbone: Backbone, cache: list, g_out: np.ndarray,
-              workspace: dict | None, train: str) -> np.ndarray:
-    """Reverse sweep over the stages; `train` as in `BackboneClassifier`."""
+              trainable, workspace: dict | None) -> np.ndarray:
+    """Reverse sweep over the stages, adding gradients to the Params in `trainable`."""
     g = g_out
     for i in range(len(backbone.stages) - 1, -1, -1):
         s, (h_in, out) = backbone.stages[i], cache[i]
         t = activate_deriv(out, s.activation, _buffer(workspace, ("t", i), out.shape))
         t *= g
-        if train == "all":
+        if s.w in trainable:
             s.w.add_grad(t.T @ h_in)
-        if train != "none":
+        if s.b in trainable:
             s.b.add_grad(np.sum(t, axis=0))
         buf = _buffer(workspace, ("g", i), (len(t), s.in_dim)) if i else None
         g = np.matmul(t, s.w.value, out=buf)
@@ -143,16 +139,14 @@ def backbone_input_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
     The sweep's intermediates live in `workspace` (as in `backbone_forward`;
     it may be the one behind `cache`), and the result is a fresh array.
     """
-    return _backward(backbone, cache, g_out, workspace, "none")
+    return _backward(backbone, cache, g_out, (), workspace)
 
 
 def backbone_param_vjp(backbone: Backbone, cache: list, g_out: np.ndarray,
-                       bias_only: bool = False, workspace: dict | None = None) -> np.ndarray:
-    """Accumulate parameter gradients for an unfrozen backbone; returns g_in,
-    with `workspace` as in `backbone_input_vjp`."""
-    if backbone.frozen:
-        raise StateError("backbone is frozen; parameter gradients are off-limits")
-    return _backward(backbone, cache, g_out, workspace, "bias" if bias_only else "all")
+                       trainable: list[Param], workspace: dict | None = None) -> np.ndarray:
+    """Accumulate gradients into exactly the backbone Params in `trainable`;
+    returns g_in, with `workspace` as in `backbone_input_vjp`."""
+    return _backward(backbone, cache, g_out, trainable, workspace)
 
 
 # --- gates ------------------------------------------------------------------
@@ -211,10 +205,7 @@ class PromptBlock:
                 for w, u, b in self.cell_params]
 
     def params(self) -> list[Param]:
-        out = []
-        for w, u, b in self.cell_params:
-            out.extend([w, u, b])
-        return out
+        return [p for cell in self.cell_params for p in cell]
 
     def renormalize(self) -> None:
         """Project every cell's state weight back onto the kappa-ball."""
@@ -227,12 +218,16 @@ class PromptBlock:
 
         Cell k starts from `starts[k]` if given, else from zero. Raises
         `DivergenceError`, naming the block and cell, when a solve stops
-        short of the tolerance.
+        short of the tolerance or reaches a non-finite iterate.
         """
         states = [np.asarray(x_rows, dtype=np.float64)]
         for idx, cell in enumerate(self.cells()):
-            rep = deq.solve_forward_batch(cell, states[-1], cfg,
-                                          z0_rows=None if starts is None else starts[idx])
+            try:
+                rep = deq.solve_forward_batch(cell, states[-1], cfg,
+                                              z0_rows=None if starts is None else starts[idx])
+            except DivergenceError as exc:
+                raise DivergenceError(f"block {self.name} cell {idx}: {exc}",
+                                      residual=exc.residual) from exc
             if not rep.converged:
                 raise DivergenceError(
                     f"block {self.name} cell {idx}: forward solve stopped at residual "
@@ -291,25 +286,21 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> n
     return rng.uniform(-lim, lim, size=shape)
 
 
-def make_backbone(d: int, hidden: int, h: int, seed: int, frozen: bool = False) -> Backbone:
+def make_backbone(d: int, hidden: int, h: int, seed: int) -> Backbone:
     """Fresh 2-layer tanh MLP d -> hidden -> h with small-uniform weights."""
     rng = substream(seed, "backbone-init")
     stages = [AffineStage(Param("backbone.0.W", _uniform(rng, (hidden, d), d)),
                           Param("backbone.0.b", np.zeros(hidden)), "tanh"),
               AffineStage(Param("backbone.1.W", _uniform(rng, (h, hidden), hidden)),
                           Param("backbone.1.b", np.zeros(h)), "tanh")]
-    return Backbone(stages=stages, frozen=frozen)
+    return Backbone(stages=stages)
 
 
-def clone_backbone(backbone: Backbone, frozen: bool) -> Backbone:
-    """Independent Param objects over the same (read-only) value arrays.
-
-    Protocol runs that train the backbone mutate their own clone, leaving
-    the pretrained original untouched for the next protocol.
-    """
-    stages = [AffineStage(Param(s.w.name, s.w.value), Param(s.b.name, s.b.value),
-                          s.activation) for s in backbone.stages]
-    return Backbone(stages=stages, frozen=frozen)
+def clone_backbone(backbone: Backbone) -> Backbone:
+    """Independent Params over the same read-only values, so a protocol that
+    trains the backbone leaves the pretrained original untouched."""
+    return Backbone([AffineStage(Param(s.w.name, s.w.value), Param(s.b.name, s.b.value),
+                                 s.activation) for s in backbone.stages])
 
 
 def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
@@ -457,52 +448,10 @@ def predict(model: PromptModel, x_rows: np.ndarray,
     return np.argmax(forward(model, x_rows, f_x).logits, axis=1)
 
 
-# --- classifier wrapper used by the baseline protocols ------------------------
-
-@dataclass
-class BackboneClassifier:
-    """Backbone plus affine head; the trainable slice depends on the protocol."""
-
-    backbone: Backbone
-    head: AffineStage
-    workspace: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def forward(self, x_rows: np.ndarray) -> np.ndarray:
-        feats, _ = backbone_forward(self.backbone, x_rows, self.workspace)
-        return feats @ self.head.w.value.T + self.head.b.value
-
-    def predict(self, x_rows: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x_rows), axis=1)
-
-    def loss_and_grads(self, x_rows: np.ndarray, labels: np.ndarray,
-                       train_backbone: str = "none") -> tuple[float, np.ndarray]:
-        """Mean cross-entropy with gradients into head (+ backbone per mode).
-
-        Returns (loss, logits), the logits being those the loss was taken on.
-
-        train_backbone: "none" (head only), "bias" (backbone biases), or
-        "all" (every backbone weight). Modes other than "none" require an
-        unfrozen backbone.
-        """
-        x_rows = np.asarray(x_rows, dtype=np.float64)
-        if x_rows.shape[0] == 0:
-            raise ValueError("empty batch")
-        feats, cache = backbone_forward(self.backbone, x_rows, self.workspace)
-        logits = feats @ self.head.w.value.T + self.head.b.value
-        value, g_logits = batch_cross_entropy(logits, np.asarray(labels))
-        self.head.w.add_grad(g_logits.T @ feats)
-        self.head.b.add_grad(np.sum(g_logits, axis=0))
-        if train_backbone != "none":
-            g_feats = g_logits @ self.head.w.value
-            backbone_param_vjp(self.backbone, cache, g_feats,
-                               bias_only=(train_backbone == "bias"), workspace=self.workspace)
-        return value, logits
-
-
-def make_head(h: int, n_classes: int, name_prefix: str = "head") -> AffineStage:
+def make_head(h: int, n_classes: int) -> AffineStage:
     """Zero-initialized classifier head (fresh per downstream task)."""
-    return AffineStage(Param(f"{name_prefix}.W", np.zeros((n_classes, h))),
-                       Param(f"{name_prefix}.b", np.zeros(n_classes)))
+    return AffineStage(Param("head.W", np.zeros((n_classes, h))),
+                       Param("head.b", np.zeros(n_classes)))
 
 
 def param_count_report(d: int, d_tilde: int, L: int, n: int, m: int, C: int

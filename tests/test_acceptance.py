@@ -80,7 +80,7 @@ def random_cell(seed, h, d):
 
 def test_criterion_1_implicit_gradients():
     start = time.perf_counter()
-    rows = gradcheck_suite(n_cases=20, seed=0, fd_step=1e-5)
+    rows = gradcheck_suite(n_cases=20, seed=0)
     elapsed = time.perf_counter() - start
     worst_fd = max(r.fd_rel_err for r in rows)
     worst_unrolled = max(r.unrolled_rel_err for r in rows)
@@ -138,7 +138,7 @@ def test_criterion_3_gate_simplex():
 
 
 def test_criterion_4_frozen_backbone():
-    bb = model.clone_backbone(shared_backbone(), frozen=True)
+    bb = model.clone_backbone(shared_backbone())
     pm = model.build_prompt_model(bb, 4, seed=0)
     shift = make_shift("invertible_linear", 16, seed=100)
     train = apply_shift(make_blobs(4, 16, 200, seed=0, split="train"), shift)

@@ -481,6 +481,11 @@ def test_report_rejects_unreadable_run_file(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["report", str(junk)])
     assert rc == 3
     assert "junk.csv" in err
+    bad_number = tmp_path / "bad-number.csv"
+    bad_number.write_text(f"{CSV_HEADER}\nlion-blobs-s0,lion,blobs,0,abc,1068,200,0.5\n")
+    rc, _, err = run_cli(capsys, ["report", str(bad_number)])
+    assert rc == 3
+    assert "bad-number.csv" in err and "abc" in err
     rc, _, err = run_cli(capsys, ["report", str(tmp_path / "absent.csv")])
     assert rc == 3
 

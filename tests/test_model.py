@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from lionprompt.deq import SolverConfig, estimate_spectral_norm
-from lionprompt.errors import DivergenceError, ShapeMismatchError, StateError
+from lionprompt.errors import DivergenceError, ShapeMismatchError
+from lionprompt.harness import ClassifierTask
 from lionprompt.model import (
     GATE_EPS,
     AffineStage,
     Backbone,
-    BackboneClassifier,
     GatePair,
     PromptBlock,
     PromptModel,
@@ -35,8 +35,8 @@ TIGHT = SolverConfig(tol=1e-13)
 
 
 def init_prompt_model(d, h, hidden, n_classes, seed, layers=1, solver=None):
-    """Fresh trainable parts around a fresh (untrained, frozen) backbone."""
-    backbone = make_backbone(d, hidden, h, seed, frozen=True)
+    """Fresh trainable parts around a fresh (untrained) backbone."""
+    backbone = make_backbone(d, hidden, h, seed)
     return build_prompt_model(backbone, n_classes, seed, layers=layers, solver=solver)
 
 
@@ -180,7 +180,7 @@ def test_blend_repr_identity_backbone_closed_form():
             Param(f"{name}.0.b", b))], activation="identity")
 
     model = PromptModel(
-        backbone=Backbone(stages=[stage], frozen=True),
+        backbone=Backbone(stages=[stage]),
         p1=state_free("p1", u1, b1),
         p2=state_free("p2", u2, b2),
         proj=AffineStage(Param("proj.W", eye), Param("proj.b", np.zeros(d))),
@@ -258,7 +258,7 @@ def random_backbone(rng, dims, activations):
     stages = [AffineStage(Param(f"backbone.{k}.W", rng.normal(size=(dout, din)) * 0.4),
                           Param(f"backbone.{k}.b", rng.normal(size=dout) * 0.1), act)
               for k, (din, dout, act) in enumerate(zip(dims, dims[1:], activations))]
-    return Backbone(stages=stages, frozen=False)
+    return Backbone(stages=stages)
 
 
 def backbone_pass(bb, x, g_out, workspace):
@@ -266,10 +266,10 @@ def backbone_pass(bb, x, g_out, workspace):
     out, cache = backbone_forward(bb, x, workspace)
     seen = [out.tobytes()] + [a.tobytes() for pair in cache for a in pair]
     seen.append(backbone_input_vjp(bb, cache, g_out, workspace).tobytes())
-    for bias_only in (False, True):
+    for trainable in (bb.params(), [s.b for s in bb.stages]):
         for p in bb.params():
             p.zero_grad()
-        seen.append(backbone_param_vjp(bb, cache, g_out, bias_only, workspace).tobytes())
+        seen.append(backbone_param_vjp(bb, cache, g_out, trainable, workspace).tobytes())
         seen += [p.grad.tobytes() for p in bb.params() if p.grad is not None]
     return seen
 
@@ -300,9 +300,9 @@ def test_consecutive_training_steps_reuse_the_workspace_buffers():
     y = np.array([0, 1, 0, 1, 1])
     model = small_model(47)
     bb = model.backbone
-    clf = BackboneClassifier(backbone=Backbone(bb.stages, frozen=False), head=make_head(5, 2))
+    clf = ClassifierTask(bb, make_head(5, 2), bb.params())
     for owner, step in ((model, lambda: loss_and_grads(model, x, y)),
-                        (clf, lambda: clf.loss_and_grads(x, y, train_backbone="all"))):
+                        (clf, lambda: clf.loss_and_grads(x, y))):
         step()
         first = dict(owner.workspace)
         step()
@@ -442,12 +442,13 @@ def test_param_count_report_worked_values():
 def test_classifier_head_gradients_match_finite_differences():
     rng = substream(33, "clf")
     model = init_prompt_model(d=5, h=4, hidden=6, n_classes=3, seed=33)
-    clf = BackboneClassifier(backbone=model.backbone, head=make_head(4, 3))
+    clf = ClassifierTask(model.backbone, make_head(4, 3), [])
     clf.head.w.value = rng.normal(size=(3, 4))
     x = rng.normal(size=(4, 5))
     y = np.array([0, 2, 1, 0])
     clf.head.w.zero_grad()
-    clf.loss_and_grads(x, y, train_backbone="none")
+    clf.loss_and_grads(x, y)
+    assert all(p.grad is None for p in model.backbone.params())  # head tuning
     fd = fd_param_grad(lambda: batch_cross_entropy(clf.forward(x), y)[0], clf.head.w)
     assert rel_error(clf.head.w.grad, fd) <= 1e-6
 
@@ -455,22 +456,13 @@ def test_classifier_head_gradients_match_finite_differences():
 def test_classifier_bias_mode_gradients():
     rng = substream(34, "clf2")
     model = init_prompt_model(d=5, h=4, hidden=6, n_classes=2, seed=34)
-    model.backbone.frozen = False
-    clf = BackboneClassifier(backbone=model.backbone, head=make_head(4, 2))
+    clf = ClassifierTask(model.backbone, make_head(4, 2), [s.b for s in model.backbone.stages])
     clf.head.w.value = rng.normal(size=(2, 4))
     x = rng.normal(size=(3, 5))
     y = np.array([0, 1, 1])
-    clf.loss_and_grads(x, y, train_backbone="bias")
+    clf.loss_and_grads(x, y)
     bias_param = model.backbone.stages[0].b
     assert bias_param.grad is not None
     assert model.backbone.stages[0].w.grad is None  # bias mode leaves weights alone
     fd = fd_param_grad(lambda: batch_cross_entropy(clf.forward(x), y)[0], bias_param)
     assert rel_error(bias_param.grad, fd) <= 1e-6
-
-
-def test_classifier_full_mode_requires_unfrozen():
-    model = init_prompt_model(d=5, h=4, hidden=6, n_classes=2, seed=35)
-    clf = BackboneClassifier(backbone=model.backbone, head=make_head(4, 2))
-    x = substream(36, "x").normal(size=(2, 5))
-    with pytest.raises(StateError):
-        clf.loss_and_grads(x, np.array([0, 1]), train_backbone="all")

@@ -28,7 +28,7 @@ def _assert_read_only(params):
 
 
 def test_param_values_are_read_only_and_finite(tmp_path):
-    pm = build_prompt_model(make_backbone(4, 6, 5, seed=0, frozen=True), 3, seed=0)
+    pm = build_prompt_model(make_backbone(4, 6, 5, seed=0), 3, seed=0)
     params = pm.trainable_params()
     _assert_read_only(pm.backbone.params() + params)
     x = substream(0, "param-ro").normal(size=(6, 4))
