@@ -3,10 +3,13 @@
 Commands: pretrain, tune, eval, gradcheck, prop1, report. Configuration
 merges three layers — built-in defaults, an optional `--config` file, then
 explicit flags — and every command is a pure function of the resulting
-config, so reruns at equal settings and an equal OpenBLAS thread count
-reproduce their outputs byte for byte (the thread count changes how the
-larger products are summed). `tune` saves its config next to the
-checkpoint, and `eval` refuses to score the checkpoint under any other.
+config, so reruns at equal settings reproduce their outputs byte for byte.
+Each command runs on one OpenBLAS thread, since the thread count changes how
+the larger products are summed, and the caller's count is restored on return
+(library calls outside a command run at the caller's count). A NumPy build
+whose OpenBLAS cannot be found runs unpinned and says `blas: unpinned` on
+stderr. `tune` saves its config next to the checkpoint, and `eval` refuses
+to score the checkpoint under any other.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact.
 """
@@ -14,6 +17,10 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 import sys
 from dataclasses import fields, replace
@@ -255,8 +262,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     task = harness.make_task(cfg, backbone, _N_CLASSES)
     checkpoint.restore(task.named_params(), checkpoint.load(path))
     _, test = _target_splits(cfg)
-    preds = task.predict(test.inputs)
-    accuracy = float(np.mean(preds == test.labels))
+    accuracy = harness.held_out_accuracy(task, test)
     print(f"run              {_run_id(cfg)}")
     print(f"held-out accuracy {accuracy!r}")
     print(f"test samples     {test.n}")
@@ -356,30 +362,71 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
 
 # --- entry point --------------------------------------------------------------------
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS NumPy loaded, or None."""
+    pkg = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(pkg, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(pkg, ".libs", "*openblas*"))):
+        lib = ctypes.CDLL(path)     # NumPy loaded it already: this finds, not loads
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    The products here are small: a second thread buys no wall time, doubles
+    the CPU, and sums in another order, so the output bytes would depend on
+    the environment.
+    """
+    blas = _openblas()
+    if blas is None:
+        print("blas: unpinned", file=sys.stderr)
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg, explicit = _resolve_config(args)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
-        if args.command == "tune":
-            return cmd_tune(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, explicit)
-        if args.command == "prop1":
-            return cmd_prop1(cfg)
-        return cmd_report(cfg, args.paths)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (MissingArtifactError, CheckpointError) as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return 3
-    except (SetupError, EvaluationError, DivergenceError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    with _one_blas_thread():
+        try:
+            cfg, explicit = _resolve_config(args)
+            if args.command == "pretrain":
+                return cmd_pretrain(cfg)
+            if args.command == "tune":
+                return cmd_tune(cfg)
+            if args.command == "eval":
+                return cmd_eval(cfg)
+            if args.command == "gradcheck":
+                return cmd_gradcheck(cfg, explicit)
+            if args.command == "prop1":
+                return cmd_prop1(cfg)
+            return cmd_report(cfg, args.paths)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (MissingArtifactError, CheckpointError) as exc:
+            print(f"missing artifact: {exc}", file=sys.stderr)
+            return 3
+        except (SetupError, EvaluationError, DivergenceError) as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -358,6 +358,15 @@ def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
     return ClassifierTask(bb, m.make_head(bb.out_dim, n_classes), trainable)
 
 
+def held_out_accuracy(task, test_ds: Dataset) -> float:
+    """Accuracy on the held-out split; a failed solve is named as this phase."""
+    try:
+        preds = task.predict(test_ds.inputs)
+    except DivergenceError as exc:
+        raise DivergenceError(f"held-out predict: {exc}", residual=exc.residual) from exc
+    return float(np.mean(preds == test_ds.labels))
+
+
 def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
                  test_ds: Dataset) -> ProtocolResult:
     """Tune under `cfg.protocol` and evaluate on the held-out split.
@@ -371,13 +380,8 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     task = make_task(cfg, backbone, train_ds.n_classes)
     log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
                            cfg.epochs, patience=PATIENCE)
-    try:
-        preds = task.predict(test_ds.inputs)
-    except DivergenceError as exc:
-        raise DivergenceError(f"held-out predict: {exc}", residual=exc.residual) from exc
-    accuracy = float(np.mean(preds == test_ds.labels))
     return ProtocolResult(
-        accuracy=accuracy,
+        accuracy=held_out_accuracy(task, test_ds),
         train_accuracy=log.final_accuracy,
         trainable_params=sum(p.size for p in task.trainable_params()),
         epochs_run=len(log.losses),

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import os
 import struct
+import subprocess
+import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lionprompt import checkpoint, deq
+from lionprompt import checkpoint, cli, deq, harness
 from lionprompt.cli import CSV_HEADER, _build_parser, _resolve_config, main
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
@@ -420,6 +422,25 @@ def test_eval_of_a_nonfinite_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "'head.b'" in err
 
 
+def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, monkeypatch,
+                                                           capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "lion", "--epochs", "3"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    splits = cli._target_splits
+
+    def poisoned(cfg):
+        train, test = splits(cfg)
+        inputs = test.inputs.copy()
+        inputs[3, 5] = np.nan
+        return train, replace(test, inputs=inputs)
+
+    monkeypatch.setattr(cli, "_target_splits", poisoned)
+    rc, _, err = run_cli(capsys, ["eval", *base])
+    assert rc == 1
+    assert "check failed: held-out predict: block p1 cell 0: non-finite iterate" in err
+
+
 def test_eval_without_tuned_model_exits_3(workdir, capsys):
     rc, _, err = run_cli(capsys, ["eval", "--out", str(workdir), "--seed", "0",
                                   "--protocol", "full_finetune"])
@@ -498,3 +519,63 @@ def test_gradcheck_with_anderson_mixes_the_stacks(tmp_path, capsys):
     assert rc == 0
     assert "3/3 ok" in out
     assert sum(ln.strip().endswith(" ok") for ln in out.splitlines()) == 3
+
+
+# --- the BLAS thread pin ----------------------------------------------------------
+
+def _blas():
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("this NumPy's OpenBLAS exposes no thread-count setter")
+    return blas
+
+
+def test_commands_run_on_one_blas_thread_and_restore_the_callers_count(tmp_path, monkeypatch,
+                                                                        capsys):
+    get, set_ = _blas()
+    suite, seen = harness.gradcheck_suite, []
+
+    def recording(**kwargs):
+        seen.append(get())
+        return suite(**kwargs)
+
+    monkeypatch.setattr(harness, "gradcheck_suite", recording)
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text("cases = 2\n")
+    session = get()
+    set_(2)
+    try:
+        assert run_cli(capsys, ["gradcheck", "--config", str(cfgfile)])[0] == 0
+        assert seen == [1] and get() == 2
+        assert run_cli(capsys, ["tune", "--protocol", "vpt"])[0] == 2
+        assert get() == 2
+    finally:
+        set_(session)
+
+
+def test_an_unpinnable_blas_runs_the_command_unchanged(tmp_path, monkeypatch, capsys):
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text("cases = 2\n")
+    argv = ["gradcheck", "--config", str(cfgfile)]
+    rc, pinned_out, pinned_err = run_cli(capsys, argv)
+    assert rc == 0 and pinned_err == ""
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0
+    assert err == "blas: unpinned\n"
+    assert out == pinned_out
+
+
+def test_artifacts_do_not_depend_on_the_callers_blas_thread_count(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    names = ("backbone-blobs-s0.ckpt", "lion-blobs-s0.ckpt", "lion-blobs-s0-trace.csv")
+    written = {}
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in (["pretrain"], ["tune", "--protocol", "lion", "--epochs", "20"]):
+            subprocess.run([sys.executable, "-m", "lionprompt", *argv, "--seed", "0",
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+        written[threads] = {name: (out / name).read_bytes() for name in names}
+    assert [n for n in names if written["2"][n] != written["1"][n]] == []
