@@ -60,7 +60,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--anderson-depth", type=int, dest="anderson_depth",
                    help="0 = plain Picard (default); N >= 2 = Anderson over N residuals")
     p.add_argument("--kappa", type=float, help="contraction bound, in (0,1)")
-    p.add_argument("--layers", type=int, help="cells per prompt block (default 1)")
     p.add_argument("--protocol", help="head_tuning | full_finetune | bias_tuning | lion")
     p.add_argument("--dataset", help="blobs | glyphs")
     p.add_argument("--shift", help="invertible_linear | rotation | noise | none")

@@ -30,7 +30,6 @@ class RunConfig:
     max_iters: int = 500
     anderson_depth: int = 0
     kappa: float = 0.9
-    layers: int = 1
     protocol: str = "lion"
     dataset: str = "blobs"
     shift: str = "invertible_linear"
@@ -60,8 +59,6 @@ class RunConfig:
             bad("anderson_depth", "must be >= 0")
         if not 0.0 < self.kappa < 1.0:
             bad("kappa", "must be strictly between 0 and 1")
-        if self.layers < 1:
-            bad("layers", "must be >= 1")
         if self.protocol not in PROTOCOL_CHOICES:
             raise ConfigError(f"unsupported protocol {self.protocol!r} "
                               f"(choose from {', '.join(PROTOCOL_CHOICES)})")
@@ -143,9 +140,11 @@ def serialize(cfg: RunConfig) -> str:
 
 
 def load_file(path: str) -> dict:
-    """Typed key dict from a config file; missing file is a config error."""
+    """Typed key dict from a config file; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_text(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} does not exist") from None
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None

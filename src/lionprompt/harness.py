@@ -281,9 +281,8 @@ class LionTask:
         return self.pm.trainable_params()
 
     def partitioned_params(self):
-        """The implicit layers' weights, W and U of every P1/P2 cell; the rest descend."""
-        return [p for block in (self.pm.p1, self.pm.p2)
-                for w, u, _ in block.cell_params for p in (w, u)]
+        """The implicit layers' weights, W and U of P1 and P2; the rest descend."""
+        return [self.pm.p1.W, self.pm.p1.U, self.pm.p2.W, self.pm.p2.U]
 
     def named_params(self):
         """Everything needed to reconstruct the model, frozen parts included."""
@@ -351,8 +350,8 @@ def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
     """
     bb = m.clone_backbone(backbone)
     if cfg.protocol == "lion":
-        return LionTask(m.build_prompt_model(bb, n_classes, cfg.seed, layers=cfg.layers,
-                                             kappa=cfg.kappa, solver=cfg.solver))
+        return LionTask(m.build_prompt_model(bb, n_classes, cfg.seed, kappa=cfg.kappa,
+                                             solver=cfg.solver))
     trainable = {"head_tuning": [], "bias_tuning": [s.b for s in bb.stages],
                  "full_finetune": bb.params()}[cfg.protocol]
     return ClassifierTask(bb, m.make_head(bb.out_dim, n_classes), trainable)

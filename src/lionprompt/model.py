@@ -15,12 +15,14 @@ Both run the one `forward`, which keeps what the reverse sweep reads; its
 `cache_t` lives in the model's reusable `workspace` arrays and is valid
 until the next `forward` on that model.
 
-Only the prompt cells, the projection, the head and the four gate scalars
-are trainable; the backbone's parameter gradients are never computed. The
-backward pass is one hand-written reverse sweep plus the implicit cell
-backward from `deq`. Every forward solve must converge: a prompt block
-raises `DivergenceError` rather than hand a point that is not a fixed
-point to the implicit backward or to a prediction.
+Each prompt block is one equilibrium cell: the paper's one implicit layer
+at each end of the backbone. Only the two cells, the projection, the head
+and the four gate scalars are trainable; the backbone's parameter
+gradients are never computed. The backward pass is one hand-written
+reverse sweep plus the implicit cell backward from `deq`. Every forward
+solve must converge: a prompt block raises `DivergenceError` rather than
+hand a point that is not a fixed point to the implicit backward or to a
+prediction.
 """
 
 from __future__ import annotations
@@ -187,69 +189,59 @@ def gate_vjp(alpha: float, beta: float, d_alpha: float, d_beta: float) -> tuple[
 
 @dataclass
 class PromptBlock:
-    """A chain of equilibrium cells solved sequentially (depth >= 1).
+    """One equilibrium cell z* = sigma(W z* + U x + b), solved on a batch.
 
-    Each cell's parameters live in `Param`s; the `DeqCell` views handed to
-    the solver are rebuilt from the current values on every call, so an
+    The parameters live in `Param`s; the `DeqCell` view handed to the
+    solver is rebuilt from the current values on every call, so an
     optimizer step immediately affects the next solve.
     """
 
     name: str
-    cell_params: list[tuple[Param, Param, Param]]  # (W, U, b) per cell
+    W: Param
+    U: Param
+    b: Param
     kappa: float = 0.9
     activation: str = "tanh"
 
-    def cells(self) -> list[DeqCell]:
-        return [DeqCell(W=w.value, U=u.value, b=b.value,
-                        kappa=self.kappa, activation=self.activation)
-                for w, u, b in self.cell_params]
+    def cell(self) -> DeqCell:
+        return DeqCell(W=self.W.value, U=self.U.value, b=self.b.value,
+                       kappa=self.kappa, activation=self.activation)
 
     def params(self) -> list[Param]:
-        return [p for cell in self.cell_params for p in cell]
+        return [self.W, self.U, self.b]
 
     def renormalize(self) -> None:
-        """Project every cell's state weight back onto the kappa-ball."""
-        for (w, _, _), cell in zip(self.cell_params, self.cells()):
-            w.value = deq.spectral_normalize(cell).W
+        """Project the state weight back onto the kappa-ball."""
+        self.W.value = deq.spectral_normalize(self.cell()).W
 
     def solve(self, x_rows: np.ndarray, cfg: SolverConfig,
-              starts: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """Solve the chain on a batch; returns [input, z1*, ..., zk*].
+              start: np.ndarray | None = None) -> np.ndarray:
+        """The fixed point z* of every row, starting from `start` or zero.
 
-        Cell k starts from `starts[k]` if given, else from zero. Raises
-        `DivergenceError`, naming the block and cell, when a solve stops
+        Raises `DivergenceError`, naming the block, when the solve stops
         short of the tolerance or reaches a non-finite iterate.
         """
-        states = [np.asarray(x_rows, dtype=np.float64)]
-        for idx, cell in enumerate(self.cells()):
-            try:
-                rep = deq.solve_forward_batch(cell, states[-1], cfg,
-                                              z0_rows=None if starts is None else starts[idx])
-            except DivergenceError as exc:
-                raise DivergenceError(f"block {self.name} cell {idx}: {exc}",
-                                      residual=exc.residual) from exc
-            if not rep.converged:
-                raise DivergenceError(
-                    f"block {self.name} cell {idx}: forward solve stopped at residual "
-                    f"{rep.residual:.3e} after {rep.iterations} evaluations "
-                    f"(tol {cfg.tol:.1e})", residual=rep.residual)
-            states.append(rep.z_star)
-        return states
+        try:
+            rep = deq.solve_forward_batch(self.cell(), x_rows, cfg, z0_rows=start)
+        except DivergenceError as exc:
+            raise DivergenceError(f"block {self.name}: {exc}", residual=exc.residual) from exc
+        if not rep.converged:
+            raise DivergenceError(
+                f"block {self.name}: forward solve stopped at residual "
+                f"{rep.residual:.3e} after {rep.iterations} evaluations "
+                f"(tol {cfg.tol:.1e})", residual=rep.residual)
+        return rep.z_star
 
-    def vjp(self, states: list[np.ndarray], y_rows: np.ndarray) -> np.ndarray:
-        """Chain the implicit backward through all cells, newest first.
+    def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        """Implicit backward of the cell at its fixed point `z_star`.
 
         Accumulates parameter gradients into the block's Params and returns
         the gradient w.r.t. the block input.
         """
-        g = y_rows
-        cells = self.cells()
-        for idx in range(len(cells) - 1, -1, -1):
-            g, cg = deq.deq_vjp_batch(cells[idx], states[idx + 1], states[idx], g)
-            w, u, b = self.cell_params[idx]
-            w.add_grad(cg.W)
-            u.add_grad(cg.U)
-            b.add_grad(cg.b)
+        g, cg = deq.deq_vjp_batch(self.cell(), z_star, x_rows, y_rows)
+        self.W.add_grad(cg.W)
+        self.U.add_grad(cg.U)
+        self.b.add_grad(cg.b)
         return g
 
 
@@ -303,8 +295,7 @@ def clone_backbone(backbone: Backbone) -> Backbone:
                                  s.activation) for s in backbone.stages])
 
 
-def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
-                       layers: int = 1, kappa: float = 0.9,
+def build_prompt_model(backbone: Backbone, n_classes: int, seed: int, kappa: float = 0.9,
                        solver: SolverConfig | None = None) -> PromptModel:
     """Fresh trainable parts wrapped around an existing (frozen) backbone.
 
@@ -316,12 +307,10 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
     rng = substream(seed, "prompt-init")
 
     def block(name: str, dim: int) -> PromptBlock:
-        cells = []
-        for k in range(layers):
-            cells.append((Param(f"{name}.{k}.W", _uniform(rng, (dim, dim), dim)),
-                          Param(f"{name}.{k}.U", _uniform(rng, (dim, dim), dim)),
-                          Param(f"{name}.{k}.b", np.zeros(dim))))
-        blk = PromptBlock(name=name, cell_params=cells, kappa=kappa)
+        # the ".0" in the names keeps checkpoints written by earlier versions loadable
+        blk = PromptBlock(name, Param(f"{name}.0.W", _uniform(rng, (dim, dim), dim)),
+                          Param(f"{name}.0.U", _uniform(rng, (dim, dim), dim)),
+                          Param(f"{name}.0.b", np.zeros(dim)), kappa=kappa)
         blk.renormalize()
         return blk
 
@@ -343,32 +332,33 @@ class ForwardPass:
     """Logits of one forward pass plus everything the reverse sweep reads;
     `cache_t` aliases the model's workspace, valid until its next `forward`."""
 
-    p1_states: list[np.ndarray]   # [x, z1*, ..., zk*] through P1
+    x: np.ndarray                 # the input rows
+    z1: np.ndarray                # P1(x), the fixed point of P1 on x
     xt: np.ndarray                # x_tilde = alpha1 * x + beta1 * P1(x)
     f_xt: np.ndarray              # F(x_tilde)
     cache_t: list                 # backbone cache of F(x_tilde)
-    p2_states: list[np.ndarray]   # [F(x), z1*, ..., zk*] through P2
+    f_x: np.ndarray               # F(x)
+    z2: np.ndarray                # P2(F(x)), the fixed point of P2 on F(x)
     r: np.ndarray                 # proj(P2(F(x)))
     zt: np.ndarray                # z_tilde = alpha2 * F(x_tilde) + beta2 * r
     logits: np.ndarray            # head(z_tilde)
 
 
 class WarmStart:
-    """Solver starts for rows solved again and again (a trainer's epochs),
-    kept by their owner: zero before any pass, then the last pass's fixed
-    points, then the extrapolation 2 z*_{e-1} - z*_{e-2} of the last two."""
+    """The P1 and P2 solver starts for rows solved again and again (a
+    trainer's epochs), kept by their owner: zero before any pass, then the
+    last pass's fixed points, then their extrapolation 2 z*_{e-1} - z*_{e-2}."""
 
     def __init__(self):
-        self._fixed: list[tuple[list, list]] = []   # per-cell (P1, P2) z*, oldest first
+        self._fixed: list[tuple[np.ndarray, np.ndarray]] = []   # (P1, P2) z*, oldest first
 
-    def starts(self) -> tuple[list, list] | None:
+    def starts(self) -> tuple[np.ndarray, np.ndarray] | None:
         if len(self._fixed) < 2:
             return self._fixed[-1] if self._fixed else None
-        return tuple([2.0 * zn - zo for zn, zo in zip(new, old)]
-                     for new, old in zip(self._fixed[1], self._fixed[0]))
+        return tuple(2.0 * zn - zo for zn, zo in zip(self._fixed[1], self._fixed[0]))
 
-    def record(self, p1_fixed: list[np.ndarray], p2_fixed: list[np.ndarray]) -> None:
-        self._fixed = self._fixed[-1:] + [(p1_fixed, p2_fixed)]
+    def record(self, z1: np.ndarray, z2: np.ndarray) -> None:
+        self._fixed = self._fixed[-1:] + [(z1, z2)]
 
 
 def forward(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None = None,
@@ -382,22 +372,22 @@ def forward(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None = Non
     x_rows = np.asarray(x_rows, dtype=np.float64)
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()
-    p1_starts, p2_starts = (warm and warm.starts()) or (None, None)
-    p1_states = model.p1.solve(x_rows, model.solver, p1_starts)
-    xt = a1 * x_rows + b1 * p1_states[-1]
+    z1_start, z2_start = (warm and warm.starts()) or (None, None)
+    z1 = model.p1.solve(x_rows, model.solver, z1_start)
+    xt = a1 * x_rows + b1 * z1
     f_xt, cache_t = backbone_forward(model.backbone, xt, model.workspace)
     if f_x is None:
         f_x, _ = backbone_forward(model.backbone, x_rows)
     elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
         raise ShapeMismatchError(
             f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
-    p2_states = model.p2.solve(f_x, model.solver, p2_starts)
-    r = p2_states[-1] @ model.proj.w.value.T + model.proj.b.value
+    z2 = model.p2.solve(f_x, model.solver, z2_start)
+    r = z2 @ model.proj.w.value.T + model.proj.b.value
     zt = a2 * f_xt + b2 * r
     logits = zt @ model.head.w.value.T + model.head.b.value
     if warm is not None:
-        warm.record(p1_states[1:], p2_states[1:])
-    return ForwardPass(p1_states, xt, f_xt, cache_t, p2_states, r, zt, logits)
+        warm.record(z1, z2)
+    return ForwardPass(x_rows, z1, xt, f_xt, cache_t, f_x, z2, r, zt, logits)
 
 
 def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
@@ -426,20 +416,20 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
     model.gate2.g_beta.add_grad(gb2)
 
     g_r = b2 * g_zt
-    model.proj.w.add_grad(g_r.T @ fw.p2_states[-1])
+    model.proj.w.add_grad(g_r.T @ fw.z2)
     model.proj.b.add_grad(np.sum(g_r, axis=0))
     g_z2 = g_r @ model.proj.w.value
-    model.p2.vjp(fw.p2_states, g_z2)
+    model.p2.vjp(fw.f_x, fw.z2, g_z2)
 
     g_xt = backbone_input_vjp(model.backbone, fw.cache_t, a2 * g_zt, model.workspace)
 
-    d_a1 = float(np.sum(g_xt * fw.p1_states[0]))
-    d_b1 = float(np.sum(g_xt * fw.p1_states[-1]))
+    d_a1 = float(np.sum(g_xt * fw.x))
+    d_b1 = float(np.sum(g_xt * fw.z1))
     ga1, gb1 = gate_vjp(a1, b1, d_a1, d_b1)
     model.gate1.g_alpha.add_grad(ga1)
     model.gate1.g_beta.add_grad(gb1)
 
-    model.p1.vjp(fw.p1_states, b1 * g_xt)
+    model.p1.vjp(fw.x, fw.z1, b1 * g_xt)
     return value, fw.logits
 
 

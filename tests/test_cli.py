@@ -170,7 +170,7 @@ def test_restore_rejects_architecture_mismatch(tmp_path):
 
 def test_config_round_trip_equality():
     cfg = RunConfig(seed=3, tau=0.25, eta=0.7, tol=3e-9, max_iters=123,
-                    anderson_depth=4, kappa=0.85, layers=2, protocol="bias_tuning",
+                    anderson_depth=4, kappa=0.85, protocol="bias_tuning",
                     dataset="glyphs", shift="rotation", ir=12.5, shots=8,
                     epochs=77, out="elsewhere", cases=9, hidden=64, feat_dim=8)
     assert parse(serialize(cfg)) == cfg
@@ -201,11 +201,11 @@ _FILE_ONLY_KEYS = {"cases", "hidden", "feat_dim"}
 
 def test_flags_override_the_config_file_and_file_only_keys_come_from_it(tmp_path):
     from_file = RunConfig(seed=3, tau=0.25, eta=0.7, tol=3e-9, max_iters=123,
-                          anderson_depth=4, kappa=0.85, layers=2, protocol="bias_tuning",
+                          anderson_depth=4, kappa=0.85, protocol="bias_tuning",
                           dataset="glyphs", shift="rotation", ir=12.5, shots=8,
                           epochs=77, out="elsewhere", cases=9, hidden=64, feat_dim=8)
     from_flags = RunConfig(seed=5, tau=0.3, eta=0.2, tol=4e-9, max_iters=99,
-                           anderson_depth=3, kappa=0.8, layers=3, protocol="lion",
+                           anderson_depth=3, kappa=0.8, protocol="lion",
                            dataset="blobs", shift="noise", ir=2.5, shots=4,
                            epochs=11, out="there")
     cfgfile = tmp_path / "run.cfg"
@@ -276,8 +276,20 @@ def test_invalid_config_file_names_the_key(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["tune", "--config", str(bad)])
     assert rc == 2
     assert "'tau'" in err
+    assert str(bad) in err
     rc, _, err = run_cli(capsys, ["tune", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
+
+
+def test_prompt_blocks_have_no_layers_setting(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--layers", "2"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("layers = 2\n")
+    rc, _, err = run_cli(capsys, ["tune", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "'layers'" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -343,7 +355,7 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
                                   "--protocol", "lion", "--epochs", "3",
                                   "--max-iters", "2"])
     assert rc == 1
-    assert "check failed: epoch 0: block p1 cell 0: forward solve stopped" in err
+    assert "check failed: epoch 0: block p1: forward solve stopped" in err
 
 
 def _record_solver_depths(monkeypatch):
@@ -406,7 +418,13 @@ def test_eval_refuses_settings_other_than_the_tune(workdir, tmp_path, capsys):
     assert "'shift' is 'invertible_linear' here but was 'rotation'" in err
     rc, _, _ = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
     assert rc == 0
-    os.remove(os.path.join(out, "head_tuning-blobs-s0.cfg"))
+    tuned_cfg = os.path.join(out, "head_tuning-blobs-s0.cfg")
+    with open(tuned_cfg, "a", encoding="utf-8") as fh:
+        fh.write("layers = 1\n")     # a key that .cfg files of earlier versions hold
+    rc, _, err = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
+    assert rc == 2
+    assert tuned_cfg in err and "'layers'" in err
+    os.remove(tuned_cfg)
     rc, _, err = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
     assert rc == 3
     assert "tuned model config" in err
@@ -438,7 +456,7 @@ def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, m
     monkeypatch.setattr(cli, "_target_splits", poisoned)
     rc, _, err = run_cli(capsys, ["eval", *base])
     assert rc == 1
-    assert "check failed: held-out predict: block p1 cell 0: non-finite iterate" in err
+    assert "check failed: held-out predict: block p1: non-finite iterate" in err
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):

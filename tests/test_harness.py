@@ -282,7 +282,7 @@ def test_held_out_predict_names_the_phase_block_and_cell_of_a_non_finite_solve()
     inputs = te.inputs.copy()
     inputs[3, 5] = np.nan
     with pytest.raises(DivergenceError,
-                       match="^held-out predict: block p1 cell 0: non-finite iterate"):
+                       match="^held-out predict: block p1: non-finite iterate"):
         run_protocol(RunConfig(protocol="lion", seed=0, epochs=3), bb, tr,
                      replace(te, inputs=inputs))
 
@@ -362,12 +362,12 @@ _TRAINED = {}
 
 
 def briefly_trained_lion_task():
-    """A layers = 1 lion task trained 20 epochs on the shifted seed-0 target,
+    """A lion task trained 20 epochs on the shifted seed-0 target,
     its held-out split, and each held-out row's logits solved as a one-row batch."""
     if "task" not in _TRAINED:
         bb, _ = shared_backbone()
         tr, te = shifted_pair(0)
-        task = make_task(RunConfig(protocol="lion", seed=0, layers=1), bb, tr.n_classes)
+        task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
         robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=20)
         alone = np.vstack([m.forward(task.pm, x[None]).logits for x in te.inputs])
         _TRAINED.update(task=task, test=te, alone=alone)
@@ -379,9 +379,8 @@ def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train():
     pm = task.pm
     assert all(abs(a - 0.5) > 1e-3 for a in (pm.gate1.coeffs()[0], pm.gate2.coeffs()[0]))
     # scalars that start at zero score |g * 0| = 0, so a partition would pin them there
-    starts_at_zero = [b for block in (pm.p1, pm.p2) for _, _, b in block.cell_params]
-    starts_at_zero += [pm.proj.b, pm.head.b, pm.gate1.g_alpha, pm.gate1.g_beta,
-                       pm.gate2.g_alpha, pm.gate2.g_beta]
+    starts_at_zero = [pm.p1.b, pm.p2.b, pm.proj.b, pm.head.b, pm.gate1.g_alpha,
+                      pm.gate1.g_beta, pm.gate2.g_alpha, pm.gate2.g_beta]
     assert all(np.all(p.value != 0.0) for p in starts_at_zero)
     # the exact zeros the soft-threshold leaves all lie in pruned cell weights
     zeros = {p.name for p in pm.trainable_params() if np.any(p.value == 0.0)}

@@ -34,10 +34,10 @@ from lionprompt.rng import substream
 TIGHT = SolverConfig(tol=1e-13)
 
 
-def init_prompt_model(d, h, hidden, n_classes, seed, layers=1, solver=None):
+def init_prompt_model(d, h, hidden, n_classes, seed, solver=None):
     """Fresh trainable parts around a fresh (untrained) backbone."""
     backbone = make_backbone(d, hidden, h, seed)
-    return build_prompt_model(backbone, n_classes, seed, layers=layers, solver=solver)
+    return build_prompt_model(backbone, n_classes, seed, solver=solver)
 
 
 def loss(model, x, y):
@@ -50,9 +50,9 @@ def zero_grads(model):
         p.zero_grad()
 
 
-def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2, layers=1):
+def small_model(seed=0, d=6, h=5, hidden=7, n_classes=2):
     model = init_prompt_model(d=d, h=h, hidden=hidden, n_classes=n_classes,
-                              seed=seed, layers=layers, solver=TIGHT)
+                              seed=seed, solver=TIGHT)
     # randomize the head: a zero head blocks gradient flow to everything above it
     rng = substream(seed, "head-rand")
     model.head.w.value = rng.normal(size=model.head.w.value.shape) * 0.5
@@ -137,10 +137,8 @@ def test_blend_input_closed_form_state_free_cell():
     rng = substream(3, "cf")
     u = rng.normal(size=(d, d))
     b = rng.normal(size=d)
-    block = PromptBlock(name="p1", cell_params=[(
-        Param("p1.0.W", np.zeros((d, d))),
-        Param("p1.0.U", u),
-        Param("p1.0.b", b))], activation="identity")
+    block = PromptBlock("p1", Param("p1.0.W", np.zeros((d, d))), Param("p1.0.U", u),
+                        Param("p1.0.b", b), activation="identity")
     model = small_model(4, d=d, h=3, hidden=5)
     model.p1 = block
     x = rng.normal(size=(2, d))
@@ -174,10 +172,9 @@ def test_blend_repr_identity_backbone_closed_form():
     u2, b2 = rng.normal(size=(d, d)), rng.normal(size=d)
 
     def state_free(name, u, b):
-        return PromptBlock(name=name, cell_params=[(
-            Param(f"{name}.0.W", np.zeros((d, d))),
-            Param(f"{name}.0.U", u),
-            Param(f"{name}.0.b", b))], activation="identity")
+        return PromptBlock(name, Param(f"{name}.0.W", np.zeros((d, d))),
+                           Param(f"{name}.0.U", u), Param(f"{name}.0.b", b),
+                           activation="identity")
 
     model = PromptModel(
         backbone=Backbone(stages=[stage]),
@@ -338,7 +335,7 @@ def test_unconverged_forward_solve_raises_naming_block_and_cell():
     x = substream(45, "x").normal(size=(3, 6))
     y = np.array([0, 1, 0])
     for call in (lambda: loss_and_grads(model, x, y), lambda: predict(model, x)):
-        with pytest.raises(DivergenceError, match=r"block p1 cell 0") as exc:
+        with pytest.raises(DivergenceError, match=r"^block p1: forward solve stopped") as exc:
             call()
         assert exc.value.residual > 1e-8
 
@@ -381,14 +378,6 @@ def test_end_to_end_gradients_match_finite_differences():
     run_end_to_end_gradcheck(model, x, y)
 
 
-def test_end_to_end_gradients_two_layer_blocks():
-    model = small_model(24, layers=2)
-    rng = substream(25, "data")
-    x = rng.normal(size=(2, 6))
-    y = np.array([1, 0])
-    run_end_to_end_gradcheck(model, x, y)
-
-
 def test_every_trainable_param_receives_gradient():
     model = small_model(28)
     rng = substream(29, "data")
@@ -421,11 +410,9 @@ def test_desk_scale_parameter_budget():
 
 def test_renormalize_caps_state_weights():
     model = small_model(32)
-    model.p1.cell_params[0] = (Param("p1.0.W", np.eye(6) * 5.0),
-                               model.p1.cell_params[0][1],
-                               model.p1.cell_params[0][2])
+    model.p1.W = Param("p1.0.W", np.eye(6) * 5.0)
     model.renormalize()
-    assert estimate_spectral_norm(model.p1.cell_params[0][0].value) <= 0.9 + 1e-6
+    assert estimate_spectral_norm(model.p1.W.value) <= 0.9 + 1e-6
 
 
 def test_param_count_report_worked_values():

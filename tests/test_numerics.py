@@ -43,7 +43,7 @@ def test_param_values_are_read_only_and_finite(tmp_path):
     checkpoint.restore(params, checkpoint.load(path))
     _assert_read_only(params)
 
-    w = pm.p1.cell_params[0][0]
+    w = pm.p1.W
     before = w.value
     with pytest.raises(EvaluationError, match="p1.0.W"):
         w.value = np.full(before.shape, np.nan)
