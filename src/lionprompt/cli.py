@@ -50,23 +50,13 @@ _INPUT_DIMS = {"blobs": 16, "glyphs": 64}
 # --- config plumbing -----------------------------------------------------------
 
 def _common_flags() -> argparse.ArgumentParser:
+    """`--config` and one flag per `RunConfig` field that has help text."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau", type=float, help="non-crucial fraction (default 0.4)")
-    p.add_argument("--eta", type=float, help="learning rate")
-    p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--anderson-depth", type=int, dest="anderson_depth",
-                   help="0 = plain Picard (default); N >= 2 = Anderson over N residuals")
-    p.add_argument("--kappa", type=float, help="contraction bound, in (0,1)")
-    p.add_argument("--protocol", help="head_tuning | full_finetune | bias_tuning | lion")
-    p.add_argument("--dataset", help="blobs | glyphs")
-    p.add_argument("--shift", help="invertible_linear | rotation | noise | none")
-    p.add_argument("--ir", type=float, help="long-tail imbalance ratio (1 = off)")
-    p.add_argument("--shots", type=int, help="few-shot samples per class (0 = off)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--out", help="output directory for checkpoints and reports")
+    for f in fields(RunConfig):
+        if "help" in f.metadata:
+            p.add_argument(f"--{f.name.replace('_', '-')}",
+                           type=cfgmod.FIELD_TYPES[f.name], help=f.metadata["help"])
     return p
 
 
@@ -95,14 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     """Defaults <- config file <- flags; returns the config and explicit keys."""
-    values: dict = {}
+    cfg, file_keys = RunConfig(), set()
     if args.config is not None:
-        values.update(cfgmod.load_file(args.config))
-    for f in fields(RunConfig):     # a field with no flag reads as None
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
-    return RunConfig(**values), set(values)
+        cfg, file_keys = cfgmod.load_file(args.config)
+    flags = {key: value for key, value in vars(args).items()
+             if key in cfgmod.FIELD_TYPES and value is not None}
+    return replace(cfg, **flags), file_keys | set(flags)
 
 
 # --- artifacts -----------------------------------------------------------------
@@ -177,7 +165,7 @@ def _load_backbone(cfg: RunConfig) -> m.Backbone:
 def cmd_pretrain(cfg: RunConfig) -> int:
     src = _make_split(cfg, cfg.seed, "train", _SOURCE_N)
     backbone, accuracy = harness.pretrain_backbone(
-        src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300))
+        src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300), eta=cfg.eta)
     os.makedirs(cfg.out, exist_ok=True)
     path = _backbone_path(cfg)
     checkpoint.save(path, backbone.params())
@@ -246,7 +234,7 @@ def _check_tuned_config(cfg: RunConfig) -> None:
     is solved.
     """
     path = _require(_tuned_config_path(cfg), "tuned model config")
-    tuned = RunConfig(**cfgmod.load_file(path))
+    tuned, _ = cfgmod.load_file(path)
     for f in fields(RunConfig):
         mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
         if f.name != "out" and mine != theirs:

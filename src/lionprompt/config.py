@@ -9,7 +9,7 @@ parse(serialize(c)) == c holds exactly for every valid config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .deq import SolverConfig
 from .errors import ConfigError
@@ -19,24 +19,29 @@ DATASET_CHOICES = ("blobs", "glyphs")
 SHIFT_CHOICES = ("invertible_linear", "rotation", "noise", "none")
 
 
+def _flag(default, help_text: str):
+    """A field the CLI also offers as a flag (`max_iters` -> `--max-iters`) with this help."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob a command reads, mirrored one-to-one by the CLI flags."""
+    """Every knob a command reads; each field with help text is also a CLI flag."""
 
-    seed: int = 0
-    tau: float = 0.4
-    eta: float = 0.3
-    tol: float = 1e-8
-    max_iters: int = 500
-    anderson_depth: int = 0
-    kappa: float = 0.9
-    protocol: str = "lion"
-    dataset: str = "blobs"
-    shift: str = "invertible_linear"
-    ir: float = 1.0
-    shots: int = 0
-    epochs: int = 200
-    out: str = "runs"
+    seed: int = _flag(0, "seed of the data, the shift and every initialisation")
+    tau: float = _flag(0.4, "non-crucial fraction (default 0.4)")
+    eta: float = _flag(0.3, "learning rate")
+    tol: float = _flag(1e-8, "fixed-point solver tolerance")
+    max_iters: int = _flag(500, "fixed-point iteration cap per solve")
+    anderson_depth: int = _flag(0, "0 = plain Picard; N >= 2 = Anderson over N residuals")
+    kappa: float = _flag(0.9, "contraction bound, in (0,1)")
+    protocol: str = _flag("lion", " | ".join(PROTOCOL_CHOICES))
+    dataset: str = _flag("blobs", " | ".join(DATASET_CHOICES))
+    shift: str = _flag("invertible_linear", " | ".join(SHIFT_CHOICES))
+    ir: float = _flag(1.0, "long-tail imbalance ratio (1 = off)")
+    shots: int = _flag(0, "few-shot samples per class (0 = off)")
+    epochs: int = _flag(200, "training epochs (pretrain runs at least 300)")
+    out: str = _flag("runs", "output directory for checkpoints and reports")
     cases: int = 20
     hidden: int = 448
     feat_dim: int = 16
@@ -92,22 +97,8 @@ class RunConfig:
                             anderson_depth=self.anderson_depth)
 
 
-_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
-                for f in fields(RunConfig)}
-
-
-def coerce(key: str, raw: str):
-    """Parse one raw string value to its field's type, naming the key on failure."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    kind = _FIELD_TYPES[key]
-    if kind is str:
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"invalid value for {key!r}: {raw!r} is not a valid {kind.__name__}") from None
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+               for f in fields(RunConfig)}
 
 
 def parse_text(text: str) -> dict:
@@ -119,8 +110,14 @@ def parse_text(text: str) -> dict:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = body.partition("=")
-        values[key.strip()] = coerce(key.strip(), raw.strip())
+        key, _, raw = (part.strip() for part in body.partition("="))
+        if key not in FIELD_TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            values[key] = FIELD_TYPES[key](raw)
+        except ValueError:
+            raise ConfigError(f"invalid value for {key!r}: {raw!r} is not a valid "
+                              f"{FIELD_TYPES[key].__name__}") from None
     return values
 
 
@@ -139,12 +136,13 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_file(path: str) -> dict:
-    """Typed key dict from a config file; every error names the file."""
+def load_file(path: str) -> tuple[RunConfig, set]:
+    """The validated config in a file and the keys it sets; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_text(fh.read())
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path!r} does not exist") from None
-    except ConfigError as exc:
+            values = parse_text(fh.read())
+        return RunConfig(**values), set(values)
+    except OSError as exc:
+        raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
+    except (UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None

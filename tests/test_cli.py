@@ -224,6 +224,14 @@ def test_flags_override_the_config_file_and_file_only_keys_come_from_it(tmp_path
     assert only_file == from_file
 
 
+def test_every_field_but_the_file_only_keys_is_a_flag():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    tune = sub.choices["tune"]
+    flags = {s for a in tune._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+    assert flags == {f"--{f.name.replace('_', '-')}" for f in fields(RunConfig)
+                     if f.name not in _FILE_ONLY_KEYS}
+
+
 def test_anderson_depth_zero_selects_picard_and_negative_is_rejected():
     assert RunConfig().anderson_depth == 0
     assert RunConfig(anderson_depth=0).anderson_depth == 0
@@ -258,6 +266,12 @@ def test_pretrain_reports_and_reruns_identically(tmp_path, capsys):
     assert (a / ckpt).read_bytes() == (b / ckpt).read_bytes()
 
 
+def test_pretrain_trains_at_the_given_eta(tmp_path, capsys):
+    rc, _, err = run_cli(capsys, ["pretrain", "--out", str(tmp_path), "--eta", "1e-9"])
+    assert rc == 1
+    assert "backbone pretraining reached" in err
+
+
 def test_tune_requires_the_backbone(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["tune", "--out", str(tmp_path), "--seed", "0"])
     assert rc == 3
@@ -279,6 +293,29 @@ def test_invalid_config_file_names_the_key(tmp_path, capsys):
     assert str(bad) in err
     rc, _, err = run_cli(capsys, ["tune", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("content", [None, b"seed = \xff\n", b"kappa = 2\n"],
+                         ids=["directory", "not-utf8", "out-of-range"])
+def test_a_config_file_that_cannot_be_read_or_used_is_named(tmp_path, capsys, content):
+    path = tmp_path / "run.cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    # the file is validated alone, so a flag for the bad key does not rescue it
+    for flags in ([], ["--kappa", "0.5"]):
+        rc, _, err = run_cli(capsys, ["tune", "--config", str(path), *flags])
+        assert rc == 2
+        assert f"config file {str(path)!r}" in err
+
+
+def test_an_out_of_range_flag_does_not_blame_a_valid_config_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("kappa = 0.5\n")
+    rc, _, err = run_cli(capsys, ["tune", "--config", str(path), "--kappa", "2"])
+    assert rc == 2
+    assert "invalid value for 'kappa'" in err and str(path) not in err
 
 
 def test_prompt_blocks_have_no_layers_setting(tmp_path, capsys):
@@ -428,6 +465,17 @@ def test_eval_refuses_settings_other_than_the_tune(workdir, tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["eval", *base, "--shift", "rotation"])
     assert rc == 3
     assert "tuned model config" in err
+
+
+def test_eval_names_a_tuned_config_edited_out_of_range(workdir, tmp_path, capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    tuned_cfg = tmp_path / "head_tuning-blobs-s0.cfg"
+    tuned_cfg.write_text(tuned_cfg.read_text().replace("kappa = 0.9", "kappa = 2.0"))
+    rc, _, err = run_cli(capsys, ["eval", *base])
+    assert rc == 2
+    assert str(tuned_cfg) in err and "'kappa'" in err
 
 
 def test_eval_of_a_nonfinite_checkpoint_exits_3(workdir, tmp_path, capsys):
