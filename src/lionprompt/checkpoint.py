@@ -60,9 +60,14 @@ def save(path: str, params: list[Param]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
+    write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to a temporary sibling, then rename it over `path`."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -41,11 +41,6 @@ from .errors import (
 CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
 _NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time_s")
 
-_N_CLASSES = 4
-_SOURCE_N = 400
-_TARGET_N = 200
-_INPUT_DIMS = {"blobs": 16, "glyphs": 64}
-
 
 # --- config plumbing -----------------------------------------------------------
 
@@ -95,13 +90,6 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
 
 # --- artifacts -----------------------------------------------------------------
 
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _require(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise MissingArtifactError(f"{what} not found at {path!r} — run the "
@@ -125,37 +113,9 @@ def _tuned_config_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.out, f"{_run_id(cfg)}.cfg")
 
 
-# --- dataset assembly -------------------------------------------------------------
-
-def _make_split(cfg: RunConfig, seed: int, split: str, n: int) -> harness.Dataset:
-    if cfg.dataset == "blobs":
-        return harness.make_blobs(_N_CLASSES, _INPUT_DIMS["blobs"], n, seed, split)
-    return harness.make_glyphs(_N_CLASSES, n, seed, split)
-
-
-def _target_splits(cfg: RunConfig) -> tuple[harness.Dataset, harness.Dataset]:
-    """Shifted (and optionally resampled) target task; test stays full-size."""
-    d = _INPUT_DIMS[cfg.dataset]
-    train = _make_split(cfg, cfg.seed, "train", _TARGET_N)
-    test = _make_split(cfg, cfg.seed, "test", _TARGET_N)
-    if cfg.shift != "none":
-        spec = harness.make_shift(cfg.shift, d, 100 + cfg.seed)
-        train, test = harness.apply_shift(train, spec), harness.apply_shift(test, spec)
-    key = "ir"      # the key whose resampler runs; a ValueError is that key's error
-    try:
-        if cfg.ir > 1.0:
-            train = harness.resample_longtail(train, cfg.ir)
-        key = "shots"
-        if cfg.shots > 0:
-            train = harness.resample_fewshot(train, cfg.shots)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
-    return train, test
-
-
 def _load_backbone(cfg: RunConfig) -> m.Backbone:
     path = _require(_backbone_path(cfg), "backbone checkpoint")
-    bb = m.make_backbone(_INPUT_DIMS[cfg.dataset], cfg.hidden, cfg.feat_dim, cfg.seed)
+    bb = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
     checkpoint.restore(bb.params(), checkpoint.load(path))
     return bb
 
@@ -163,7 +123,7 @@ def _load_backbone(cfg: RunConfig) -> m.Backbone:
 # --- commands ---------------------------------------------------------------------
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    src = _make_split(cfg, cfg.seed, "train", _SOURCE_N)
+    src = harness.source_task(cfg)
     backbone, accuracy = harness.pretrain_backbone(
         src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300), eta=cfg.eta)
     os.makedirs(cfg.out, exist_ok=True)
@@ -174,7 +134,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
               f"train accuracy   {accuracy:.4f}\n"
               f"backbone params  {n_params}\n"
               f"checkpoint       {path}\n")
-    _write_text(os.path.join(cfg.out, f"pretrain-{cfg.dataset}-s{cfg.seed}.txt"), report)
+    checkpoint.write_atomic(os.path.join(cfg.out, f"pretrain-{cfg.dataset}-s{cfg.seed}.txt"),
+                            report.encode())
     print(report, end="")
     return 0
 
@@ -198,14 +159,15 @@ def _trace_csv(res: harness.ProtocolResult) -> str:
 
 def cmd_tune(cfg: RunConfig) -> int:
     backbone = _load_backbone(cfg)
-    train, test = _target_splits(cfg)
+    train, test = harness.target_task(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
     os.makedirs(cfg.out, exist_ok=True)
     checkpoint.save(_model_path(cfg), res.task.named_params())
-    _write_text(_tuned_config_path(cfg), cfgmod.serialize(cfg))
-    _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}.csv"),
-                CSV_HEADER + "\n" + _run_row(cfg, res) + "\n")
-    _write_text(os.path.join(cfg.out, f"{_run_id(cfg)}-trace.csv"), _trace_csv(res))
+    checkpoint.write_atomic(_tuned_config_path(cfg), cfgmod.serialize(cfg).encode())
+    checkpoint.write_atomic(os.path.join(cfg.out, f"{_run_id(cfg)}.csv"),
+                            (CSV_HEADER + "\n" + _run_row(cfg, res) + "\n").encode())
+    checkpoint.write_atomic(os.path.join(cfg.out, f"{_run_id(cfg)}-trace.csv"),
+                            _trace_csv(res).encode())
     print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
           f"shots={cfg.shots} (train n={train.n})")
@@ -246,9 +208,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     backbone = _load_backbone(cfg)
     path = _require(_model_path(cfg), "tuned model checkpoint")
     _check_tuned_config(cfg)
-    task = harness.make_task(cfg, backbone, _N_CLASSES)
+    task = harness.make_task(cfg, backbone, harness.N_CLASSES)
     checkpoint.restore(task.named_params(), checkpoint.load(path))
-    _, test = _target_splits(cfg)
+    _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
     print(f"run              {_run_id(cfg)}")
     print(f"held-out accuracy {accuracy!r}")
@@ -291,11 +253,11 @@ def cmd_prop1(cfg: RunConfig) -> int:
     print(f"control loss (B=+I, retrain v)    {rep.control_loss:.3e}")
     print(f"verdict: {rep.verdict}")
     os.makedirs(cfg.out, exist_ok=True)
-    _write_text(
+    checkpoint.write_atomic(
         os.path.join(cfg.out, f"prop1-s{cfg.seed}.csv"),
-        "seed,input_side_loss,output_side_loss,control_loss,feasibility_gap,verdict\n"
-        f"{cfg.seed},{rep.input_side_loss!r},{rep.output_side_loss!r},"
-        f"{rep.control_loss!r},{rep.feasibility_gap!r},{rep.verdict}\n")
+        ("seed,input_side_loss,output_side_loss,control_loss,feasibility_gap,verdict\n"
+         f"{cfg.seed},{rep.input_side_loss!r},{rep.output_side_loss!r},"
+         f"{rep.control_loss!r},{rep.feasibility_gap!r},{rep.verdict}\n").encode())
     return 0 if rep.asymmetry_confirmed else 1
 
 
@@ -340,9 +302,8 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
         print(f"  {name:<8} {count:>10,}")
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "report.csv")
-    _write_text(out_path, "\n".join(
-        [CSV_HEADER] + [",".join(r[k] for k in CSV_HEADER.split(",")) for r in rows])
-        + "\n")
+    lines = [CSV_HEADER] + [",".join(r[k] for k in CSV_HEADER.split(",")) for r in rows]
+    checkpoint.write_atomic(out_path, ("\n".join(lines) + "\n").encode())
     print(f"\naggregated {len(rows)} runs -> {out_path}")
     return 0
 

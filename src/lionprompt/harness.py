@@ -1,10 +1,10 @@
 """Desk-scale experiment suite.
 
-Synthetic source/target task pairs with controlled domain shift, backbone
-pretraining, the task factory and run of the tuning protocols (head / bias
-/ full / prompted), long-tail and few-shot resamplers, the input-vs-output
-prompt-position experiment, and the gradient cross-check suite used by the
-CLI.
+Synthetic source/target task pairs with controlled domain shift (one recipe
+for both, `source_task` and `target_task`), backbone pretraining, the task
+factory and run of the tuning protocols (head / bias / full / prompted),
+long-tail and few-shot resamplers, the input-vs-output prompt-position
+experiment, and the gradient cross-check suite used by the CLI.
 
 Everything here is a pure function of (spec, seed): all randomness flows
 through named substreams, so any artifact can be regenerated bit-identically
@@ -22,13 +22,15 @@ import numpy as np
 from . import deq, model as m, robust_opt
 from .config import RunConfig
 from .deq import DeqCell, SolverConfig
-from .errors import DivergenceError, SetupError, ShapeMismatchError
+from .errors import ConfigError, DivergenceError, SetupError, ShapeMismatchError
 from .model import AffineStage, Backbone, PromptModel
 from .numerics import Param, batch_cross_entropy, rel_error
 from .rng import substream
 
 # Epochs without a loss improvement after which a protocol run stops early.
 PATIENCE = 20
+MIN_SOURCE_ACCURACY = 0.95     # source train accuracy a pretrained backbone must reach
+N_CLASSES = 4                  # classes of every source and target task
 
 
 # --- datasets ---------------------------------------------------------------
@@ -114,58 +116,35 @@ def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train") -> Data
 
 # --- domain shift -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ShiftSpec:
-    kind: str                       # invertible_linear | rotation | noise
-    A: np.ndarray | None = None     # for the two linear kinds
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("invertible_linear", "rotation", "noise"):
-            raise ValueError(f"unknown shift kind {self.kind!r}")
-        if self.kind in ("invertible_linear", "rotation"):
-            if self.A is None or self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-                raise ValueError(f"{self.kind} shift needs a square matrix")
-            if abs(float(np.linalg.det(self.A))) <= 1e-6:
-                raise ValueError("shift matrix is numerically singular")
-
-
 def _random_orthogonal(rng, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
 
 
-def make_shift(kind: str, d: int, seed: int) -> ShiftSpec:
-    """Seed-deterministic shift with controlled conditioning.
+def shift(ds: Dataset, kind: str, seed: int) -> Dataset:
+    """`ds` under the seed-deterministic shift `kind`; labels are reused as-is.
 
-    invertible_linear builds A = Q1 diag(sv) Q2^T with singular values spread
-    linearly over [0.8, 2.0]: invertible, condition number 2.5. rotation is a
-    single orthogonal factor (determinant +1); noise has sigma 0.5.
+    invertible_linear maps x -> A x, A = Q1 diag(sv) Q2^T with singular values
+    spread linearly over [0.8, 2.0]: invertible, condition number 2.5.
+    rotation maps x -> Q x, Q orthogonal with determinant +1. noise adds
+    sigma-0.5 noise from the split's own stream; none returns `ds` itself.
     """
+    if kind == "none":
+        return ds
+    if kind == "noise":
+        rng = substream(ds.seed, "shift-noise", ds.split)
+        return replace(ds, inputs=ds.inputs + 0.5 * rng.normal(size=ds.inputs.shape))
     rng = substream(seed, "shift", kind)
     if kind == "invertible_linear":
-        sv = np.linspace(0.8, 2.0, d)
-        a = _random_orthogonal(rng, d) @ np.diag(sv) @ _random_orthogonal(rng, d).T
-        return ShiftSpec(kind=kind, A=a)
-    if kind == "rotation":
-        q = _random_orthogonal(rng, d)
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return ShiftSpec(kind=kind, A=q)
-    if kind == "noise":
-        return ShiftSpec(kind=kind, noise_sigma=0.5)
-    raise ValueError(f"unknown shift kind {kind!r}")
-
-
-def apply_shift(ds: Dataset, spec: ShiftSpec) -> Dataset:
-    """Transform inputs (x -> A x, or add noise); labels are reused as-is."""
-    x = ds.inputs
-    if spec.kind in ("invertible_linear", "rotation"):
-        shifted = x @ spec.A.T
+        sv = np.linspace(0.8, 2.0, ds.d)
+        a = _random_orthogonal(rng, ds.d) @ np.diag(sv) @ _random_orthogonal(rng, ds.d).T
+    elif kind == "rotation":
+        a = _random_orthogonal(rng, ds.d)
+        if np.linalg.det(a) < 0:
+            a[:, 0] = -a[:, 0]
     else:
-        rng = substream(ds.seed, "shift-noise", ds.split)
-        shifted = x + spec.noise_sigma * rng.normal(size=x.shape)
-    return replace(ds, inputs=shifted)
+        raise ValueError(f"unknown shift kind {kind!r}")
+    return replace(ds, inputs=ds.inputs @ a.T)
 
 
 # --- resamplers ----------------------------------------------------------------
@@ -211,6 +190,39 @@ def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
         keep_idx.append(rng.choice(members, size=shots, replace=False))
     idx = np.sort(np.concatenate(keep_idx))
     return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+
+
+# --- the source and target tasks ---------------------------------------------------
+
+def _split(cfg: RunConfig, split: str, n: int) -> Dataset:
+    if cfg.dataset == "blobs":
+        return make_blobs(N_CLASSES, 16, n, cfg.seed, split)
+    return make_glyphs(N_CLASSES, n, cfg.seed, split)
+
+
+def source_task(cfg: RunConfig) -> Dataset:
+    """The backbone's task: 400 unshifted `cfg.dataset` training rows."""
+    return _split(cfg, "train", 400)
+
+
+def target_task(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """(train, test) of 200 rows each, under `cfg.shift` drawn at a seed of its own.
+
+    Only train is then resampled: long-tail when `cfg.ir` > 1, then few-shot
+    when `cfg.shots` > 0; a resampling it cannot take is a ConfigError.
+    """
+    train, test = (shift(_split(cfg, split, 200), cfg.shift, 100 + cfg.seed)
+                   for split in ("train", "test"))
+    key = "ir"      # the key whose resampler runs; a ValueError is that key's error
+    try:
+        if cfg.ir > 1.0:
+            train = resample_longtail(train, cfg.ir)
+        key = "shots"
+        if cfg.shots > 0:
+            train = resample_fewshot(train, cfg.shots)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
+    return train, test
 
 
 # --- tasks and pretraining ------------------------------------------------------
@@ -311,8 +323,7 @@ class LionTask:
 
 
 def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
-                      epochs: int = 300, eta: float = 0.3,
-                      min_accuracy: float = 0.95) -> tuple[Backbone, float]:
+                      epochs: int = 300, eta: float = 0.3) -> tuple[Backbone, float]:
     """Fit a fresh backbone (plus throwaway head) on the source task.
 
     Returns the backbone and the reached source train accuracy; refuses to
@@ -322,9 +333,9 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
     task = ClassifierTask(backbone, m.make_head(h, source_train.n_classes), backbone.params())
     log = robust_opt.train(task, source_train, robust_opt.OptState(eta=eta), epochs)
     accuracy = log.final_accuracy
-    if accuracy < min_accuracy:
-        raise SetupError(
-            f"backbone pretraining reached {accuracy:.3f} < {min_accuracy} train accuracy")
+    if accuracy < MIN_SOURCE_ACCURACY:
+        raise SetupError(f"backbone pretraining reached {accuracy:.3f} < "
+                         f"{MIN_SOURCE_ACCURACY} train accuracy")
     return backbone, accuracy
 
 

@@ -39,6 +39,8 @@ import numpy as np
 from .errors import DivergenceError, EvaluationError, StateError
 from .numerics import Param
 
+PLATEAU_TOL = 1e-6      # a loss must fall by more than this to count as improving
+
 
 @dataclass(frozen=True)
 class OptState:
@@ -98,7 +100,8 @@ def flat_grads(params: list[Param]) -> np.ndarray:
 
 def criticality_scores(params: list[Param]) -> np.ndarray:
     """Per-scalar score |(dL/dtheta) * theta| over the flattened set."""
-    return np.abs(flat_grads(params) * flat_values(params))
+    with np.errstate(over="ignore"):        # an overflow scores inf: `partition` refuses it
+        return np.abs(flat_grads(params) * flat_values(params))
 
 
 def partition(scores: np.ndarray, tau: float,
@@ -141,7 +144,8 @@ def step(params: list[Param], part: CriticalityPartition, state: OptState) -> No
             f"partition over {part.crucial_mask.size} scalars, params have {total}")
     grads = flat_grads(params)
     values = flat_values(params)
-    descended = values - state.eta * grads
+    with np.errstate(over="ignore"):        # an overflow is refused below, by name
+        descended = values - state.eta * grads
     shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
     updated = np.where(part.crucial_mask, descended, shrunk)
     if not np.isfinite(updated).all():
@@ -172,7 +176,7 @@ class TrainLog:
 
 
 def train(task, dataset, state: OptState, epochs: int,
-          patience: int | None = None, plateau_tol: float = 1e-6) -> TrainLog:
+          patience: int | None = None) -> TrainLog:
     """Full-batch partitioned training; returns the per-epoch log.
 
     The partition covers `task.partitioned_params()` when the task has that
@@ -180,7 +184,7 @@ def train(task, dataset, state: OptState, epochs: int,
     refreshed from fresh scores every `repartition_every` epochs and reused
     in between. A non-finite loss aborts immediately rather than letting the
     run limp on. With `patience` set, training stops early once the loss
-    has not improved by more than `plateau_tol` for that many consecutive
+    has not improved by more than `PLATEAU_TOL` for that many consecutive
     epochs. A `DivergenceError` from the task, and an `EvaluationError` from
     scoring or the step (a non-finite gradient or parameter), are re-raised
     with the epoch they happened in.
@@ -231,7 +235,7 @@ def train(task, dataset, state: OptState, epochs: int,
         metrics = getattr(task, "metrics", None)
         log.extras.append(metrics() if metrics is not None else {})
         if patience is not None:
-            if value < best_loss - plateau_tol:
+            if value < best_loss - PLATEAU_TOL:
                 best_loss = value
                 stale = 0
             else:

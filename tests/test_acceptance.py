@@ -7,6 +7,7 @@ complete; each criterion states its tolerance inline.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,14 +15,10 @@ from lionprompt import checkpoint, model, robust_opt
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.deq import SolverConfig, solve_forward_batch, spectral_normalize, DeqCell
 from lionprompt.harness import (
-    apply_shift,
     gradcheck_suite,
     make_blobs,
-    make_shift,
-    pretrain_backbone,
-    resample_fewshot,
-    resample_longtail,
     run_protocol,
+    target_task,
     verify_proposition1,
 )
 from lionprompt.model import gate_coeffs
@@ -37,33 +34,22 @@ def check(criterion: int, label: str, ok: bool, detail: str):
     assert ok, f"criterion {criterion} ({label}): {detail}"
 
 
-def shared_backbone():
-    if "bb" not in _CACHE:
-        src = make_blobs(4, 16, 400, seed=0, split="train", separation=6.0)
-        _CACHE["bb"], _ = pretrain_backbone(src, hidden=448, h=16, seed=0)
-    return _CACHE["bb"]
-
-
-def transfer_sweep():
+def transfer_sweep(bb):
     """Head vs LION over 5 seeds on plain / long-tail / few-shot targets."""
     if "sweep" not in _CACHE:
-        bb = shared_backbone()
         rows = {"plain": [], "longtail": [], "fewshot": []}
         for seed in range(5):
-            shift = make_shift("invertible_linear", 16, seed=100 + seed)
-            tr = apply_shift(make_blobs(4, 16, 200, seed=seed, split="train"), shift)
-            te = apply_shift(make_blobs(4, 16, 200, seed=seed, split="test"), shift)
-            variants = {"plain": tr,
-                        "longtail": resample_longtail(tr, 50.0),
-                        "fewshot": resample_fewshot(tr, 8)}
-            for name, train_ds in variants.items():
-                head = run_protocol(RunConfig(protocol="head_tuning", seed=seed), bb,
-                                    train_ds, te)
-                lion = run_protocol(RunConfig(protocol="lion", seed=seed), bb, train_ds, te)
+            variants = {"plain": RunConfig(seed=seed),
+                        "longtail": RunConfig(seed=seed, ir=50.0),
+                        "fewshot": RunConfig(seed=seed, shots=8)}
+            for name, target in variants.items():
+                train_ds, te = target_task(target)
+                head = run_protocol(replace(target, protocol="head_tuning"), bb, train_ds, te)
+                lion = run_protocol(target, bb, train_ds, te)
                 rows[name].append((head.accuracy, lion.accuracy))
                 if "lion_params" not in _CACHE:
-                    full = run_protocol(RunConfig(protocol="full_finetune", seed=seed,
-                                                  epochs=3), bb, train_ds, te)
+                    full = run_protocol(replace(target, protocol="full_finetune", epochs=3),
+                                        bb, train_ds, te)
                     _CACHE["lion_params"] = lion.trainable_params
                     _CACHE["full_params"] = full.trainable_params
         _CACHE["sweep"] = rows
@@ -137,11 +123,10 @@ def test_criterion_3_gate_simplex():
           f"both strictly inside (0, 1): {exact}")
 
 
-def test_criterion_4_frozen_backbone():
-    bb = model.clone_backbone(shared_backbone())
+def test_criterion_4_frozen_backbone(source_backbone):
+    bb = model.clone_backbone(source_backbone[0])
     pm = model.build_prompt_model(bb, 4, seed=0)
-    shift = make_shift("invertible_linear", 16, seed=100)
-    train = apply_shift(make_blobs(4, 16, 200, seed=0, split="train"), shift)
+    train, _ = target_task(RunConfig(seed=0))
 
     class Task:
         trainable_params = pm.trainable_params
@@ -238,8 +223,8 @@ def test_criterion_6_partitioned_optimizer():
           f"non-crucial mean |theta| non-increasing within windows: {monotone}")
 
 
-def test_criterion_7_transfer_ordering():
-    rows = transfer_sweep()
+def test_criterion_7_transfer_ordering(source_backbone):
+    rows = transfer_sweep(source_backbone[0])
     means = {name: (float(np.mean([p[0] for p in pairs])),
                     float(np.mean([p[1] for p in pairs])))
              for name, pairs in rows.items()}
@@ -266,7 +251,7 @@ def test_criterion_8_complexity_formulas():
           f"(expect 1,179,648 / 460,800 / 1,024)")
 
 
-def test_criterion_9_persistence(tmp_path):
+def test_criterion_9_persistence(tmp_path, source_backbone):
     rng = substream(3, "accept-ckpt")
     params = [Param("a.scalar", float(rng.normal())),
               Param("b.vec", rng.normal(size=9)),
@@ -283,10 +268,9 @@ def test_criterion_9_persistence(tmp_path):
     config_ok = parse(serialize(cfg)) == cfg and parse(serialize(RunConfig())) == RunConfig()
 
     from lionprompt.cli import CSV_HEADER, _run_row
-    bb = shared_backbone()
-    tr = make_blobs(4, 16, 200, seed=0, split="train")
-    te = make_blobs(4, 16, 200, seed=0, split="test")
-    res = run_protocol(RunConfig(protocol="head_tuning", seed=0, epochs=5), bb, tr, te)
+    tr, te = target_task(RunConfig(seed=0, shift="none"))
+    res = run_protocol(RunConfig(protocol="head_tuning", seed=0, epochs=5), source_backbone[0],
+                       tr, te)
     row_cfg = RunConfig(protocol="head_tuning", epochs=5)
     path = tmp_path / "run.csv"
     path.write_text(CSV_HEADER + "\n" + _run_row(row_cfg, res) + "\n")

@@ -493,7 +493,7 @@ def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, m
     base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
             "--protocol", "lion", "--epochs", "3"]
     assert run_cli(capsys, ["tune", *base])[0] == 0
-    splits = cli._target_splits
+    splits = harness.target_task
 
     def poisoned(cfg):
         train, test = splits(cfg)
@@ -501,7 +501,7 @@ def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, m
         inputs[3, 5] = np.nan
         return train, replace(test, inputs=inputs)
 
-    monkeypatch.setattr(cli, "_target_splits", poisoned)
+    monkeypatch.setattr(harness, "target_task", poisoned)
     rc, _, err = run_cli(capsys, ["eval", *base])
     assert rc == 1
     assert "check failed: held-out predict: block p1: non-finite iterate" in err
@@ -632,16 +632,33 @@ def test_an_unpinnable_blas_runs_the_command_unchanged(tmp_path, monkeypatch, ca
     assert out == pinned_out
 
 
-def test_artifacts_do_not_depend_on_the_callers_blas_thread_count(tmp_path):
+def _command(argv, **env):
+    """Run `python -m lionprompt argv` in a fresh process with this tree's `src` first."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lionprompt", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_artifacts_do_not_depend_on_the_callers_blas_thread_count(tmp_path):
     names = ("backbone-blobs-s0.ckpt", "lion-blobs-s0.ckpt", "lion-blobs-s0-trace.csv")
     written = {}
     for threads in ("2", "1"):
         out = tmp_path / f"threads-{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for argv in (["pretrain"], ["tune", "--protocol", "lion", "--epochs", "20"]):
-            subprocess.run([sys.executable, "-m", "lionprompt", *argv, "--seed", "0",
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+            proc = _command([*argv, "--seed", "0", "--out", str(out)],
+                            OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
         written[threads] = {name: (out / name).read_bytes() for name in names}
     assert [n for n in names if written["2"][n] != written["1"][n]] == []
+
+
+@pytest.mark.parametrize("protocol", ["lion", "full_finetune"])
+def test_an_overflowing_update_is_one_line_on_stderr(workdir, tmp_path, protocol):
+    # no NumPy overflow warning may reach stderr ahead of the error line
+    proc = _command(["tune", "--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+                     "--protocol", protocol, "--eta", "1e300"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("check failed: epoch 1: non-finite update for ['")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("]\n")

@@ -16,43 +16,23 @@ from lionprompt.harness import (
     PATIENCE,
     Dataset,
     LionTask,
-    ShiftSpec,
-    apply_shift,
     _central_differences,
     gradcheck_suite,
     make_blobs,
     make_glyphs,
-    make_shift,
     make_task,
     pretrain_backbone,
     resample_fewshot,
     resample_longtail,
     run_protocol,
+    shift,
+    source_task,
+    target_task,
     verify_proposition1,
 )
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
 from reference import finite_diff_grad
-
-_BACKBONE_CACHE = {}
-
-
-def shared_backbone():
-    """One pretrained frozen backbone reused across protocol tests."""
-    if "bb" not in _BACKBONE_CACHE:
-        src = make_blobs(4, 16, 400, seed=0, split="train", separation=6.0)
-        bb, acc = pretrain_backbone(src, hidden=448, h=16, seed=0)
-        _BACKBONE_CACHE["bb"] = bb
-        _BACKBONE_CACHE["acc"] = acc
-    return _BACKBONE_CACHE["bb"], _BACKBONE_CACHE["acc"]
-
-
-def shifted_pair(seed):
-    shift = make_shift("invertible_linear", 16, seed=100 + seed)
-    tr = apply_shift(make_blobs(4, 16, 200, seed=seed, split="train"), shift)
-    te = apply_shift(make_blobs(4, 16, 200, seed=seed, split="test"), shift)
-    return tr, te
-
 
 # --- datasets ---------------------------------------------------------------
 
@@ -133,52 +113,57 @@ def test_glyph_flip_rate_matches_parameter():
 
 # --- shifts -----------------------------------------------------------------
 
+def shift_matrix(kind, d, seed):
+    """The matrix A of a linear shift, read off the shift of the identity rows (I A^T)."""
+    eye = Dataset(np.eye(d), np.zeros(d, dtype=int), 1, "train", 0)
+    return shift(eye, kind, seed).inputs.T
+
+
 def test_invertible_shift_round_trip():
     ds = make_blobs(4, 16, 200, seed=7)
-    spec = make_shift("invertible_linear", 16, seed=11)
-    back = apply_shift(apply_shift(ds, spec),
-                       ShiftSpec("invertible_linear", np.linalg.inv(spec.A)))
-    assert np.max(np.abs(back.inputs - ds.inputs)) <= 1e-10
-    assert np.array_equal(back.labels, ds.labels)
+    a = shift_matrix("invertible_linear", 16, seed=11)
+    shifted = shift(ds, "invertible_linear", seed=11)
+    assert np.max(np.abs(shifted.inputs - ds.inputs @ a.T)) <= 1e-12
+    back = shifted.inputs @ np.linalg.inv(a).T
+    assert np.max(np.abs(back - ds.inputs)) <= 1e-10
+    assert np.array_equal(shifted.labels, ds.labels)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert np.allclose(sv, np.linspace(2.0, 0.8, 16))
 
 
 def test_identity_shift_is_a_no_op():
     ds = make_blobs(4, 16, 200, seed=7)
-    same = apply_shift(ds, ShiftSpec("invertible_linear", np.eye(16)))
-    assert np.array_equal(same.inputs, ds.inputs)
-    assert np.array_equal(same.labels, ds.labels)
+    assert shift(ds, "none", seed=11) is ds
 
 
 def test_rotation_preserves_norms():
     ds = make_blobs(4, 16, 200, seed=7)
-    spec = make_shift("rotation", 16, seed=11)
-    rotated = apply_shift(ds, spec)
+    rotated = shift(ds, "rotation", seed=11)
     before = np.linalg.norm(ds.inputs, axis=1)
     after = np.linalg.norm(rotated.inputs, axis=1)
     assert np.max(np.abs(before - after)) <= 1e-10
-    assert abs(np.linalg.det(spec.A) - 1.0) <= 1e-10
+    assert abs(np.linalg.det(shift_matrix("rotation", 16, seed=11)) - 1.0) <= 1e-10
 
 
 def test_noise_shift_is_deterministic():
     ds = make_blobs(4, 16, 200, seed=7)
-    spec = make_shift("noise", 16, seed=11)
-    a = apply_shift(ds, spec)
-    b = apply_shift(ds, spec)
+    a = shift(ds, "noise", seed=11)
+    b = shift(ds, "noise", seed=11)
     assert np.array_equal(a.inputs, b.inputs)
     assert not np.array_equal(a.inputs, ds.inputs)
 
 
 def test_shift_regenerates_from_seed():
-    a = make_shift("invertible_linear", 16, seed=11)
-    b = make_shift("invertible_linear", 16, seed=11)
-    assert a.A.tobytes() == b.A.tobytes()
+    ds = make_blobs(4, 16, 200, seed=7)
+    for kind in ("invertible_linear", "rotation"):
+        a = shift(ds, kind, seed=11)
+        assert a.inputs.tobytes() == shift(ds, kind, seed=11).inputs.tobytes()
+        assert a.inputs.tobytes() != shift(ds, kind, seed=12).inputs.tobytes()
 
 
-def test_singular_shift_rejected():
-    with pytest.raises(ValueError):
-        ShiftSpec("invertible_linear", np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        ShiftSpec("warp")
+def test_unknown_shift_kind_rejected():
+    with pytest.raises(ValueError, match="unknown shift kind 'warp'"):
+        shift(make_blobs(4, 16, 200, seed=7), "warp", seed=11)
 
 
 # --- resamplers ---------------------------------------------------------------
@@ -232,28 +217,28 @@ def test_fewshot_counts_and_determinism():
 
 # --- pretraining and protocols ---------------------------------------------------
 
-def test_pretraining_fits_the_source_task():
-    bb, acc = shared_backbone()
+def test_pretraining_fits_the_source_task(source_backbone):
+    bb, acc = source_backbone
     assert acc >= 0.95
     assert sum(p.size for p in bb.params()) == 14800
 
 
 def test_pretraining_refuses_a_failed_fit():
-    src = make_blobs(4, 16, 400, seed=0, split="train")
+    src = source_task(RunConfig())
     with pytest.raises(SetupError):
         pretrain_backbone(src, hidden=448, h=16, seed=0, epochs=2, eta=1e-9)
 
 
-def test_unknown_protocol_rejected():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(0)
+def test_unknown_protocol_rejected(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=0))
     with pytest.raises(ConfigError, match="unsupported protocol"):
         run_protocol(RunConfig(protocol="vpt"), bb, tr, te)
 
 
-def test_protocol_runs_are_deterministic():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(0)
+def test_protocol_runs_are_deterministic(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=0))
     st = RunConfig(protocol="head_tuning", seed=0, epochs=40)
     a = run_protocol(st, bb, tr, te)
     b = run_protocol(st, bb, tr, te)
@@ -261,9 +246,9 @@ def test_protocol_runs_are_deterministic():
     assert a.trainable_params == b.trainable_params == 4 * 16 + 4
 
 
-def test_protocol_runs_do_not_touch_the_shared_backbone():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(0)
+def test_protocol_runs_do_not_touch_the_shared_backbone(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=0))
     pretrained = {p.name: p.value.tobytes() for p in bb.params()}
     for protocol in PROTOCOL_CHOICES:
         task = run_protocol(RunConfig(protocol=protocol, seed=0, epochs=20), bb, tr, te).task
@@ -276,9 +261,9 @@ def test_protocol_runs_do_not_touch_the_shared_backbone():
     assert {p.name: p.value.tobytes() for p in bb.params()} == pretrained
 
 
-def test_held_out_predict_names_the_phase_block_and_cell_of_a_non_finite_solve():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(0)
+def test_held_out_predict_names_the_phase_block_and_cell_of_a_non_finite_solve(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=0))
     inputs = te.inputs.copy()
     inputs[3, 5] = np.nan
     with pytest.raises(DivergenceError,
@@ -287,17 +272,17 @@ def test_held_out_predict_names_the_phase_block_and_cell_of_a_non_finite_solve()
                      replace(te, inputs=inputs))
 
 
-def test_head_tuning_recovers_the_source_task():
-    bb, source_acc = shared_backbone()
+def test_head_tuning_recovers_the_source_task(source_backbone):
+    bb, source_acc = source_backbone
     tr = make_blobs(4, 16, 400, seed=0, split="train")
     te = make_blobs(4, 16, 400, seed=0, split="test")
     res = run_protocol(RunConfig(protocol="head_tuning", seed=0), bb, tr, te)
     assert abs(res.accuracy - source_acc) <= 0.02
 
 
-def test_prompted_model_beats_head_tuning_on_a_shifted_task():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(2)
+def test_prompted_model_beats_head_tuning_on_a_shifted_task(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=2))
     head = run_protocol(RunConfig(protocol="head_tuning", seed=2), bb, tr, te)
     lion = run_protocol(RunConfig(protocol="lion", seed=2), bb, tr, te)
     assert lion.accuracy > head.accuracy
@@ -330,9 +315,10 @@ def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
     assert len(raw_calls) == 3
 
 
-def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypatch):
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(0)
+def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypatch,
+                                                                      source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=0))
     nfe = []
     original = deq.solve_forward_batch
 
@@ -361,12 +347,12 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
 _TRAINED = {}
 
 
-def briefly_trained_lion_task():
+def briefly_trained_lion_task(source_backbone):
     """A lion task trained 20 epochs on the shifted seed-0 target,
     its held-out split, and each held-out row's logits solved as a one-row batch."""
     if "task" not in _TRAINED:
-        bb, _ = shared_backbone()
-        tr, te = shifted_pair(0)
+        bb, _ = source_backbone
+        tr, te = target_task(RunConfig(seed=0))
         task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
         robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=20)
         alone = np.vstack([m.forward(task.pm, x[None]).logits for x in te.inputs])
@@ -374,8 +360,8 @@ def briefly_trained_lion_task():
     return _TRAINED["task"], _TRAINED["test"], _TRAINED["alone"]
 
 
-def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train():
-    task, _, _ = briefly_trained_lion_task()
+def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train(source_backbone):
+    task, _, _ = briefly_trained_lion_task(source_backbone)
     pm = task.pm
     assert all(abs(a - 0.5) > 1e-3 for a in (pm.gate1.coeffs()[0], pm.gate2.coeffs()[0]))
     # scalars that start at zero score |g * 0| = 0, so a partition would pin them there
@@ -388,9 +374,9 @@ def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train():
                          for name in zeros)
 
 
-def test_baselines_partition_nothing_and_log_every_scalar_crucial():
-    bb, _ = shared_backbone()
-    tr, te = shifted_pair(1)
+def test_baselines_partition_nothing_and_log_every_scalar_crucial(source_backbone):
+    bb, _ = source_backbone
+    tr, te = target_task(RunConfig(seed=1))
     res = run_protocol(RunConfig(protocol="bias_tuning", seed=1, epochs=5), bb, tr, te)
     assert res.task.partitioned_params() == []
     assert res.log.crucial_fractions == [1.0] * 5
@@ -399,8 +385,8 @@ def test_baselines_partition_nothing_and_log_every_scalar_crucial():
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_predictions_do_not_depend_on_batch_composition(data):
-    task, te, alone = briefly_trained_lion_task()
+def test_predictions_do_not_depend_on_batch_composition(source_backbone, data):
+    task, te, alone = briefly_trained_lion_task(source_backbone)
     pm = task.pm
     rows = data.draw(st.one_of(
         st.lists(st.integers(0, te.n - 1), min_size=1, max_size=40, unique=True),
@@ -424,17 +410,17 @@ def test_predictions_do_not_depend_on_batch_composition(data):
 
 # --- optimizer plateau stop -----------------------------------------------------
 
-def test_patience_stops_training_early():
+def test_patience_stops_training_early(source_backbone):
     ds = make_blobs(4, 16, 400, seed=3, separation=10.0)
-    bb, _ = shared_backbone()
+    bb, _ = source_backbone
     # a vanishing step leaves the loss flat after the first epoch
     res = run_protocol(RunConfig(protocol="head_tuning", eta=1e-9, epochs=5000), bb, ds, ds)
     assert res.epochs_run == PATIENCE + 1
 
 
-def test_patience_must_be_positive():
+def test_patience_must_be_positive(source_backbone):
     ds = make_blobs(4, 16, 200, seed=3)
-    bb, _ = shared_backbone()
+    bb, _ = source_backbone
     task = make_task(RunConfig(protocol="head_tuning"), bb, ds.n_classes)
     with pytest.raises(ValueError, match="patience"):
         robust_opt.train(task, ds, robust_opt.OptState(eta=0.3), 5, patience=0)

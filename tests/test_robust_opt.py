@@ -170,7 +170,8 @@ def test_step_rejects_misaligned_partition():
 def test_step_refuses_an_overflowing_update_before_changing_any_parameter():
     params = params_with_grads([[1.0], [1e308]], [[1.0], [-1e308]])
     part = partition(np.zeros(2), tau=1e-12)   # all crucial
-    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=r"update for \['p1'\]$"):
+    # the step silences its own overflow: a warning would become an error here
+    with np.errstate(over="raise"), pytest.raises(EvaluationError, match=r"update for \['p1'\]$"):
         step(params, part, OptState(eta=1.0))
     assert params[0].value.tolist() == [1.0] and params[1].value.tolist() == [1e308]
 
@@ -326,8 +327,7 @@ def test_logged_accuracy_belongs_to_the_logged_loss():
 def test_final_accuracy_is_taken_after_the_last_step(patience):
     task = LogisticTask(d=4, c=2, seed=19)
     x, y = two_blobs(20, gap=1.0)
-    log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=400,
-                patience=patience, plateau_tol=1e-3)
+    log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=400, patience=patience)
     if patience is not None:
         assert len(log.losses) < 400   # stopped early on the plateau
     assert log.final_accuracy == float(np.mean(task.predict(x) == y))
@@ -374,7 +374,7 @@ def test_train_names_the_epoch_of_overflowing_scores():
             return out
 
     x, y = two_blobs(26)
-    with np.errstate(over="ignore"), pytest.raises(
+    with np.errstate(over="raise"), pytest.raises(     # scoring silences its own overflow
             EvaluationError, match=r"^epoch 1: criticality scores contain non-finite"):
         train(OverflowingTask(d=4, c=2, seed=27), (x, y), OptState(eta=0.3), epochs=4)
 
