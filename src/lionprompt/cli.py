@@ -55,6 +55,7 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     parser = argparse.ArgumentParser(

@@ -123,14 +123,14 @@ def estimate_spectral_norm(w) -> float:
     return float(np.linalg.norm(wa, 2))
 
 
-def spectral_normalize(cell: DeqCell) -> DeqCell:
+def spectral_normalize(cell: DeqCell, sigma: float | None = None) -> DeqCell:
     """Project the state weight onto operator norm <= kappa.
 
     Returns a cell with W <- W * min(1, kappa / sigma_max(W)); a weight
     already inside the ball (or identically zero) is returned unchanged.
-    Idempotent up to rounding.
+    Idempotent up to rounding. `sigma` is sigma_max(W) if already computed.
     """
-    sigma = estimate_spectral_norm(cell.W)
+    sigma = estimate_spectral_norm(cell.W) if sigma is None else sigma
     if sigma <= cell.kappa:
         return cell
     return replace(cell, W=cell.W * (cell.kappa / sigma))

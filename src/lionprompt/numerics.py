@@ -23,13 +23,14 @@ class Param:
     """A named trainable array with a gradient accumulator.
 
     The one place parameter state is checked: every value assigned to
-    `value` (at construction, by an optimizer step, a re-projection or a
-    checkpoint restore) is converted to float64, must be finite and of rank
-    at most 2, and is then marked read-only in place, so values shared
-    between Params can never be written through. `grad` is None until a
-    backward pass accumulates into it; the accumulator is the Param's own
-    array, copied on the first add. Accumulation is single-writer: training
-    is single-threaded by contract. Params compare by identity.
+    `value` (at construction, a re-projection or a checkpoint restore) or
+    through `assign_flat` (an optimizer step) is converted to float64, must
+    be finite and of rank at most 2, and is then marked read-only in place,
+    so values shared between Params can never be written through. `grad` is
+    None until a backward pass accumulates into it; the accumulator is the
+    Param's own array, copied on the first add. Accumulation is
+    single-writer: training is single-threaded by contract. Params compare
+    by identity.
     """
 
     name: str
@@ -46,6 +47,24 @@ class Param:
                 raise EvaluationError(f"{self.name!r}: value contains non-finite entries")
             v.setflags(write=False)
         object.__setattr__(self, key, v)
+
+    @staticmethod
+    def assign_flat(params: list[Param], flat) -> None:
+        """Assign `params`, in order, consecutive chunks of one flat vector, checked
+        once: a non-finite entry is refused, naming its parameters, before any
+        Param changes; then the vector turns read-only and each value is a view."""
+        flat = np.asarray(flat, dtype=np.float64)
+        sizes = [p.size for p in params]
+        if flat.shape != (sum(sizes),):
+            raise ShapeMismatchError(f"{flat.shape} flat values for {sum(sizes)} scalars")
+        ends = np.cumsum(sizes)
+        if not np.isfinite(flat).all():
+            bad = [p.name for p, chunk in zip(params, np.split(flat, ends[:-1]))
+                   if not np.isfinite(chunk).all()]
+            raise EvaluationError(f"non-finite update for {bad}")
+        flat.setflags(write=False)
+        for p, end, n in zip(params, ends, sizes):
+            object.__setattr__(p, "value", flat[end - n:end].reshape(p.value.shape))
 
     @property
     def size(self) -> int:

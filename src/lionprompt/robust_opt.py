@@ -8,7 +8,7 @@ sign(theta)*max(|theta|-eta, 0) — the convergent form of the raw sign
 update theta - eta*sign(theta), which oscillates around zero with
 amplitude eta instead of settling. Every trainable scalar outside the
 partition descends as well, so a task that partitions nothing trains by
-plain gradient descent.
+plain gradient descent, and its scores are never computed.
 
 One trainer, duck-typed over a small task surface, drives both the
 prompted model and the plain-classifier baselines:
@@ -98,10 +98,10 @@ def flat_grads(params: list[Param]) -> np.ndarray:
     return flat
 
 
-def criticality_scores(params: list[Param]) -> np.ndarray:
+def criticality_scores(grads: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-scalar score |(dL/dtheta) * theta| over the flattened set."""
     with np.errstate(over="ignore"):        # an overflow scores inf: `partition` refuses it
-        return np.abs(flat_grads(params) * flat_values(params))
+        return np.abs(grads * values)
 
 
 def partition(scores: np.ndarray, tau: float,
@@ -131,32 +131,21 @@ def partition(scores: np.ndarray, tau: float,
                                 threshold_value=threshold)
 
 
-def step(params: list[Param], part: CriticalityPartition, state: OptState) -> None:
+def step(params: list[Param], grads: np.ndarray, values: np.ndarray,
+         part: CriticalityPartition, state: OptState) -> None:
     """Apply one partitioned update in place, all or nothing.
 
-    Crucial scalars descend along the gradient; non-crucial ones shrink by
-    eta toward zero (soft-threshold). An update with a non-finite entry is
-    refused, naming its parameters, before any parameter changes.
+    Crucial scalars descend along the flattened `grads`; non-crucial ones
+    shrink by eta toward zero (soft-threshold). `Param.assign_flat` refuses an
+    update with a non-finite entry, naming its parameters, before any changes.
     """
-    total = sum(p.size for p in params)
-    if part.crucial_mask.shape != (total,):
+    if part.crucial_mask.shape != values.shape:
         raise StateError(
-            f"partition over {part.crucial_mask.size} scalars, params have {total}")
-    grads = flat_grads(params)
-    values = flat_values(params)
-    with np.errstate(over="ignore"):        # an overflow is refused below, by name
+            f"partition over {part.crucial_mask.size} scalars, params have {values.size}")
+    with np.errstate(over="ignore"):        # an overflow is refused by name on assignment
         descended = values - state.eta * grads
     shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
-    updated = np.where(part.crucial_mask, descended, shrunk)
-    if not np.isfinite(updated).all():
-        chunks = np.split(updated, np.cumsum([p.size for p in params])[:-1])
-        bad = [p.name for p, chunk in zip(params, chunks) if not np.isfinite(chunk).all()]
-        raise EvaluationError(f"non-finite update for {bad}")
-    offset = 0
-    for p in params:
-        chunk = updated[offset:offset + p.size]
-        p.value = chunk.reshape(p.value.shape)
-        offset += p.size
+    Param.assign_flat(params, np.where(part.crucial_mask, descended, shrunk))
 
 
 @dataclass
@@ -182,12 +171,13 @@ def train(task, dataset, state: OptState, epochs: int,
     The partition covers `task.partitioned_params()` when the task has that
     hook, and every trainable parameter otherwise; the rest descend. It is
     refreshed from fresh scores every `repartition_every` epochs and reused
-    in between. A non-finite loss aborts immediately rather than letting the
-    run limp on. With `patience` set, training stops early once the loss
-    has not improved by more than `PLATEAU_TOL` for that many consecutive
-    epochs. A `DivergenceError` from the task, and an `EvaluationError` from
-    scoring or the step (a non-finite gradient or parameter), are re-raised
-    with the epoch they happened in.
+    in between; one that covers nothing is all crucial and never scored.
+    A non-finite loss aborts immediately rather than letting the run limp
+    on. With `patience` set, training stops early once the loss has not
+    improved by more than `PLATEAU_TOL` for that many consecutive epochs. A
+    `DivergenceError` from the task, and an `EvaluationError` from scoring
+    or the step (a non-finite gradient or parameter), are re-raised with the
+    epoch they happened in.
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
@@ -202,7 +192,8 @@ def train(task, dataset, state: OptState, epochs: int,
         raise StateError("partitioned parameters must all be trainable")
     pruned = np.concatenate([np.full(p.size, id(p) in named) for p in params])
     log = TrainLog()
-    part: CriticalityPartition | None = None
+    rescore = bool(pruned.any())
+    part = None if rescore else partition(np.zeros(pruned.size), state.tau, pruned)
     best_loss = math.inf
     stale = 0
     prepare = getattr(task, "prepare", None)
@@ -218,9 +209,10 @@ def train(task, dataset, state: OptState, epochs: int,
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
         try:
-            if part is None or epoch % state.repartition_every == 0:
-                part = partition(criticality_scores(params), state.tau, pruned)
-            step(params, part, state)
+            grads, values = flat_grads(params), flat_values(params)
+            if rescore and epoch % state.repartition_every == 0:
+                part = partition(criticality_scores(grads, values), state.tau, pruned)
+            step(params, grads, values, part, state)
         except EvaluationError as exc:
             raise EvaluationError(f"epoch {epoch}: {exc}") from exc
         post = getattr(task, "post_step", None)

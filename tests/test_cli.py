@@ -232,6 +232,22 @@ def test_every_field_but_the_file_only_keys_is_a_flag():
                      if f.name not in _FILE_ONLY_KEYS}
 
 
+def test_one_parser_serves_every_call_and_no_call_sees_anothers_flags(monkeypatch):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_tune", record)
+    monkeypatch.setattr(cli, "cmd_eval", record)
+    assert main(["tune", "--shots", "8", "--seed", "3"]) == 0
+    assert main(["eval"]) == 0
+    assert _build_parser() is _build_parser()
+    assert (seen[0].shots, seen[0].seed) == (8, 3)
+    assert seen[1] == RunConfig()
+
+
 def test_anderson_depth_zero_selects_picard_and_negative_is_rejected():
     assert RunConfig().anderson_depth == 0
     assert RunConfig(anderson_depth=0).anderson_depth == 0

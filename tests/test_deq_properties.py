@@ -6,6 +6,11 @@ which stops only once its worst row is within tol, is within tol / (1 - rho)
 of the same row solved on its own. A row that shifts one entry of a weight
 with ||W||_2 <= kappa by eps runs the map of W + eps E_ij, whose rate is at
 most rho = kappa + |eps|.
+
+A prompt block skips the SVD of its state weight when ||W_0||_2 from its
+last SVD plus ||W - W_0||_F proves the projection would not clip, so its
+weights must match the projection's, byte for byte, on any sequence of
+weights.
 """
 
 from dataclasses import replace
@@ -13,7 +18,15 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lionprompt.deq import DeqCell, SolverConfig, solve_forward_batch, spectral_normalize
+from lionprompt.deq import (
+    DeqCell,
+    SolverConfig,
+    estimate_spectral_norm,
+    solve_forward_batch,
+    spectral_normalize,
+)
+from lionprompt.model import PromptBlock
+from lionprompt.numerics import Param
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -66,3 +79,31 @@ def test_a_stack_of_equal_weights_matches_the_shared_weight_batch(shape):
     assert stack.z_star.tobytes() == batch.z_star.tobytes()
     assert (stack.iterations, stack.residual, stack.converged) == \
         (batch.iterations, batch.residual, batch.converged)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.floats(0.3, 0.9), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["step", "jump", "edge", "restore"]), min_size=1, max_size=30))
+def test_a_block_projects_every_weight_exactly_as_the_projection_does(h, kappa, seed, moves):
+    rng = np.random.default_rng(seed)
+    blk = PromptBlock("p", Param("p.W", np.zeros((h, h))), Param("p.U", np.zeros((h, 1))),
+                      Param("p.b", np.zeros(h)), kappa=kappa)
+    seen = [blk.W.value]
+    for move in moves:
+        w = blk.W.value
+        if move == "step":      # an optimizer-sized step from the current weight
+            w = w + rng.normal(size=(h, h)) * 10.0 ** rng.uniform(-6, -2)
+        elif move == "jump":    # anywhere from well inside the ball to well outside it
+            w = rng.normal(size=(h, h)) * rng.uniform(0.0, 2.0) / np.sqrt(h)
+        elif move == "edge":    # within 1e-8 to 1e-12 (relative) of the ball's edge, either side
+            sigma = estimate_spectral_norm(w)
+            if sigma > 0.0:
+                w = w * (kappa * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, -8)) / sigma)
+        else:                   # back to an earlier weight
+            w = seen[rng.integers(len(seen))]
+        blk.W.value = w
+        expected = spectral_normalize(blk.cell()).W
+        blk.renormalize()
+        assert blk.W.value.tobytes() == expected.tobytes()
+        assert estimate_spectral_norm(blk.W.value) <= kappa * (1.0 + 1e-12)
+        seen.append(blk.W.value)

@@ -17,6 +17,7 @@ from lionprompt.harness import (
     Dataset,
     LionTask,
     _central_differences,
+    _sq_loss,
     gradcheck_suite,
     make_blobs,
     make_glyphs,
@@ -344,6 +345,23 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
     assert np.array_equal(preds[0], preds[1])
 
 
+def test_a_lion_tune_runs_the_projection_svd_only_when_its_bound_fails(monkeypatch,
+                                                                       source_backbone):
+    bb, _ = source_backbone
+    cfg = RunConfig(seed=0, epochs=60)
+    original = deq.estimate_spectral_norm
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(deq, "estimate_spectral_norm", counting)
+    res = run_protocol(cfg, bb, *target_task(cfg))
+    # measured 9, two of them at construction; one per block and epoch would be 122
+    assert res.epochs_run == 60 and 2 <= len(calls) <= 12
+
+
 _TRAINED = {}
 
 
@@ -436,6 +454,14 @@ def test_input_output_asymmetry():
     assert rep.control_loss <= 1e-3
     assert rep.asymmetry_confirmed
     assert rep.verdict == "asymmetry confirmed"
+
+
+def test_sq_loss_is_the_mean_of_squares_bit_for_bit():
+    rng = substream(0, "sq-loss")
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000):
+        pred = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        y = rng.normal(size=n)
+        assert _sq_loss(pred, y) == float(np.mean((pred - y) ** 2))
 
 
 def test_asymmetry_holds_across_seeds():

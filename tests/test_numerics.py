@@ -1,6 +1,7 @@
 """Parameter state, activations and the batched loss checked against finite differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from lionprompt.numerics import (
     rel_error,
 )
 from lionprompt.rng import substream
-from lionprompt.robust_opt import OptState, criticality_scores, partition, step
+from lionprompt.robust_opt import (
+    OptState,
+    criticality_scores,
+    flat_grads,
+    flat_values,
+    partition,
+    step,
+)
 from reference import finite_diff_grad
 
 
@@ -33,8 +41,9 @@ def test_param_values_are_read_only_and_finite(tmp_path):
     _assert_read_only(pm.backbone.params() + params)
     x = substream(0, "param-ro").normal(size=(6, 4))
     loss_and_grads(pm, x, np.array([0, 1, 2, 0, 1, 2]))
-    part = partition(criticality_scores(params), 0.4)
-    step(params, part, OptState(eta=0.1))
+    grads, values = flat_grads(params), flat_values(params)
+    step(params, grads, values, partition(criticality_scores(grads, values), 0.4),
+         OptState(eta=0.1))
     _assert_read_only(params)
     pm.renormalize()
     _assert_read_only(params)
@@ -52,6 +61,26 @@ def test_param_values_are_read_only_and_finite(tmp_path):
     with pytest.raises(ShapeMismatchError, match="p1.0.W"):
         w.value = np.zeros((2, 2, 2))
     assert w.value is before
+
+
+def test_assign_flat_checks_once_and_leaves_read_only_views():
+    params = [Param("a", [[1.0, 2.0], [3.0, 4.0]]), Param("b", 5.0), Param("c", [6.0, 7.0])]
+    before = [p.value for p in params]
+    for bad, names in (([0.0, np.nan, 0, 0, 0, np.inf, 0], "['a', 'c']"),
+                       ([0.0, 0, 0, 0, -np.inf, 0, 0], "['b']")):
+        with pytest.raises(EvaluationError, match=re.escape(f"non-finite update for {names}")):
+            Param.assign_flat(params, np.array(bad))
+        assert all(p.value is v for p, v in zip(params, before))
+    with pytest.raises(ShapeMismatchError):
+        Param.assign_flat(params, np.zeros(6))
+    flat = np.arange(7.0)
+    Param.assign_flat(params, flat)
+    assert [p.value.tolist() for p in params] == [[[0.0, 1.0], [2.0, 3.0]], 4.0, [5.0, 6.0]]
+    assert [p.value.shape for p in params] == [v.shape for v in before]
+    _assert_read_only(params)
+    with pytest.raises(ValueError):
+        flat[0] = 1.0                 # nor through the vector they view
+    assert params[0].value[0, 0] == 0.0
 
 
 def test_param_grad_accumulates():

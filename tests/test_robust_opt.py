@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lionprompt import robust_opt
 from lionprompt.errors import DivergenceError, EvaluationError, StateError
 from lionprompt.numerics import Param, batch_cross_entropy
 from lionprompt.rng import substream
@@ -13,6 +14,7 @@ from lionprompt.robust_opt import (
     CriticalityPartition,
     OptState,
     criticality_scores,
+    flat_grads,
     flat_values,
     partition,
     step,
@@ -70,6 +72,11 @@ def params_with_grads(values, grads):
     return out
 
 
+def flattened(params):
+    """(gradients, values) of `params`, flattened as the trainer hands them on."""
+    return flat_grads(params), flat_values(params)
+
+
 # --- scores and partition ------------------------------------------------------
 
 def test_opt_state_validation():
@@ -84,13 +91,13 @@ def test_opt_state_validation():
 
 def test_scores_value_times_grad():
     params = params_with_grads([[2.0], [0.0], [3.0]], [[0.5], [7.0], [0.0]])
-    assert np.array_equal(criticality_scores(params), [1.0, 0.0, 0.0])
+    assert np.array_equal(criticality_scores(*flattened(params)), [1.0, 0.0, 0.0])
 
 
 def test_scores_require_grads():
     p = Param("w", [1.0])
     with pytest.raises(StateError):
-        criticality_scores([p])
+        criticality_scores(*flattened([p]))
 
 
 def test_partition_worked_example():
@@ -145,8 +152,8 @@ def test_partition_is_exhaustive_for_arbitrary_scores(scores, tau):
 
 def test_step_crucial_descends():
     params = params_with_grads([[1.0]], [[0.2]])
-    part = partition(criticality_scores(params), tau=0.4)
-    step(params, part, OptState(eta=0.1))
+    part = partition(criticality_scores(*flattened(params)), tau=0.4)
+    step(params, *flattened(params), part, OptState(eta=0.1))
     assert abs(params[0].value.item() - 0.98) <= 1e-15
 
 
@@ -156,7 +163,7 @@ def test_step_soft_threshold_shrinks():
                                 crucial_mask=np.array([False, False]),
                                 noncrucial_mask=np.array([True, True]),
                                 tau=0.4, threshold_value=np.inf)
-    step(params, part, OptState(eta=0.1))
+    step(params, *flattened(params), part, OptState(eta=0.1))
     assert np.allclose(params[0].value, [0.2, 0.0], atol=1e-15)
 
 
@@ -164,7 +171,7 @@ def test_step_rejects_misaligned_partition():
     params = params_with_grads([[1.0, 2.0]], [[0.1, 0.1]])
     part = partition(np.array([1.0]), tau=0.4)
     with pytest.raises(StateError):
-        step(params, part, OptState(eta=0.1))
+        step(params, *flattened(params), part, OptState(eta=0.1))
 
 
 def test_step_refuses_an_overflowing_update_before_changing_any_parameter():
@@ -172,7 +179,7 @@ def test_step_refuses_an_overflowing_update_before_changing_any_parameter():
     part = partition(np.zeros(2), tau=1e-12)   # all crucial
     # the step silences its own overflow: a warning would become an error here
     with np.errstate(over="raise"), pytest.raises(EvaluationError, match=r"update for \['p1'\]$"):
-        step(params, part, OptState(eta=1.0))
+        step(params, *flattened(params), part, OptState(eta=1.0))
     assert params[0].value.tolist() == [1.0] and params[1].value.tolist() == [1e308]
 
 
@@ -207,11 +214,16 @@ def test_train_aborts_on_nonfinite_loss():
               OptState(eta=0.1), epochs=3)
 
 
-def test_all_crucial_matches_manual_gradient_descent_bitwise():
+def test_all_crucial_matches_manual_gradient_descent_bitwise(monkeypatch):
     x, y = two_blobs(7)
     task_a = PlainLogisticTask(d=4, c=2, seed=8)
     task_b = LogisticTask(d=4, c=2, seed=8)
     eta = 0.3
+
+    def unreachable(grads, values):
+        raise AssertionError("a task that partitions nothing was scored")
+
+    monkeypatch.setattr(robust_opt, "criticality_scores", unreachable)
     train(task_a, (x, y), OptState(eta=eta), epochs=25)
     for _ in range(25):
         for p in task_b.trainable_params():
