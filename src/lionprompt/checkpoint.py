@@ -64,7 +64,8 @@ def save(path: str, params: list[Param]) -> None:
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write `data` to a temporary sibling, then rename it over `path`."""
+    """Make `path`'s directory, write `data` to a temporary sibling, rename it over `path`."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)

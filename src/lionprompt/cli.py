@@ -1,15 +1,17 @@
 """Command-line entry point.
 
-Commands: pretrain, tune, eval, gradcheck, prop1, report. Configuration
-merges three layers — built-in defaults, an optional `--config` file, then
-explicit flags — and every command is a pure function of the resulting
-config, so reruns at equal settings reproduce their outputs byte for byte.
-Each command runs on one OpenBLAS thread, since the thread count changes how
-the larger products are summed, and the caller's count is restored on return
-(library calls outside a command run at the caller's count). A NumPy build
-whose OpenBLAS cannot be found runs unpinned and says `blas: unpinned` on
-stderr. `tune` saves its config next to the checkpoint, and `eval` refuses
-to score the checkpoint under any other.
+`COMMANDS` holds the commands (pretrain, tune, eval, gradcheck, prop1,
+report) and `_artifact_paths` names every file they write under `out`.
+Configuration merges three layers — built-in defaults, an optional
+`--config` file, then explicit flags — and every command is a pure function
+of the resulting config, so reruns at equal settings reproduce their
+outputs byte for byte. Each command runs on one OpenBLAS thread, since the
+thread count changes how the larger products are summed, and the caller's
+count is restored on return (library calls outside a command run at the
+caller's count). A NumPy build whose OpenBLAS cannot be found runs unpinned
+and says `blas: unpinned` on stderr. `tune` saves its config next to the
+checkpoint, last of its files and only after removing the old one, and
+`eval` refuses to score the checkpoint under any other or none.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact.
 """
@@ -44,49 +46,31 @@ _NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time
 
 # --- config plumbing -----------------------------------------------------------
 
-def _common_flags() -> argparse.ArgumentParser:
-    """`--config` and one flag per `RunConfig` field that has help text."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", metavar="FILE", help="key = value config file")
-    for f in fields(RunConfig):
-        if "help" in f.metadata:
-            p.add_argument(f"--{f.name.replace('_', '-')}",
-                           type=cfgmod.FIELD_TYPES[f.name], help=f.metadata["help"])
-    return p
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    """Subcommands from `COMMANDS`; each takes `--config` and every `RunConfig` flag."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="key = value config file")
+    for f in fields(RunConfig):
+        if "help" in f.metadata:
+            common.add_argument(f"--{f.name.replace('_', '-')}",
+                                type=cfgmod.FIELD_TYPES[f.name], help=f.metadata["help"])
     parser = argparse.ArgumentParser(
         prog="lionprompt",
         description="Implicit prompt blocks around a frozen backbone: "
                     "train, evaluate, and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("pretrain", parents=[common],
-                   help="fit the source-task backbone and checkpoint it")
-    sub.add_parser("tune", parents=[common],
-                   help="adapt to the shifted target task under one protocol")
-    sub.add_parser("eval", parents=[common],
-                   help="re-score a tuned checkpoint on the held-out split")
-    sub.add_parser("gradcheck", parents=[common],
-                   help="implicit vs finite-difference vs unrolled gradients")
-    sub.add_parser("prop1", parents=[common],
-                   help="input-side vs output-side prompt capacity experiment")
-    rep = sub.add_parser("report", parents=[common],
-                         help="aggregate run CSVs into one comparison table")
-    rep.add_argument("paths", nargs="+", help="run CSV files to aggregate")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
+    sub.choices["report"].add_argument("paths", nargs="+", help="run CSV files to aggregate")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
-    """Defaults <- config file <- flags; returns the config and explicit keys."""
-    cfg, file_keys = RunConfig(), set()
-    if args.config is not None:
-        cfg, file_keys = cfgmod.load_file(args.config)
-    flags = {key: value for key, value in vars(args).items()
-             if key in cfgmod.FIELD_TYPES and value is not None}
-    return replace(cfg, **flags), file_keys | set(flags)
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults <- config file <- flags."""
+    cfg = RunConfig() if args.config is None else cfgmod.load_file(args.config)
+    return replace(cfg, **{key: value for key, value in vars(args).items()
+                           if key in cfgmod.FIELD_TYPES and value is not None})
 
 
 # --- artifacts -----------------------------------------------------------------
@@ -98,24 +82,22 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _backbone_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out, f"backbone-{cfg.dataset}-s{cfg.seed}.ckpt")
-
-
 def _run_id(cfg: RunConfig) -> str:
     return f"{cfg.protocol}-{cfg.dataset}-s{cfg.seed}"
 
 
-def _model_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out, f"{_run_id(cfg)}.ckpt")
-
-
-def _tuned_config_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out, f"{_run_id(cfg)}.cfg")
+def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
+    """Every file a command writes under `cfg.out`; `eval` and `gradcheck` write none."""
+    source, run = f"{cfg.dataset}-s{cfg.seed}", _run_id(cfg)
+    names = {"backbone": f"backbone-{source}.ckpt", "pretrain_report": f"pretrain-{source}.txt",
+             "model": f"{run}.ckpt", "config": f"{run}.cfg", "run_csv": f"{run}.csv",
+             "trace_csv": f"{run}-trace.csv", "prop1_csv": f"prop1-s{cfg.seed}.csv",
+             "report_csv": "report.csv"}
+    return {key: os.path.join(cfg.out, name) for key, name in names.items()}
 
 
 def _load_backbone(cfg: RunConfig) -> m.Backbone:
-    path = _require(_backbone_path(cfg), "backbone checkpoint")
+    path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
     bb = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
     checkpoint.restore(bb.params(), checkpoint.load(path))
     return bb
@@ -123,20 +105,18 @@ def _load_backbone(cfg: RunConfig) -> m.Backbone:
 
 # --- commands ---------------------------------------------------------------------
 
-def cmd_pretrain(cfg: RunConfig) -> int:
+def cmd_pretrain(cfg: RunConfig, args: argparse.Namespace) -> int:
     src = harness.source_task(cfg)
     backbone, accuracy = harness.pretrain_backbone(
         src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300), eta=cfg.eta)
-    os.makedirs(cfg.out, exist_ok=True)
-    path = _backbone_path(cfg)
-    checkpoint.save(path, backbone.params())
+    paths = _artifact_paths(cfg)
+    checkpoint.save(paths["backbone"], backbone.params())
     n_params = sum(p.size for p in backbone.params())
     report = (f"source dataset   {cfg.dataset} (seed {cfg.seed}, {src.n} samples)\n"
               f"train accuracy   {accuracy:.4f}\n"
               f"backbone params  {n_params}\n"
-              f"checkpoint       {path}\n")
-    checkpoint.write_atomic(os.path.join(cfg.out, f"pretrain-{cfg.dataset}-s{cfg.seed}.txt"),
-                            report.encode())
+              f"checkpoint       {paths['backbone']}\n")
+    checkpoint.write_atomic(paths["pretrain_report"], report.encode())
     print(report, end="")
     return 0
 
@@ -158,17 +138,19 @@ def _trace_csv(res: harness.ProtocolResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_tune(cfg: RunConfig) -> int:
+def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     backbone = _load_backbone(cfg)
     train, test = harness.target_task(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
-    os.makedirs(cfg.out, exist_ok=True)
-    checkpoint.save(_model_path(cfg), res.task.named_params())
-    checkpoint.write_atomic(_tuned_config_path(cfg), cfgmod.serialize(cfg).encode())
-    checkpoint.write_atomic(os.path.join(cfg.out, f"{_run_id(cfg)}.csv"),
-                            (CSV_HEADER + "\n" + _run_row(cfg, res) + "\n").encode())
-    checkpoint.write_atomic(os.path.join(cfg.out, f"{_run_id(cfg)}-trace.csv"),
-                            _trace_csv(res).encode())
+    paths = _artifact_paths(cfg)
+    # The .cfg goes first and comes back last, so a tune cut short in between
+    # leaves a checkpoint that `eval` refuses rather than one it misattributes.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(paths["config"])
+    checkpoint.save(paths["model"], res.task.named_params())
+    checkpoint.write_atomic(paths["run_csv"], f"{CSV_HEADER}\n{_run_row(cfg, res)}\n".encode())
+    checkpoint.write_atomic(paths["trace_csv"], _trace_csv(res).encode())
+    checkpoint.write_atomic(paths["config"], cfgmod.serialize(cfg).encode())
     print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
           f"shots={cfg.shots} (train n={train.n})")
@@ -184,8 +166,8 @@ def cmd_tune(cfg: RunConfig) -> int:
         print(f"gates alpha2     {first['alpha2']:.4f} -> {last['alpha2']:.4f}")
         print(f"crucial fraction {res.log.crucial_fractions[0]:.3f} -> "
               f"{res.log.crucial_fractions[-1]:.3f}")
-    print(f"checkpoint       {_model_path(cfg)}")
-    print(f"run csv          {os.path.join(cfg.out, _run_id(cfg) + '.csv')}")
+    print(f"checkpoint       {paths['model']}")
+    print(f"run csv          {paths['run_csv']}")
     return 0
 
 
@@ -196,8 +178,8 @@ def _check_tuned_config(cfg: RunConfig) -> None:
     split, and the other keys decide what the checkpoint holds and how it
     is solved.
     """
-    path = _require(_tuned_config_path(cfg), "tuned model config")
-    tuned, _ = cfgmod.load_file(path)
+    path = _require(_artifact_paths(cfg)["config"], "tuned model config")
+    tuned = cfgmod.load_file(path)
     for f in fields(RunConfig):
         mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
         if f.name != "out" and mine != theirs:
@@ -205,9 +187,9 @@ def _check_tuned_config(cfg: RunConfig) -> None:
                               f"the model was tuned ({path!r})")
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     backbone = _load_backbone(cfg)
-    path = _require(_model_path(cfg), "tuned model checkpoint")
+    path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
     _check_tuned_config(cfg)
     task = harness.make_task(cfg, backbone, harness.N_CLASSES)
     checkpoint.restore(task.named_params(), checkpoint.load(path))
@@ -219,11 +201,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(cfg: RunConfig, explicit: set) -> int:
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     # A training-grade solver tolerance would drown the finite-difference
-    # signal, so the check runs much tighter unless one is asked for.
-    tol = cfg.tol if "tol" in explicit else 1e-13
-    solver = replace(cfg.solver, tol=tol)
+    # signal, so the check never solves looser than GRADCHECK_TOL.
+    solver = replace(cfg.solver, tol=min(cfg.tol, harness.GRADCHECK_TOL))
     rows = harness.gradcheck_suite(n_cases=cfg.cases, seed=cfg.seed, solver=solver)
     print(f"{'case':>4}  {'dims':>7}  {'vs finite diff':>14}  "
           f"{'vs unrolled':>14}  status")
@@ -246,16 +227,15 @@ def cmd_gradcheck(cfg: RunConfig, explicit: set) -> int:
     return 0
 
 
-def cmd_prop1(cfg: RunConfig) -> int:
+def cmd_prop1(cfg: RunConfig, args: argparse.Namespace) -> int:
     rep = harness.verify_proposition1(seed=cfg.seed)
     print(f"feasibility gap (closed-form W)   {rep.feasibility_gap:.3e}")
     print(f"input-side loss (retrain W)       {rep.input_side_loss:.3e}")
     print(f"output-side loss (B=-I, retrain v) {rep.output_side_loss:.4f} (exact minimum)")
     print(f"control loss (B=+I, retrain v)    {rep.control_loss:.3e}")
     print(f"verdict: {rep.verdict}")
-    os.makedirs(cfg.out, exist_ok=True)
     checkpoint.write_atomic(
-        os.path.join(cfg.out, f"prop1-s{cfg.seed}.csv"),
+        _artifact_paths(cfg)["prop1_csv"],
         ("seed,input_side_loss,output_side_loss,control_loss,feasibility_gap,verdict\n"
          f"{cfg.seed},{rep.input_side_loss!r},{rep.output_side_loss!r},"
          f"{rep.control_loss!r},{rep.feasibility_gap!r},{rep.verdict}\n").encode())
@@ -268,7 +248,7 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MissingArtifactError(f"cannot read run file {path!r}: {exc}") from exc
         if not lines or lines[0] != CSV_HEADER:
             raise MissingArtifactError(
@@ -288,8 +268,8 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
     return rows
 
 
-def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
-    rows = _read_run_rows(paths)
+def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
+    rows = _read_run_rows(args.paths)
     rows.sort(key=lambda r: float(r["accuracy"]), reverse=True)
     print(f"{'run_id':<28} {'protocol':<14} {'dataset':<7} {'seed':>4} "
           f"{'accuracy':>9} {'params':>7} {'epochs':>6}")
@@ -301,12 +281,21 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
     print("trainable-parameter formulas at d=768, d~=64, L=12, n=50, m=16, C=10:")
     for name, count in m.param_count_report(768, 64, 12, 50, 16, 10):
         print(f"  {name:<8} {count:>10,}")
-    os.makedirs(cfg.out, exist_ok=True)
-    out_path = os.path.join(cfg.out, "report.csv")
+    out_path = _artifact_paths(cfg)["report_csv"]
     lines = [CSV_HEADER] + [",".join(r[k] for k in CSV_HEADER.split(",")) for r in rows]
     checkpoint.write_atomic(out_path, ("\n".join(lines) + "\n").encode())
     print(f"\naggregated {len(rows)} runs -> {out_path}")
     return 0
+
+
+COMMANDS = {
+    "pretrain": (cmd_pretrain, "fit the source-task backbone and checkpoint it"),
+    "tune": (cmd_tune, "adapt to the shifted target task under one protocol"),
+    "eval": (cmd_eval, "re-score a tuned checkpoint on the held-out split"),
+    "gradcheck": (cmd_gradcheck, "implicit vs finite-difference vs unrolled gradients"),
+    "prop1": (cmd_prop1, "input-side vs output-side prompt capacity experiment"),
+    "report": (cmd_report, "aggregate run CSVs into one comparison table"),
+}
 
 
 # --- entry point --------------------------------------------------------------------
@@ -355,18 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     with _one_blas_thread():
         try:
-            cfg, explicit = _resolve_config(args)
-            if args.command == "pretrain":
-                return cmd_pretrain(cfg)
-            if args.command == "tune":
-                return cmd_tune(cfg)
-            if args.command == "eval":
-                return cmd_eval(cfg)
-            if args.command == "gradcheck":
-                return cmd_gradcheck(cfg, explicit)
-            if args.command == "prop1":
-                return cmd_prop1(cfg)
-            return cmd_report(cfg, args.paths)
+            command, _ = COMMANDS[args.command]
+            return command(_resolve_config(args), args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -101,8 +101,8 @@ FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
                for f in fields(RunConfig)}
 
 
-def parse_text(text: str) -> dict:
-    """Read `key = value` lines into a typed dict (not yet a full config)."""
+def parse(text: str) -> RunConfig:
+    """Full file -> config: defaults overlaid with the file's `key = value` lines."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -118,12 +118,7 @@ def parse_text(text: str) -> dict:
         except ValueError:
             raise ConfigError(f"invalid value for {key!r}: {raw!r} is not a valid "
                               f"{FIELD_TYPES[key].__name__}") from None
-    return values
-
-
-def parse(text: str) -> RunConfig:
-    """Full file -> config: defaults overlaid with the file's keys."""
-    return RunConfig(**parse_text(text))
+    return RunConfig(**values)
 
 
 def serialize(cfg: RunConfig) -> str:
@@ -136,12 +131,11 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_file(path: str) -> tuple[RunConfig, set]:
-    """The validated config in a file and the keys it sets; every error names the file."""
+def load_file(path: str) -> RunConfig:
+    """The validated config in a file; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            values = parse_text(fh.read())
-        return RunConfig(**values), set(values)
+            return parse(fh.read())
     except OSError as exc:
         raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
     except (UnicodeDecodeError, ConfigError) as exc:

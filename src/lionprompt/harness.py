@@ -31,6 +31,7 @@ from .rng import substream
 PATIENCE = 20
 MIN_SOURCE_ACCURACY = 0.95     # source train accuracy a pretrained backbone must reach
 N_CLASSES = 4                  # classes of every source and target task
+GRADCHECK_TOL = 1e-13          # the loosest solver tolerance gradient checks run at
 
 
 # --- datasets ---------------------------------------------------------------
@@ -566,7 +567,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     the stack, is its own status so a hopeless tolerance setting is
     distinguishable from a wrong gradient.
     """
-    cfg = solver or SolverConfig(tol=1e-13)
+    cfg = solver or SolverConfig(tol=GRADCHECK_TOL)
     fd_tol, unrolled_tol, fd_step = 1e-4, 1e-5, 1e-5
     rows = []
     for case in range(n_cases):

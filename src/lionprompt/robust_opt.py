@@ -143,9 +143,10 @@ def step(params: list[Param], grads: np.ndarray, values: np.ndarray,
         raise StateError(
             f"partition over {part.crucial_mask.size} scalars, params have {values.size}")
     with np.errstate(over="ignore"):        # an overflow is refused by name on assignment
-        descended = values - state.eta * grads
-    shrunk = np.sign(values) * np.maximum(np.abs(values) - state.eta, 0.0)
-    Param.assign_flat(params, np.where(part.crucial_mask, descended, shrunk))
+        updated = values - state.eta * grads
+    shrink = values[part.noncrucial_mask]
+    updated[part.noncrucial_mask] = np.sign(shrink) * np.maximum(np.abs(shrink) - state.eta, 0.0)
+    Param.assign_flat(params, updated)
 
 
 @dataclass

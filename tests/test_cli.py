@@ -215,12 +215,11 @@ def test_flags_override_the_config_file_and_file_only_keys_come_from_it(tmp_path
         if f.name not in _FILE_ONLY_KEYS:
             argv += [f"--{f.name.replace('_', '-')}", str(getattr(from_flags, f.name))]
     args = _build_parser().parse_args(argv)
-    cfg, explicit = _resolve_config(args)
+    cfg = _resolve_config(args)
     for f in fields(RunConfig):
         source = from_file if f.name in _FILE_ONLY_KEYS else from_flags
         assert getattr(cfg, f.name) == getattr(source, f.name), f.name
-    assert explicit == {f.name for f in fields(RunConfig)}
-    only_file, _ = _resolve_config(_build_parser().parse_args(argv[:3]))
+    only_file = _resolve_config(_build_parser().parse_args(argv[:3]))
     assert only_file == from_file
 
 
@@ -235,12 +234,12 @@ def test_every_field_but_the_file_only_keys_is_a_flag():
 def test_one_parser_serves_every_call_and_no_call_sees_anothers_flags(monkeypatch):
     seen = []
 
-    def record(cfg):
+    def record(cfg, args):
         seen.append(cfg)
         return 0
 
-    monkeypatch.setattr(cli, "cmd_tune", record)
-    monkeypatch.setattr(cli, "cmd_eval", record)
+    monkeypatch.setitem(cli.COMMANDS, "tune", (record, ""))
+    monkeypatch.setitem(cli.COMMANDS, "eval", (record, ""))
     assert main(["tune", "--shots", "8", "--seed", "3"]) == 0
     assert main(["eval"]) == 0
     assert _build_parser() is _build_parser()
@@ -530,6 +529,63 @@ def test_eval_without_tuned_model_exits_3(workdir, capsys):
     assert "tuned model checkpoint" in err
 
 
+def test_a_tune_cut_short_before_its_cfg_leaves_a_checkpoint_eval_refuses(
+        workdir, tmp_path, monkeypatch, capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0", "--protocol", "lion"]
+    assert run_cli(capsys, ["tune", *base, "--epochs", "40"])[0] == 0
+
+    class Killed(BaseException):
+        pass
+
+    write = checkpoint.write_atomic
+
+    def killed_at_the_cfg(path, data):
+        if path.endswith(".cfg"):
+            raise Killed(path)
+        write(path, data)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", killed_at_the_cfg)
+    with pytest.raises(Killed):
+        main(["tune", *base, "--epochs", "5"])
+    monkeypatch.undo()
+    # the 5-epoch checkpoint is on disk, and no .cfg vouches for it
+    rc, _, err = run_cli(capsys, ["eval", *base, "--epochs", "40"])
+    assert rc == 3
+    assert "tuned model config" in err
+
+
+# Which `cli._artifact_paths` entries each command writes.
+_WRITES = {"pretrain": {"backbone", "pretrain_report"},
+           "tune": {"model", "run_csv", "trace_csv", "config"},
+           "eval": set(), "gradcheck": set(), "prop1": {"prop1_csv"},
+           "report": {"report_csv"}}
+
+
+def test_each_command_writes_exactly_the_files_the_table_names(workdir, tmp_path, capsys):
+    assert set(_WRITES) == set(cli.COMMANDS)
+    assert set().union(*_WRITES.values()) == set(cli._artifact_paths(RunConfig()))
+    (tmp_path / "tuned").mkdir()
+    tuned = _own_outdir(workdir, tmp_path / "tuned")
+    cases = tmp_path / "g.cfg"
+    cases.write_text("cases = 2\n")
+    runs = [("pretrain", str(tmp_path / "pretrain" / "nested"), []),
+            ("tune", tuned, ["--protocol", "head_tuning", "--epochs", "5"]),
+            ("eval", tuned, ["--protocol", "head_tuning", "--epochs", "5"]),
+            ("gradcheck", str(tmp_path / "gradcheck"), ["--config", str(cases)]),
+            ("prop1", str(tmp_path / "prop1"), []),
+            ("report", str(tmp_path / "report"),
+             [os.path.join(tuned, "head_tuning-blobs-s0.csv")])]
+    for command, out, flags in runs:
+        before = set(os.listdir(out)) if os.path.isdir(out) else set()
+        rc, _, err = run_cli(capsys, [command, "--out", out, "--seed", "0", *flags])
+        assert rc == 0, err
+        after = set(os.listdir(out)) if os.path.isdir(out) else set()
+        paths = cli._artifact_paths(RunConfig(out=out, protocol="head_tuning"))
+        named = {os.path.basename(paths[key]) for key in _WRITES[command]}
+        assert after - before == named and before <= after, command
+    assert not os.path.exists(tmp_path / "gradcheck")
+
+
 def test_gradcheck_row_count_and_exit(tmp_path, capsys):
     cfgfile = tmp_path / "g.cfg"
     cfgfile.write_text("cases = 3\n")
@@ -591,6 +647,22 @@ def test_report_rejects_unreadable_run_file(tmp_path, capsys):
     assert "bad-number.csv" in err and "abc" in err
     rc, _, err = run_cli(capsys, ["report", str(tmp_path / "absent.csv")])
     assert rc == 3
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(CSV_HEADER.encode() + b"\n\xff\n")
+    rc, _, err = run_cli(capsys, ["report", str(binary)])
+    assert rc == 3
+    assert "binary.csv" in err
+
+
+def test_gradcheck_never_solves_looser_than_its_own_tolerance(tmp_path, capsys):
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text("cases = 3\n")
+    argv = ["gradcheck", "--config", str(cfgfile)]
+    rc, default_out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    rc, loose_out, _ = run_cli(capsys, [*argv, "--tol", "1e-8"])
+    assert rc == 0
+    assert loose_out == default_out
 
 
 def test_gradcheck_with_anderson_mixes_the_stacks(tmp_path, capsys):
