@@ -13,19 +13,23 @@ Layout (all integers unsigned 32-bit little-endian):
         payload   prod(dims) float64 values, little-endian, row-major
 
 Files are written to a temporary sibling and renamed into place, so a
-crashed save never leaves a half-written checkpoint behind. Loads validate
-everything before returning anything: an unknown version, a truncated file
-or a non-finite payload raises without yielding a partial result.
+crashed save never leaves a half-written checkpoint behind; a path that
+cannot be written raises `ConfigError`, naming it. Loads validate
+everything before returning anything: an unreadable file, an unknown
+version, a truncated file or a non-finite payload raises without yielding a
+partial result.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .numerics import Param
 
 MAGIC = b"LIONCKPT"
@@ -34,8 +38,9 @@ _MAX_NAME = 4096
 _MAX_RANK = 2
 
 
-def save(path: str, params: list[Param]) -> None:
-    """Write the named parameter values in the given order, atomically.
+def save(path: str, params: list[Param]) -> str:
+    """Write the named parameter values in the given order, atomically, and
+    return the file's sha256 (hex), which `load` can be asked to check.
 
     Refuses, before creating any file, a set that `load` would reject:
     duplicate names, and names that are empty, longer than `_MAX_NAME`
@@ -60,16 +65,25 @@ def save(path: str, params: list[Param]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    write_atomic(path, b"".join(chunks))
+    blob = b"".join(chunks)
+    write_atomic(path, blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Make `path`'s directory, write `data` to a temporary sibling, rename it over `path`."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """Make `path`'s directory, write `data` to a temporary sibling, rename it over `path`;
+    the sibling is gone afterwards whether or not that succeeded."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 class _Reader:
@@ -89,13 +103,16 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as an ordered name -> float64 array mapping."""
+def load(path: str, sha256: str | None = None) -> dict[str, np.ndarray]:
+    """Read a checkpoint back as an ordered name -> float64 array mapping;
+    given `sha256` (a tuned model config's record), a valid file with another is refused."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint {path!r} does not exist") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc.strerror}") from None
     r = _Reader(blob, path)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path!r} is not a checkpoint (bad magic)")
@@ -129,6 +146,9 @@ def load(path: str) -> dict[str, np.ndarray]:
         out[name] = arr
     if r.pos != len(blob):
         raise CheckpointError(f"{path!r}: {len(blob) - r.pos} trailing bytes")
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise CheckpointError(f"{path!r} is not the checkpoint its tuned model config "
+                              f"records (sha256 {sha256[:16] or 'none'})")
     return out
 
 

@@ -10,10 +10,12 @@ thread count changes how the larger products are summed, and the caller's
 count is restored on return (library calls outside a command run at the
 caller's count). A NumPy build whose OpenBLAS cannot be found runs unpinned
 and says `blas: unpinned` on stderr. `tune` saves its config next to the
-checkpoint, last of its files and only after removing the old one, and
-`eval` refuses to score the checkpoint under any other or none.
+checkpoint, last of its files, with the checkpoint's sha256 as a comment,
+and `eval` refuses to score the checkpoint under any other config or digest.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact.
+Exit codes, each but 0 with one stderr line: 0 success; 1 check failure;
+2 config error, an output that cannot be written included; 3 missing
+artifact, also one that cannot be read or that its config does not vouch for.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
 )
 
 CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
+DIGEST_LINE = "# checkpoint sha256 "
 _NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time_s")
 
 
@@ -68,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults <- config file <- flags."""
-    cfg = RunConfig() if args.config is None else cfgmod.load_file(args.config)
+    cfg = RunConfig() if args.config is None else cfgmod.load_file(args.config)[0]
     return replace(cfg, **{key: value for key, value in vars(args).items()
                            if key in cfgmod.FIELD_TYPES and value is not None})
 
@@ -129,9 +132,9 @@ def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> str:
 
 def _trace_csv(res: harness.ProtocolResult) -> str:
     lines = ["epoch,loss,accuracy,crucial_fraction,alpha1,alpha2"]
-    for e, (loss, acc, frac, extra) in enumerate(zip(
-            res.log.losses, res.log.accuracies,
-            res.log.crucial_fractions, res.log.extras)):
+    log = res.log
+    for e, (loss, acc, frac, extra) in enumerate(zip(log.losses, log.accuracies,
+                                                     log.crucial_fractions, log.extras)):
         a1 = repr(extra["alpha1"]) if "alpha1" in extra else ""
         a2 = repr(extra["alpha2"]) if "alpha2" in extra else ""
         lines.append(f"{e},{loss!r},{acc!r},{frac!r},{a1},{a2}")
@@ -143,14 +146,13 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     train, test = harness.target_task(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
     paths = _artifact_paths(cfg)
-    # The .cfg goes first and comes back last, so a tune cut short in between
-    # leaves a checkpoint that `eval` refuses rather than one it misattributes.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(paths["config"])
-    checkpoint.save(paths["model"], res.task.named_params())
+    # The .cfg, which binds the checkpoint by its digest, comes last, so a tune
+    # cut short leaves a checkpoint that `eval` refuses rather than misattributes.
+    digest = checkpoint.save(paths["model"], res.task.named_params())
     checkpoint.write_atomic(paths["run_csv"], f"{CSV_HEADER}\n{_run_row(cfg, res)}\n".encode())
     checkpoint.write_atomic(paths["trace_csv"], _trace_csv(res).encode())
-    checkpoint.write_atomic(paths["config"], cfgmod.serialize(cfg).encode())
+    checkpoint.write_atomic(paths["config"],
+                            f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n".encode())
     print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
           f"shots={cfg.shots} (train n={train.n})")
@@ -171,28 +173,30 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_tuned_config(cfg: RunConfig) -> None:
-    """Refuse settings other than those the checkpoint was tuned under.
+def _check_tuned_config(cfg: RunConfig) -> str:
+    """Refuse settings other than those the checkpoint was tuned under, and
+    return the checkpoint sha256 the config records ('' if none).
 
     Every key but `out` must match: the seed and shift decide the test
     split, and the other keys decide what the checkpoint holds and how it
     is solved.
     """
     path = _require(_artifact_paths(cfg)["config"], "tuned model config")
-    tuned = cfgmod.load_file(path)
+    tuned, text = cfgmod.load_file(path)
     for f in fields(RunConfig):
         mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
         if f.name != "out" and mine != theirs:
             raise ConfigError(f"{f.name!r} is {mine!r} here but was {theirs!r} when "
                               f"the model was tuned ({path!r})")
+    return text.partition(f"\n{DIGEST_LINE}")[2].split("\n", 1)[0]
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     backbone = _load_backbone(cfg)
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
-    _check_tuned_config(cfg)
+    digest = _check_tuned_config(cfg)
     task = harness.make_task(cfg, backbone, harness.N_CLASSES)
-    checkpoint.restore(task.named_params(), checkpoint.load(path))
+    checkpoint.restore(task.named_params(), checkpoint.load(path, sha256=digest))
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
     print(f"run              {_run_id(cfg)}")
@@ -213,17 +217,16 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"{r.case:>4}  {dims:>7}  {r.fd_rel_err:>14.3e}  "
               f"{r.unrolled_rel_err:>14.3e}  {r.status}")
     bad = [r for r in rows if r.status != "ok"]
-    solver_failures = sum(1 for r in bad if r.status == "solver_failed")
-    gradient_failures = sum(1 for r in bad if r.status == "gradient_failed")
-    print(f"{len(rows) - len(bad)}/{len(rows)} ok "
-          f"({solver_failures} solver failures, {gradient_failures} gradient failures)")
+    solver_failures = sum(r.status == "solver_failed" for r in bad)
+    print(f"{len(rows) - len(bad)}/{len(rows)} ok ({solver_failures} solver failures, "
+          f"{len(bad) - solver_failures} gradient failures)")
     if bad:
         worst = max(bad, key=lambda r: (r.status == "gradient_failed",
                                         np.nan_to_num(r.fd_rel_err, nan=-1.0)))
         print(f"worst case: #{worst.case} ({worst.state_dim}x{worst.input_dim}) "
               f"status={worst.status} fd={worst.fd_rel_err:.3e} "
               f"unrolled={worst.unrolled_rel_err:.3e}")
-        return 1
+        raise EvaluationError(f"{len(bad)} of {len(rows)} gradient checks failed")
     return 0
 
 
@@ -239,7 +242,9 @@ def cmd_prop1(cfg: RunConfig, args: argparse.Namespace) -> int:
         ("seed,input_side_loss,output_side_loss,control_loss,feasibility_gap,verdict\n"
          f"{cfg.seed},{rep.input_side_loss!r},{rep.output_side_loss!r},"
          f"{rep.control_loss!r},{rep.feasibility_gap!r},{rep.verdict}\n").encode())
-    return 0 if rep.asymmetry_confirmed else 1
+    if not rep.asymmetry_confirmed:
+        raise SetupError(f"proposition 1: {rep.verdict}")
+    return 0
 
 
 def _read_run_rows(paths: list[str]) -> list[dict]:
@@ -255,15 +260,14 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
                 f"{path!r} is not a run report (expected header {CSV_HEADER!r})")
         keys = CSV_HEADER.split(",")
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(keys):
-                raise MissingArtifactError(f"{path!r}: malformed row {ln!r}")
-            row = dict(zip(keys, parts))
+            row = dict(zip(keys, ln.split(",")))
             try:
+                if ln.count(",") != len(keys) - 1:
+                    raise ValueError
                 for key in _NUMERIC_COLUMNS:
                     float(row[key])
             except ValueError:
-                raise MissingArtifactError(f"{path!r}: non-numeric {key} in row {ln!r}") from None
+                raise MissingArtifactError(f"{path!r}: malformed row {ln!r}") from None
             rows.append(row)
     return rows
 
@@ -342,7 +346,8 @@ def _one_blas_thread():
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    with _one_blas_thread():
+    # an overflow the code does not expect is an error, not a warning ahead of the result
+    with _one_blas_thread(), np.errstate(all="raise", under="ignore"):
         try:
             command, _ = COMMANDS[args.command]
             return command(_resolve_config(args), args)
@@ -352,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         except (MissingArtifactError, CheckpointError) as exc:
             print(f"missing artifact: {exc}", file=sys.stderr)
             return 3
-        except (SetupError, EvaluationError, DivergenceError) as exc:
+        except (SetupError, EvaluationError, DivergenceError, FloatingPointError) as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             return 1
 

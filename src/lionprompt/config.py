@@ -131,11 +131,12 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_file(path: str) -> RunConfig:
-    """The validated config in a file; every error names the file."""
+def load_file(path: str) -> tuple[RunConfig, str]:
+    """The validated config in a file, and the file's text; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            text = fh.read()
+        return parse(text), text
     except OSError as exc:
         raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
     except (UnicodeDecodeError, ConfigError) as exc:

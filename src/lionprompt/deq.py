@@ -1,13 +1,13 @@
 """Equilibrium prompt cell: fixed-point forward solve, implicit backward.
 
-The cell body is a single pre-activation layer f(z) = sigma(W z + U x + b)
+The cell body is a single pre-activation layer f(z) = tanh(W z + U x + b)
 whose state weight is rescaled to operator norm <= kappa < 1, so f is a
 contraction and the fixed point z* = f(z*) exists and is unique. The
 forward pass finds z* by plain Picard iteration (the default) or Anderson
 acceleration; the backward pass never unrolls the solver. It solves the
 linear adjoint equation (I - J^T) o = y at z* directly, one small LU per
 row, and then takes one ordinary backward step of the cell body seeded
-with o. Because ||W||_2 <= kappa and |sigma'| <= 1, that matrix is always
+with o. Because ||W||_2 <= kappa and |tanh'| <= 1, that matrix is always
 invertible with condition number at most (1 + kappa) / (1 - kappa).
 
 Every forward solve runs through one driver on an (n, h) float64 stack of
@@ -33,12 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, ShapeMismatchError
-from .numerics import ACTIVATIONS, activate, activate_deriv
+from .numerics import tanh_deriv
 
 
 @dataclass(frozen=True, eq=False)
 class DeqCell:
-    """Parameters of one equilibrium cell f(z) = sigma(W z + U x + b).
+    """Parameters of one equilibrium cell f(z) = tanh(W z + U x + b).
 
     `W` is stored post-projection: `spectral_normalize` returns a cell whose
     stored state weight already has operator norm <= kappa, and every other
@@ -50,7 +50,6 @@ class DeqCell:
     U: np.ndarray
     b: np.ndarray
     kappa: float = 0.9
-    activation: str = "tanh"
 
     def __post_init__(self):
         h = self.W.shape[0] if self.W.ndim == 2 else -1
@@ -62,8 +61,6 @@ class DeqCell:
             raise ShapeMismatchError(f"b must have shape ({h},), got {self.b.shape}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def state_dim(self) -> int:
@@ -138,9 +135,9 @@ def spectral_normalize(cell: DeqCell, sigma: float | None = None) -> DeqCell:
 
 # --- forward ---------------------------------------------------------------
 
-def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
-           cfg: SolverConfig, shift=None) -> tuple[np.ndarray, int, float, bool]:
-    """Fixed-point driver on an (n, h) stack of rows z_r = sigma(W_r z_r + c_r).
+def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg: SolverConfig,
+           shift=None) -> tuple[np.ndarray, int, float, bool]:
+    """Fixed-point driver on an (n, h) stack of rows z_r = tanh(W_r z_r + c_r).
 
     `c` holds each row's input term U x_r + b. Row r runs the shared (h, h)
     `w`, shifted by eps_r in entry (i_r, j_r) if `shift` = (i, j, eps) is
@@ -166,7 +163,7 @@ def _solve(w: np.ndarray, c: np.ndarray, kind: str, z0_rows: np.ndarray,
             if shift is not None:
                 g[rows, shift[0]] += shift[2] * v[rows, shift[1]]
             g += c
-            activate(g, kind, out=g)
+            np.tanh(g, out=g)
             np.subtract(g, v, out=r)
             resid = math.sqrt(np.einsum("ij,ij->i", r, r, out=sq).max(initial=0.0))
             if not math.isfinite(resid) and not np.all(np.isfinite(g)):
@@ -212,7 +209,7 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
                 or np.any([(a < 0) | (a >= h) for a in shift[:2]])):
             raise ShapeMismatchError(f"shift must be three ({n},) arrays with indices in "
                                      f"[0, {h}), got shapes {[a.shape for a in shift]}")
-    return SolveReport(*_solve(cell.W, x_rows @ cell.U.T + cell.b, cell.activation, z0_rows,
+    return SolveReport(*_solve(cell.W, x_rows @ cell.U.T + cell.b, z0_rows,
                                cfg or SolverConfig(), shift))
 
 
@@ -223,16 +220,16 @@ solve_forward = solve_forward_batch  # the same function; profiles count gradche
 
 def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
                         y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise adjoint solves (I - W^T diag sigma'(a)) o = y, one LU per row.
+    """Row-wise adjoint solves (I - W^T diag tanh'(a)) o = y, one LU per row.
 
     J is the state Jacobian of the cell body at (z*, x); for this body
-    J^T o = W^T (sigma'(a*) * o). The equation is linear, so it is solved
-    exactly rather than iterated. Returns (o, sigma'(a)) with a = W z + U x
+    J^T o = W^T (tanh'(a*) * o). The equation is linear, so it is solved
+    exactly rather than iterated. Returns (o, tanh'(a)) with a = W z + U x
     + b per row, so the cell's backward step reuses the slopes.
     """
     h = cell.state_dim
     a = z_rows @ cell.W.T + x_rows @ cell.U.T + cell.b
-    s = activate_deriv(activate(a, cell.activation), cell.activation)
+    s = tanh_deriv(np.tanh(a))
     # (W^T diag s)_{jk} = W_kj s_k for every row at once, then I minus it in place; a
     # contiguous W^T keeps `mats` C-ordered, which halves the time of both steps
     mats = np.ascontiguousarray(cell.W.T)[None, :, :] * s[:, None, :]
@@ -257,8 +254,8 @@ def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
     Runs n_iters plain Picard iterations from z0 = 0, records every iterate,
-    and reverse-accumulates y^T z_K through the whole chain. sigma' at step
-    k is read off the recorded output z_{k+1} (1 - z^2 for tanh), and the
+    and reverse-accumulates y^T z_K through the whole chain. tanh' at step
+    k is read off the recorded output z_{k+1} as 1 - z^2, and the
     parameter gradients are sums over steps, taken as one product over the
     stacked per-step vectors. Exists to cross-check `deq_vjp_batch`; linear in
     depth memory-wise, shares nothing with the solver or the adjoint, and
@@ -268,8 +265,8 @@ def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int
     c = ua @ x + cell.b
     zs = np.zeros((n_iters + 1, cell.state_dim))
     for k in range(n_iters):
-        zs[k + 1] = activate(wa @ zs[k] + c, cell.activation)
-    sig = activate_deriv(zs[1:], cell.activation)
+        zs[k + 1] = np.tanh(wa @ zs[k] + c)
+    sig = tanh_deriv(zs[1:])
     ts = np.empty_like(sig)
     zbar = y
     for k in range(n_iters - 1, -1, -1):

@@ -65,11 +65,11 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
 
-def _split_counts(n: int, c: int) -> np.ndarray:
-    """Balanced per-class counts; remainder spread over the first classes."""
-    counts = np.full(c, n // c)
-    counts[: n % c] += 1
-    return counts
+def _balanced_labels(n: int, c: int) -> np.ndarray:
+    """n class indices in class order, balanced; the remainder goes to the first classes."""
+    if n < c * 10:
+        raise ValueError(f"need at least {c * 10} samples, got {n}")
+    return np.repeat(np.arange(c), np.full(c, n // c) + (np.arange(c) < n % c))
 
 
 def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train",
@@ -82,12 +82,9 @@ def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train",
     """
     if n_classes < 2 or n_classes > d:
         raise ValueError(f"need 2 <= n_classes <= d, got C={n_classes}, d={d}")
-    if n < n_classes * 10:
-        raise ValueError(f"need at least {n_classes * 10} samples, got {n}")
+    labels = _balanced_labels(n, n_classes)
     means = np.zeros((n_classes, d))
     means[np.arange(n_classes), np.arange(n_classes)] = separation / np.sqrt(2.0)
-    counts = _split_counts(n, n_classes)
-    labels = np.repeat(np.arange(n_classes), counts)
     noise_rng = substream(seed, "blob-noise", split)
     inputs = means[labels] + noise_rng.normal(size=(n, d))
     order = noise_rng.permutation(n)
@@ -102,12 +99,9 @@ def make_glyphs(n_classes: int, n: int, seed: int, split: str = "train") -> Data
     """
     if n_classes < 2:
         raise ValueError(f"need n_classes >= 2, got {n_classes}")
-    if n < n_classes * 10:
-        raise ValueError(f"need at least {n_classes * 10} samples, got {n}")
+    labels = _balanced_labels(n, n_classes)
     base_rng = substream(seed, "glyph-base")
     bases = (base_rng.random(size=(n_classes, 64)) < 0.5).astype(np.float64)
-    counts = _split_counts(n, n_classes)
-    labels = np.repeat(np.arange(n_classes), counts)
     noise_rng = substream(seed, "glyph-noise", split)
     flips = noise_rng.random(size=(n, 64)) < 0.1
     inputs = np.abs(bases[labels] - flips.astype(np.float64))
@@ -166,10 +160,8 @@ def resample_longtail(ds: Dataset, imbalance_ratio: float) -> Dataset:
         frac = 1.0 if c == 1 else cls / (c - 1)
         target = int(round(n_max * imbalance_ratio ** (-frac)))
         if target == 0:
-            raise ValueError(
-                f"imbalance ratio {imbalance_ratio} empties class {cls}")
-        if target > counts[cls]:
-            target = int(counts[cls])
+            raise ValueError(f"imbalance ratio {imbalance_ratio} empties class {cls}")
+        target = min(target, int(counts[cls]))
         members = np.flatnonzero(ds.labels == cls)
         rng = substream(ds.seed, "longtail", cls)
         keep_idx.append(rng.choice(members, size=target, replace=False))
@@ -392,14 +384,9 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
                            cfg.epochs, patience=PATIENCE)
     return ProtocolResult(
-        accuracy=held_out_accuracy(task, test_ds),
-        train_accuracy=log.final_accuracy,
+        accuracy=held_out_accuracy(task, test_ds), train_accuracy=log.final_accuracy,
         trainable_params=sum(p.size for p in task.trainable_params()),
-        epochs_run=len(log.losses),
-        wall_time_s=time.perf_counter() - start,
-        log=log,
-        task=task,
-    )
+        epochs_run=len(log.losses), wall_time_s=time.perf_counter() - start, log=log, task=task)
 
 
 # --- prompt-position experiment -----------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from . import deq
 from .deq import DeqCell, SolverConfig
 from .errors import DivergenceError, ShapeMismatchError
-from .numerics import ACTIVATIONS, Param, activate, activate_deriv, batch_cross_entropy
+from .numerics import Param, batch_cross_entropy, tanh_deriv
 from .rng import substream
 
 # Smallest mixing weight a gate can produce. Keeping alpha inside
@@ -47,15 +47,13 @@ GATE_EPS = 2.0 ** -53
 
 @dataclass
 class AffineStage:
-    """One affine layer y = act(W x + b) with explicit parameters."""
+    """One affine layer W x + b with explicit parameters; as a backbone stage
+    it is followed by tanh, as the projection or the head by nothing."""
 
     w: Param
     b: Param
-    activation: str = "identity"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.w.value.ndim != 2 or self.b.value.shape != (self.w.value.shape[0],):
             raise ShapeMismatchError(
                 f"stage shapes disagree: W {self.w.value.shape}, b {self.b.value.shape}")
@@ -71,7 +69,7 @@ class AffineStage:
 
 @dataclass
 class Backbone:
-    """Feature extractor as a stack of affine stages."""
+    """Feature extractor as a stack of affine stages, each followed by tanh."""
 
     stages: list[AffineStage]
 
@@ -111,7 +109,7 @@ def backbone_forward(backbone: Backbone, x_rows: np.ndarray,
         buf = None if i == last else _buffer(workspace, ("out", i), (len(h), s.out_dim))
         out = np.matmul(h, s.w.value.T, out=buf)
         out += s.b.value
-        out = activate(out, s.activation, out=out)
+        out = np.tanh(out, out=out)
         cache.append((h, out))
         h = out
     return h, cache
@@ -124,7 +122,7 @@ def _backward(backbone: Backbone, cache: list, g_out: np.ndarray,
     g = g_out
     for i in range(len(backbone.stages) - 1, -1, -1):
         s, (h_in, out) = backbone.stages[i], cache[i]
-        t = activate_deriv(out, s.activation, _buffer(workspace, ("t", i), out.shape))
+        t = tanh_deriv(out, _buffer(workspace, ("t", i), out.shape))
         t *= g
         if s.w in trainable:
             s.w.add_grad(t.T @ h_in)
@@ -190,7 +188,7 @@ def gate_vjp(alpha: float, beta: float, d_alpha: float, d_beta: float) -> tuple[
 
 @dataclass
 class PromptBlock:
-    """One equilibrium cell z* = sigma(W z* + U x + b), solved on a batch.
+    """One equilibrium cell z* = tanh(W z* + U x + b), solved on a batch.
 
     The parameters live in `Param`s; the `DeqCell` view handed to the
     solver is rebuilt from the current values on every call, so an
@@ -202,12 +200,10 @@ class PromptBlock:
     U: Param
     b: Param
     kappa: float = 0.9
-    activation: str = "tanh"
     _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cell(self) -> DeqCell:
-        return DeqCell(W=self.W.value, U=self.U.value, b=self.b.value,
-                       kappa=self.kappa, activation=self.activation)
+        return DeqCell(W=self.W.value, U=self.U.value, b=self.b.value, kappa=self.kappa)
 
     def params(self) -> list[Param]:
         return [self.W, self.U, self.b]
@@ -298,17 +294,17 @@ def make_backbone(d: int, hidden: int, h: int, seed: int) -> Backbone:
     """Fresh 2-layer tanh MLP d -> hidden -> h with small-uniform weights."""
     rng = substream(seed, "backbone-init")
     stages = [AffineStage(Param("backbone.0.W", _uniform(rng, (hidden, d), d)),
-                          Param("backbone.0.b", np.zeros(hidden)), "tanh"),
+                          Param("backbone.0.b", np.zeros(hidden))),
               AffineStage(Param("backbone.1.W", _uniform(rng, (h, hidden), hidden)),
-                          Param("backbone.1.b", np.zeros(h)), "tanh")]
+                          Param("backbone.1.b", np.zeros(h)))]
     return Backbone(stages=stages)
 
 
 def clone_backbone(backbone: Backbone) -> Backbone:
     """Independent Params over the same read-only values, so a protocol that
     trains the backbone leaves the pretrained original untouched."""
-    return Backbone([AffineStage(Param(s.w.name, s.w.value), Param(s.b.name, s.b.value),
-                                 s.activation) for s in backbone.stages])
+    return Backbone([AffineStage(Param(s.w.name, s.w.value), Param(s.b.name, s.b.value))
+                     for s in backbone.stages])
 
 
 def build_prompt_model(backbone: Backbone, n_classes: int, seed: int, kappa: float = 0.9,

@@ -1,10 +1,10 @@
 """Parameters and the elementwise pieces shared by the model and the solver.
 
 A named `Param` holding a finite, read-only value and a gradient
-accumulator, the cell and stage activations with their derivatives read
-off the activation output, and the batched cross-entropy with its
-gradient. Everything else is a plain float64 `np.ndarray`. There is no
-tape: the model graph is small and fixed, and its backward sweep is
+accumulator, the derivative of tanh (the one nonlinearity of every cell
+and backbone stage) read off its output, and the batched cross-entropy
+with its gradient. Everything else is a plain float64 `np.ndarray`. There
+is no tape: the model graph is small and fixed, and its backward sweep is
 written out by hand in `model` and `deq`, which keeps the gradient
 machinery auditable.
 """
@@ -84,20 +84,10 @@ class Param:
             self.grad += ga
 
 
-# --- activations and losses ----------------------------------------------------
+# --- the nonlinearity and the loss ----------------------------------------------
 
-ACTIVATIONS = ("tanh", "identity")
-
-
-def activate(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise activation sigma(a); given `out`, which must be `a`, in place."""
-    return np.tanh(a, out=out) if kind == "tanh" else a
-
-
-def activate_deriv(out: np.ndarray, kind: str, into: np.ndarray | None = None) -> np.ndarray:
-    """sigma'(a) read off out = sigma(a): 1 - out^2 for tanh, into `into` if given."""
-    if kind != "tanh":
-        return np.ones_like(out)
+def tanh_deriv(out: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+    """tanh'(a) = 1 - out^2 read off out = tanh(a), into `into` if given."""
     sq = np.multiply(out, out, out=into)
     return np.subtract(1.0, sq, out=sq)
 

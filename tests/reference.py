@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 Deliberately naive: one central difference per coordinate, and the cell
-body applied to one state at a time, sharing no code with the solver.
+body, its fixed point and its adjoint taken one state at a time with dense
+matrices, sharing no code with the solver.
 """
 
 from __future__ import annotations
@@ -41,5 +42,27 @@ def cell_forward(cell: DeqCell, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"state shape {z.shape} != ({cell.state_dim},)")
     if x.shape != (cell.input_dim,):
         raise ShapeMismatchError(f"input shape {x.shape} != ({cell.input_dim},)")
-    a = cell.W @ z + cell.U @ x + cell.b
-    return np.tanh(a) if cell.activation == "tanh" else a
+    return np.tanh(cell.W @ z + cell.U @ x + cell.b)
+
+
+def newton_fixed_point(cell: DeqCell, x: np.ndarray, iters: int = 30) -> np.ndarray:
+    """z* = tanh(W z* + U x + b) of one row by Newton's method from z = 0.
+
+    Each step solves the dense system (I - diag(tanh') W) dz = f(z) - z,
+    whose matrix is invertible because ||W||_2 <= kappa < 1.
+    """
+    z = np.zeros(cell.state_dim)
+    for _ in range(iters):
+        f = cell_forward(cell, z, x)
+        jac = np.eye(cell.state_dim) - (1.0 - f * f)[:, None] * cell.W
+        z = z + np.linalg.solve(jac, f - z)
+    residual = np.linalg.norm(cell_forward(cell, z, x) - z)
+    if residual > 1e-14:
+        raise EvaluationError(f"Newton stopped at residual {residual:.3e}")
+    return z
+
+
+def dense_adjoint(cell: DeqCell, z: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """o with (I - J^T) o = y for one row, J = diag(tanh'(a)) W the state Jacobian at z."""
+    jac = (1.0 - cell_forward(cell, z, x) ** 2)[:, None] * cell.W
+    return np.linalg.solve(np.eye(cell.state_dim) - jac.T, y)

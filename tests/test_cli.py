@@ -554,6 +554,79 @@ def test_a_tune_cut_short_before_its_cfg_leaves_a_checkpoint_eval_refuses(
     assert "tuned model config" in err
 
 
+def test_eval_refuses_a_checkpoint_its_cfg_does_not_vouch_for(workdir, tmp_path, capsys):
+    out = _own_outdir(workdir, tmp_path)
+    (tmp_path / "backbone-blobs-s1.ckpt").write_bytes((workdir / "backbone-blobs-s0.ckpt")
+                                                      .read_bytes())
+    base = ["--out", out, "--protocol", "head_tuning", "--epochs", "5"]
+    rc, tune_out, _ = run_cli(capsys, ["tune", *base, "--seed", "0"])
+    assert rc == 0
+    assert run_cli(capsys, ["tune", *base, "--seed", "1"])[0] == 0
+    ckpt, cfg = tmp_path / "head_tuning-blobs-s0.ckpt", tmp_path / "head_tuning-blobs-s0.cfg"
+    tuned, tuned_cfg = ckpt.read_bytes(), cfg.read_text()
+    # another seed's tune has the same shapes, so only the digest tells them apart
+    ckpt.write_bytes((tmp_path / "head_tuning-blobs-s1.ckpt").read_bytes())
+    rc, _, err = run_cli(capsys, ["eval", *base, "--seed", "0"])
+    assert rc == 3
+    assert err.startswith(f"missing artifact: {str(ckpt)!r} is not the checkpoint")
+    assert err.count("\n") == 1
+    ckpt.write_bytes(tuned)
+    cfg.write_text(tuned_cfg.replace(cli.DIGEST_LINE, "# "))
+    rc, _, err = run_cli(capsys, ["eval", *base, "--seed", "0"])
+    assert rc == 3 and str(ckpt) in err and "(sha256 none)" in err
+    cfg.write_text(tuned_cfg)
+    rc, eval_out, err = run_cli(capsys, ["eval", *base, "--seed", "0"])
+    assert rc == 0 and err == ""
+    assert _accuracy_line(eval_out) == _accuracy_line(tune_out)
+
+
+def _no_temporary_files(root):
+    return [os.path.join(d, f) for d, _, files in os.walk(root) for f in files if ".tmp." in f]
+
+
+def test_an_output_under_a_regular_file_is_one_config_error_line(tmp_path, capsys):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    rc, _, err = run_cli(capsys, ["prop1", "--out", str(blocker)])
+    assert rc == 2
+    path = os.path.join(str(blocker), "prop1-s0.csv")
+    assert err.startswith(f"config error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+    assert _no_temporary_files(tmp_path) == []
+
+
+def test_an_output_onto_a_directory_is_one_config_error_line_and_leaves_no_temporary(
+        tmp_path, capsys):
+    run = tmp_path / "run.csv"
+    run.write_text(f"{CSV_HEADER}\nlion-blobs-s0,lion,blobs,0,0.98,1068,200,0.5\n")
+    (tmp_path / "report.csv").mkdir()
+    rc, _, err = run_cli(capsys, ["report", "--out", str(tmp_path), str(run)])
+    assert rc == 2
+    assert err.startswith(f"config error: cannot write {str(tmp_path / 'report.csv')!r}: ")
+    assert err.count("\n") == 1
+    assert _no_temporary_files(tmp_path) == []
+
+
+def test_a_backbone_that_cannot_be_read_is_one_missing_artifact_line(tmp_path, capsys):
+    (tmp_path / "backbone-blobs-s0.ckpt").mkdir()
+    rc, _, err = run_cli(capsys, ["tune", "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 3
+    path = str(tmp_path / "backbone-blobs-s0.ckpt")
+    assert err.startswith(f"missing artifact: cannot read checkpoint {path!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_failed_write_leaves_neither_the_file_nor_its_temporary(tmp_path, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    target = tmp_path / "m.ckpt"
+    with pytest.raises(ConfigError, match="No space left on device"):
+        checkpoint.save(str(target), sample_params())
+    assert os.listdir(tmp_path) == []
+
+
 # Which `cli._artifact_paths` entries each command writes.
 _WRITES = {"pretrain": {"backbone", "pretrain_report"},
            "tune": {"model", "run_csv", "trace_csv", "config"},

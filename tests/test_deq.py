@@ -17,39 +17,26 @@ from lionprompt.deq import (
 from lionprompt.errors import DivergenceError, ShapeMismatchError
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
-from reference import cell_forward, finite_diff_grad
+from reference import cell_forward, dense_adjoint, finite_diff_grad, newton_fixed_point
 
 
-def random_cell(seed, h=6, d=4, activation="tanh", kappa=0.9):
+def random_cell(seed, h=6, d=4, kappa=0.9):
     rng = substream(seed, "cell")
     cell = DeqCell(W=rng.normal(size=(h, h)),
                    U=rng.normal(size=(h, d)),
                    b=rng.normal(size=h) * 0.1,
-                   kappa=kappa, activation=activation)
+                   kappa=kappa)
     return spectral_normalize(cell)
 
 
-def scalar_identity_cell(w, u=1.0, b=0.0):
-    return DeqCell(W=np.array([[w]]), U=np.array([[u]]), b=np.array([b]),
-                   kappa=0.9, activation="identity")
-
-
-def dense_forward_oracle(cell, x):
-    """Closed-form fixed point of an identity-activation cell."""
-    h = cell.state_dim
-    rhs = cell.U @ x + cell.b
-    return np.linalg.solve(np.eye(h) - cell.W, rhs)
+def scalar_cell(w, u=1.0, b=0.0):
+    return DeqCell(W=np.array([[w]]), U=np.array([[u]]), b=np.array([b]), kappa=0.9)
 
 
 def solve_adjoint(cell, z, x, y):
     """The adjoint solve of one row, as a one-row batch."""
     o, _ = solve_adjoint_batch(cell, z[None, :], x[None, :], y[None, :])
     return o[0]
-
-
-def dense_adjoint_oracle(cell, y):
-    h = cell.state_dim
-    return np.linalg.solve(np.eye(h) - cell.W.T, y)
 
 
 # --- cell body and projection ----------------------------------------------
@@ -60,24 +47,20 @@ def test_cell_constructor_validates():
     with pytest.raises(ValueError):
         DeqCell(W=np.zeros((2, 2)), U=np.zeros((2, 2)),
                 b=np.zeros(2), kappa=1.0)
-    with pytest.raises(ValueError):
-        DeqCell(W=np.zeros((2, 2)), U=np.zeros((2, 2)),
-                b=np.zeros(2), activation="relu")
 
 
 def test_cell_forward_state_independent_when_w_zero():
     rng = substream(1, "w0")
-    cell = DeqCell(W=np.zeros((3, 3)), U=rng.normal(size=(3, 2)),
-                   b=rng.normal(size=3), activation="identity")
+    cell = DeqCell(W=np.zeros((3, 3)), U=rng.normal(size=(3, 2)), b=rng.normal(size=3))
     x = rng.normal(size=2)
-    expected = cell.U @ x + cell.b
+    expected = np.tanh(cell.U @ x + cell.b)
     for z in (np.zeros(3), rng.normal(size=3)):
         assert np.array_equal(cell_forward(cell, z, x), expected)
 
 
-def test_cell_forward_scalar_identity():
-    cell = scalar_identity_cell(0.5, u=0.0, b=1.0)
-    assert np.array_equal(cell_forward(cell, np.array([3.0]), np.array([0.0])), [2.5])
+def test_cell_forward_scalar_tanh():
+    cell = scalar_cell(0.5, u=0.0, b=1.0)
+    assert np.array_equal(cell_forward(cell, np.array([3.0]), np.array([0.0])), np.tanh([2.5]))
 
 
 def test_cell_forward_tanh_zero():
@@ -152,19 +135,24 @@ def test_contraction_inherited_from_normalized_weight():
 # --- forward solve ----------------------------------------------------------
 
 def test_solve_scalar_geometric_series():
-    cell = scalar_identity_cell(0.5, u=0.0, b=1.0)
-    rep = solve_forward_batch(cell, np.array([[0.0]]), SolverConfig(tol=1e-10))
+    # z = tanh(z / 2 + 1) has slope at most 1/2, so each Picard residual at most halves
+    cell = scalar_cell(0.5, u=0.0, b=1.0)
+    x = np.array([[0.0]])
+    rep = solve_forward_batch(cell, x, SolverConfig(tol=1e-10))
     assert rep.converged
-    assert abs(rep.z_star.item() - 2.0) <= 1e-9
+    assert abs(rep.z_star.item() - newton_fixed_point(cell, x[0]).item()) <= 1e-10
+    residuals = [solve_forward_batch(cell, x, SolverConfig(tol=1e-10, max_iters=k)).residual
+                 for k in range(1, rep.iterations + 1)]
+    assert all(b <= 0.5 * a for a, b in zip(residuals, residuals[1:]))
 
 
-def test_solve_identity_cell_matches_dense_solve():
-    cell = random_cell(7, h=6, d=4, activation="identity")
+def test_solve_matches_the_newton_reference():
+    cell = random_cell(7, h=6, d=4)
     rng = substream(8, "x")
     x = rng.normal(size=4)
     rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-12))
     assert rep.converged
-    assert rel_error(rep.z_star[0], dense_forward_oracle(cell, x)) <= 1e-10
+    assert rel_error(rep.z_star[0], newton_fixed_point(cell, x)) <= 1e-10
 
 
 def test_solve_tanh_converges_within_budget():
@@ -198,11 +186,11 @@ def test_solve_reports_nonconvergence_without_raising():
 
 
 def test_solve_divergence_raises():
-    cell = DeqCell(W=np.array([[1e6]]), U=np.array([[1.0]]), b=np.array([0.0]),
-                   activation="identity")
-    with pytest.raises(DivergenceError):
-        solve_forward_batch(cell, np.array([[1.0]]), SolverConfig(tol=1e-8, max_iters=500,
-                                                                  anderson_depth=0))
+    cell = random_cell(9, h=3, d=2)
+    x = np.array([[1.0, np.nan]])
+    for depth in (0, 5):
+        with pytest.raises(DivergenceError, match="non-finite iterate at evaluation 1"):
+            solve_forward_batch(cell, x, SolverConfig(tol=1e-8, anderson_depth=depth))
 
 
 def test_uniqueness_probe_five_starts():
@@ -332,27 +320,27 @@ def test_stack_solve_validates_shapes():
 # --- adjoint and implicit gradients ----------------------------------------
 
 def test_adjoint_scalar_geometric():
-    cell = scalar_identity_cell(0.5)
+    # at the origin tanh' = 1, so o = 1 + 1/2 + 1/4 + ... = 2
+    cell = scalar_cell(0.5)
     o = solve_adjoint(cell, np.array([0.0]), np.array([0.0]), np.array([1.0]))
     assert abs(o.item() - 2.0) <= 1e-10
 
 
 def test_adjoint_zero_jacobian_returns_cotangent():
-    cell = DeqCell(W=np.zeros((3, 3)), U=np.zeros((3, 2)),
-                   b=np.zeros(3), activation="identity")
+    cell = DeqCell(W=np.zeros((3, 3)), U=np.zeros((3, 2)), b=np.zeros(3))
     y = np.array([1.0, -2.0, 3.0])
-    o = solve_adjoint(cell, np.zeros(3), np.zeros(2), y)
+    o = solve_adjoint(cell, substream(30, "z").normal(size=3), np.zeros(2), y)
     assert np.allclose(o, y, atol=1e-12)
 
 
 def test_adjoint_matches_dense_solve():
-    cell = random_cell(31, h=6, d=2, activation="identity")
+    cell = random_cell(31, h=6, d=2)
     rng = substream(32, "adj")
     x = rng.normal(size=2)
     y = rng.normal(size=6)
     z = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-13)).z_star[0]
     o = solve_adjoint(cell, z, x, y)
-    assert rel_error(o, dense_adjoint_oracle(cell, y)) <= 1e-8
+    assert rel_error(o, dense_adjoint(cell, z, x, y)) <= 1e-12
 
 
 def test_direct_adjoint_batch_residual_per_row():
@@ -371,29 +359,32 @@ def test_direct_adjoint_batch_residual_per_row():
 
 
 def test_direct_adjoint_batch_matches_dense_oracle():
-    cell = random_cell(35, h=8, d=3, activation="identity")
+    cell = random_cell(35, h=8, d=3)
     rng = substream(36, "adj-oracle")
     xs = rng.normal(size=(6, 3))
     ys = rng.normal(size=(6, 8))
     zs = solve_forward_batch(cell, xs, SolverConfig(tol=1e-12)).z_star
     o, slopes = solve_adjoint_batch(cell, zs, xs, ys)
-    assert np.array_equal(slopes, np.ones_like(ys))
     for i in range(6):
-        assert rel_error(o[i], dense_adjoint_oracle(cell, ys[i])) <= 1e-12
+        assert np.max(np.abs(slopes[i] - (1.0 - cell_forward(cell, zs[i], xs[i]) ** 2))) <= 1e-15
+        assert rel_error(o[i], dense_adjoint(cell, zs[i], xs[i], ys[i])) <= 1e-12
 
 
 def test_vjp_scalar_closed_form():
-    w, u = 0.5, 1.5
-    cell = scalar_identity_cell(w, u=u)
+    w, u, b = 0.5, 1.5, 0.2
+    cell = scalar_cell(w, u=u, b=b)
     cfg = SolverConfig(tol=1e-13)
-    x = np.array([2.0])
+    x = np.array([0.3])
     z = solve_forward_batch(cell, x[None], cfg).z_star
+    zr = newton_fixed_point(cell, x).item()
+    assert abs(z.item() - zr) <= 1e-12
     grad_x, grads = deq_vjp_batch(cell, z, x[None], np.array([[1.0]]))
-    assert abs(grad_x.item() - u / (1 - w)) <= 1e-10
-    # z* = ux/(1-w); d z*/dw = ux/(1-w)^2, d z*/du = x/(1-w), d z*/db = 1/(1-w)
-    assert abs(grads.W.item() - u * 2.0 / (1 - w) ** 2) <= 1e-9
-    assert abs(grads.U.item() - 2.0 / (1 - w)) <= 1e-9
-    assert abs(grads.b.item() - 1.0 / (1 - w)) <= 1e-9
+    # z* = tanh(w z* + u x + b) gives d z*/d theta = s (d a/d theta) / (1 - s w), s = 1 - z*^2
+    s = 1.0 - zr ** 2
+    assert abs(grad_x.item() - s * u / (1 - s * w)) <= 1e-10
+    assert abs(grads.W.item() - s * zr / (1 - s * w)) <= 1e-10
+    assert abs(grads.U.item() - s * x.item() / (1 - s * w)) <= 1e-10
+    assert abs(grads.b.item() - s / (1 - s * w)) <= 1e-10
 
 
 def test_vjp_grad_x_matches_finite_differences():
@@ -422,11 +413,11 @@ def test_vjp_param_grads_match_finite_differences():
     _, grads = deq_vjp_batch(cell, z, x[None], y[None])
 
     def obj_w(t: np.ndarray) -> float:
-        c = DeqCell(W=t, U=cell.U, b=cell.b, kappa=cell.kappa, activation=cell.activation)
+        c = DeqCell(W=t, U=cell.U, b=cell.b, kappa=cell.kappa)
         return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
     def obj_b(t: np.ndarray) -> float:
-        c = DeqCell(W=cell.W, U=cell.U, b=t, kappa=cell.kappa, activation=cell.activation)
+        c = DeqCell(W=cell.W, U=cell.U, b=t, kappa=cell.kappa)
         return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
     assert rel_error(grads.W, finite_diff_grad(obj_w, cell.W)) <= 1e-5
@@ -449,22 +440,21 @@ def test_vjp_matches_unrolled_backprop():
         assert rel_error(g_i.b, g_u.b) <= 1e-5
 
 
-@pytest.mark.parametrize("activation", ["tanh", "identity"])
-def test_unrolled_vjp_matches_step_by_step_backprop(activation):
-    cell = random_cell(310, h=7, d=3, activation=activation)
+def test_unrolled_vjp_matches_step_by_step_backprop():
+    cell = random_cell(310, h=7, d=3)
     rng = substream(410, "unroll-loop")
     x, y = rng.normal(size=3), rng.normal(size=7)
     wa, ua = cell.W, cell.U
     c = ua @ x + cell.b
     zs = [np.zeros(7)]
     for _ in range(40):
-        zs.append(np.tanh(wa @ zs[-1] + c) if activation == "tanh" else wa @ zs[-1] + c)
+        zs.append(np.tanh(wa @ zs[-1] + c))
     grad_w, grad_u = np.zeros((7, 7)), np.zeros((7, 3))
     grad_b, grad_x = np.zeros(7), np.zeros(3)
     zbar = y.copy()
     for k in range(39, -1, -1):
         a = wa @ zs[k] + c
-        t = (1.0 - np.tanh(a) ** 2 if activation == "tanh" else 1.0) * zbar
+        t = (1.0 - np.tanh(a) ** 2) * zbar
         grad_w += np.outer(t, zs[k])
         grad_u += np.outer(t, x)
         grad_b += t

@@ -35,18 +35,17 @@ shapes = st.fixed_dictionaries({
     "d": st.integers(1, 8),
     "n": st.integers(1, 9),
     "kappa": st.floats(0.3, 0.9),
-    "activation": st.sampled_from(["tanh", "identity"]),
     "seed": st.integers(0, 2**32 - 1),
 })
 
 
-def draw_stack(h, d, n, kappa, activation, seed):
+def draw_stack(h, d, n, kappa, seed):
     """A projected cell, n inputs, and a shift (i, j, eps) per row, |eps| <= (1 - kappa) / 2."""
     rng = np.random.default_rng(seed)
     cell = spectral_normalize(DeqCell(W=rng.normal(size=(h, h)),
                                       U=rng.normal(size=(h, d)),
                                       b=rng.normal(size=h),
-                                      kappa=kappa, activation=activation))
+                                      kappa=kappa))
     xs = rng.normal(size=(n, d)) * 2.0
     shift = (rng.integers(0, h, size=n), rng.integers(0, h, size=n),
              rng.uniform(-1.0, 1.0, size=n) * (1.0 - kappa) / 2.0)

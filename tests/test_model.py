@@ -138,11 +138,11 @@ def test_blend_input_closed_form_state_free_cell():
     u = rng.normal(size=(d, d))
     b = rng.normal(size=d)
     block = PromptBlock("p1", Param("p1.0.W", np.zeros((d, d))), Param("p1.0.U", u),
-                        Param("p1.0.b", b), activation="identity")
+                        Param("p1.0.b", b))
     model = small_model(4, d=d, h=3, hidden=5)
     model.p1 = block
     x = rng.normal(size=(2, d))
-    expected = 0.5 * x + 0.5 * (x @ u.T + b)
+    expected = 0.5 * x + 0.5 * np.tanh(x @ u.T + b)
     assert np.max(np.abs(forward(model, x).xt - expected)) <= 1e-10
 
 
@@ -163,7 +163,7 @@ def test_blend_repr_saturated_gate_is_backbone_of_blended_input():
     assert np.max(np.abs(fw.zt - f_xt)) < 1e-12
 
 
-def test_blend_repr_identity_backbone_closed_form():
+def test_blend_repr_closed_form_with_state_free_cells():
     d = 4
     rng = substream(9, "idb")
     eye = np.eye(d)
@@ -173,8 +173,7 @@ def test_blend_repr_identity_backbone_closed_form():
 
     def state_free(name, u, b):
         return PromptBlock(name, Param(f"{name}.0.W", np.zeros((d, d))),
-                           Param(f"{name}.0.U", u), Param(f"{name}.0.b", b),
-                           activation="identity")
+                           Param(f"{name}.0.U", u), Param(f"{name}.0.b", b))
 
     model = PromptModel(
         backbone=Backbone(stages=[stage]),
@@ -186,8 +185,9 @@ def test_blend_repr_identity_backbone_closed_form():
         gate2=GatePair(Param("gate2.a", 0.0), Param("gate2.b", 0.0)),
         solver=TIGHT)
     x = rng.normal(size=(3, d))
-    xt = 0.5 * x + 0.5 * (x @ u1.T + b1)
-    expected = 0.5 * xt + 0.5 * (x @ u2.T + b2)
+    # F = tanh, P1 and P2 are tanh(U x + b), and proj is the identity map
+    xt = 0.5 * x + 0.5 * np.tanh(x @ u1.T + b1)
+    expected = 0.5 * np.tanh(xt) + 0.5 * np.tanh(np.tanh(x) @ u2.T + b2)
     assert np.max(np.abs(forward(model, x).zt - expected)) <= 1e-9
 
 
@@ -251,10 +251,10 @@ def test_precomputed_backbone_features_give_identical_gradients():
         loss_and_grads(cached, x, y, f_x=f_x[:1])
 
 
-def random_backbone(rng, dims, activations):
+def random_backbone(rng, dims):
     stages = [AffineStage(Param(f"backbone.{k}.W", rng.normal(size=(dout, din)) * 0.4),
-                          Param(f"backbone.{k}.b", rng.normal(size=dout) * 0.1), act)
-              for k, (din, dout, act) in enumerate(zip(dims, dims[1:], activations))]
+                          Param(f"backbone.{k}.b", rng.normal(size=dout) * 0.1))
+              for k, (din, dout) in enumerate(zip(dims, dims[1:]))]
     return Backbone(stages=stages)
 
 
@@ -275,8 +275,7 @@ def test_backbone_workspace_is_bit_identical_to_fresh_arrays():
     for seed in range(6):
         rng = substream(70, "ws-shapes", seed)
         dims = [int(v) for v in rng.integers(1, 40, size=int(rng.integers(2, 5)))]
-        acts = [str(a) for a in rng.choice(["tanh", "identity"], size=len(dims) - 1)]
-        bb = random_backbone(rng, dims, acts)
+        bb = random_backbone(rng, dims)
         workspace = {}
         n_first = int(rng.integers(1, 30))
         for n in (n_first, n_first, n_first + 3):  # the last call must reallocate
@@ -286,7 +285,7 @@ def test_backbone_workspace_is_bit_identical_to_fresh_arrays():
             h = x
             for st in bb.stages:
                 h = h @ st.w.value.T + st.b.value
-                h = np.tanh(h) if st.activation == "tanh" else h
+                h = np.tanh(h)
             assert backbone_forward(bb, x, workspace)[0].tobytes() == h.tobytes()
             assert backbone_pass(bb, x, g_out, workspace) == backbone_pass(bb, x, g_out, None)
             assert {buf.shape[0] for buf in workspace.values()} == {n}
