@@ -33,10 +33,10 @@ import numpy as np
 
 from . import checkpoint, config as cfgmod, harness, model as m
 from .config import RunConfig
-from .deq import DivergenceError
 from .errors import (
     CheckpointError,
     ConfigError,
+    DivergenceError,
     EvaluationError,
     MissingArtifactError,
     SetupError,
@@ -182,7 +182,7 @@ def _check_tuned_config(cfg: RunConfig) -> str:
     is solved.
     """
     path = _require(_artifact_paths(cfg)["config"], "tuned model config")
-    tuned, text = cfgmod.load_file(path)
+    tuned, text = cfgmod.load_file(path, unreadable=MissingArtifactError)
     for f in fields(RunConfig):
         mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
         if f.name != "out" and mine != theirs:

@@ -131,13 +131,16 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_file(path: str) -> tuple[RunConfig, str]:
-    """The validated config in a file, and the file's text; every error names the file."""
+def load_file(path: str, unreadable: type[Exception] = ConfigError) -> tuple[RunConfig, str]:
+    """The validated config in a file, and the file's text; every error names the file.
+
+    An unreadable file raises `unreadable`, an invalid one `ConfigError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return parse(text), text
     except OSError as exc:
-        raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
+        raise unreadable(f"config file {path!r}: {exc.strerror}") from None
     except (UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None

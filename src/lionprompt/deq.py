@@ -15,10 +15,11 @@ rows that evolve independently, each with its input term c_i = U x_i + b.
 The rows share one state weight and its product; the gradient cross-checks
 shift one entry of W per row, an indexed add after that product.
 The driver stops once the worst row residual max_i ||f(z_i) - z_i|| is
-within tol and reports that residual, so a converged solve certifies
-every row individually. `solve_forward_batch` is the one forward solve
-and `deq_vjp_batch` the one implicit VJP, a single row being a one-row
-batch; the gradient cross-checks call the solve by its alias `solve_forward`.
+within tol and reports it; `SolveReport.certified(tol)` returns z* only
+then, certifying every row, and raises `DivergenceError` otherwise.
+`solve_forward_batch` is the one forward solve and `deq_vjp_batch` the one
+implicit VJP, a single row being a one-row batch; the gradient
+cross-checks call the solve by its alias `solve_forward`.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
@@ -99,6 +100,13 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
+
+    def certified(self, tol: float) -> np.ndarray:
+        """`z_star`, certified a fixed point within `tol`; else `DivergenceError`."""
+        if not self.converged:
+            raise DivergenceError(f"forward solve stopped at residual {self.residual:.3e} "
+                                  f"after {self.iterations} evaluations (tol {tol:.1e})")
+        return self.z_star
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and `within`, which names a failure's phase."""
+
+import contextlib
 
 
 class LionPromptError(Exception):
@@ -14,14 +16,7 @@ class EvaluationError(LionPromptError, RuntimeError):
 
 
 class DivergenceError(LionPromptError, RuntimeError):
-    """A fixed-point solve diverged or failed to converge.
-
-    Carries the last residual norm when one is available.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A fixed-point solve diverged or failed to converge; the message says how far."""
 
 
 class StateError(LionPromptError, RuntimeError):
@@ -42,3 +37,18 @@ class CheckpointError(LionPromptError, ValueError):
 
 class SetupError(LionPromptError, RuntimeError):
     """An experiment precondition could not be established."""
+
+
+@contextlib.contextmanager
+def within(where: str):
+    """Re-raise a numeric failure in the body as `where: message`.
+
+    `DivergenceError` and `EvaluationError` keep their type; a NumPy `FloatingPointError`
+    becomes an `EvaluationError`. Nesting reads outer-first: `epoch 0: block p1: ...`.
+    """
+    try:
+        yield
+    except (DivergenceError, EvaluationError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise EvaluationError(f"{where}: {exc}") from exc

@@ -20,9 +20,9 @@ at each end of the backbone. Only the two cells, the projection, the head
 and the four gate scalars are trainable; the backbone's parameter
 gradients are never computed. The backward pass is one hand-written
 reverse sweep plus the implicit cell backward from `deq`. Every forward
-solve must converge: a prompt block raises `DivergenceError` rather than
-hand a point that is not a fixed point to the implicit backward or to a
-prediction.
+solve must converge: a prompt block reads z* through `SolveReport.certified`
+and raises `DivergenceError` (`block p1: ...`) rather than hand a point that
+is not a fixed point to the implicit backward or to a prediction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import deq
 from .deq import DeqCell, SolverConfig
-from .errors import DivergenceError, ShapeMismatchError
+from .errors import ShapeMismatchError, within
 from .numerics import Param, batch_cross_entropy, tanh_deriv
 from .rng import substream
 
@@ -233,16 +233,9 @@ class PromptBlock:
         Raises `DivergenceError`, naming the block, when the solve stops
         short of the tolerance or reaches a non-finite iterate.
         """
-        try:
-            rep = deq.solve_forward_batch(self.cell(), x_rows, cfg, z0_rows=start)
-        except DivergenceError as exc:
-            raise DivergenceError(f"block {self.name}: {exc}", residual=exc.residual) from exc
-        if not rep.converged:
-            raise DivergenceError(
-                f"block {self.name}: forward solve stopped at residual "
-                f"{rep.residual:.3e} after {rep.iterations} evaluations "
-                f"(tol {cfg.tol:.1e})", residual=rep.residual)
-        return rep.z_star
+        with within(f"block {self.name}"):
+            return deq.solve_forward_batch(self.cell(), x_rows, cfg,
+                                           z0_rows=start).certified(cfg.tol)
 
     def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
         """Implicit backward of the cell at its fixed point `z_star`.

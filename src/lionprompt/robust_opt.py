@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, EvaluationError, StateError
+from .errors import EvaluationError, StateError, within
 from .numerics import Param
 
 PLATEAU_TOL = 1e-6      # a loss must fall by more than this to count as improving
@@ -175,10 +175,10 @@ def train(task, dataset, state: OptState, epochs: int,
     in between; one that covers nothing is all crucial and never scored.
     A non-finite loss aborts immediately rather than letting the run limp
     on. With `patience` set, training stops early once the loss has not
-    improved by more than `PLATEAU_TOL` for that many consecutive epochs. A
-    `DivergenceError` from the task, and an `EvaluationError` from scoring
-    or the step (a non-finite gradient or parameter), are re-raised with the
-    epoch they happened in.
+    improved by more than `PLATEAU_TOL` for that many consecutive epochs.
+    Each epoch runs inside `errors.within("epoch N")`, the final predict inside
+    `within("final predict after N epochs")`: any numeric failure in them, `post_step`
+    included, names its phase (e.g. `epoch 3: non-finite loss nan`).
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
@@ -201,43 +201,35 @@ def train(task, dataset, state: OptState, epochs: int,
     if prepare is not None:
         prepare(x)
     for epoch in range(epochs):
-        for p in params:
-            p.zero_grad()
-        try:
+        with within(f"epoch {epoch}"):
+            for p in params:
+                p.zero_grad()
             value, logits = task.loss_and_grads(x, y)
-        except DivergenceError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}", residual=exc.residual) from exc
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite loss {value!r} at epoch {epoch}")
-        try:
+            if not math.isfinite(value):
+                raise EvaluationError(f"non-finite loss {value!r}")
             grads, values = flat_grads(params), flat_values(params)
             if rescore and epoch % state.repartition_every == 0:
                 part = partition(criticality_scores(grads, values), state.tau, pruned)
             step(params, grads, values, part, state)
-        except EvaluationError as exc:
-            raise EvaluationError(f"epoch {epoch}: {exc}") from exc
-        post = getattr(task, "post_step", None)
-        if post is not None:
-            post()
-        values = flat_values(params)
-        nc = values[part.noncrucial_mask]
-        log.losses.append(value)
-        log.accuracies.append(float(np.mean(np.argmax(logits, axis=1) == y)))
-        log.crucial_fractions.append(part.crucial_fraction)
-        log.noncrucial_mean_abs.append(float(np.mean(np.abs(nc))) if nc.size else 0.0)
-        metrics = getattr(task, "metrics", None)
-        log.extras.append(metrics() if metrics is not None else {})
-        if patience is not None:
-            if value < best_loss - PLATEAU_TOL:
-                best_loss = value
-                stale = 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-    try:
+            post = getattr(task, "post_step", None)
+            if post is not None:
+                post()
+            values = flat_values(params)
+            nc = values[part.noncrucial_mask]
+            log.losses.append(value)
+            log.accuracies.append(float(np.mean(np.argmax(logits, axis=1) == y)))
+            log.crucial_fractions.append(part.crucial_fraction)
+            log.noncrucial_mean_abs.append(float(np.mean(np.abs(nc))) if nc.size else 0.0)
+            metrics = getattr(task, "metrics", None)
+            log.extras.append(metrics() if metrics is not None else {})
+            if patience is not None:
+                if value < best_loss - PLATEAU_TOL:
+                    best_loss = value
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= patience:
+                        break
+    with within(f"final predict after {len(log.losses)} epochs"):
         log.final_accuracy = float(np.mean(task.predict(x) == y))
-    except DivergenceError as exc:
-        raise DivergenceError(f"final predict after {len(log.losses)} epochs: {exc}",
-                              residual=exc.residual) from exc
     return log

@@ -493,6 +493,19 @@ def test_eval_names_a_tuned_config_edited_out_of_range(workdir, tmp_path, capsys
     assert str(tuned_cfg) in err and "'kappa'" in err
 
 
+def test_an_unreadable_tuned_config_is_one_missing_artifact_line(workdir, tmp_path, capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    tuned_cfg = tmp_path / "head_tuning-blobs-s0.cfg"
+    tuned_cfg.unlink()
+    tuned_cfg.mkdir()
+    rc, _, err = run_cli(capsys, ["eval", *base])
+    assert rc == 3
+    assert err.startswith(f"missing artifact: config file {str(tuned_cfg)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_eval_of_a_nonfinite_checkpoint_exits_3(workdir, tmp_path, capsys):
     base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
             "--protocol", "head_tuning", "--epochs", "5"]
@@ -823,3 +836,13 @@ def test_an_overflowing_update_is_one_line_on_stderr(workdir, tmp_path, protocol
     assert proc.returncode == 1
     assert proc.stderr.startswith("check failed: epoch 1: non-finite update for ['")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("]\n")
+
+
+def test_an_overflow_no_check_anticipates_names_its_phase(workdir, tmp_path):
+    # the one head step is finite; the logits of the final predict overflow
+    proc = _command(["tune", "--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+                     "--protocol", "head_tuning", "--eta", "1.1388890283839211e308",
+                     "--epochs", "1"])
+    assert proc.returncode == 1
+    assert proc.stderr == ("check failed: final predict after 1 epochs: "
+                           "overflow encountered in matmul\n")

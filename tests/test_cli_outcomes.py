@@ -2,7 +2,8 @@
 
 Over `RunConfig`'s accepted domain, the file-only keys included, each
 command exits 0 with nothing on stderr, or exits 1, 2 or 3 with exactly one
-stderr line that starts with that exit code's prefix. Nothing else reaches
+stderr line that starts with that exit code's prefix; a failed check of
+`tune` or `eval` names its phase. Nothing else reaches
 stderr: an escaping exception fails the test with its traceback, and a NumPy
 warning is turned into one. A tune that succeeds is reproduced by `eval`.
 """
@@ -21,6 +22,10 @@ from lionprompt.config import (DATASET_CHOICES, PROTOCOL_CHOICES, SHIFT_CHOICES,
                                serialize)
 
 PREFIXES = {1: "check failed: ", 2: "config error: ", 3: "missing artifact: "}
+# A failed check in `tune` or `eval` names the phase it happened in.
+PHASES = {"tune": ("check failed: epoch ", "check failed: final predict after ",
+                   "check failed: held-out predict: "),
+          "eval": ("check failed: held-out predict: ",)}
 
 
 def open_unit():
@@ -87,6 +92,8 @@ def test_every_outcome_is_one_documented_line(outdir, cfg):
             assert err == [], (command, err)
         else:
             assert len(err) == 1 and err[0].startswith(PREFIXES[rc]), (command, rc, err)
+            if rc == 1 and command in PHASES:
+                assert err[0].startswith(PHASES[command]), (command, err)
         outcomes[command] = rc, stdout
     if outcomes["tune"][0] == 0:
         assert outcomes["eval"][0] == 0

@@ -1,5 +1,7 @@
 """Fixed-point solver and implicit-gradient checks for the equilibrium cell."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,18 @@ def test_solve_reports_nonconvergence_without_raising():
     assert not rep.converged
     assert rep.residual > 1e-30
     assert rep.iterations == 10
+
+
+def test_certified_returns_a_converged_point_and_names_a_short_solve():
+    cell = random_cell(5)
+    x = substream(6, "x").normal(size=4)
+    rep = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-10))
+    assert rep.converged and rep.certified(1e-10) is rep.z_star
+    short = solve_forward_batch(cell, x[None], SolverConfig(tol=1e-30, max_iters=10))
+    message = (f"forward solve stopped at residual {short.residual:.3e} "
+               "after 10 evaluations (tol 1.0e-30)")
+    with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+        short.certified(1e-30)
 
 
 def test_solve_divergence_raises():
