@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 
@@ -93,7 +94,7 @@ class _Reader:
         self.path = path
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        if n < 0 or self.pos + n > len(self.blob):
             raise CheckpointError(f"truncated checkpoint {self.path!r}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
@@ -136,7 +137,7 @@ def load(path: str, sha256: str | None = None) -> dict[str, np.ndarray]:
         if rank > _MAX_RANK:
             raise CheckpointError(f"{path!r}: entry {name!r} has rank {rank}")
         dims = tuple(r.u32() for _ in range(rank))
-        n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n_values = math.prod(dims)
         if n_values > len(blob):                 # cheap sanity bound
             raise CheckpointError(f"{path!r}: entry {name!r} dims {dims} overflow file")
         payload = r.take(8 * n_values)

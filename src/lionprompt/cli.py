@@ -192,7 +192,8 @@ def _check_tuned_config(cfg: RunConfig) -> str:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    backbone = _load_backbone(cfg)
+    # shapes only: the tuned checkpoint holds every backbone value, bound by the .cfg digest
+    backbone = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
     digest = _check_tuned_config(cfg)
     task = harness.make_task(cfg, backbone, harness.N_CLASSES)

@@ -1,14 +1,16 @@
 """Equilibrium prompt cell: fixed-point forward solve, implicit backward.
 
-The cell body is a single pre-activation layer f(z) = tanh(W z + U x + b)
-whose state weight is rescaled to operator norm <= kappa < 1, so f is a
-contraction and the fixed point z* = f(z*) exists and is unique. The
-forward pass finds z* by plain Picard iteration (the default) or Anderson
-acceleration; the backward pass never unrolls the solver. It solves the
-linear adjoint equation (I - J^T) o = y at z* directly, one small LU per
-row, and then takes one ordinary backward step of the cell body seeded
-with o. Because ||W||_2 <= kappa and |tanh'| <= 1, that matrix is always
-invertible with condition number at most (1 + kappa) / (1 - kappa).
+`PromptBlock` is the one cell type: the paper's implicit layer at each end
+of the frozen backbone. Its body is a single pre-activation layer
+f(z) = tanh(W z + U x + b) whose state weight `renormalize` rescales to
+operator norm <= kappa < 1, so f is a contraction and the fixed point
+z* = f(z*) exists and is unique. The forward pass finds z* by plain Picard
+iteration (the default) or Anderson acceleration; the backward pass never
+unrolls the solver. It solves the linear adjoint equation (I - J^T) o = y
+at z* directly, one small LU per row, and then takes one ordinary backward
+step of the cell body seeded with o. Because ||W||_2 <= kappa and
+|tanh'| <= 1, that matrix is always invertible with condition number at
+most (1 + kappa) / (1 - kappa).
 
 Every forward solve runs through one driver on an (n, h) float64 stack of
 rows that evolve independently, each with its input term c_i = U x_i + b.
@@ -29,47 +31,12 @@ gradient cross-checks; it shares no solver machinery with `deq_vjp_batch`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError
-from .numerics import tanh_deriv
-
-
-@dataclass(frozen=True, eq=False)
-class DeqCell:
-    """Parameters of one equilibrium cell f(z) = tanh(W z + U x + b).
-
-    `W` is stored post-projection: `spectral_normalize` returns a cell whose
-    stored state weight already has operator norm <= kappa, and every other
-    operation uses it verbatim. Gradients are taken with respect to the
-    stored (projected) weight; training re-projects after each step.
-    """
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-    kappa: float = 0.9
-
-    def __post_init__(self):
-        h = self.W.shape[0] if self.W.ndim == 2 else -1
-        if self.W.ndim != 2 or self.W.shape != (h, h):
-            raise ShapeMismatchError(f"W must be square rank-2, got {self.W.shape}")
-        if self.U.ndim != 2 or self.U.shape[0] != h:
-            raise ShapeMismatchError(f"U must be {h}x*, got {self.U.shape}")
-        if self.b.shape != (h,):
-            raise ShapeMismatchError(f"b must have shape ({h},), got {self.b.shape}")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-
-    @property
-    def state_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.U.shape[1]
+from .errors import DivergenceError, ShapeMismatchError, within
+from .numerics import Param, tanh_deriv
 
 
 @dataclass(frozen=True)
@@ -109,16 +76,76 @@ class SolveReport:
         return self.z_star
 
 
-@dataclass(frozen=True, eq=False)
-class CellGrads:
-    """Gradients for one cell's parameters, summed over the seeding batch."""
+@dataclass
+class PromptBlock:
+    """One equilibrium cell z* = tanh(W z* + U x + b), solved on a batch.
 
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
+    The parameters live in `Param`s, whose current values every solve and
+    VJP reads, so an optimizer step immediately affects the next solve.
+    `W` is stored post-projection: gradients are taken with respect to the
+    stored (projected) weight, and training re-projects after each step.
+    Shapes and kappa are checked once, here: a step, a projection and a
+    checkpoint restore each keep every Param's shape.
+    """
 
+    name: str
+    W: Param
+    U: Param
+    b: Param
+    kappa: float = 0.9
+    _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-# --- spectral projection ---------------------------------------------------
+    def __post_init__(self):
+        w, u, b = self.W.value, self.U.value, self.b.value
+        h = w.shape[0] if w.ndim == 2 else -1
+        if w.ndim != 2 or w.shape != (h, h):
+            raise ShapeMismatchError(f"W must be square rank-2, got {w.shape}")
+        if u.ndim != 2 or u.shape[0] != h:
+            raise ShapeMismatchError(f"U must be {h}x*, got {u.shape}")
+        if b.shape != (h,):
+            raise ShapeMismatchError(f"b must have shape ({h},), got {b.shape}")
+        if not 0.0 < self.kappa < 1.0:
+            raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+
+    def params(self) -> list[Param]:
+        return [self.W, self.U, self.b]
+
+    def renormalize(self) -> None:
+        """Project the state weight onto operator norm <= kappa.
+
+        W <- W * kappa / sigma when sigma = ||W||_2 > kappa; a weight already
+        inside the ball (or identically zero) is left unchanged. The SVD runs
+        only when a bound cannot rule out a clip: with sigma_0 = ||W_0||_2
+        from the last SVD, ||W||_2 <= sigma_0 + ||W - W_0||_F, and at most
+        kappa (1 - 1e-9) it proves the SVD would leave W unchanged. The
+        margin is 10^4 times the rounding of sigma_0, of the Frobenius norm
+        and of the SVD of W, each about h^2 2^-53 (3e-14 at h = 16).
+        """
+        w = self.W.value
+        if self._svd is not None:
+            sigma0, w0 = self._svd
+            if sigma0 + np.linalg.norm(w - w0) <= self.kappa * (1.0 - 1e-9):
+                return
+        sigma = estimate_spectral_norm(w)
+        self._svd = (sigma, w.copy())
+        if sigma > self.kappa:
+            self.W.value = w * (self.kappa / sigma)
+
+    def solve(self, x_rows: np.ndarray, cfg: SolverConfig,
+              start: np.ndarray | None = None) -> np.ndarray:
+        """The fixed point z* of every row, starting from `start` or zero.
+
+        Raises `DivergenceError`, naming the block, when the solve stops
+        short of the tolerance or reaches a non-finite iterate.
+        """
+        with within(f"block {self.name}"):
+            return solve_forward_batch(self, x_rows, cfg, z0_rows=start).certified(cfg.tol)
+
+    def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        """Implicit backward at the fixed point `z_star`: parameter gradients
+        go into the block's Params, and the input gradient is returned."""
+        return deq_vjp_batch(self, z_star, x_rows, y_rows)
+
 
 def estimate_spectral_norm(w) -> float:
     """Largest singular value of a matrix, ||W||_2, from a dense SVD."""
@@ -126,19 +153,6 @@ def estimate_spectral_norm(w) -> float:
     if wa.ndim != 2:
         raise ShapeMismatchError(f"spectral norm needs a matrix, got shape {wa.shape}")
     return float(np.linalg.norm(wa, 2))
-
-
-def spectral_normalize(cell: DeqCell, sigma: float | None = None) -> DeqCell:
-    """Project the state weight onto operator norm <= kappa.
-
-    Returns a cell with W <- W * min(1, kappa / sigma_max(W)); a weight
-    already inside the ball (or identically zero) is returned unchanged.
-    Idempotent up to rounding. `sigma` is sigma_max(W) if already computed.
-    """
-    sigma = estimate_spectral_norm(cell.W) if sigma is None else sigma
-    if sigma <= cell.kappa:
-        return cell
-    return replace(cell, W=cell.W * (cell.kappa / sigma))
 
 
 # --- forward ---------------------------------------------------------------
@@ -194,7 +208,7 @@ def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg: SolverConfig,
     raise AssertionError("unreachable")
 
 
-def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | None = None,
+def solve_forward_batch(block: PromptBlock, x_rows: np.ndarray, cfg: SolverConfig | None = None,
                         z0_rows: np.ndarray | None = None, shift=None) -> SolveReport:
     """Solve a batch of inputs (rows) as one stacked fixed-point problem.
 
@@ -204,9 +218,10 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
     per row; `residual` is the worst row's, so converged certifies every row.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.ndim != 2 or x_rows.shape[1] != cell.input_dim:
-        raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {cell.input_dim})")
-    n, h = x_rows.shape[0], cell.state_dim
+    h, d = block.U.value.shape
+    if x_rows.ndim != 2 or x_rows.shape[1] != d:
+        raise ShapeMismatchError(f"inputs shape {x_rows.shape} != (n, {d})")
+    n = x_rows.shape[0]
     if z0_rows is None:
         z0_rows = np.zeros((n, h))
     elif np.shape(z0_rows) != (n, h):
@@ -217,8 +232,8 @@ def solve_forward_batch(cell: DeqCell, x_rows: np.ndarray, cfg: SolverConfig | N
                 or np.any([(a < 0) | (a >= h) for a in shift[:2]])):
             raise ShapeMismatchError(f"shift must be three ({n},) arrays with indices in "
                                      f"[0, {h}), got shapes {[a.shape for a in shift]}")
-    return SolveReport(*_solve(cell.W, x_rows @ cell.U.T + cell.b, z0_rows,
-                               cfg or SolverConfig(), shift))
+    return SolveReport(*_solve(block.W.value, x_rows @ block.U.value.T + block.b.value,
+                               z0_rows, cfg or SolverConfig(), shift))
 
 
 solve_forward = solve_forward_batch  # the same function; profiles count gradcheck's calls apart
@@ -226,7 +241,7 @@ solve_forward = solve_forward_batch  # the same function; profiles count gradche
 
 # --- backward --------------------------------------------------------------
 
-def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
+def solve_adjoint_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarray,
                         y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise adjoint solves (I - W^T diag tanh'(a)) o = y, one LU per row.
 
@@ -235,43 +250,47 @@ def solve_adjoint_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
     exactly rather than iterated. Returns (o, tanh'(a)) with a = W z + U x
     + b per row, so the cell's backward step reuses the slopes.
     """
-    h = cell.state_dim
-    a = z_rows @ cell.W.T + x_rows @ cell.U.T + cell.b
+    w = block.W.value
+    a = z_rows @ w.T + x_rows @ block.U.value.T + block.b.value
     s = tanh_deriv(np.tanh(a))
     # (W^T diag s)_{jk} = W_kj s_k for every row at once, then I minus it in place; a
     # contiguous W^T keeps `mats` C-ordered, which halves the time of both steps
-    mats = np.ascontiguousarray(cell.W.T)[None, :, :] * s[:, None, :]
-    np.subtract(np.eye(h), mats, out=mats)
+    mats = np.ascontiguousarray(w.T)[None, :, :] * s[:, None, :]
+    np.subtract(np.eye(len(w)), mats, out=mats)
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
-def deq_vjp_batch(cell: DeqCell, z_rows: np.ndarray, x_rows: np.ndarray,
-                  y_rows: np.ndarray) -> tuple[np.ndarray, CellGrads]:
+def deq_vjp_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarray,
+                  y_rows: np.ndarray) -> np.ndarray:
     """Pull row cotangents y on z* back to the inputs and cell parameters.
 
     Solves the adjoint equation for o, then takes one backward step of the
-    cell body seeded with o. Returns (grad_x per row, W, U, b grads summed).
+    cell body seeded with o. Adds the W, U and b gradients, summed over the
+    rows, to the block's Params and returns the input gradient per row.
     """
-    o, s = solve_adjoint_batch(cell, z_rows, x_rows, y_rows)
+    o, s = solve_adjoint_batch(block, z_rows, x_rows, y_rows)
     t = s * o
-    return t @ cell.U, CellGrads(W=t.T @ z_rows, U=t.T @ x_rows, b=np.sum(t, axis=0))
+    block.W.add_grad(t.T @ z_rows)
+    block.U.add_grad(t.T @ x_rows)
+    block.b.add_grad(np.sum(t, axis=0))
+    return t @ block.U.value
 
 
-def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int
-                 ) -> tuple[np.ndarray, CellGrads]:
+def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int) -> np.ndarray:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
     Runs n_iters plain Picard iterations from z0 = 0, records every iterate,
     and reverse-accumulates y^T z_K through the whole chain. tanh' at step
     k is read off the recorded output z_{k+1} as 1 - z^2, and the
     parameter gradients are sums over steps, taken as one product over the
-    stacked per-step vectors. Exists to cross-check `deq_vjp_batch`; linear in
-    depth memory-wise, shares nothing with the solver or the adjoint, and
-    is never used in the training path.
+    stacked per-step vectors, added to the block's Params as `deq_vjp_batch`
+    adds them; returns the input gradient. Exists to cross-check
+    `deq_vjp_batch`; linear in depth memory-wise, shares nothing with the
+    solver or the adjoint, and is never used in the training path.
     """
-    wa, ua = cell.W, cell.U
-    c = ua @ x + cell.b
-    zs = np.zeros((n_iters + 1, cell.state_dim))
+    wa, ua = block.W.value, block.U.value
+    c = ua @ x + block.b.value
+    zs = np.zeros((n_iters + 1, len(wa)))
     for k in range(n_iters):
         zs[k + 1] = np.tanh(wa @ zs[k] + c)
     sig = tanh_deriv(zs[1:])
@@ -281,4 +300,7 @@ def unrolled_vjp(cell: DeqCell, x: np.ndarray, y: np.ndarray, n_iters: int
         ts[k] = sig[k] * zbar
         zbar = ts[k] @ wa
     t_sum = ts.sum(axis=0)
-    return t_sum @ ua, CellGrads(W=ts.T @ zs[:-1], U=np.outer(t_sum, x), b=t_sum)
+    block.W.add_grad(ts.T @ zs[:-1])
+    block.U.add_grad(np.outer(t_sum, x))
+    block.b.add_grad(t_sum)
+    return t_sum @ ua

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import deq, model as m, robust_opt
 from .config import RunConfig
-from .deq import DeqCell, SolverConfig
+from .deq import PromptBlock, SolverConfig
 from .errors import ConfigError, DivergenceError, SetupError, ShapeMismatchError, within
 from .model import AffineStage, Backbone, PromptModel
 from .numerics import Param, batch_cross_entropy, rel_error
@@ -510,27 +510,29 @@ class GradCheckRow:
     status: str                 # "ok" | "solver_failed" | "gradient_failed"
 
 
-def _central_differences(cell: DeqCell, x: np.ndarray, y: np.ndarray, cfg: SolverConfig,
+def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, cfg: SolverConfig,
                          step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
     All 2 (h^2 + hd + h + d) perturbed fixed points are one batch solve of
-    the cell (W, I, 0), + step rows first, whose input row is the input
-    term itself: c I^T + 0 = c exactly. A W row shifts its entry of W by
-    +-step; one of U, b or x shifts its row's input term c = U x + b.
-    Raises DivergenceError if any row stops short of tol.
+    a block over the same W Param with U = I and b = 0, + step rows first,
+    whose input row is the input term itself: c I^T + 0 = c exactly. A W
+    row shifts its entry of W by +-step; one of U, b or x shifts its row's
+    input term c = U x + b. Raises DivergenceError if any row stops short
+    of tol.
     """
-    h = cell.state_dim
-    c = cell.U @ x + cell.b
+    u = block.U.value
+    h, c = len(u), u @ x + block.b.value
     # d c / d W = 0, d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
     shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), x[:, None]),
-                        np.eye(h), cell.U.T])
+                        np.eye(h), u.T])
     # row k < h^2 shifts W[k // h, k % h]; the rest take eps 0 at wrapped indices
     k = np.arange(len(shifts))
     eps = np.where(k < h * h, step, 0.0)
     i, j = np.divmod(np.tile(k % (h * h), 2), h)
-    rep = deq.solve_forward(replace(cell, U=np.eye(h), b=np.zeros(h)),
-                            c + step * np.vstack([shifts, -shifts]), cfg,
+    stack = PromptBlock("fd", block.W, Param("fd.U", np.eye(h)), Param("fd.b", np.zeros(h)),
+                        block.kappa)
+    rep = deq.solve_forward(stack, c + step * np.vstack([shifts, -shifts]), cfg,
                             shift=(i, j, np.concatenate([eps, -eps])))
     plus, minus = np.split(rep.certified(cfg.tol), 2)
     return (plus - minus) @ y / (2.0 * step)
@@ -543,7 +545,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     The implicit gradient is taken at the base solve's fixed point through
     `deq.solve_forward`, the alias of `deq.solve_forward_batch`, and
     `deq.deq_vjp_batch` on one-row batches: the functions training runs.
-    Each case's central differences are one more solve, on the cell (W, I, 0),
+    Each case's central differences are one more solve, of a block (W, I, 0),
     and its unrolled reference runs as deep as kappa and `unrolled_tol` need
     (see below). Solver non-convergence, in the base solve or in any row of
     the stack, is its own status so a hopeless tolerance setting is
@@ -556,29 +558,32 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         rng = substream(seed, "gradcheck", case)
         h = int(rng.integers(4, 17))
         d = int(rng.integers(2, 17))
-        cell = deq.spectral_normalize(DeqCell(
-            W=rng.normal(size=(h, h)), U=rng.normal(size=(h, d)),
-            b=rng.normal(size=h) * 0.1))
+        block = PromptBlock("case", Param("W", rng.normal(size=(h, h))),
+                            Param("U", rng.normal(size=(h, d))),
+                            Param("b", rng.normal(size=h) * 0.1))
+        block.renormalize()
         x = rng.normal(size=d)
         y = rng.normal(size=h)
         try:
-            z_star = deq.solve_forward(cell, x[None, :], cfg).certified(cfg.tol)
-            fd = _central_differences(cell, x, y, cfg, fd_step)
+            z_star = deq.solve_forward(block, x[None, :], cfg).certified(cfg.tol)
+            fd = _central_differences(block, x, y, cfg, fd_step)
         except DivergenceError:
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))
             continue
-        grad_x, grads = deq.deq_vjp_batch(cell, z_star, x[None, :], y[None, :])
-        analytic = np.concatenate([grads.W.reshape(-1), grads.U.reshape(-1), grads.b, grad_x[0]])
+        grad_x = deq.deq_vjp_batch(block, z_star, x[None, :], y[None, :])
+        analytic = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [grad_x[0]])
         fd_err = rel_error(analytic, fd)
 
         # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
         # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
         # K kappa^K / (1 - kappa) 100x under unrolled_tol (227 at kappa 0.9, 1e-5).
-        depth = next(k for k in itertools.count(1) if k * cell.kappa ** k
-                     <= (1.0 - cell.kappa) * unrolled_tol / 100.0)
-        gx_u, g_u = deq.unrolled_vjp(cell, x, y, n_iters=depth)
-        unrolled = np.concatenate([g_u.W.reshape(-1), g_u.U.reshape(-1), g_u.b, gx_u])
+        depth = next(k for k in itertools.count(1) if k * block.kappa ** k
+                     <= (1.0 - block.kappa) * unrolled_tol / 100.0)
+        for p in block.params():
+            p.zero_grad()
+        gx_u = deq.unrolled_vjp(block, x, y, n_iters=depth)
+        unrolled = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [gx_u])
         unrolled_err = rel_error(analytic, unrolled)
         status = "ok" if fd_err <= fd_tol and unrolled_err <= unrolled_tol else "gradient_failed"
         rows.append(GradCheckRow(case, h, d, fd_err, unrolled_err, status))

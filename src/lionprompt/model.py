@@ -15,14 +15,14 @@ Both run the one `forward`, which keeps what the reverse sweep reads; its
 `cache_t` lives in the model's reusable `workspace` arrays and is valid
 until the next `forward` on that model.
 
-Each prompt block is one equilibrium cell: the paper's one implicit layer
-at each end of the backbone. Only the two cells, the projection, the head
-and the four gate scalars are trainable; the backbone's parameter
-gradients are never computed. The backward pass is one hand-written
-reverse sweep plus the implicit cell backward from `deq`. Every forward
-solve must converge: a prompt block reads z* through `SolveReport.certified`
-and raises `DivergenceError` (`block p1: ...`) rather than hand a point that
-is not a fixed point to the implicit backward or to a prediction.
+Each prompt block is one `deq.PromptBlock`, the one equilibrium cell type
+and the paper's implicit layer at each end of the backbone. Only the two
+cells, the projection, the head and the four gate scalars are trainable;
+the backbone's parameter gradients are never computed. The backward pass
+is one hand-written reverse sweep plus each block's implicit `vjp`. Every
+forward solve must converge: a prompt block reads z* through
+`SolveReport.certified` and raises `DivergenceError` (`block p1: ...`)
+rather than hand a non-fixed point to the implicit backward or a prediction.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import deq
-from .deq import DeqCell, SolverConfig
-from .errors import ShapeMismatchError, within
+from .deq import PromptBlock, SolverConfig
+from .errors import ShapeMismatchError
 from .numerics import Param, batch_cross_entropy, tanh_deriv
 from .rng import substream
 
@@ -182,72 +181,6 @@ def gate_vjp(alpha: float, beta: float, d_alpha: float, d_beta: float) -> tuple[
     (d_alpha, d_beta); returns (d_g_alpha, d_g_beta), an exactly opposite pair."""
     g = alpha * beta * (d_alpha - d_beta)
     return g, -g
-
-
-# --- prompt blocks -----------------------------------------------------------
-
-@dataclass
-class PromptBlock:
-    """One equilibrium cell z* = tanh(W z* + U x + b), solved on a batch.
-
-    The parameters live in `Param`s; the `DeqCell` view handed to the
-    solver is rebuilt from the current values on every call, so an
-    optimizer step immediately affects the next solve.
-    """
-
-    name: str
-    W: Param
-    U: Param
-    b: Param
-    kappa: float = 0.9
-    _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def cell(self) -> DeqCell:
-        return DeqCell(W=self.W.value, U=self.U.value, b=self.b.value, kappa=self.kappa)
-
-    def params(self) -> list[Param]:
-        return [self.W, self.U, self.b]
-
-    def renormalize(self) -> None:
-        """Project the state weight back onto the kappa-ball.
-
-        The SVD runs only when a bound cannot rule out a clip: with sigma_0 =
-        ||W_0||_2 from the last SVD, ||W||_2 <= sigma_0 + ||W - W_0||_F, and
-        at most kappa (1 - 1e-9) it proves the SVD would leave W unchanged.
-        The margin is 10^4 times the rounding of sigma_0, of the Frobenius
-        norm and of the SVD of W, each about h^2 2^-53 (3e-14 at h = 16).
-        """
-        w = self.W.value
-        if self._svd is not None:
-            sigma0, w0 = self._svd
-            if sigma0 + np.linalg.norm(w - w0) <= self.kappa * (1.0 - 1e-9):
-                return
-        sigma = deq.estimate_spectral_norm(w)
-        self._svd = (sigma, w.copy())
-        self.W.value = deq.spectral_normalize(self.cell(), sigma).W
-
-    def solve(self, x_rows: np.ndarray, cfg: SolverConfig,
-              start: np.ndarray | None = None) -> np.ndarray:
-        """The fixed point z* of every row, starting from `start` or zero.
-
-        Raises `DivergenceError`, naming the block, when the solve stops
-        short of the tolerance or reaches a non-finite iterate.
-        """
-        with within(f"block {self.name}"):
-            return deq.solve_forward_batch(self.cell(), x_rows, cfg,
-                                           z0_rows=start).certified(cfg.tol)
-
-    def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-        """Implicit backward of the cell at its fixed point `z_star`.
-
-        Accumulates parameter gradients into the block's Params and returns
-        the gradient w.r.t. the block input.
-        """
-        g, cg = deq.deq_vjp_batch(self.cell(), z_star, x_rows, y_rows)
-        self.W.add_grad(cg.W)
-        self.U.add_grad(cg.U)
-        self.b.add_grad(cg.b)
-        return g
 
 
 # --- the full model -----------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from lionprompt import checkpoint, model, robust_opt
 from lionprompt.config import RunConfig, parse, serialize
-from lionprompt.deq import SolverConfig, solve_forward_batch, spectral_normalize, DeqCell
+from lionprompt.deq import SolverConfig, solve_forward_batch
 from lionprompt.harness import (
     gradcheck_suite,
     make_blobs,
@@ -24,6 +24,7 @@ from lionprompt.harness import (
 from lionprompt.model import gate_coeffs
 from lionprompt.numerics import Param, batch_cross_entropy
 from lionprompt.rng import substream
+from reference import make_cell
 
 _CACHE = {}
 
@@ -58,10 +59,12 @@ def transfer_sweep(bb):
 
 def random_cell(seed, h, d):
     rng = substream(seed, "accept-cell")
-    return spectral_normalize(DeqCell(
+    cell = make_cell(
         W=rng.normal(size=(h, h)),
         U=rng.normal(size=(h, d)),
-        b=rng.normal(size=h) * 0.1))
+        b=rng.normal(size=h) * 0.1)
+    cell.renormalize()
+    return cell
 
 
 def test_criterion_1_implicit_gradients():

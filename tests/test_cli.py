@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lionprompt import checkpoint, cli, deq, harness
@@ -150,6 +150,63 @@ def test_save_load_save_is_byte_identical_for_fuzzed_names_and_shapes(entry_name
         checkpoint.save(second, blank)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+
+
+def _header_offsets(blob):
+    """Offsets of the u32 header fields of a saved checkpoint: count, then per entry
+    (name_len, rank, [dims])."""
+    entries, at = [], 16
+    for _ in range(struct.unpack_from("<I", blob, 12)[0]):
+        name_len = struct.unpack_from("<I", blob, at)[0]
+        rank_at = at + 4 + name_len
+        rank = struct.unpack_from("<I", blob, rank_at)[0]
+        dims = [rank_at + 4 + 4 * k for k in range(rank)]
+        entries.append((at, rank_at, dims))
+        at = dims[-1] + 4 if dims else rank_at + 4
+        at += 8 * int(np.prod(struct.unpack_from(f"<{rank}I", blob, rank_at + 4)))
+    return 12, entries
+
+
+# header values near the edges of u32 and of its signed reading, or anywhere in it
+u32s = st.one_of(st.sampled_from([0, 1, 2, 3, 2**31 - 1, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+forgeries = st.one_of(
+    st.tuples(st.just("count"), u32s),
+    st.tuples(st.just("name_len"), st.integers(0, 2), u32s),
+    st.tuples(st.just("rank"), st.integers(0, 2), u32s),
+    st.tuples(st.just("dims"), st.integers(0, 2), st.one_of(st.tuples(u32s, u32s),
+                                                          u32s.map(lambda v: (v, v)))),
+    st.tuples(st.just("truncate"), st.integers(0, 200)),
+    st.tuples(st.just("byte"), st.integers(0, 200), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(forgeries, min_size=1, max_size=3))
+@example([("dims", 2, (2**32 - 1, 2**32 - 1))])    # a product a 64-bit count wraps negative
+def test_a_forged_checkpoint_is_refused_only_with_a_checkpoint_error(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        checkpoint.save(path, sample_params())
+        blob = bytearray(open(path, "rb").read())
+        count_at, entries = _header_offsets(blob)
+        for kind, *args in sorted(edits, key=lambda e: e[0] == "truncate"):   # cuts last
+            if kind == "count":
+                struct.pack_into("<I", blob, count_at, args[0])
+            elif kind in ("name_len", "rank"):
+                struct.pack_into("<I", blob, entries[args[0]][kind == "rank"], args[1])
+            elif kind == "dims":
+                for at, v in zip(entries[args[0]][2], args[1]):
+                    struct.pack_into("<I", blob, at, v)
+            elif kind == "truncate":
+                del blob[len(blob) - min(args[0], len(blob)):]
+            elif kind == "byte" and args[0] < len(blob):
+                blob[args[0]] = args[1]
+        open(path, "wb").write(bytes(blob))
+        try:
+            checkpoint.load(path)
+        except CheckpointError:
+            pass
 
 
 def test_restore_rejects_architecture_mismatch(tmp_path):
@@ -535,6 +592,18 @@ def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, m
     assert "check failed: held-out predict: block p1: non-finite iterate" in err
 
 
+def test_eval_reads_no_backbone_file(workdir, tmp_path, capsys):
+    # the tuned checkpoint holds every backbone value, and its .cfg binds it by digest
+    out = _own_outdir(workdir, tmp_path)
+    base = ["--out", out, "--seed", "0", "--protocol", "lion", "--epochs", "20"]
+    rc, tune_out, _ = run_cli(capsys, ["tune", *base])
+    assert rc == 0
+    os.remove(os.path.join(out, "backbone-blobs-s0.ckpt"))
+    rc, eval_out, _ = run_cli(capsys, ["eval", *base])
+    assert rc == 0
+    assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
+
+
 def test_eval_without_tuned_model_exits_3(workdir, capsys):
     rc, _, err = run_cli(capsys, ["eval", "--out", str(workdir), "--seed", "0",
                                   "--protocol", "full_finetune"])
@@ -626,6 +695,22 @@ def test_a_backbone_that_cannot_be_read_is_one_missing_artifact_line(tmp_path, c
     assert rc == 3
     path = str(tmp_path / "backbone-blobs-s0.ckpt")
     assert err.startswith(f"missing artifact: cannot read checkpoint {path!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_backbone_with_a_forged_header_is_one_missing_artifact_line(workdir, tmp_path,
+                                                                     capsys):
+    # two dims of 2^32 - 1 multiply past 2^63, where a 64-bit count wraps negative
+    out = _own_outdir(workdir, tmp_path)
+    path = os.path.join(out, "backbone-blobs-s0.ckpt")
+    blob = bytearray(open(path, "rb").read())
+    name = b"backbone.0.W"
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    struct.pack_into("<III", blob, at, 2, 2**32 - 1, 2**32 - 1)
+    open(path, "wb").write(bytes(blob))
+    rc, _, err = run_cli(capsys, ["tune", "--out", out, "--seed", "0"])
+    assert rc == 3
+    assert err.startswith(f"missing artifact: {path!r}: entry 'backbone.0.W' dims ")
     assert err.count("\n") == 1
 
 

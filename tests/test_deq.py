@@ -1,38 +1,38 @@
 """Fixed-point solver and implicit-gradient checks for the equilibrium cell."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lionprompt.deq import (
-    CellGrads,
-    DeqCell,
     SolverConfig,
     deq_vjp_batch,
     estimate_spectral_norm,
     solve_adjoint_batch,
     solve_forward_batch,
-    spectral_normalize,
     unrolled_vjp,
 )
 from lionprompt.errors import DivergenceError, ShapeMismatchError
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
-from reference import cell_forward, dense_adjoint, finite_diff_grad, newton_fixed_point
+from reference import (cell_forward, dense_adjoint, finite_diff_grad, make_cell,
+                       newton_fixed_point, vjp_grads)
 
 
 def random_cell(seed, h=6, d=4, kappa=0.9):
     rng = substream(seed, "cell")
-    cell = DeqCell(W=rng.normal(size=(h, h)),
-                   U=rng.normal(size=(h, d)),
-                   b=rng.normal(size=h) * 0.1,
-                   kappa=kappa)
-    return spectral_normalize(cell)
+    cell = make_cell(W=rng.normal(size=(h, h)),
+                     U=rng.normal(size=(h, d)),
+                     b=rng.normal(size=h) * 0.1,
+                     kappa=kappa)
+    cell.renormalize()
+    return cell
 
 
 def scalar_cell(w, u=1.0, b=0.0):
-    return DeqCell(W=np.array([[w]]), U=np.array([[u]]), b=np.array([b]), kappa=0.9)
+    return make_cell(W=np.array([[w]]), U=np.array([[u]]), b=np.array([b]), kappa=0.9)
 
 
 def solve_adjoint(cell, z, x, y):
@@ -45,17 +45,17 @@ def solve_adjoint(cell, z, x, y):
 
 def test_cell_constructor_validates():
     with pytest.raises(ShapeMismatchError):
-        DeqCell(W=np.zeros((2, 3)), U=np.zeros((2, 2)), b=np.zeros(2))
+        make_cell(W=np.zeros((2, 3)), U=np.zeros((2, 2)), b=np.zeros(2))
     with pytest.raises(ValueError):
-        DeqCell(W=np.zeros((2, 2)), U=np.zeros((2, 2)),
-                b=np.zeros(2), kappa=1.0)
+        make_cell(W=np.zeros((2, 2)), U=np.zeros((2, 2)),
+                  b=np.zeros(2), kappa=1.0)
 
 
 def test_cell_forward_state_independent_when_w_zero():
     rng = substream(1, "w0")
-    cell = DeqCell(W=np.zeros((3, 3)), U=rng.normal(size=(3, 2)), b=rng.normal(size=3))
+    cell = make_cell(W=np.zeros((3, 3)), U=rng.normal(size=(3, 2)), b=rng.normal(size=3))
     x = rng.normal(size=2)
-    expected = np.tanh(cell.U @ x + cell.b)
+    expected = np.tanh(cell.U.value @ x + cell.b.value)
     for z in (np.zeros(3), rng.normal(size=3)):
         assert np.array_equal(cell_forward(cell, z, x), expected)
 
@@ -66,36 +66,41 @@ def test_cell_forward_scalar_tanh():
 
 
 def test_cell_forward_tanh_zero():
-    cell = DeqCell(W=np.eye(2) * 0.5, U=np.zeros((2, 2)),
-                   b=np.zeros(2))
+    cell = make_cell(W=np.eye(2) * 0.5, U=np.zeros((2, 2)),
+                     b=np.zeros(2))
     assert np.array_equal(cell_forward(cell, np.zeros(2), np.zeros(2)), np.zeros(2))
 
 
-def test_spectral_normalize_diagonal_exact():
-    cell = DeqCell(W=np.diag([2.0, 1.0]), U=np.zeros((2, 2)),
-                   b=np.zeros(2), kappa=0.9)
-    eff = spectral_normalize(cell).W
+def test_renormalize_diagonal_exact():
+    cell = make_cell(W=np.diag([2.0, 1.0]), U=np.zeros((2, 2)),
+                     b=np.zeros(2), kappa=0.9)
+    cell.renormalize()
+    eff = cell.W.value
     assert np.max(np.abs(eff - np.diag([0.9, 0.45]))) <= 1e-12
 
 
-def test_spectral_normalize_inside_ball_unchanged():
+def test_renormalize_inside_ball_unchanged():
     w = np.diag([0.5, 0.25])
-    cell = DeqCell(W=w, U=np.zeros((2, 2)), b=np.zeros(2), kappa=0.9)
-    assert np.array_equal(spectral_normalize(cell).W, w)
+    cell = make_cell(W=w, U=np.zeros((2, 2)), b=np.zeros(2), kappa=0.9)
+    cell.renormalize()
+    assert np.array_equal(cell.W.value, w)
 
 
-def test_spectral_normalize_zero_matrix_unchanged():
-    cell = DeqCell(W=np.zeros((3, 3)), U=np.zeros((3, 1)),
-                   b=np.zeros(3))
-    assert np.array_equal(spectral_normalize(cell).W, cell.W)
+def test_renormalize_zero_matrix_unchanged():
+    cell = make_cell(W=np.zeros((3, 3)), U=np.zeros((3, 1)),
+                     b=np.zeros(3))
+    w = cell.W.value
+    cell.renormalize()
+    assert np.array_equal(cell.W.value, w)
 
 
-def test_spectral_normalize_oracle_reestimate():
+def test_renormalize_oracle_reestimate():
     for seed in range(10):
         rng = substream(seed, "spn")
         w = rng.normal(size=(8, 8)) * 2.0
-        cell = DeqCell(W=w, U=np.zeros((8, 2)), b=np.zeros(8), kappa=0.9)
-        eff = spectral_normalize(cell).W
+        cell = make_cell(W=w, U=np.zeros((8, 2)), b=np.zeros(8), kappa=0.9)
+        cell.renormalize()
+        eff = cell.W.value
         assert estimate_spectral_norm(eff) <= 0.9 + 1e-6
         # cross-check the norm against a dense SVD
         assert float(np.linalg.svd(eff, compute_uv=False)[0]) <= 0.9 + 1e-6
@@ -116,9 +121,10 @@ def test_projection_caps_operator_norm_at_kappa():
         for seed in range(10):
             rng = substream(seed, "spn-kappa")
             h = 4 + seed
-            cell = DeqCell(W=rng.normal(size=(h, h)) * 2.0,
-                           U=np.zeros((h, 1)), b=np.zeros(h), kappa=kappa)
-            eff = spectral_normalize(cell).W
+            cell = make_cell(W=rng.normal(size=(h, h)) * 2.0,
+                             U=np.zeros((h, 1)), b=np.zeros(h), kappa=kappa)
+            cell.renormalize()
+            eff = cell.W.value
             assert float(np.linalg.svd(eff, compute_uv=False)[0]) <= kappa * (1.0 + 1e-12)
 
 
@@ -310,11 +316,11 @@ def test_a_returned_fixed_point_survives_the_next_solve(depth):
 
 def test_stack_solve_validates_shapes():
     # the gradient cross-checks' stack: identity input weight, so each row is its input term
-    cell = DeqCell(W=np.zeros((4, 4)), U=np.eye(4), b=np.zeros(4))
+    cell = make_cell(W=np.zeros((4, 4)), U=np.eye(4), b=np.zeros(4))
     c = np.zeros((3, 4))
     # one weight per row is not a form a cell takes
     with pytest.raises(ShapeMismatchError):
-        DeqCell(W=np.zeros((3, 4, 4)), U=np.eye(4), b=np.zeros(4))
+        make_cell(W=np.zeros((3, 4, 4)), U=np.eye(4), b=np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         solve_forward_batch(cell, np.zeros(4))
     with pytest.raises(ShapeMismatchError):
@@ -341,7 +347,7 @@ def test_adjoint_scalar_geometric():
 
 
 def test_adjoint_zero_jacobian_returns_cotangent():
-    cell = DeqCell(W=np.zeros((3, 3)), U=np.zeros((3, 2)), b=np.zeros(3))
+    cell = make_cell(W=np.zeros((3, 3)), U=np.zeros((3, 2)), b=np.zeros(3))
     y = np.array([1.0, -2.0, 3.0])
     o = solve_adjoint(cell, substream(30, "z").normal(size=3), np.zeros(2), y)
     assert np.allclose(o, y, atol=1e-12)
@@ -365,10 +371,10 @@ def test_direct_adjoint_batch_residual_per_row():
         ys = rng.normal(size=(40, 16))
         zs = solve_forward_batch(cell, xs, SolverConfig(tol=1e-12)).z_star
         o, slopes = solve_adjoint_batch(cell, zs, xs, ys)
-        a = zs @ cell.W.T + xs @ cell.U.T + cell.b
+        a = zs @ cell.W.value.T + xs @ cell.U.value.T + cell.b.value
         s = 1.0 - np.tanh(a) ** 2
         assert np.max(np.abs(slopes - s)) <= 1e-15
-        resid = np.linalg.norm(o - (s * o) @ cell.W - ys, axis=1)
+        resid = np.linalg.norm(o - (s * o) @ cell.W.value - ys, axis=1)
         assert np.max(resid) <= 1e-12
 
 
@@ -392,7 +398,7 @@ def test_vjp_scalar_closed_form():
     z = solve_forward_batch(cell, x[None], cfg).z_star
     zr = newton_fixed_point(cell, x).item()
     assert abs(z.item() - zr) <= 1e-12
-    grad_x, grads = deq_vjp_batch(cell, z, x[None], np.array([[1.0]]))
+    grad_x, grads = vjp_grads(deq_vjp_batch, cell, z, x[None], np.array([[1.0]]))
     # z* = tanh(w z* + u x + b) gives d z*/d theta = s (d a/d theta) / (1 - s w), s = 1 - z*^2
     s = 1.0 - zr ** 2
     assert abs(grad_x.item() - s * u / (1 - s * w)) <= 1e-10
@@ -408,7 +414,7 @@ def test_vjp_grad_x_matches_finite_differences():
     y = rng.normal(size=8)
     cfg = SolverConfig(tol=1e-13)
     z = solve_forward_batch(cell, x[None], cfg).z_star
-    grad_x, _ = deq_vjp_batch(cell, z, x[None], y[None])
+    grad_x, _ = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
 
     def objective(t: np.ndarray) -> float:
         rep = solve_forward_batch(cell, t[None], cfg)
@@ -424,18 +430,18 @@ def test_vjp_param_grads_match_finite_differences():
     y = rng.normal(size=6)
     cfg = SolverConfig(tol=1e-13)
     z = solve_forward_batch(cell, x[None], cfg).z_star
-    _, grads = deq_vjp_batch(cell, z, x[None], y[None])
+    _, grads = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
 
     def obj_w(t: np.ndarray) -> float:
-        c = DeqCell(W=t, U=cell.U, b=cell.b, kappa=cell.kappa)
+        c = make_cell(W=t, U=cell.U.value, b=cell.b.value, kappa=cell.kappa)
         return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
     def obj_b(t: np.ndarray) -> float:
-        c = DeqCell(W=cell.W, U=cell.U, b=t, kappa=cell.kappa)
+        c = make_cell(W=cell.W.value, U=cell.U.value, b=t, kappa=cell.kappa)
         return float(y @ solve_forward_batch(c, x[None], cfg).z_star[0])
 
-    assert rel_error(grads.W, finite_diff_grad(obj_w, cell.W)) <= 1e-5
-    assert rel_error(grads.b, finite_diff_grad(obj_b, cell.b)) <= 1e-5
+    assert rel_error(grads.W, finite_diff_grad(obj_w, cell.W.value)) <= 1e-5
+    assert rel_error(grads.b, finite_diff_grad(obj_b, cell.b.value)) <= 1e-5
 
 
 def test_vjp_matches_unrolled_backprop():
@@ -446,8 +452,8 @@ def test_vjp_matches_unrolled_backprop():
         y = rng.normal(size=8)
         cfg = SolverConfig(tol=1e-13)
         z = solve_forward_batch(cell, x[None], cfg).z_star
-        gx_i, g_i = deq_vjp_batch(cell, z, x[None], y[None])
-        gx_u, g_u = unrolled_vjp(cell, x, y, n_iters=500)
+        gx_i, g_i = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
+        gx_u, g_u = vjp_grads(unrolled_vjp, cell, x, y, n_iters=500)
         assert rel_error(gx_i[0], gx_u) <= 1e-5
         assert rel_error(g_i.W, g_u.W) <= 1e-5
         assert rel_error(g_i.U, g_u.U) <= 1e-5
@@ -458,8 +464,8 @@ def test_unrolled_vjp_matches_step_by_step_backprop():
     cell = random_cell(310, h=7, d=3)
     rng = substream(410, "unroll-loop")
     x, y = rng.normal(size=3), rng.normal(size=7)
-    wa, ua = cell.W, cell.U
-    c = ua @ x + cell.b
+    wa, ua = cell.W.value, cell.U.value
+    c = ua @ x + cell.b.value
     zs = [np.zeros(7)]
     for _ in range(40):
         zs.append(np.tanh(wa @ zs[-1] + c))
@@ -474,7 +480,7 @@ def test_unrolled_vjp_matches_step_by_step_backprop():
         grad_b += t
         grad_x += ua.T @ t
         zbar = wa.T @ t
-    gx, g = unrolled_vjp(cell, x, y, n_iters=40)
+    gx, g = vjp_grads(unrolled_vjp, cell, x, y, n_iters=40)
     for got, want in ((gx, grad_x), (g.W, grad_w), (g.U, grad_u), (g.b, grad_b)):
         assert rel_error(got, want) <= 1e-12
 
@@ -486,16 +492,16 @@ def test_batch_vjp_matches_per_row():
     ys = rng.normal(size=(4, 6))
     cfg = SolverConfig(tol=1e-12)
     zrep = solve_forward_batch(cell, xs, cfg)
-    gx_b, g_b = deq_vjp_batch(cell, zrep.z_star, xs, ys)
-    acc = CellGrads(W=np.zeros((6, 6)), U=np.zeros((6, 4)),
-                    b=np.zeros(6))
+    gx_b, g_b = vjp_grads(deq_vjp_batch, cell, zrep.z_star, xs, ys)
+    acc = SimpleNamespace(W=np.zeros((6, 6)), U=np.zeros((6, 4)),
+                          b=np.zeros(6))
     for i in range(4):
         z = solve_forward_batch(cell, xs[i][None], cfg).z_star
-        gx, g = deq_vjp_batch(cell, z, xs[i][None], ys[i][None])
+        gx, g = vjp_grads(deq_vjp_batch, cell, z, xs[i][None], ys[i][None])
         assert rel_error(gx_b[i], gx[0]) <= 1e-8
-        acc = CellGrads(W=acc.W + g.W,
-                        U=acc.U + g.U,
-                        b=acc.b + g.b)
+        acc = SimpleNamespace(W=acc.W + g.W,
+                              U=acc.U + g.U,
+                              b=acc.b + g.b)
     assert rel_error(g_b.W, acc.W) <= 1e-8
     assert rel_error(g_b.U, acc.U) <= 1e-8
     assert rel_error(g_b.b, acc.b) <= 1e-8

@@ -13,20 +13,13 @@ weights must match the projection's, byte for byte, on any sequence of
 weights.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lionprompt.deq import (
-    DeqCell,
-    SolverConfig,
-    estimate_spectral_norm,
-    solve_forward_batch,
-    spectral_normalize,
-)
+from lionprompt.deq import SolverConfig, estimate_spectral_norm, solve_forward_batch
 from lionprompt.model import PromptBlock
 from lionprompt.numerics import Param
+from reference import make_cell
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -42,10 +35,11 @@ shapes = st.fixed_dictionaries({
 def draw_stack(h, d, n, kappa, seed):
     """A projected cell, n inputs, and a shift (i, j, eps) per row, |eps| <= (1 - kappa) / 2."""
     rng = np.random.default_rng(seed)
-    cell = spectral_normalize(DeqCell(W=rng.normal(size=(h, h)),
-                                      U=rng.normal(size=(h, d)),
-                                      b=rng.normal(size=h),
-                                      kappa=kappa))
+    cell = make_cell(W=rng.normal(size=(h, h)),
+                     U=rng.normal(size=(h, d)),
+                     b=rng.normal(size=h),
+                     kappa=kappa)
+    cell.renormalize()
     xs = rng.normal(size=(n, d)) * 2.0
     shift = (rng.integers(0, h, size=n), rng.integers(0, h, size=n),
              rng.uniform(-1.0, 1.0, size=n) * (1.0 - kappa) / 2.0)
@@ -60,9 +54,10 @@ def test_every_stacked_row_is_near_its_own_single_row_solve(shape, shifted):
     rep = solve_forward_batch(cell, xs, CFG, shift=(ii, jj, eps))
     assert rep.converged and rep.z_star.shape == (shape["n"], shape["h"])
     for x, z, i, j, e in zip(xs, rep.z_star, ii, jj, eps):
-        w = cell.W.copy()
+        w = cell.W.value.copy()
         w[i, j] += e
-        single = solve_forward_batch(replace(cell, W=w), x[None], CFG)
+        single = solve_forward_batch(make_cell(w, cell.U.value, cell.b.value, cell.kappa),
+                                     x[None], CFG)
         assert single.converged
         bound = CFG.tol / (1.0 - shape["kappa"] - abs(e))
         assert np.linalg.norm(z - single.z_star[0]) <= bound
@@ -101,7 +96,8 @@ def test_a_block_projects_every_weight_exactly_as_the_projection_does(h, kappa, 
         else:                   # back to an earlier weight
             w = seen[rng.integers(len(seen))]
         blk.W.value = w
-        expected = spectral_normalize(blk.cell()).W
+        sigma = estimate_spectral_norm(blk.W.value)
+        expected = blk.W.value * (kappa / sigma) if sigma > kappa else blk.W.value
         blk.renormalize()
         assert blk.W.value.tobytes() == expected.tobytes()
         assert estimate_spectral_norm(blk.W.value) <= kappa * (1.0 + 1e-12)

@@ -33,7 +33,7 @@ from lionprompt.harness import (
 )
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
-from reference import finite_diff_grad
+from reference import finite_diff_grad, make_cell, vjp_grads
 
 # --- datasets ---------------------------------------------------------------
 
@@ -559,10 +559,12 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
                                grads.b, grad_x])
 
     def against_500(cell, x, y, n_iters):
-        got = unrolled(cell, x, y, n_iters=n_iters)
+        # the 500-step run first, so the Params keep the gradients gradcheck reads
+        deep = vjp_grads(unrolled, cell, x, y, n_iters=500)
+        got = vjp_grads(unrolled, cell, x, y, n_iters=n_iters)
         depths.append(n_iters)
-        gaps.append(rel_error(flat(*got), flat(*unrolled(cell, x, y, n_iters=500))))
-        return got
+        gaps.append(rel_error(flat(*got), flat(*deep)))
+        return got[0]
 
     monkeypatch.setattr(deq, "unrolled_vjp", against_500)
     for seed in range(4):
@@ -574,17 +576,18 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
 def test_gradcheck_stacks_match_per_entry_solves():
     rng = substream(41, "fd-stack")
     h, d, step = 5, 3, 1e-5
-    cell = deq.spectral_normalize(deq.DeqCell(W=rng.normal(size=(h, h)),
-                                              U=rng.normal(size=(h, d)),
-                                              b=rng.normal(size=h)))
+    cell = make_cell(W=rng.normal(size=(h, h)),
+                     U=rng.normal(size=(h, d)),
+                     b=rng.normal(size=h))
+    cell.renormalize()
     x, y = rng.normal(size=d), rng.normal(size=h)
     cfg = SolverConfig(tol=1e-13)
-    packed = np.concatenate([cell.W.reshape(-1), cell.U.reshape(-1),
-                             cell.b, x])
+    packed = np.concatenate([cell.W.value.reshape(-1), cell.U.value.reshape(-1),
+                             cell.b.value, x])
 
     def objective(vec):
         w, u, b, xv = np.split(vec, [h * h, h * h + h * d, h * h + h * d + h])
-        c = deq.DeqCell(W=w.reshape(h, h), U=u.reshape(h, d), b=b)
+        c = make_cell(W=w.reshape(h, h), U=u.reshape(h, d), b=b)
         return float(y @ deq.solve_forward_batch(c, xv[None], cfg).z_star[0])
 
     one_by_one = finite_diff_grad(objective, packed, step=step)
