@@ -81,10 +81,10 @@ class RunConfig:
             bad("out", "must be a non-empty path")
         if self.cases < 1:
             bad("cases", "must be >= 1")
-        if self.hidden < 1:
-            bad("hidden", "must be >= 1")
-        if self.feat_dim < 1:
-            bad("feat_dim", "must be >= 1")
+        if not 1 <= self.hidden <= 4096:
+            bad("hidden", "must be between 1 and 4096")
+        if not 1 <= self.feat_dim <= 256:
+            bad("feat_dim", "must be between 1 and 256")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -2,7 +2,8 @@
 
 Synthetic source/target task pairs with controlled domain shift (one recipe
 for both, `source_task` and `target_task`), backbone pretraining, the task
-factory and run of the tuning protocols (head / bias / full / prompted),
+factory and run of the tuning protocols (head / bias / full, each a
+`ClassifierTask`; prompted, a `model.PromptModel`),
 long-tail and few-shot resamplers, the input-vs-output prompt-position
 experiment, and the gradient cross-check suite used by the CLI.
 
@@ -23,7 +24,7 @@ from . import deq, model as m, robust_opt
 from .config import RunConfig
 from .deq import PromptBlock, SolverConfig
 from .errors import ConfigError, DivergenceError, SetupError, ShapeMismatchError, within
-from .model import AffineStage, Backbone, PromptModel
+from .model import AffineStage, Backbone
 from .numerics import Param, batch_cross_entropy, rel_error
 from .rng import substream
 
@@ -263,58 +264,6 @@ class ClassifierTask:
         return np.argmax(self.forward(x), axis=1)
 
 
-class LionTask:
-    """Adapter putting a PromptModel under the shared trainer.
-
-    The backbone is frozen and the trainer feeds the same rows every epoch,
-    so `prepare` computes F(x) once per training run, and `loss_and_grads`
-    and `predict` reuse it whenever they are handed those same rows. Those
-    rows' epochs also warm-start their forward solves from the fixed points
-    of the epochs before (`model.WarmStart`). Every other solve, `predict`
-    included, starts from zero, so predictions never depend on training
-    history and `eval` reproduces a tune's held-out accuracy exactly.
-    """
-
-    def __init__(self, pm: PromptModel):
-        self.pm = pm
-        self._rows: tuple | None = None  # (x, F(x), WarmStart) of the training rows
-
-    def prepare(self, x):
-        self._rows = (x, m.backbone_forward(self.pm.backbone, x)[0], m.WarmStart())
-
-    def trainable_params(self):
-        return self.pm.trainable_params()
-
-    def partitioned_params(self):
-        """The implicit layers' weights, W and U of P1 and P2; the rest descend."""
-        return [self.pm.p1.W, self.pm.p1.U, self.pm.p2.W, self.pm.p2.U]
-
-    def named_params(self):
-        """Everything needed to reconstruct the model, frozen parts included."""
-        return self.pm.backbone.params() + self.pm.trainable_params()
-
-    def _training_rows(self, x):
-        """(F(x), warm start) when `x` are the training rows, else (None, None)."""
-        if self._rows is not None and self._rows[0] is x:
-            return self._rows[1:]
-        return None, None
-
-    def loss_and_grads(self, x, y):
-        f_x, warm = self._training_rows(x)
-        return m.loss_and_grads(self.pm, x, y, f_x=f_x, warm=warm)
-
-    def predict(self, x):
-        return m.predict(self.pm, x, f_x=self._training_rows(x)[0])
-
-    def post_step(self):
-        self.pm.renormalize()
-
-    def metrics(self):
-        a1, _ = self.pm.gate1.coeffs()
-        a2, _ = self.pm.gate2.coeffs()
-        return {"alpha1": a1, "alpha2": a2}
-
-
 def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
                       epochs: int = 300, eta: float = 0.3) -> tuple[Backbone, float]:
     """Fit a fresh backbone (plus throwaway head) on the source task.
@@ -342,11 +291,12 @@ class ProtocolResult:
     epochs_run: int
     wall_time_s: float
     log: robust_opt.TrainLog
-    task: object               # the trained adapter, for checkpointing
+    task: object               # the trained PromptModel or ClassifierTask, for checkpointing
 
 
 def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
-    """Fresh, untrained task for `cfg.protocol` around a clone of the backbone.
+    """Fresh, untrained task for `cfg.protocol` around a clone of the backbone:
+    the `PromptModel` itself for `lion`, else a `ClassifierTask`.
 
     Each task gets its own backbone clone, so protocols cannot contaminate
     one another. Its trainable list alone says which backbone Params train:
@@ -354,8 +304,7 @@ def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
     """
     bb = m.clone_backbone(backbone)
     if cfg.protocol == "lion":
-        return LionTask(m.build_prompt_model(bb, n_classes, cfg.seed, kappa=cfg.kappa,
-                                             solver=cfg.solver))
+        return m.build_prompt_model(bb, n_classes, cfg.seed, kappa=cfg.kappa, solver=cfg.solver)
     trainable = {"head_tuning": [], "bias_tuning": [s.b for s in bb.stages],
                  "full_finetune": bb.params()}[cfg.protocol]
     return ClassifierTask(bb, m.make_head(bb.out_dim, n_classes), trainable)

@@ -8,12 +8,17 @@ The forward pass follows the two-pass blending scheme literally:
     logits  = head(z_tilde)
 
 so the backbone runs twice per example (once on x for the second prompt's
-input, once on x_tilde for the first blend term). F(x) does not depend on
-any trainable parameter, so a trainer that feeds the same rows every epoch
-computes it once and hands it to `loss_and_grads` and `predict` as `f_x`.
-Both run the one `forward`, which keeps what the reverse sweep reads; its
-`cache_t` lives in the model's reusable `workspace` arrays and is valid
+input, once on x_tilde for the first blend term). `loss_and_grads` and
+`predict` run the one `forward`, which keeps what the reverse sweep reads;
+its `cache_t` lives in the model's reusable `workspace` arrays and is valid
 until the next `forward` on that model.
+
+`PromptModel` is also the prompted protocol's task under `robust_opt.train`.
+F(x) does not depend on any trainable parameter and the trainer feeds the
+same rows every epoch, so `prepare` computes it once per training run, and
+those rows' epochs warm-start their solves from the fixed points of the
+epochs before. Every other solve, `predict` included, starts from zero, so
+predictions never depend on training history.
 
 Each prompt block is one `deq.PromptBlock`, the one equilibrium cell type
 and the paper's implicit layer at each end of the backbone. Only the two
@@ -187,6 +192,8 @@ def gate_vjp(alpha: float, beta: float, d_alpha: float, d_beta: float) -> tuple[
 
 @dataclass
 class PromptModel:
+    """The paper's model, and the prompted protocol's task under `robust_opt.train`."""
+
     backbone: Backbone
     p1: PromptBlock
     p2: PromptBlock
@@ -196,6 +203,12 @@ class PromptModel:
     gate2: GatePair
     solver: SolverConfig = field(default_factory=SolverConfig)
     workspace: dict = field(default_factory=dict, repr=False, compare=False)
+    # (x, F(x), [(P1 z*, P2 z*) of the last two warm passes, oldest first])
+    prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def prepare(self, x: np.ndarray) -> None:
+        """Take `x` as the training rows: F(x) once, and no fixed points yet."""
+        self.prepared = (x, backbone_forward(self.backbone, x)[0], [])
 
     def trainable_params(self) -> list[Param]:
         """The full trainable set, in a stable documented order."""
@@ -205,9 +218,26 @@ class PromptModel:
                     self.gate2.g_alpha, self.gate2.g_beta])
         return out
 
-    def renormalize(self) -> None:
+    def partitioned_params(self) -> list[Param]:
+        """The implicit layers' weights, W and U of P1 and P2; the rest descend."""
+        return [self.p1.W, self.p1.U, self.p2.W, self.p2.U]
+
+    def named_params(self) -> list[Param]:
+        """Everything needed to reconstruct the model, frozen parts included."""
+        return self.backbone.params() + self.trainable_params()
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        return loss_and_grads(self, x, y)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return predict(self, x)
+
+    def post_step(self) -> None:
         self.p1.renormalize()
         self.p2.renormalize()
+
+    def metrics(self) -> dict[str, float]:
+        return {"alpha1": self.gate1.coeffs()[0], "alpha2": self.gate2.coeffs()[0]}
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> np.ndarray:
@@ -282,63 +312,48 @@ class ForwardPass:
     logits: np.ndarray            # head(z_tilde)
 
 
-class WarmStart:
-    """The P1 and P2 solver starts for rows solved again and again (a
-    trainer's epochs), kept by their owner: zero before any pass, then the
-    last pass's fixed points, then their extrapolation 2 z*_{e-1} - z*_{e-2}."""
-
-    def __init__(self):
-        self._fixed: list[tuple[np.ndarray, np.ndarray]] = []   # (P1, P2) z*, oldest first
-
-    def starts(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if len(self._fixed) < 2:
-            return self._fixed[-1] if self._fixed else None
-        return tuple(2.0 * zn - zo for zn, zo in zip(self._fixed[1], self._fixed[0]))
-
-    def record(self, z1: np.ndarray, z2: np.ndarray) -> None:
-        self._fixed = self._fixed[-1:] + [(z1, z2)]
-
-
-def forward(model: PromptModel, x_rows: np.ndarray, f_x: np.ndarray | None = None,
-            warm: WarmStart | None = None) -> ForwardPass:
+def forward(model: PromptModel, x_rows: np.ndarray, warm: bool = False) -> ForwardPass:
     """The blended forward pass on a batch of rows (n x C logits).
 
-    `f_x` is F(x_rows), the frozen backbone on the raw rows; it is computed
-    here unless the caller passes it. The solves start from zero, or from
-    `warm.starts()` if given, and record their fixed points in `warm`.
+    F(x_rows) is computed here unless `x_rows` is the very array `model.prepare`
+    took. On those rows `warm=True` starts both solves from their history
+    (zero, then the last pass's fixed points, then their extrapolation
+    2 z*_{e-1} - z*_{e-2}) and records the new fixed points; every other
+    solve starts from zero.
     """
+    rows = model.prepared if model.prepared and model.prepared[0] is x_rows else None
+    history = rows[2] if rows and warm else []
+    z1_start = z2_start = None
+    if len(history) == 1:
+        z1_start, z2_start = history[0]
+    elif history:
+        z1_start, z2_start = (2.0 * zn - zo for zn, zo in zip(history[1], history[0]))
     x_rows = np.asarray(x_rows, dtype=np.float64)
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()
-    z1_start, z2_start = (warm and warm.starts()) or (None, None)
     z1 = model.p1.solve(x_rows, model.solver, z1_start)
     xt = a1 * x_rows + b1 * z1
     f_xt, cache_t = backbone_forward(model.backbone, xt, model.workspace)
-    if f_x is None:
-        f_x, _ = backbone_forward(model.backbone, x_rows)
-    elif f_x.shape != (x_rows.shape[0], model.backbone.out_dim):
-        raise ShapeMismatchError(
-            f"f_x shape {f_x.shape} != ({x_rows.shape[0]}, {model.backbone.out_dim})")
+    f_x = rows[1] if rows else backbone_forward(model.backbone, x_rows)[0]
     z2 = model.p2.solve(f_x, model.solver, z2_start)
     r = z2 @ model.proj.w.value.T + model.proj.b.value
     zt = a2 * f_xt + b2 * r
     logits = zt @ model.head.w.value.T + model.head.b.value
-    if warm is not None:
-        warm.record(z1, z2)
+    if rows and warm:
+        model.prepared = (rows[0], rows[1], history[-1:] + [(z1, z2)])
     return ForwardPass(x_rows, z1, xt, f_xt, cache_t, f_x, z2, r, zt, logits)
 
 
-def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
-                   f_x: np.ndarray | None = None, warm: WarmStart | None = None
+def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray
                    ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy plus gradients accumulated into every Θ_t Param.
 
-    Returns (loss, logits), the logits being those the loss was taken on;
-    `f_x` and `warm` as in `forward`. One hand-written reverse sweep over
-    the forward pass: head -> gate2/proj/P2 -> backbone input VJP
-    (parameters skipped: the backbone is frozen) -> gate1/P1.
+    Returns (loss, logits), the logits being those the loss was taken on,
+    of a warm `forward`. One hand-written reverse sweep over the forward
+    pass: head -> gate2/proj/P2 -> backbone input VJP (parameters skipped:
+    the backbone is frozen) -> gate1/P1.
     """
-    fw = forward(model, x_rows, f_x, warm)
+    fw = forward(model, x_rows, warm=True)
     value, g_logits = batch_cross_entropy(fw.logits, np.asarray(labels))
     a1, b1 = model.gate1.coeffs()
     a2, b2 = model.gate2.coeffs()
@@ -371,9 +386,8 @@ def loss_and_grads(model: PromptModel, x_rows: np.ndarray, labels: np.ndarray,
     return value, fw.logits
 
 
-def predict(model: PromptModel, x_rows: np.ndarray,
-            f_x: np.ndarray | None = None) -> np.ndarray:
-    return np.argmax(forward(model, x_rows, f_x).logits, axis=1)
+def predict(model: PromptModel, x_rows: np.ndarray) -> np.ndarray:
+    return np.argmax(forward(model, x_rows).logits, axis=1)
 
 
 def make_head(h: int, n_classes: int) -> AffineStage:

@@ -11,7 +11,8 @@ partition descends as well, so a task that partitions nothing trains by
 plain gradient descent, and its scores are never computed.
 
 One trainer, duck-typed over a small task surface, drives both the
-prompted model and the plain-classifier baselines:
+prompted model (`model.PromptModel`, itself the task) and the
+plain-classifier baselines (`harness.ClassifierTask`):
 
     task.trainable_params() -> list[Param]
     task.loss_and_grads(X, y) -> (float, logits)  # accumulates into .grad

@@ -135,7 +135,7 @@ def test_criterion_4_frozen_backbone(source_backbone):
         trainable_params = pm.trainable_params
         predict = staticmethod(lambda x: model.predict(pm, x))
         loss_and_grads = staticmethod(lambda x, y: model.loss_and_grads(pm, x, y))
-        post_step = pm.renormalize
+        post_step = pm.post_step
 
     before = [p.value.tobytes() for p in pm.backbone.params()]
     robust_opt.train(Task(), train, robust_opt.OptState(eta=0.3, tau=0.4), epochs=30)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import struct
 import subprocess
@@ -702,16 +704,35 @@ def test_a_backbone_with_a_forged_header_is_one_missing_artifact_line(workdir, t
                                                                      capsys):
     # two dims of 2^32 - 1 multiply past 2^63, where a 64-bit count wraps negative
     out = _own_outdir(workdir, tmp_path)
-    path = os.path.join(out, "backbone-blobs-s0.ckpt")
-    blob = bytearray(open(path, "rb").read())
-    name = b"backbone.0.W"
-    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
-    struct.pack_into("<III", blob, at, 2, 2**32 - 1, 2**32 - 1)
-    open(path, "wb").write(bytes(blob))
-    rc, _, err = run_cli(capsys, ["tune", "--out", out, "--seed", "0"])
-    assert rc == 3
-    assert err.startswith(f"missing artifact: {path!r}: entry 'backbone.0.W' dims ")
-    assert err.count("\n") == 1
+    base = ["--out", out, "--seed", "0", "--epochs", "3"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    # the tuned checkpoint holds the backbone too, and `eval` reads it before its digest
+    for command, file in (("eval", "lion-blobs-s0.ckpt"), ("tune", "backbone-blobs-s0.ckpt")):
+        path = os.path.join(out, file)
+        blob = bytearray(open(path, "rb").read())
+        name = b"backbone.0.W"
+        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        struct.pack_into("<III", blob, at, 2, 2**32 - 1, 2**32 - 1)
+        open(path, "wb").write(bytes(blob))
+        rc, _, err = run_cli(capsys, [command, *base])
+        assert rc == 3, command
+        assert err.startswith(f"missing artifact: {path!r}: entry 'backbone.0.W' dims ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pretrain", "tune"])
+@pytest.mark.parametrize("key, value", [("hidden", 10**13), ("hidden", 10**17),
+                                        ("feat_dim", 10**13)])
+def test_an_oversized_file_only_size_is_one_config_error_line(workdir, tmp_path, capsys,
+                                                              command, key, value):
+    # sizes far past any memory, refused before anything is allocated
+    cfgfile = tmp_path / "big.cfg"
+    cfgfile.write_text(f"{key} = {value}\nout = {_own_outdir(workdir, tmp_path)}\n")
+    rc, _, err = run_cli(capsys, [command, "--config", str(cfgfile)])
+    assert rc == 2
+    bound = {"hidden": 4096, "feat_dim": 256}[key]
+    assert err == (f"config error: config file {str(cfgfile)!r}: invalid value for "
+                   f"{key!r}: must be between 1 and {bound}\n")
 
 
 def test_a_failed_write_leaves_neither_the_file_nor_its_temporary(tmp_path, monkeypatch):
@@ -823,6 +844,30 @@ def test_report_rejects_unreadable_run_file(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["report", str(binary)])
     assert rc == 3
     assert "binary.csv" in err
+
+
+_RUN_ROW = ["lion-blobs-s0", "lion", "blobs", "0", "0.98", "1068", "200", "0.5"]
+_cells = st.one_of(st.sampled_from(_RUN_ROW), st.text(max_size=12),
+                   st.sampled_from(["", "nan", "-inf", "1e999", "1_0", " 7 ", "0x1", "\ufeff"]))
+_run_csvs = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.lists(_cells, max_size=10).map(",".join), max_size=4).map(
+        lambda rows: "\n".join([CSV_HEADER, *rows]).encode()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_csvs)
+def test_report_on_any_run_file_succeeds_or_is_one_missing_artifact_line(blob):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["report", "--out", out, path])
+    err = [ln for ln in stderr.getvalue().splitlines() if ln != "blas: unpinned"]
+    assert (rc, err) == (0, []) or (rc == 3 and len(err) == 1
+                                    and err[0].startswith("missing artifact: ")), (rc, err)
 
 
 def test_gradcheck_never_solves_looser_than_its_own_tolerance(tmp_path, capsys):

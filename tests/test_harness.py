@@ -15,7 +15,6 @@ from lionprompt.errors import ConfigError, DivergenceError, SetupError
 from lionprompt.harness import (
     PATIENCE,
     Dataset,
-    LionTask,
     _central_differences,
     _sq_loss,
     gradcheck_suite,
@@ -293,8 +292,7 @@ def test_prompted_model_beats_head_tuning_on_a_shifted_task(source_backbone):
 
 
 def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
-    pm = m.build_prompt_model(m.make_backbone(6, 7, 5, seed=3), 2, seed=3)
-    task = LionTask(pm)
+    task = m.build_prompt_model(m.make_backbone(6, 7, 5, seed=3), 2, seed=3)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(12, 6))
     y = np.arange(12) % 2
@@ -328,14 +326,13 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
         nfe.append(rep.iterations)
         return rep
 
-    class ColdLionTask(LionTask):
-        def prepare(self, x):
-            """Keep no features and no fixed points: every solve starts from zero."""
-
     monkeypatch.setattr(deq, "solve_forward_batch", counting)
     counts, preds = [], []
-    for cls in (LionTask, ColdLionTask):
-        task = cls(make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes).pm)
+    for cold in (False, True):
+        task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
+        if cold:
+            # keep no features and no fixed points: every solve starts from zero
+            monkeypatch.setattr(task, "prepare", lambda x: None)
         nfe.clear()
         robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=30)
         counts.append(sum(nfe))
@@ -373,14 +370,14 @@ def briefly_trained_lion_task(source_backbone):
         tr, te = target_task(RunConfig(seed=0))
         task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
         robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=20)
-        alone = np.vstack([m.forward(task.pm, x[None]).logits for x in te.inputs])
+        alone = np.vstack([m.forward(task, x[None]).logits for x in te.inputs])
         _TRAINED.update(task=task, test=te, alone=alone)
     return _TRAINED["task"], _TRAINED["test"], _TRAINED["alone"]
 
 
 def test_lion_partition_prunes_only_cell_weights_so_gates_and_biases_train(source_backbone):
     task, _, _ = briefly_trained_lion_task(source_backbone)
-    pm = task.pm
+    pm = task
     assert all(abs(a - 0.5) > 1e-3 for a in (pm.gate1.coeffs()[0], pm.gate2.coeffs()[0]))
     # scalars that start at zero score |g * 0| = 0, so a partition would pin them there
     starts_at_zero = [pm.p1.b, pm.p2.b, pm.proj.b, pm.head.b, pm.gate1.g_alpha,
@@ -405,7 +402,7 @@ def test_baselines_partition_nothing_and_log_every_scalar_crucial(source_backbon
 @given(st.data())
 def test_predictions_do_not_depend_on_batch_composition(source_backbone, data):
     task, te, alone = briefly_trained_lion_task(source_backbone)
-    pm = task.pm
+    pm = task
     rows = data.draw(st.one_of(
         st.lists(st.integers(0, te.n - 1), min_size=1, max_size=40, unique=True),
         st.permutations(range(te.n))))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lionprompt.deq import SolverConfig, estimate_spectral_norm
-from lionprompt.errors import DivergenceError, ShapeMismatchError
+from lionprompt.errors import DivergenceError
 from lionprompt.harness import ClassifierTask
 from lionprompt.model import (
     GATE_EPS,
@@ -243,13 +243,11 @@ def test_precomputed_backbone_features_give_identical_gradients():
     y = np.array([1, 0, 1, 0])
     fresh, cached = small_model(43), small_model(43)
     value_a, logits_a = loss_and_grads(fresh, x, y)
-    f_x, _ = backbone_forward(cached.backbone, x)
-    value_b, logits_b = loss_and_grads(cached, x, y, f_x=f_x)
+    cached.prepare(x)
+    value_b, logits_b = loss_and_grads(cached, x, y)
     assert value_a == value_b and np.array_equal(logits_a, logits_b)
     for pa, pb in zip(fresh.trainable_params(), cached.trainable_params()):
         assert np.array_equal(pa.grad, pb.grad), pa.name
-    with pytest.raises(ShapeMismatchError):
-        loss_and_grads(cached, x, y, f_x=f_x[:1])
 
 
 def random_backbone(rng, dims):
@@ -321,7 +319,7 @@ def test_predict_between_epochs_leaves_the_next_epoch_bit_identical():
                 if epoch == 0:
                     for p in model.trainable_params():
                         p.value = p.value - 0.1 * p.grad
-                    model.renormalize()
+                    model.post_step()
                     if interleave:
                         predict(model, other)
             results.append([value, logits.tobytes()]
@@ -350,7 +348,7 @@ def test_frozen_backbone_untouched_by_training_step():
     for p in model.trainable_params():
         if p.grad is not None:
             p.value = p.value - 0.05 * p.grad
-    model.renormalize()
+    model.post_step()
     after = [p.value.tobytes() for p in model.backbone.params()]
     assert before == after
     assert all(p.grad is None for p in model.backbone.params())
@@ -412,7 +410,7 @@ def test_desk_scale_parameter_budget():
 def test_renormalize_caps_state_weights():
     model = small_model(32)
     model.p1.W = Param("p1.0.W", np.eye(6) * 5.0)
-    model.renormalize()
+    model.post_step()
     assert estimate_spectral_norm(model.p1.W.value) <= 0.9 + 1e-6
 
 

@@ -44,7 +44,7 @@ def test_param_values_are_read_only_and_finite(tmp_path):
     step(params, grads, values, partition(criticality_scores(grads, values), 0.4),
          OptState(eta=0.1))
     _assert_read_only(params)
-    pm.renormalize()
+    pm.post_step()
     _assert_read_only(params)
     path = str(tmp_path / "m.ckpt")
     checkpoint.save(path, params)
