@@ -502,6 +502,11 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     """
     cfg = solver or SolverConfig(tol=GRADCHECK_TOL)
     fd_tol, unrolled_tol, fd_step = 1e-4, 1e-5, 1e-5
+    # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
+    # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
+    # K kappa^K / (1 - kappa) 100x under unrolled_tol (227 at kappa 0.9, 1e-5).
+    depth = next(k for k in itertools.count(1) if k * PromptBlock.kappa ** k
+                 <= (1.0 - PromptBlock.kappa) * unrolled_tol / 100.0)
     rows = []
     for case in range(n_cases):
         rng = substream(seed, "gradcheck", case)
@@ -524,11 +529,6 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         analytic = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [grad_x[0]])
         fd_err = rel_error(analytic, fd)
 
-        # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
-        # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
-        # K kappa^K / (1 - kappa) 100x under unrolled_tol (227 at kappa 0.9, 1e-5).
-        depth = next(k for k in itertools.count(1) if k * block.kappa ** k
-                     <= (1.0 - block.kappa) * unrolled_tol / 100.0)
         for p in block.params():
             p.zero_grad()
         gx_u = deq.unrolled_vjp(block, x, y, n_iters=depth)

@@ -3,19 +3,24 @@
 Deliberately naive: one central difference per coordinate, and the cell
 body, its fixed point and its adjoint taken one state at a time with dense
 matrices, sharing no code with the solver. Also the two fixtures that build
-a cell from plain arrays and read a VJP's parameter gradients.
+a cell from plain arrays and read a VJP's parameter gradients, and the
+plain forms of two hot loops the package shortcuts byte-identically:
+`exact_solve`, the fixed-point driver that takes every row's residual and
+shifts every row on every evaluation, and `unrolled_vjp_every_step`, the
+unrolled reference that computes every one of its Picard steps.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from lionprompt.deq import PromptBlock
-from lionprompt.errors import EvaluationError, ShapeMismatchError
-from lionprompt.numerics import Param
+from lionprompt.errors import DivergenceError, EvaluationError, ShapeMismatchError
+from lionprompt.numerics import Param, tanh_deriv
 
 
 def make_cell(W, U, b, kappa: float = 0.9) -> PromptBlock:
@@ -85,3 +90,65 @@ def dense_adjoint(cell: PromptBlock, z: np.ndarray, x: np.ndarray, y: np.ndarray
     """o with (I - J^T) o = y for one row, J = diag(tanh'(a)) W the state Jacobian at z."""
     jac = (1.0 - cell_forward(cell, z, x) ** 2)[:, None] * cell.W.value
     return np.linalg.solve(np.eye(len(jac)) - jac.T, y)
+
+
+def exact_solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg,
+                shift=None) -> tuple[np.ndarray, int, float, bool]:
+    """`deq._solve` without its screen or sparse shift: every evaluation adds
+    eps_r z_j to every row r, eps 0 included, and takes the exact worst-row
+    residual and the non-finite check."""
+    v = np.array(z0_rows, dtype=np.float64)
+    g, r, sq = np.empty_like(v), np.empty_like(v), np.empty(len(v))
+    rows = np.arange(len(v))
+    depth = cfg.anderson_depth
+    hist_r: list[np.ndarray] = []
+    hist_g: list[np.ndarray] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iters + 1):
+            np.matmul(v, w.T, out=g)
+            if shift is not None:
+                g[rows, shift[0]] += shift[2] * v[rows, shift[1]]
+            g += c
+            np.tanh(g, out=g)
+            np.subtract(g, v, out=r)
+            resid = math.sqrt(np.einsum("ij,ij->i", r, r, out=sq).max(initial=0.0))
+            if not math.isfinite(resid) and not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite iterate at evaluation {k}")
+            if resid <= cfg.tol or k == cfg.max_iters:
+                return v, k, resid, resid <= cfg.tol
+            if depth >= 2:
+                hist_r.append(r.flatten())
+                hist_g.append(g.flatten())
+                if len(hist_r) > depth:
+                    hist_r.pop(0)
+                    hist_g.pop(0)
+            if len(hist_r) < 2:
+                v, g = g, v
+                continue
+            res = np.stack(hist_r, axis=1)
+            gamma, *_ = np.linalg.lstsq(res[:, 1:] - res[:, :-1], res[:, -1], rcond=None)
+            gs = np.stack(hist_g, axis=1)
+            np.subtract(g, ((gs[:, 1:] - gs[:, :-1]) @ gamma).reshape(g.shape), out=v)
+    raise AssertionError("unreachable")
+
+
+def unrolled_vjp_every_step(block: PromptBlock, x: np.ndarray, y: np.ndarray,
+                            n_iters: int) -> np.ndarray:
+    """`deq.unrolled_vjp` computing all n_iters forward steps, a repeated
+    iterate included, with the same reverse sweep and products."""
+    wa, ua = block.W.value, block.U.value
+    c = ua @ x + block.b.value
+    zs = np.zeros((n_iters + 1, len(wa)))
+    for k in range(n_iters):
+        zs[k + 1] = np.tanh(wa @ zs[k] + c)
+    sig = tanh_deriv(zs[1:])
+    ts = np.empty_like(sig)
+    zbar = y
+    for k in range(n_iters - 1, -1, -1):
+        ts[k] = sig[k] * zbar
+        zbar = ts[k] @ wa
+    t_sum = ts.sum(axis=0)
+    block.W.add_grad(ts.T @ zs[:-1])
+    block.U.add_grad(np.outer(t_sum, x))
+    block.b.add_grad(t_sum)
+    return t_sum @ ua

@@ -1,4 +1,4 @@
-"""Every outcome of `tune`, `eval` and `gradcheck` is one documented line.
+"""Every outcome of `tune`, `eval`, `gradcheck`, `pretrain` and `prop1` is one documented line.
 
 Over `RunConfig`'s accepted domain, the file-only keys included, each
 command exits 0 with nothing on stderr, or exits 1, 2 or 3 with exactly one
@@ -6,6 +6,8 @@ stderr line that starts with that exit code's prefix; a failed check of
 `tune` or `eval` names its phase. Nothing else reaches
 stderr: an escaping exception fails the test with its traceback, and a NumPy
 warning is turned into one. A tune that succeeds is reproduced by `eval`.
+`pretrain` runs at least 300 epochs, so its draws keep the backbone at
+`hidden` <= 32 and `feat_dim` <= 8; `prop1` reads only the seed.
 """
 
 import contextlib
@@ -79,22 +81,40 @@ def accuracy(stdout):
     return next(ln.split()[-1] for ln in stdout.splitlines() if ln.startswith("held-out"))
 
 
+def documented(command, cfg, out):
+    """(exit code, stdout) of `command` run on `cfg` in `out`, its stderr checked."""
+    cfg_path = out / "run.cfg"
+    cfg_path.write_text(serialize(replace(cfg, out=str(out))))
+    rc, stdout, err = run(command, str(cfg_path))
+    assert rc in (0, 1, 2, 3), (command, rc)
+    if rc == 0:
+        assert err == [], (command, err)
+    else:
+        assert len(err) == 1 and err[0].startswith(PREFIXES[rc]), (command, rc, err)
+        if rc == 1 and command in PHASES:
+            assert err[0].startswith(PHASES[command]), (command, err)
+    return rc, stdout
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs)
 def test_every_outcome_is_one_documented_line(outdir, cfg):
-    cfg_path = outdir / "run.cfg"
-    cfg_path.write_text(serialize(replace(cfg, out=str(outdir))))
-    outcomes = {}
-    for command in ("tune", "eval", "gradcheck"):
-        rc, stdout, err = run(command, str(cfg_path))
-        assert rc in (0, 1, 2, 3), (command, rc)
-        if rc == 0:
-            assert err == [], (command, err)
-        else:
-            assert len(err) == 1 and err[0].startswith(PREFIXES[rc]), (command, rc, err)
-            if rc == 1 and command in PHASES:
-                assert err[0].startswith(PHASES[command]), (command, err)
-        outcomes[command] = rc, stdout
+    outcomes = {command: documented(command, cfg, outdir)
+                for command in ("tune", "eval", "gradcheck")}
     if outcomes["tune"][0] == 0:
         assert outcomes["eval"][0] == 0
         assert accuracy(outcomes["eval"][1]) == accuracy(outcomes["tune"][1])
+
+
+@settings(max_examples=12, deadline=None)
+@given(run_configs(st.integers(0, 2**64), st.sampled_from(DATASET_CHOICES),
+                   st.integers(1, 32), st.integers(1, 8)))
+def test_every_pretrain_outcome_is_one_documented_line(tmp_path_factory, cfg):
+    # its own directory: a pretrain here must not replace the backbone `outdir` holds
+    documented("pretrain", cfg, tmp_path_factory.mktemp("pretrain"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**64))
+def test_every_prop1_outcome_is_one_documented_line(tmp_path_factory, seed):
+    documented("prop1", RunConfig(seed=seed), tmp_path_factory.mktemp("prop1"))

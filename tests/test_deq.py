@@ -18,7 +18,7 @@ from lionprompt.errors import DivergenceError, ShapeMismatchError
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
 from reference import (cell_forward, dense_adjoint, finite_diff_grad, make_cell,
-                       newton_fixed_point, vjp_grads)
+                       newton_fixed_point, unrolled_vjp_every_step, vjp_grads)
 
 
 def random_cell(seed, h=6, d=4, kappa=0.9):
@@ -483,6 +483,25 @@ def test_unrolled_vjp_matches_step_by_step_backprop():
     gx, g = vjp_grads(unrolled_vjp, cell, x, y, n_iters=40)
     for got, want in ((gx, grad_x), (g.W, grad_w), (g.U, grad_u), (g.b, grad_b)):
         assert rel_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+def test_unrolled_vjp_equals_the_loop_that_computes_every_step_bitwise(repeats):
+    # W = 0 repeats from step 2 on (z = tanh(U x + b)), so the fill replaces 38 of
+    # the 40 steps; the kappa-0.9 cell of the test above moves at every step
+    cell = random_cell(310, h=7, d=3)
+    if repeats:
+        cell = make_cell(W=np.zeros((7, 7)), U=cell.U.value, b=cell.b.value)
+    rng = substream(410, "unroll-loop")
+    x, y = rng.normal(size=3), rng.normal(size=7)
+    zs = [np.zeros(7)]
+    for _ in range(40):
+        zs.append(np.tanh(cell.W.value @ zs[-1] + cell.U.value @ x + cell.b.value))
+    assert any(np.array_equal(a, b) for a, b in zip(zs, zs[1:])) == repeats
+    gx, g = vjp_grads(unrolled_vjp, cell, x, y, n_iters=40)
+    gx_ref, g_ref = vjp_grads(unrolled_vjp_every_step, cell, x, y, n_iters=40)
+    for got, want in ((gx, gx_ref), (g.W, g_ref.W), (g.U, g_ref.U), (g.b, g_ref.b)):
+        assert rel_error(got, want) == 0 and got.tobytes() == want.tobytes()
 
 
 def test_batch_vjp_matches_per_row():

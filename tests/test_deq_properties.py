@@ -7,6 +7,11 @@ of the same row solved on its own. A row that shifts one entry of a weight
 with ||W||_2 <= kappa by eps runs the map of W + eps E_ij, whose rate is at
 most rho = kappa + |eps|.
 
+The driver screens each evaluation with one dot product and shifts only
+the rows whose eps is nonzero; on any stack, start, shift, Anderson depth,
+iteration cap and tolerance it must return what the plain loop in
+`reference.exact_solve` returns, byte for byte, or raise the same error.
+
 A prompt block skips the SVD of its state weight when ||W_0||_2 from its
 last SVD plus ||W - W_0||_F proves the projection would not clip, so its
 weights must match the projection's, byte for byte, on any sequence of
@@ -14,12 +19,14 @@ weights.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lionprompt import deq
 from lionprompt.deq import SolverConfig, estimate_spectral_norm, solve_forward_batch
+from lionprompt.errors import DivergenceError
 from lionprompt.model import PromptBlock
 from lionprompt.numerics import Param
-from reference import make_cell
+from reference import exact_solve, make_cell
 
 CFG = SolverConfig(tol=1e-10, max_iters=2000)
 
@@ -73,6 +80,77 @@ def test_a_stack_of_equal_weights_matches_the_shared_weight_batch(shape):
     assert stack.z_star.tobytes() == batch.z_star.tobytes()
     assert (stack.iterations, stack.residual, stack.converged) == \
         (batch.iterations, batch.residual, batch.converged)
+
+
+def outcome(solve, w, c, z0, cfg, shift=None):
+    """(point bytes, evaluations, residual, converged) of a driver, or its error message."""
+    try:
+        point, k, resid, converged = solve(w, c, z0, cfg, shift)
+    except DivergenceError as err:
+        return str(err)
+    return point.tobytes(), k, resid, converged
+
+
+drivers = st.fixed_dictionaries({
+    "n": st.integers(1, 40),
+    "h": st.integers(1, 16),
+    "norm": st.floats(0.0, 1.5),    # ||W||_2; above 1 a row may never converge
+    "start": st.sampled_from(["cold", "warm", "nan", "fortran"]),
+    "shift": st.sampled_from([None, "some", "all"]),
+    "depth": st.integers(0, 5),
+    "max_iters": st.integers(1, 60),
+    "seed": st.integers(0, 2**32 - 1),
+})
+# converges to residual exactly 0 at evaluation 30, under a tol whose square is subnormal
+SUBNORMAL_EXAMPLE = {"n": 7, "h": 5, "norm": 0.3, "start": "warm", "shift": "some",
+                     "depth": 0, "max_iters": 60, "seed": 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(drivers, st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e))
+@example(SUBNORMAL_EXAMPLE, 1e-158)
+@example(SUBNORMAL_EXAMPLE, 1e-160)
+@example({**SUBNORMAL_EXAMPLE, "start": "fortran", "shift": "all"}, 1e-10)
+def test_the_screened_driver_returns_what_the_exact_loop_returns(p, tol):
+    rng = np.random.default_rng(p["seed"])
+    n, h = p["n"], p["h"]
+    w = rng.normal(size=(h, h))
+    w *= p["norm"] / max(estimate_spectral_norm(w), 1e-300)
+    c = rng.normal(size=(n, h)) * 2.0
+    z0 = np.zeros((n, h)) if p["start"] == "cold" else rng.uniform(-2.0, 2.0, size=(n, h))
+    if p["start"] == "nan":
+        z0[rng.integers(n), rng.integers(h)] = np.nan
+    if p["start"] == "fortran":  # a column-major start, as `z.T` of an (h, n) array is;
+        z0 = np.asfortranarray(z0)  # the driver iterates a row-major copy of it
+    shift = None
+    if p["shift"] is not None:
+        # eps 0, -0.0 or a move of up to 0.05 per row; "all" moves every row
+        eps = rng.uniform(-0.05, 0.05, size=n)
+        if p["shift"] == "some":
+            eps = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0], size=n), eps)
+        shift = (rng.integers(0, h, size=n), rng.integers(0, h, size=n), eps)
+    cfg = SolverConfig(tol=tol, max_iters=p["max_iters"], anderson_depth=p["depth"])
+    assert outcome(deq._solve, w, c, z0, cfg, shift) == \
+        outcome(exact_solve, w, c, np.ascontiguousarray(z0), cfg, shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(1, 40),
+       st.sampled_from([1.0, 1e-150, 1e-156, 1e-160]), st.integers(0, 2**32 - 1))
+def test_a_tolerance_equal_to_the_residual_stops_where_the_exact_loop_does(n, h, k, scale, seed):
+    # n equal rows put the total squared residual at n times the worst row's
+    # square, on the screen's bound when tol is the residual at evaluation k; a
+    # small scale makes the squares subnormal
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(h, h))
+    w *= 0.9 / max(estimate_spectral_norm(w), 1e-300)
+    c, z0 = np.tile(rng.normal(size=h) * scale, (n, 1)), np.zeros((n, h))
+    resid = exact_solve(w, c, z0, SolverConfig(tol=1e-300, max_iters=k))[2]
+    if resid > 0.0:
+        cfg = SolverConfig(tol=resid, max_iters=k + 5)
+        exact = outcome(exact_solve, w, c, z0, cfg)
+        assert exact[3] and exact[1] <= k
+        assert outcome(deq._solve, w, c, z0, cfg) == exact
 
 
 @settings(max_examples=80, deadline=None)

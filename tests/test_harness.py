@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lionprompt import deq, model as m, robust_opt
+from lionprompt import checkpoint, deq, model as m, robust_opt
+from lionprompt.cli import main
 from lionprompt.config import PROTOCOL_CHOICES, RunConfig
 from lionprompt.deq import SolverConfig
 from lionprompt.errors import ConfigError, DivergenceError, SetupError
@@ -32,7 +33,8 @@ from lionprompt.harness import (
 )
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
-from reference import finite_diff_grad, make_cell, vjp_grads
+from reference import (exact_solve, finite_diff_grad, make_cell, unrolled_vjp_every_step,
+                       vjp_grads)
 
 # --- datasets ---------------------------------------------------------------
 
@@ -568,6 +570,30 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
         assert all(r.status == "ok" for r in gradcheck_suite(n_cases=20, seed=seed))
     assert len(gaps) == 80 and max(depths) < 500
     assert max(gaps) <= 1e-5 / 100
+
+
+def test_gradcheck_and_tune_compute_what_the_plain_hot_loops_compute(
+        source_backbone, tmp_path, monkeypatch):
+    # the driver's screen and sparse shift and the unrolled reference's fill of a
+    # repeated iterate are byte-identical shortcuts: swapping in the plain loops
+    # of `reference` must leave gradcheck's rows and a lion tune's files unchanged
+    def run():
+        out = tmp_path / f"run{len(runs)}"
+        out.mkdir()
+        checkpoint.save(str(out / "backbone-blobs-s0.ckpt"), source_backbone[0].params())
+        assert main(["tune", "--out", str(out), "--seed", "0", "--protocol", "lion",
+                     "--epochs", "10"]) == 0
+        files = {name: (out / name).read_bytes() for name in ("lion-blobs-s0.ckpt",
+                                                              "lion-blobs-s0-trace.csv")}
+        runs.append((gradcheck_suite(n_cases=8, seed=3), files))
+
+    runs = []
+    run()
+    monkeypatch.setattr(deq, "_solve", exact_solve)
+    monkeypatch.setattr(deq, "unrolled_vjp", unrolled_vjp_every_step)
+    run()
+    assert all(r.status == "ok" for r in runs[0][0])
+    assert runs[0] == runs[1]
 
 
 def test_gradcheck_stacks_match_per_entry_solves():
