@@ -2,7 +2,8 @@
 
 The on-disk format is `key = value`, one per line, with `#` starting a
 comment (full-line or trailing). Values are typed by the corresponding
-RunConfig field; serialization uses shortest round-trip float repr, so
+RunConfig field; serialization uses shortest round-trip float repr and
+`out` is one line without '#', NUL or surrounding spaces, so
 parse(serialize(c)) == c holds exactly for every valid config.
 """
 
@@ -77,8 +78,8 @@ class RunConfig:
             bad("shots", "must be >= 0")
         if self.epochs < 1:
             bad("epochs", "must be >= 1")
-        if not self.out:
-            bad("out", "must be a non-empty path")
+        if set("#\0") & set(self.out) or self.out.strip().splitlines() != [self.out]:
+            bad("out", "must be a non-empty one-line path without '#', NUL or outer spaces")
         if self.cases < 1:
             bad("cases", "must be >= 1")
         if not 1 <= self.hidden <= 4096:

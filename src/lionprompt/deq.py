@@ -19,13 +19,14 @@ shift one entry of W per row, an indexed add after that product on the rows
 that move. The driver stops once the worst row residual max_i ||f(z_i) - z_i||
 is within tol; `SolveReport.certified(tol)` returns z* only then, certifying
 every row, and raises `DivergenceError` otherwise.
-`solve_forward_batch` is the one forward solve and `deq_vjp_batch` the one
-implicit VJP, a single row being a one-row batch; the gradient
-cross-checks call the solve by its alias `solve_forward`.
+`solve_forward_batch` is the one forward solve and `PromptBlock.vjp` the
+one implicit VJP, a single row being a one-row batch; training and the
+gradient cross-checks both pull through that method, and the cross-checks
+call the solve by its alias `solve_forward`.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
-gradient cross-checks; it shares no solver machinery with `deq_vjp_batch`.
+gradient cross-checks; it shares no solver machinery with `PromptBlock.vjp`.
 """
 
 from __future__ import annotations
@@ -142,17 +143,21 @@ class PromptBlock:
             return solve_forward_batch(self, x_rows, cfg, z0_rows=start).certified(cfg.tol)
 
     def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-        """Implicit backward at the fixed point `z_star`: parameter gradients
-        go into the block's Params, and the input gradient is returned."""
-        return deq_vjp_batch(self, z_star, x_rows, y_rows)
+        """Pull row cotangents y on the fixed point `z_star` back through the
+        cell: solve the adjoint equation for o, then take one backward step of
+        the cell body seeded with o. Returns the input gradient per row; the
+        W, U and b gradients, summed over the rows, go into the block's Params."""
+        o, s = solve_adjoint_batch(self, z_star, x_rows, y_rows)
+        t = s * o
+        self.W.add_grad(t.T @ z_star)
+        self.U.add_grad(t.T @ x_rows)
+        self.b.add_grad(np.sum(t, axis=0))
+        return t @ self.U.value
 
 
-def estimate_spectral_norm(w) -> float:
-    """Largest singular value of a matrix, ||W||_2, from a dense SVD."""
-    wa = np.asarray(w, dtype=np.float64)
-    if wa.ndim != 2:
-        raise ShapeMismatchError(f"spectral norm needs a matrix, got shape {wa.shape}")
-    return float(np.linalg.norm(wa, 2))
+def estimate_spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value of a float64 matrix, ||W||_2, from a dense SVD."""
+    return float(np.linalg.norm(w, 2))
 
 
 # --- forward ---------------------------------------------------------------
@@ -268,22 +273,6 @@ def solve_adjoint_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarr
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
-def deq_vjp_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarray,
-                  y_rows: np.ndarray) -> np.ndarray:
-    """Pull row cotangents y on z* back to the inputs and cell parameters.
-
-    Solves the adjoint equation for o, then takes one backward step of the
-    cell body seeded with o. Adds the W, U and b gradients, summed over the
-    rows, to the block's Params and returns the input gradient per row.
-    """
-    o, s = solve_adjoint_batch(block, z_rows, x_rows, y_rows)
-    t = s * o
-    block.W.add_grad(t.T @ z_rows)
-    block.U.add_grad(t.T @ x_rows)
-    block.b.add_grad(np.sum(t, axis=0))
-    return t @ block.U.value
-
-
 def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int) -> np.ndarray:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
@@ -292,8 +281,8 @@ def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int)
     and reverse-accumulates y^T z_K through the whole chain. tanh' at step k
     is read off the recorded output z_{k+1} as 1 - z^2, and the parameter
     gradients are sums over steps, taken as one product over the stacked
-    per-step vectors, added to the block's Params as `deq_vjp_batch` adds
-    them; returns the input gradient. Exists to cross-check `deq_vjp_batch`;
+    per-step vectors, added to the block's Params as `PromptBlock.vjp` adds
+    them; returns the input gradient. Exists to cross-check `PromptBlock.vjp`;
     linear in depth memory-wise, shares nothing with the solver or the
     adjoint, and is never used in the training path.
     """

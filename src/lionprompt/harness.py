@@ -3,9 +3,10 @@
 Synthetic source/target task pairs with controlled domain shift (one recipe
 for both, `source_task` and `target_task`), backbone pretraining, the task
 factory and run of the tuning protocols (head / bias / full, each a
-`ClassifierTask`; prompted, a `model.PromptModel`),
-long-tail and few-shot resamplers, the input-vs-output prompt-position
-experiment, and the gradient cross-check suite used by the CLI.
+`ClassifierTask`; prompted, a `model.PromptModel`), long-tail and few-shot
+resamplers, the input-vs-output prompt-position experiment, and the
+gradient cross-check suite used by the CLI, which pulls through
+`PromptBlock.vjp` as training does.
 
 Everything here is a pure function of (spec, seed): all randomness flows
 through named substreams, so any artifact can be regenerated bit-identically
@@ -286,11 +287,9 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
 @dataclass(frozen=True)
 class ProtocolResult:
     accuracy: float            # held-out split only
-    train_accuracy: float
     trainable_params: int
-    epochs_run: int
     wall_time_s: float
-    log: robust_opt.TrainLog
+    log: robust_opt.TrainLog   # its final_accuracy is the train accuracy
     task: object               # the trained PromptModel or ClassifierTask, for checkpointing
 
 
@@ -331,9 +330,9 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
                            cfg.epochs, patience=PATIENCE)
     return ProtocolResult(
-        accuracy=held_out_accuracy(task, test_ds), train_accuracy=log.final_accuracy,
+        accuracy=held_out_accuracy(task, test_ds),
         trainable_params=sum(p.size for p in task.trainable_params()),
-        epochs_run=len(log.losses), wall_time_s=time.perf_counter() - start, log=log, task=task)
+        wall_time_s=time.perf_counter() - start, log=log, task=task)
 
 
 # --- prompt-position experiment -----------------------------------------------------
@@ -488,19 +487,21 @@ def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, cfg: 
 
 
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
-                    solver: SolverConfig | None = None) -> list[GradCheckRow]:
+                    solver: SolverConfig = SolverConfig()) -> list[GradCheckRow]:
     """Implicit vs finite-difference vs unrolled gradients on seeded cells.
 
     The implicit gradient is taken at the base solve's fixed point through
     `deq.solve_forward`, the alias of `deq.solve_forward_batch`, and
-    `deq.deq_vjp_batch` on one-row batches: the functions training runs.
-    Each case's central differences are one more solve, of a block (W, I, 0),
-    and its unrolled reference runs as deep as kappa and `unrolled_tol` need
-    (see below). Solver non-convergence, in the base solve or in any row of
-    the stack, is its own status so a hopeless tolerance setting is
-    distinguishable from a wrong gradient.
+    `PromptBlock.vjp` on one-row batches: the functions training runs.
+    Every solve runs at `solver`'s settings, its tol capped at
+    `GRADCHECK_TOL`: a training-grade tol would drown the finite-difference
+    signal. Each case's central differences are one more solve, of a block
+    (W, I, 0), and its unrolled reference runs as deep as kappa and
+    `unrolled_tol` need (see below). Solver non-convergence, in the base
+    solve or in any row of the stack, is its own status so a hopeless
+    tolerance setting is distinguishable from a wrong gradient.
     """
-    cfg = solver or SolverConfig(tol=GRADCHECK_TOL)
+    cfg = replace(solver, tol=min(solver.tol, GRADCHECK_TOL))
     fd_tol, unrolled_tol, fd_step = 1e-4, 1e-5, 1e-5
     # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
     # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
@@ -525,7 +526,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))
             continue
-        grad_x = deq.deq_vjp_batch(block, z_star, x[None, :], y[None, :])
+        grad_x = block.vjp(x[None, :], z_star, y[None, :])
         analytic = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [grad_x[0]])
         fd_err = rel_error(analytic, fd)
 

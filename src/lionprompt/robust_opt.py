@@ -64,25 +64,6 @@ class OptState:
             raise ValueError(f"repartition_every must be >= 1, got {self.repartition_every}")
 
 
-@dataclass(frozen=True)
-class CriticalityPartition:
-    """A frozen split of the flattened trainable set at one moment in time.
-
-    Scalars outside the partitioned set are always crucial, so
-    `crucial_fraction` is the share of all trainable scalars that descend.
-    """
-
-    scores: np.ndarray
-    crucial_mask: np.ndarray
-    noncrucial_mask: np.ndarray
-    tau: float
-    threshold_value: float
-
-    @property
-    def crucial_fraction(self) -> float:
-        return float(np.mean(self.crucial_mask))
-
-
 def flat_values(params: list[Param]) -> np.ndarray:
     return np.concatenate([p.value.reshape(-1) for p in params])
 
@@ -106,14 +87,14 @@ def criticality_scores(grads: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def partition(scores: np.ndarray, tau: float,
-              pruned: np.ndarray | None = None) -> CriticalityPartition:
-    """Split scores at the nearest-rank tau-quantile (ties go crucial).
+              pruned: np.ndarray | None = None) -> np.ndarray:
+    """The boolean crucial mask: scores split at the nearest-rank tau-quantile.
 
     `pruned` masks the scores the partition covers (default: all). Over
     those M scores, threshold = k-th smallest with k = ceil(tau * M);
-    crucial means score >= threshold or not pruned, so the split is
-    exhaustive and exclusive and the tau -> 0 limit marks everything
-    crucial. With nothing pruned, everything is crucial.
+    crucial means score >= threshold (ties go crucial) or not pruned, and
+    its complement is the non-crucial set, so the tau -> 0 limit marks
+    everything crucial. With nothing pruned, everything is crucial.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -126,27 +107,24 @@ def partition(scores: np.ndarray, tau: float,
     if covered.size:
         k = min(max(math.ceil(tau * covered.size), 1), covered.size)
         threshold = float(np.partition(covered, k - 1)[k - 1])
-    crucial = ~pruned | (scores >= threshold)
-    return CriticalityPartition(scores=scores, crucial_mask=crucial,
-                                noncrucial_mask=~crucial, tau=tau,
-                                threshold_value=threshold)
+    return ~pruned | (scores >= threshold)
 
 
 def step(params: list[Param], grads: np.ndarray, values: np.ndarray,
-         part: CriticalityPartition, state: OptState) -> None:
+         crucial: np.ndarray, state: OptState) -> None:
     """Apply one partitioned update in place, all or nothing.
 
-    Crucial scalars descend along the flattened `grads`; non-crucial ones
-    shrink by eta toward zero (soft-threshold). `Param.assign_flat` refuses an
-    update with a non-finite entry, naming its parameters, before any changes.
+    Scalars in the `crucial` mask descend along the flattened `grads`; the
+    rest shrink by eta toward zero (soft-threshold). `Param.assign_flat`
+    refuses an update with a non-finite entry, naming its parameters,
+    before any changes.
     """
-    if part.crucial_mask.shape != values.shape:
-        raise StateError(
-            f"partition over {part.crucial_mask.size} scalars, params have {values.size}")
+    if crucial.shape != values.shape:
+        raise StateError(f"partition over {crucial.size} scalars, params have {values.size}")
     with np.errstate(over="ignore"):        # an overflow is refused by name on assignment
         updated = values - state.eta * grads
-    shrink = values[part.noncrucial_mask]
-    updated[part.noncrucial_mask] = np.sign(shrink) * np.maximum(np.abs(shrink) - state.eta, 0.0)
+    shrink = values[~crucial]
+    updated[~crucial] = np.sign(shrink) * np.maximum(np.abs(shrink) - state.eta, 0.0)
     Param.assign_flat(params, updated)
 
 
@@ -194,8 +172,7 @@ def train(task, dataset, state: OptState, epochs: int,
         raise StateError("partitioned parameters must all be trainable")
     pruned = np.concatenate([np.full(p.size, id(p) in named) for p in params])
     log = TrainLog()
-    rescore = bool(pruned.any())
-    part = None if rescore else partition(np.zeros(pruned.size), state.tau, pruned)
+    crucial = ~pruned
     best_loss = math.inf
     stale = 0
     prepare = getattr(task, "prepare", None)
@@ -209,17 +186,17 @@ def train(task, dataset, state: OptState, epochs: int,
             if not math.isfinite(value):
                 raise EvaluationError(f"non-finite loss {value!r}")
             grads, values = flat_grads(params), flat_values(params)
-            if rescore and epoch % state.repartition_every == 0:
-                part = partition(criticality_scores(grads, values), state.tau, pruned)
-            step(params, grads, values, part, state)
+            if pruned.any() and epoch % state.repartition_every == 0:
+                crucial = partition(criticality_scores(grads, values), state.tau, pruned)
+            step(params, grads, values, crucial, state)
             post = getattr(task, "post_step", None)
             if post is not None:
                 post()
             values = flat_values(params)
-            nc = values[part.noncrucial_mask]
+            nc = values[~crucial]
             log.losses.append(value)
             log.accuracies.append(float(np.mean(np.argmax(logits, axis=1) == y)))
-            log.crucial_fractions.append(part.crucial_fraction)
+            log.crucial_fractions.append(float(np.mean(crucial)))
             log.noncrucial_mean_abs.append(float(np.mean(np.abs(nc))) if nc.size else 0.0)
             metrics = getattr(task, "metrics", None)
             log.extras.append(metrics() if metrics is not None else {})

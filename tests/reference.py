@@ -29,7 +29,7 @@ def make_cell(W, U, b, kappa: float = 0.9) -> PromptBlock:
 
 
 def vjp_grads(vjp, cell: PromptBlock, *args, **kwargs):
-    """Run `vjp` (`deq_vjp_batch` or `unrolled_vjp`) on `cell` from zeroed gradients;
+    """Run `vjp` (`PromptBlock.vjp` or `unrolled_vjp`) on `cell` from zeroed gradients;
     return (its input gradient, the W, U and b gradients as `.W`, `.U` and `.b`)."""
     for p in cell.params():
         p.zero_grad()

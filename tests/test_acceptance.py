@@ -191,11 +191,11 @@ class _PlainSoftmax(_Softmax):
 
 def test_criterion_6_partitioned_optimizer():
     rng = substream(7, "accept-part")
-    exhaustive = True
+    ordered = True
     for _ in range(10):
         scores = np.abs(rng.normal(size=37))
-        part = robust_opt.partition(scores, tau=0.4)
-        exhaustive &= bool(np.all(part.crucial_mask ^ part.noncrucial_mask))
+        crucial = robust_opt.partition(scores, tau=0.4)
+        ordered &= bool(scores[~crucial].max(initial=-np.inf) < scores[crucial].min())
 
     ds = make_blobs(3, 6, 120, seed=11)
     trained = _PlainSoftmax(6, 3, seed=5)
@@ -219,9 +219,9 @@ def test_criterion_6_partitioned_optimizer():
     for e in range(1, 25):
         if e % 5 != 0:          # comparisons within one repartition window
             monotone &= log.noncrucial_mean_abs[e] <= log.noncrucial_mean_abs[e - 1] + 1e-15
-    ok = exhaustive and bitwise and monotone
+    ok = ordered and bitwise and monotone
     check(6, "partitioned optimizer", ok,
-          f"partition exhaustive+exclusive over 10 draws: {exhaustive}; "
+          f"every non-crucial score below every crucial one over 10 draws: {ordered}; "
           f"all-crucial run bitwise equal to vanilla GD after 25 epochs: {bitwise}; "
           f"non-crucial mean |theta| non-increasing within windows: {monotone}")
 
@@ -281,7 +281,7 @@ def test_criterion_9_persistence(tmp_path, source_backbone):
     values = dict(zip(keys, path.read_text().splitlines()[1].split(",")))
     csv_ok = (float(values["accuracy"]) == res.accuracy
               and int(values["trainable_params"]) == res.trainable_params
-              and int(values["epochs"]) == res.epochs_run
+              and int(values["epochs"]) == len(res.log.losses)
               and float(values["wall_time_s"]) == res.wall_time_s)
     ok = ckpt_ok and config_ok and csv_ok
     check(9, "persistence", ok,

@@ -255,6 +255,20 @@ def test_config_errors_name_the_key():
         parse("just some words\n")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("a#b")
+@example("r\nq")
+@example(" runs")
+def test_an_out_either_round_trips_exactly_or_is_refused_by_name(out):
+    try:
+        cfg = RunConfig(out=out)
+    except ConfigError as exc:
+        assert "'out'" in str(exc)
+        return
+    assert parse(serialize(cfg)) == cfg
+
+
 _FILE_ONLY_KEYS = {"cases", "hidden", "feat_dim"}
 
 
@@ -485,6 +499,31 @@ def _own_outdir(workdir, tmp_path):
     name = "backbone-blobs-s0.ckpt"
     (tmp_path / name).write_bytes((workdir / name).read_bytes())
     return str(tmp_path)
+
+
+def test_a_tune_with_a_line_break_in_its_out_is_one_config_error_line(workdir, tmp_path,
+                                                                      monkeypatch, capsys):
+    # the .cfg it would write could not be parsed back, so no eval could follow it
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r\nq"
+    out.mkdir()
+    _own_outdir(workdir, out)
+    rc, stdout, err = run_cli(capsys, ["tune", "--out", "r\nq", "--epochs", "2"])
+    assert rc == 2 and stdout == ""
+    assert err.startswith("config error: invalid value for 'out'") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["r\nq"]
+    assert os.listdir(out) == ["backbone-blobs-s0.ckpt"]
+
+
+def test_a_config_file_out_with_a_nul_byte_is_one_config_error_line(tmp_path, monkeypatch,
+                                                                     capsys):
+    # no path can hold one: `pretrain` used to train, then die in its first write
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nul.cfg").write_text("out = a\0b\n")
+    rc, stdout, err = run_cli(capsys, ["pretrain", "--config", "nul.cfg"])
+    assert rc == 2 and stdout == ""
+    assert err.startswith("config error: config file 'nul.cfg': invalid value for 'out'")
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == ["nul.cfg"]
 
 
 def test_default_tune_solves_with_picard(workdir, tmp_path, monkeypatch, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lionprompt.deq import (
+    PromptBlock,
     SolverConfig,
-    deq_vjp_batch,
     estimate_spectral_norm,
     solve_adjoint_batch,
     solve_forward_batch,
@@ -398,7 +398,7 @@ def test_vjp_scalar_closed_form():
     z = solve_forward_batch(cell, x[None], cfg).z_star
     zr = newton_fixed_point(cell, x).item()
     assert abs(z.item() - zr) <= 1e-12
-    grad_x, grads = vjp_grads(deq_vjp_batch, cell, z, x[None], np.array([[1.0]]))
+    grad_x, grads = vjp_grads(PromptBlock.vjp, cell, x[None], z, np.array([[1.0]]))
     # z* = tanh(w z* + u x + b) gives d z*/d theta = s (d a/d theta) / (1 - s w), s = 1 - z*^2
     s = 1.0 - zr ** 2
     assert abs(grad_x.item() - s * u / (1 - s * w)) <= 1e-10
@@ -414,7 +414,7 @@ def test_vjp_grad_x_matches_finite_differences():
     y = rng.normal(size=8)
     cfg = SolverConfig(tol=1e-13)
     z = solve_forward_batch(cell, x[None], cfg).z_star
-    grad_x, _ = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
+    grad_x, _ = vjp_grads(PromptBlock.vjp, cell, x[None], z, y[None])
 
     def objective(t: np.ndarray) -> float:
         rep = solve_forward_batch(cell, t[None], cfg)
@@ -430,7 +430,7 @@ def test_vjp_param_grads_match_finite_differences():
     y = rng.normal(size=6)
     cfg = SolverConfig(tol=1e-13)
     z = solve_forward_batch(cell, x[None], cfg).z_star
-    _, grads = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
+    _, grads = vjp_grads(PromptBlock.vjp, cell, x[None], z, y[None])
 
     def obj_w(t: np.ndarray) -> float:
         c = make_cell(W=t, U=cell.U.value, b=cell.b.value, kappa=cell.kappa)
@@ -452,7 +452,7 @@ def test_vjp_matches_unrolled_backprop():
         y = rng.normal(size=8)
         cfg = SolverConfig(tol=1e-13)
         z = solve_forward_batch(cell, x[None], cfg).z_star
-        gx_i, g_i = vjp_grads(deq_vjp_batch, cell, z, x[None], y[None])
+        gx_i, g_i = vjp_grads(PromptBlock.vjp, cell, x[None], z, y[None])
         gx_u, g_u = vjp_grads(unrolled_vjp, cell, x, y, n_iters=500)
         assert rel_error(gx_i[0], gx_u) <= 1e-5
         assert rel_error(g_i.W, g_u.W) <= 1e-5
@@ -511,12 +511,12 @@ def test_batch_vjp_matches_per_row():
     ys = rng.normal(size=(4, 6))
     cfg = SolverConfig(tol=1e-12)
     zrep = solve_forward_batch(cell, xs, cfg)
-    gx_b, g_b = vjp_grads(deq_vjp_batch, cell, zrep.z_star, xs, ys)
+    gx_b, g_b = vjp_grads(PromptBlock.vjp, cell, xs, zrep.z_star, ys)
     acc = SimpleNamespace(W=np.zeros((6, 6)), U=np.zeros((6, 4)),
                           b=np.zeros(6))
     for i in range(4):
         z = solve_forward_batch(cell, xs[i][None], cfg).z_star
-        gx, g = vjp_grads(deq_vjp_batch, cell, z, xs[i][None], ys[i][None])
+        gx, g = vjp_grads(PromptBlock.vjp, cell, xs[i][None], z, ys[i][None])
         assert rel_error(gx_b[i], gx[0]) <= 1e-8
         acc = SimpleNamespace(W=acc.W + g.W,
                               U=acc.U + g.U,

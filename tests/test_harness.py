@@ -358,7 +358,7 @@ def test_a_lion_tune_runs_the_projection_svd_only_when_its_bound_fails(monkeypat
     monkeypatch.setattr(deq, "estimate_spectral_norm", counting)
     res = run_protocol(cfg, bb, *target_task(cfg))
     # measured 9, two of them at construction; one per block and epoch would be 122
-    assert res.epochs_run == 60 and 2 <= len(calls) <= 12
+    assert len(res.log.losses) == 60 and 2 <= len(calls) <= 12
 
 
 _TRAINED = {}
@@ -432,7 +432,7 @@ def test_patience_stops_training_early(source_backbone):
     bb, _ = source_backbone
     # a vanishing step leaves the loss flat after the first epoch
     res = run_protocol(RunConfig(protocol="head_tuning", eta=1e-9, epochs=5000), bb, ds, ds)
-    assert res.epochs_run == PATIENCE + 1
+    assert len(res.log.losses) == PATIENCE + 1
 
 
 def test_patience_must_be_positive(source_backbone):
@@ -491,7 +491,7 @@ def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
     a call with a per-row shift; a VJP logs ("vjp",). `stack_report(rep, k)`
     may replace the report that the k-th stack returns.
     """
-    solve, vjp, log = deq.solve_forward, deq.deq_vjp_batch, []
+    solve, vjp, log = deq.solve_forward, deq.PromptBlock.vjp, []
 
     def solving(cell, x_rows, cfg=None, z0_rows=None, shift=None):
         rep = solve(cell, x_rows, cfg, z0_rows, shift)
@@ -500,12 +500,12 @@ def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
             return rep
         return stack_report(rep, sum(event[0] == "stack" for event in log))
 
-    def pulling(*args):
+    def pulling(block, *args):
         log.append(("vjp",))
-        return vjp(*args)
+        return vjp(block, *args)
 
     monkeypatch.setattr(deq, "solve_forward", solving)
-    monkeypatch.setattr(deq, "deq_vjp_batch", pulling)
+    monkeypatch.setattr(deq.PromptBlock, "vjp", pulling)
     return log
 
 
@@ -524,6 +524,30 @@ def _calls_per_case(rows, log):
         else:
             assert "vjp" not in [e[0] for e in case]
     return cases
+
+
+def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatch):
+    vjp, pulls = deq.PromptBlock.vjp, []
+
+    def pulling(block, *args):
+        pulls.append(block.name)
+        return vjp(block, *args)
+
+    monkeypatch.setattr(deq.PromptBlock, "vjp", pulling)
+    assert [r.status for r in gradcheck_suite(n_cases=1, seed=0)] == ["ok"]
+    assert pulls == ["case"]
+    cfg = RunConfig(seed=0)
+    tr, _ = target_task(cfg)
+    task = make_task(cfg, source_backbone[0], tr.n_classes)
+    del pulls[:]
+    robust_opt.train(task, tr, robust_opt.OptState(eta=cfg.eta), epochs=2)
+    assert pulls == ["p2", "p1"] * 2        # each epoch's one loss_and_grads
+
+
+def test_gradcheck_caps_a_looser_solver_tolerance_at_its_own():
+    # at tol 1e-8 the fd errors would read 1.0e-7 and 1.9e-8, not 3.4e-11 and 1.2e-10
+    assert (gradcheck_suite(n_cases=3, seed=0, solver=SolverConfig(tol=1e-8))
+            == gradcheck_suite(n_cases=3, seed=0))
 
 
 def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):

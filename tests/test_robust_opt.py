@@ -11,7 +11,6 @@ from lionprompt.errors import DivergenceError, EvaluationError, StateError
 from lionprompt.numerics import Param, batch_cross_entropy
 from lionprompt.rng import substream
 from lionprompt.robust_opt import (
-    CriticalityPartition,
     OptState,
     criticality_scores,
     flat_grads,
@@ -100,32 +99,32 @@ def test_scores_require_grads():
         criticality_scores(*flattened([p]))
 
 
+def assert_splits(crucial, scores):
+    """`crucial` is a boolean mask of the scores' shape, every non-crucial
+    score below every crucial one."""
+    assert crucial.dtype == bool and crucial.shape == scores.shape
+    assert scores[~crucial].max(initial=-math.inf) < scores[crucial].min()
+
+
 def test_partition_worked_example():
-    part = partition(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), tau=0.4)
-    assert part.threshold_value == 2.0
-    assert int(np.sum(part.crucial_mask)) == 4
-    assert np.array_equal(part.crucial_mask, [False, True, True, True, True])
+    crucial = partition(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), tau=0.4)
+    assert int(np.sum(crucial)) == 4
+    assert np.array_equal(crucial, [False, True, True, True, True])
 
 
 def test_partition_all_equal_scores():
-    part = partition(np.full(7, 3.3), tau=0.6)
-    assert np.all(part.crucial_mask)
+    assert np.all(partition(np.full(7, 3.3), tau=0.6))
 
 
 def test_partition_tiny_tau_marks_everything_crucial():
-    part = partition(np.array([5.0, 1.0, 9.0]), tau=1e-9)
-    assert np.all(part.crucial_mask)
+    assert np.all(partition(np.array([5.0, 1.0, 9.0]), tau=1e-9))
 
 
 def test_partition_masks_complementary():
     rng = substream(1, "scores")
     for tau in (0.2, 0.4, 0.6, 0.8):
         scores = np.abs(rng.normal(size=101))
-        part = partition(scores, tau)
-        assert np.all(part.crucial_mask ^ part.noncrucial_mask)
-        assert np.all(part.scores[part.crucial_mask] >= part.threshold_value)
-        if np.any(part.noncrucial_mask):
-            assert np.all(part.scores[part.noncrucial_mask] < part.threshold_value)
+        assert_splits(partition(scores, tau), scores)
 
 
 def test_partition_rejects_empty_and_nonfinite():
@@ -139,47 +138,42 @@ def test_partition_rejects_empty_and_nonfinite():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_partition_is_exhaustive_for_arbitrary_scores(scores, tau):
-    part = partition(np.array(scores), tau)
-    assert np.all(part.crucial_mask ^ part.noncrucial_mask)
-    assert np.all(part.scores[part.crucial_mask] >= part.threshold_value)
-    assert np.all(part.scores[part.noncrucial_mask] < part.threshold_value)
+    scores = np.array(scores)
+    crucial = partition(scores, tau)
+    assert_splits(crucial, scores)
     # ties at the ceil(tau * M)-th smallest score all go crucial
     m = len(scores)
-    assert int(np.sum(part.crucial_mask)) >= m - math.ceil(tau * m) + 1
+    assert int(np.sum(crucial)) >= m - math.ceil(tau * m) + 1
 
 
 # --- step ------------------------------------------------------------------------
 
 def test_step_crucial_descends():
     params = params_with_grads([[1.0]], [[0.2]])
-    part = partition(criticality_scores(*flattened(params)), tau=0.4)
-    step(params, *flattened(params), part, OptState(eta=0.1))
+    crucial = partition(criticality_scores(*flattened(params)), tau=0.4)
+    step(params, *flattened(params), crucial, OptState(eta=0.1))
     assert abs(params[0].value.item() - 0.98) <= 1e-15
 
 
 def test_step_soft_threshold_shrinks():
     params = params_with_grads([[0.3, -0.05]], [[0.0, 0.0]])
-    part = CriticalityPartition(scores=np.zeros(2),
-                                crucial_mask=np.array([False, False]),
-                                noncrucial_mask=np.array([True, True]),
-                                tau=0.4, threshold_value=np.inf)
-    step(params, *flattened(params), part, OptState(eta=0.1))
+    step(params, *flattened(params), np.array([False, False]), OptState(eta=0.1))
     assert np.allclose(params[0].value, [0.2, 0.0], atol=1e-15)
 
 
 def test_step_rejects_misaligned_partition():
     params = params_with_grads([[1.0, 2.0]], [[0.1, 0.1]])
-    part = partition(np.array([1.0]), tau=0.4)
+    crucial = partition(np.array([1.0]), tau=0.4)
     with pytest.raises(StateError):
-        step(params, *flattened(params), part, OptState(eta=0.1))
+        step(params, *flattened(params), crucial, OptState(eta=0.1))
 
 
 def test_step_refuses_an_overflowing_update_before_changing_any_parameter():
     params = params_with_grads([[1.0], [1e308]], [[1.0], [-1e308]])
-    part = partition(np.zeros(2), tau=1e-12)   # all crucial
+    crucial = partition(np.zeros(2), tau=1e-12)   # all crucial
     # the step silences its own overflow: a warning would become an error here
     with np.errstate(over="raise"), pytest.raises(EvaluationError, match=r"update for \['p1'\]$"):
-        step(params, *flattened(params), part, OptState(eta=1.0))
+        step(params, *flattened(params), crucial, OptState(eta=1.0))
     assert params[0].value.tolist() == [1.0] and params[1].value.tolist() == [1e308]
 
 
@@ -238,11 +232,11 @@ def test_all_crucial_matches_manual_gradient_descent_bitwise(monkeypatch):
 def test_partition_leaves_unpruned_scores_crucial():
     scores = np.array([5.0, 0.0, 1.0, 2.0, 0.0, 3.0])
     pruned = np.array([True, False, True, True, False, True])
-    part = partition(scores, tau=0.5, pruned=pruned)
-    assert part.threshold_value == 2.0      # 2nd smallest of the four pruned scores
-    assert np.array_equal(part.crucial_mask, [True, True, False, True, True, True])
-    assert part.crucial_fraction == 5 / 6
-    assert np.all(partition(scores, tau=0.5, pruned=np.zeros(6, bool)).crucial_mask)
+    crucial = partition(scores, tau=0.5, pruned=pruned)
+    # the threshold is 2.0, the 2nd smallest of the four pruned scores
+    assert np.array_equal(crucial, [True, True, False, True, True, True])
+    assert np.mean(crucial) == 5 / 6
+    assert np.all(partition(scores, tau=0.5, pruned=np.zeros(6, bool)))
 
 
 def test_train_partitions_only_the_named_params():
