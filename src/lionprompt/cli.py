@@ -44,6 +44,7 @@ from .errors import (
 
 CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
 DIGEST_LINE = "# checkpoint sha256 "
+TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
 _NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time_s")
 
 
@@ -126,18 +127,15 @@ def cmd_pretrain(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> str:
     return (f"{_run_id(cfg)},{cfg.protocol},{cfg.dataset},{cfg.seed},"
-            f"{res.accuracy!r},{res.trainable_params},{len(res.log.losses)},"
+            f"{res.accuracy!r},{res.trainable_params},{len(res.log.rows)},"
             f"{res.wall_time_s!r}")
 
 
 def _trace_csv(res: harness.ProtocolResult) -> str:
-    lines = ["epoch,loss,accuracy,crucial_fraction,alpha1,alpha2"]
-    log = res.log
-    for e, (loss, acc, frac, extra) in enumerate(zip(log.losses, log.accuracies,
-                                                     log.crucial_fractions, log.extras)):
-        a1 = repr(extra["alpha1"]) if "alpha1" in extra else ""
-        a2 = repr(extra["alpha2"]) if "alpha2" in extra else ""
-        lines.append(f"{e},{loss!r},{acc!r},{frac!r},{a1},{a2}")
+    """One line per epoch row; a column the row lacks is an empty cell."""
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [",".join(repr(row[k]) if k in row else "" for k in TRACE_COLUMNS)
+              for row in res.log.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -161,13 +159,13 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     zeros = sum(int(np.count_nonzero(p.value == 0.0)) for p in res.task.trainable_params())
     print(f"trainable params {res.trainable_params}")
     print(f"zero params      {zeros}")
-    print(f"epochs run       {len(res.log.losses)}")
-    if res.log.extras and res.log.extras[-1]:
-        first, last = res.log.extras[0], res.log.extras[-1]
+    print(f"epochs run       {len(res.log.rows)}")
+    first, last = res.log.rows[0], res.log.rows[-1]     # `RunConfig` requires epochs >= 1
+    if "alpha1" in last:
         print(f"gates alpha1     {first['alpha1']:.4f} -> {last['alpha1']:.4f}")
         print(f"gates alpha2     {first['alpha2']:.4f} -> {last['alpha2']:.4f}")
-        print(f"crucial fraction {res.log.crucial_fractions[0]:.3f} -> "
-              f"{res.log.crucial_fractions[-1]:.3f}")
+        print(f"crucial fraction {first['crucial_fraction']:.3f} -> "
+              f"{last['crucial_fraction']:.3f}")
     print(f"checkpoint       {paths['model']}")
     print(f"run csv          {paths['run_csv']}")
     return 0

@@ -20,7 +20,7 @@ plain-classifier baselines (`harness.ClassifierTask`):
     task.partitioned_params() -> list[Param]  # optional; default: all trainable
     task.prepare(X)                      # optional, once per train call
     task.post_step()                     # optional (e.g. re-projection)
-    task.metrics() -> dict[str, float]   # optional per-epoch extras
+    task.metrics() -> dict[str, float]   # optional; merged into the epoch's row
 
 Training is full-batch: one optimizer step per epoch, so `repartition_every`
 counts epochs between partition refreshes. Each epoch runs one forward and
@@ -130,18 +130,23 @@ def step(params: list[Param], grads: np.ndarray, values: np.ndarray,
 
 @dataclass
 class TrainLog:
-    """Per-epoch training trace; lists all share one index.
+    """The training record: one row per epoch, then the final accuracy.
 
-    `losses[e]` and `accuracies[e]` are both taken at the parameters epoch e
-    started from. `final_accuracy` is taken after the last step.
+    Row e holds `epoch`, `loss`, `accuracy`, `crucial_fraction` and
+    `noncrucial_mean_abs`, then the task's `metrics()` merged in. Its loss
+    and accuracy are both taken at the parameters epoch e started from, its
+    crucial fraction is that of the mask its step used, and the rest is
+    read after the step. `final_accuracy` is taken after the last step.
     """
 
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    crucial_fractions: list[float] = field(default_factory=list)
-    noncrucial_mean_abs: list[float] = field(default_factory=list)
-    extras: list[dict] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     final_accuracy: float = math.nan
+
+    @property
+    def losses(self) -> list[float]:
+        # The benchmark's tracer counts epochs as `len(out.losses)` on `train`'s
+        # return; it goes when the tracer does.
+        return [r["loss"] for r in self.rows]
 
 
 def train(task, dataset, state: OptState, epochs: int,
@@ -175,7 +180,7 @@ def train(task, dataset, state: OptState, epochs: int,
     crucial = ~pruned
     best_loss = math.inf
     stale = 0
-    prepare = getattr(task, "prepare", None)
+    prepare, post, metrics = (getattr(task, n, None) for n in ("prepare", "post_step", "metrics"))
     if prepare is not None:
         prepare(x)
     for epoch in range(epochs):
@@ -189,17 +194,14 @@ def train(task, dataset, state: OptState, epochs: int,
             if pruned.any() and epoch % state.repartition_every == 0:
                 crucial = partition(criticality_scores(grads, values), state.tau, pruned)
             step(params, grads, values, crucial, state)
-            post = getattr(task, "post_step", None)
             if post is not None:
                 post()
-            values = flat_values(params)
-            nc = values[~crucial]
-            log.losses.append(value)
-            log.accuracies.append(float(np.mean(np.argmax(logits, axis=1) == y)))
-            log.crucial_fractions.append(float(np.mean(crucial)))
-            log.noncrucial_mean_abs.append(float(np.mean(np.abs(nc))) if nc.size else 0.0)
-            metrics = getattr(task, "metrics", None)
-            log.extras.append(metrics() if metrics is not None else {})
+            nc = flat_values(params)[~crucial]
+            log.rows.append({"epoch": epoch, "loss": value,
+                             "accuracy": float(np.mean(np.argmax(logits, axis=1) == y)),
+                             "crucial_fraction": float(np.mean(crucial)),
+                             "noncrucial_mean_abs": float(np.mean(np.abs(nc))) if nc.size else 0.0,
+                             **(metrics() if metrics is not None else {})})
             if patience is not None:
                 if value < best_loss - PLATEAU_TOL:
                     best_loss = value
@@ -208,6 +210,6 @@ def train(task, dataset, state: OptState, epochs: int,
                     stale += 1
                     if stale >= patience:
                         break
-    with within(f"final predict after {len(log.losses)} epochs"):
+    with within(f"final predict after {len(log.rows)} epochs"):
         log.final_accuracy = float(np.mean(task.predict(x) == y))
     return log

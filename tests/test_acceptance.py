@@ -218,7 +218,8 @@ def test_criterion_6_partitioned_optimizer():
     monotone = True
     for e in range(1, 25):
         if e % 5 != 0:          # comparisons within one repartition window
-            monotone &= log.noncrucial_mean_abs[e] <= log.noncrucial_mean_abs[e - 1] + 1e-15
+            monotone &= (log.rows[e]["noncrucial_mean_abs"]
+                         <= log.rows[e - 1]["noncrucial_mean_abs"] + 1e-15)
     ok = ordered and bitwise and monotone
     check(6, "partitioned optimizer", ok,
           f"every non-crucial score below every crucial one over 10 draws: {ordered}; "
@@ -281,7 +282,7 @@ def test_criterion_9_persistence(tmp_path, source_backbone):
     values = dict(zip(keys, path.read_text().splitlines()[1].split(",")))
     csv_ok = (float(values["accuracy"]) == res.accuracy
               and int(values["trainable_params"]) == res.trainable_params
-              and int(values["epochs"]) == len(res.log.losses)
+              and int(values["epochs"]) == len(res.log.rows)
               and float(values["wall_time_s"]) == res.wall_time_s)
     ok = ckpt_ok and config_ok and csv_ok
     check(9, "persistence", ok,

@@ -475,6 +475,30 @@ def test_tune_lion_reports_gates_and_evals_exactly(workdir, capsys):
     assert len(first) == 6 and first[4] != ""
 
 
+@pytest.mark.parametrize("protocol", ["lion", "head_tuning"])
+def test_the_trace_holds_exactly_what_the_rows_hold(workdir, tmp_path, monkeypatch, capsys,
+                                                    protocol):
+    run, results = harness.run_protocol, []
+    monkeypatch.setattr(harness, "run_protocol",
+                        lambda *args: results.append(run(*args)) or results[-1])
+    rc, tune_out, _ = run_cli(capsys, ["tune", "--out", _own_outdir(workdir, tmp_path),
+                                       "--seed", "0", "--protocol", protocol, "--epochs", "8"])
+    assert rc == 0
+    rows = results[0].log.rows
+    trace = (tmp_path / f"{protocol}-blobs-s0-trace.csv").read_text().splitlines()
+    assert trace[0] == ",".join(cli.TRACE_COLUMNS)
+    assert len(trace) == len(rows) + 1 == 9
+    for line, row in zip(trace[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(cli.TRACE_COLUMNS) == 6
+        for key, cell in zip(cli.TRACE_COLUMNS, cells):
+            assert float(cell) == row[key] if key in row else cell == ""
+    # the baselines have no gates: empty alpha cells, and no gate or crucial-fraction lines
+    lion = protocol == "lion"
+    assert all(("alpha1" in row) == ("alpha2" in row) == lion for row in rows)
+    assert ("gates alpha1" in tune_out) == ("crucial fraction" in tune_out) == lion
+
+
 def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
     rc, _, err = run_cli(capsys, ["tune", "--out", str(workdir), "--seed", "0",
                                   "--protocol", "lion", "--epochs", "3",

@@ -290,7 +290,8 @@ def test_prompted_model_beats_head_tuning_on_a_shifted_task(source_backbone):
     assert lion.accuracy > head.accuracy
     full = run_protocol(RunConfig(protocol="full_finetune", seed=2, epochs=5), bb, tr, te)
     assert lion.trainable_params <= 0.10 * full.trainable_params
-    assert lion.log.extras[-1].keys() == {"alpha1", "alpha2"}
+    assert lion.log.rows[-1].keys() == {"epoch", "loss", "accuracy", "crucial_fraction",
+                                        "noncrucial_mean_abs", "alpha1", "alpha2"}
 
 
 def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
@@ -309,7 +310,7 @@ def test_lion_task_runs_the_backbone_on_raw_rows_once_per_train(monkeypatch):
     monkeypatch.setattr(m, "backbone_forward", counting)
     for run in (1, 2):
         log = robust_opt.train(task, (x, y), robust_opt.OptState(eta=0.3), epochs=5)
-        assert len(log.losses) == 5
+        assert len(log.rows) == 5
         assert len(raw_calls) == run
     # rows the task was not prepared on get their own features
     task.predict(x.copy())
@@ -358,7 +359,7 @@ def test_a_lion_tune_runs_the_projection_svd_only_when_its_bound_fails(monkeypat
     monkeypatch.setattr(deq, "estimate_spectral_norm", counting)
     res = run_protocol(cfg, bb, *target_task(cfg))
     # measured 9, two of them at construction; one per block and epoch would be 122
-    assert len(res.log.losses) == 60 and 2 <= len(calls) <= 12
+    assert len(res.log.rows) == 60 and 2 <= len(calls) <= 12
 
 
 _TRAINED = {}
@@ -396,8 +397,8 @@ def test_baselines_partition_nothing_and_log_every_scalar_crucial(source_backbon
     tr, te = target_task(RunConfig(seed=1))
     res = run_protocol(RunConfig(protocol="bias_tuning", seed=1, epochs=5), bb, tr, te)
     assert res.task.partitioned_params() == []
-    assert res.log.crucial_fractions == [1.0] * 5
-    assert res.log.noncrucial_mean_abs == [0.0] * 5
+    assert [r["crucial_fraction"] for r in res.log.rows] == [1.0] * 5
+    assert [r["noncrucial_mean_abs"] for r in res.log.rows] == [0.0] * 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,7 +433,7 @@ def test_patience_stops_training_early(source_backbone):
     bb, _ = source_backbone
     # a vanishing step leaves the loss flat after the first epoch
     res = run_protocol(RunConfig(protocol="head_tuning", eta=1e-9, epochs=5000), bb, ds, ds)
-    assert len(res.log.losses) == PATIENCE + 1
+    assert len(res.log.rows) == PATIENCE + 1
 
 
 def test_patience_must_be_positive(source_backbone):

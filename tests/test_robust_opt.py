@@ -249,7 +249,7 @@ def test_train_partitions_only_the_named_params():
     log = train(task, (x, y), OptState(eta=0.3, tau=0.4), epochs=10)
     # b starts at zero, so only descent can move it; ceil(0.4 * 8) - 1 of w are non-crucial
     assert np.all(task.b.value != 0.0)
-    assert log.crucial_fractions == [(8 - 3 + 2) / 10] * 10
+    assert [r["crucial_fraction"] for r in log.rows] == [(8 - 3 + 2) / 10] * 10
 
 
 def test_train_refuses_a_partitioned_param_it_does_not_train():
@@ -266,7 +266,7 @@ def test_train_separable_blobs_reaches_high_accuracy():
     x, y = two_blobs(10)
     log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=200)
     assert log.final_accuracy >= 0.99
-    assert len(log.losses) == len(log.accuracies) == 200
+    assert [r["epoch"] for r in log.rows] == list(range(200))
 
 
 def test_noncrucial_mean_abs_nonincreasing_between_repartitions():
@@ -279,17 +279,18 @@ def test_noncrucial_mean_abs_nonincreasing_between_repartitions():
                 epochs=30)
     for i in range(1, 30):
         if i % every != 0:  # same partition as the previous epoch
-            assert log.noncrucial_mean_abs[i] <= log.noncrucial_mean_abs[i - 1] + 1e-15
+            assert (log.rows[i]["noncrucial_mean_abs"]
+                    <= log.rows[i - 1]["noncrucial_mean_abs"] + 1e-15)
 
 
 def test_crucial_fraction_logged_and_bounded():
     task = LogisticTask(d=4, c=2, seed=13)
     x, y = two_blobs(14)
     log = train(task, (x, y), OptState(eta=0.3, tau=0.4), epochs=10)
-    for frac in log.crucial_fractions:
-        assert 0.0 < frac <= 1.0
+    for row in log.rows:
+        assert 0.0 < row["crucial_fraction"] <= 1.0
     # with tau=0.4 over a healthy score spread, roughly 60% should be crucial
-    assert log.crucial_fractions[0] >= 0.5
+    assert log.rows[0]["crucial_fraction"] >= 0.5
 
 
 class RecordingTask(LogisticTask):
@@ -315,7 +316,7 @@ def test_train_predicts_exactly_once():
     x, y = two_blobs(16)
     log = train(task, (x, y), OptState(eta=0.3, tau=0.4), epochs=12)
     assert task.predicts == 1
-    assert len(task.seen) == len(log.losses) == 12
+    assert len(task.seen) == len(log.rows) == 12
 
 
 def test_logged_accuracy_belongs_to_the_logged_loss():
@@ -323,10 +324,10 @@ def test_logged_accuracy_belongs_to_the_logged_loss():
     x, y = two_blobs(18, gap=1.0)
     log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=15)
     for e, (value, logits) in enumerate(task.seen):
-        assert log.losses[e] == value
-        assert log.accuracies[e] == float(np.mean(np.argmax(logits, axis=1) == y))
+        assert log.rows[e]["loss"] == value
+        assert log.rows[e]["accuracy"] == float(np.mean(np.argmax(logits, axis=1) == y))
     # the logged accuracies move, so the check above is not vacuous
-    assert len(set(log.accuracies)) > 1
+    assert len({r["accuracy"] for r in log.rows}) > 1
 
 
 @pytest.mark.parametrize("patience", [None, 3])
@@ -335,7 +336,7 @@ def test_final_accuracy_is_taken_after_the_last_step(patience):
     x, y = two_blobs(20, gap=1.0)
     log = train(task, (x, y), OptState(eta=0.5, tau=0.4), epochs=400, patience=patience)
     if patience is not None:
-        assert len(log.losses) < 400   # stopped early on the plateau
+        assert len(log.rows) < 400   # stopped early on the plateau
     assert log.final_accuracy == float(np.mean(task.predict(x) == y))
 
 
