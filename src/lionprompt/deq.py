@@ -276,30 +276,31 @@ def solve_adjoint_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarr
 def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int) -> np.ndarray:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
-    Runs n_iters plain Picard iterations from z0 = 0, records every iterate
-    (a repeat of its predecessor, checked every 8 steps, fills the rest),
-    and reverse-accumulates y^T z_K through the whole chain. tanh' at step k
-    is read off the recorded output z_{k+1} as 1 - z^2, and the parameter
-    gradients are sums over steps, taken as one product over the stacked
-    per-step vectors, added to the block's Params as `PromptBlock.vjp` adds
-    them; returns the input gradient. Exists to cross-check `PromptBlock.vjp`;
-    linear in depth memory-wise, shares nothing with the solver or the
+    Runs n_iters plain Picard iterations from z0 = 0, each written in place
+    into the record (a repeat of its predecessor, checked every 8 steps,
+    fills the rest), and reverse-accumulates y^T z_K through the whole chain
+    in place. tanh' at step k is read off the recorded output z_{k+1} as
+    1 - z^2, and the parameter gradients are sums over steps, taken as one
+    product over the stacked per-step vectors, added to the block's Params
+    as `PromptBlock.vjp` adds them; returns the input gradient. Exists to
+    cross-check `PromptBlock.vjp`; shares nothing with the solver or the
     adjoint, and is never used in the training path.
     """
     wa, ua = block.W.value, block.U.value
     c = ua @ x + block.b.value
     zs = np.zeros((n_iters + 1, len(wa)))
     for k in range(n_iters):
-        zs[k + 1] = np.tanh(wa @ zs[k] + c)
-        if k % 8 == 7 and np.array_equal(zs[k + 1], zs[k]):
-            zs[k + 2:] = zs[k + 1]
+        z = np.dot(wa, zs[k], out=zs[k + 1])
+        np.tanh(np.add(z, c, out=z), out=z)
+        if k % 8 == 7 and np.array_equal(z, zs[k]):
+            zs[k + 2:] = z
             break
     sig = tanh_deriv(zs[1:])
     ts = np.empty_like(sig)
-    zbar = y
-    for k in range(n_iters - 1, -1, -1):
-        ts[k] = sig[k] * zbar
-        zbar = ts[k] @ wa
+    zbar = np.array(y, dtype=np.float64)
+    for s_k, t_k in zip(sig[::-1], ts[::-1]):
+        np.multiply(s_k, zbar, out=t_k)
+        np.dot(t_k, wa, out=zbar)
     t_sum = ts.sum(axis=0)
     block.W.add_grad(ts.T @ zs[:-1])
     block.U.add_grad(np.outer(t_sum, x))

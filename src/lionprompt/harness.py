@@ -34,6 +34,12 @@ PATIENCE = 20
 MIN_SOURCE_ACCURACY = 0.95     # source train accuracy a pretrained backbone must reach
 N_CLASSES = 4                  # classes of every source and target task
 GRADCHECK_TOL = 1e-13          # the loosest solver tolerance gradient checks run at
+UNROLLED_TOL = 1e-5            # gradcheck's bound on implicit vs unrolled gradient error
+# K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa)) and take
+# Jacobians at iterates ~kappa^k off z*, about K times more; gradcheck unrolls the fewest
+# K with K kappa^K / (1 - kappa) 100x under UNROLLED_TOL (227 at kappa 0.9).
+UNROLL_DEPTH = next(k for k in itertools.count(1) if k * PromptBlock.kappa ** k
+                    <= (1.0 - PromptBlock.kappa) * UNROLLED_TOL / 100.0)
 
 
 # --- datasets ---------------------------------------------------------------
@@ -462,28 +468,26 @@ def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, cfg: 
                          step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
-    All 2 (h^2 + hd + h + d) perturbed fixed points are one batch solve of
-    a block over the same W Param with U = I and b = 0, + step rows first,
-    whose input row is the input term itself: c I^T + 0 = c exactly. A W
-    row shifts its entry of W by +-step; one of U, b or x shifts its row's
-    input term c = U x + b. Raises DivergenceError if any row stops short
-    of tol.
+    U, b and x reach z* only through c = U x + b, so the 2 (h^2 + h) perturbed
+    fixed points, W's entries then c's coordinates, + step rows first, are one
+    batch solve of a block (W, I, 0) whose input rows are the shifted c terms
+    (c I^T + 0 = c exactly); a W row shifts its entry of W by +-step. The c
+    gradient g_c maps exactly onto the rest: g_U = g_c x^T, g_b = g_c and
+    g_x = U^T g_c. Raises DivergenceError if any row stops short of tol.
     """
     u = block.U.value
     h, c = len(u), u @ x + block.b.value
-    # d c / d W = 0, d c / d U_ij = x_j e_i, d c / d b_i = e_i, d c / d x_j = U[:, j]
-    shifts = np.vstack([np.zeros((h * h, h)), np.kron(np.eye(h), x[:, None]),
-                        np.eye(h), u.T])
-    # row k < h^2 shifts W[k // h, k % h]; the rest take eps 0 at wrapped indices
-    k = np.arange(len(shifts))
-    eps = np.where(k < h * h, step, 0.0)
-    i, j = np.divmod(np.tile(k % (h * h), 2), h)
+    shifts = np.vstack([np.zeros((h * h, h)), np.eye(h)])
+    # row k < h^2 shifts W[k // h, k % h]; the c rows take eps 0 at wrapped indices
+    eps = np.repeat([step, 0.0], [h * h, h])
+    i, j = np.divmod(np.tile(np.arange(h * h + h) % (h * h), 2), h)
     stack = PromptBlock("fd", block.W, Param("fd.U", np.eye(h)), Param("fd.b", np.zeros(h)),
                         block.kappa)
     rep = deq.solve_forward(stack, c + step * np.vstack([shifts, -shifts]), cfg,
                             shift=(i, j, np.concatenate([eps, -eps])))
     plus, minus = np.split(rep.certified(cfg.tol), 2)
-    return (plus - minus) @ y / (2.0 * step)
+    g_w, g_c = np.split((plus - minus) @ y / (2.0 * step), [h * h])
+    return np.concatenate([g_w, np.outer(g_c, x).ravel(), g_c, g_c @ u])
 
 
 def gradcheck_suite(n_cases: int = 20, seed: int = 0,
@@ -496,18 +500,13 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     Every solve runs at `solver`'s settings, its tol capped at
     `GRADCHECK_TOL`: a training-grade tol would drown the finite-difference
     signal. Each case's central differences are one more solve, of a block
-    (W, I, 0), and its unrolled reference runs as deep as kappa and
-    `unrolled_tol` need (see below). Solver non-convergence, in the base
+    (W, I, 0), and its unrolled reference runs `UNROLL_DEPTH` steps, a depth
+    computed once, at import. Solver non-convergence, in the base
     solve or in any row of the stack, is its own status so a hopeless
     tolerance setting is distinguishable from a wrong gradient.
     """
     cfg = replace(solver, tol=min(solver.tol, GRADCHECK_TOL))
-    fd_tol, unrolled_tol, fd_step = 1e-4, 1e-5, 1e-5
-    # K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa))
-    # and take Jacobians at iterates ~kappa^k off z*, about K times more; keep
-    # K kappa^K / (1 - kappa) 100x under unrolled_tol (227 at kappa 0.9, 1e-5).
-    depth = next(k for k in itertools.count(1) if k * PromptBlock.kappa ** k
-                 <= (1.0 - PromptBlock.kappa) * unrolled_tol / 100.0)
+    fd_tol, fd_step = 1e-4, 1e-5
     rows = []
     for case in range(n_cases):
         rng = substream(seed, "gradcheck", case)
@@ -532,9 +531,9 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
 
         for p in block.params():
             p.zero_grad()
-        gx_u = deq.unrolled_vjp(block, x, y, n_iters=depth)
+        gx_u = deq.unrolled_vjp(block, x, y, n_iters=UNROLL_DEPTH)
         unrolled = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [gx_u])
         unrolled_err = rel_error(analytic, unrolled)
-        status = "ok" if fd_err <= fd_tol and unrolled_err <= unrolled_tol else "gradient_failed"
+        status = "ok" if fd_err <= fd_tol and unrolled_err <= UNROLLED_TOL else "gradient_failed"
         rows.append(GradCheckRow(case, h, d, fd_err, unrolled_err, status))
     return rows

@@ -7,7 +7,10 @@ a cell from plain arrays and read a VJP's parameter gradients, and the
 plain forms of two hot loops the package shortcuts byte-identically:
 `exact_solve`, the fixed-point driver that takes every row's residual and
 shifts every row on every evaluation, and `unrolled_vjp_every_step`, the
-unrolled reference that computes every one of its Picard steps.
+unrolled reference that computes every one of its Picard steps and
+allocates each step's vectors afresh. `finite_diff_grad` perturbs every
+coordinate itself, where the package's cross-check differences U, b and x
+through the input term c = U x + b only (an exact first-order map).
 """
 
 from __future__ import annotations

@@ -488,15 +488,16 @@ def test_gradcheck_solves_through_the_training_solve_itself():
 def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
     """Log gradcheck's calls of the one forward solve (by its alias) and the one VJP.
 
-    A solve logs ("base" or "stack", converged, evaluations), where a stack is
-    a call with a per-row shift; a VJP logs ("vjp",). `stack_report(rep, k)`
-    may replace the report that the k-th stack returns.
+    A solve logs ("base" or "stack", converged, evaluations, rows), where a
+    stack is a call with a per-row shift; a VJP logs ("vjp",).
+    `stack_report(rep, k)` may replace the report that the k-th stack returns.
     """
     solve, vjp, log = deq.solve_forward, deq.PromptBlock.vjp, []
 
     def solving(cell, x_rows, cfg=None, z0_rows=None, shift=None):
         rep = solve(cell, x_rows, cfg, z0_rows, shift)
-        log.append(("base" if shift is None else "stack", rep.converged, rep.iterations))
+        log.append(("base" if shift is None else "stack", rep.converged, rep.iterations,
+                    len(x_rows)))
         if shift is None:
             return rep
         return stack_report(rep, sum(event[0] == "stack" for event in log))
@@ -511,7 +512,11 @@ def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
 
 
 def _calls_per_case(rows, log):
-    """Split the log at each base solve; a case that passed made two solves and one VJP."""
+    """Split the log at each base solve; a case that passed made two solves and one VJP.
+
+    Every case's base solve is one row and its stack, if it got that far,
+    2 (h^2 + h): W's entries and the input term's coordinates, each +- step.
+    """
     cases = []
     for event in log:
         if event[0] == "base":
@@ -519,6 +524,8 @@ def _calls_per_case(rows, log):
         cases[-1].append(event)
     assert len(cases) == len(rows)
     for row, case in zip(rows, cases):
+        solves = [e[3] for e in case if e[0] != "vjp"]
+        assert solves == [1, 2 * (row.state_dim ** 2 + row.state_dim)][:len(solves)]
         if row.status == "ok":
             assert [e[0] for e in case] == ["base", "stack", "vjp"]
             assert case[0][1] and case[1][1]
@@ -621,9 +628,10 @@ def test_gradcheck_and_tune_compute_what_the_plain_hot_loops_compute(
     assert runs[0] == runs[1]
 
 
-def test_gradcheck_stacks_match_per_entry_solves():
+@pytest.mark.parametrize("h, d", [(5, 3), (3, 7), (16, 2)])
+def test_gradcheck_stacks_match_per_entry_solves(h, d):
     rng = substream(41, "fd-stack")
-    h, d, step = 5, 3, 1e-5
+    step = 1e-5
     cell = make_cell(W=rng.normal(size=(h, h)),
                      U=rng.normal(size=(h, d)),
                      b=rng.normal(size=h))

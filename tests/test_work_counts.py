@@ -2,8 +2,8 @@
 
 Each run below is counted by wrapping the fixed-point driver, the spectral
 norm and the adjoint solve, and its counts must equal its row of `WORK`. A
-change that adds or saves a solve, an evaluation, an SVD or an LU call
-fails here until it edits that row, and says why in CHANGES.md.
+change that adds or saves a solve, an evaluation, a solved row, an SVD or
+an LU call fails here until it edits that row, and says why in CHANGES.md.
 """
 
 import pytest
@@ -14,25 +14,28 @@ from lionprompt.harness import gradcheck_suite, run_protocol, target_task
 
 # run -> (the tune's `RunConfig` keys beside seed 0, or None for
 # `gradcheck_suite(n_cases=5, seed=0)`; forward solves, total NFE, largest NFE
-# of one solve, SVDs, adjoint calls). A 200-epoch lion tune solves each block
-# once per epoch, once more for the final train predict and once for the
-# held-out predict: 404 forward solves.
+# of one solve, rows solved (the sum of every forward solve's row count), SVDs,
+# adjoint calls). A 200-epoch lion tune solves each block once per epoch, once
+# more for the final train predict and once for the held-out predict: 404
+# forward solves. Each gradcheck case solves one base row and a stack of
+# 2 (h^2 + h) rows.
 WORK = {
-    "lion seed 0": ({}, (404, 4984, 36, 10, 400)),
-    "lion seed 0 shots=8": ({"shots": 8}, (404, 4582, 36, 8, 400)),
-    "lion seed 0 ir=50": ({"ir": 50.0}, (404, 4447, 31, 9, 400)),
-    "gradcheck_suite(n_cases=5, seed=0)": (None, (10, 342, 46, 5, 5)),
+    "lion seed 0": ({}, (404, 4984, 36, 80800, 10, 400)),
+    "lion seed 0 shots=8": ({"shots": 8}, (404, 4582, 36, 13264, 8, 400)),
+    "lion seed 0 ir=50": ({"ir": 50.0}, (404, 4447, 31, 28138, 9, 400)),
+    "gradcheck_suite(n_cases=5, seed=0)": (None, (10, 342, 46, 1477, 5, 5)),
 }
 
 
 @pytest.mark.parametrize("run", list(WORK))
 def test_the_solver_work_of_a_fixed_run_stays_as_counted(source_backbone, monkeypatch, run):
-    nfe, svds, adjoints = [], [], []
+    nfe, rows, svds, adjoints = [], [], [], []
     solve, norm, adjoint = deq._solve, deq.estimate_spectral_norm, deq.solve_adjoint_batch
 
     def counting_solve(*args, **kwargs):
         out = solve(*args, **kwargs)
         nfe.append(out[1])
+        rows.append(len(args[1]))              # the (n, h) input terms c
         return out
 
     def counting_norm(w):
@@ -52,4 +55,4 @@ def test_the_solver_work_of_a_fixed_run_stays_as_counted(source_backbone, monkey
     else:
         cfg = RunConfig(seed=0, **keys)
         run_protocol(cfg, source_backbone[0], *target_task(cfg))
-    assert (len(nfe), sum(nfe), max(nfe), len(svds), len(adjoints)) == counts
+    assert (len(nfe), sum(nfe), max(nfe), sum(rows), len(svds), len(adjoints)) == counts
