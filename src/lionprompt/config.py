@@ -9,11 +9,11 @@ parse(serialize(c)) == c holds exactly for every valid config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
-from .deq import SolverConfig
-from .errors import ConfigError
+from .deq import PromptBlock, SolverConfig, check_kappa
+from .errors import ConfigError, require, require_finite
+from .robust_opt import OptState
 
 PROTOCOL_CHOICES = ("head_tuning", "full_finetune", "bias_tuning", "lion")
 DATASET_CHOICES = ("blobs", "glyphs")
@@ -27,15 +27,17 @@ def _flag(default, help_text: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob a command reads; each field with help text is also a CLI flag."""
+    """Every knob a command reads; each field with help text is also a CLI flag. The
+    optimizer, solver and cell keys take their ranges and defaults from their owners."""
 
     seed: int = _flag(0, "seed of the data, the shift and every initialisation")
-    tau: float = _flag(0.4, "non-crucial fraction (default 0.4)")
+    tau: float = _flag(OptState.tau, "non-crucial fraction")
     eta: float = _flag(0.3, "learning rate")
-    tol: float = _flag(1e-8, "fixed-point solver tolerance")
-    max_iters: int = _flag(500, "fixed-point iteration cap per solve")
-    anderson_depth: int = _flag(0, "0 = plain Picard; N >= 2 = Anderson over N residuals")
-    kappa: float = _flag(0.9, "contraction bound, in (0,1)")
+    tol: float = _flag(SolverConfig.tol, "fixed-point solver tolerance")
+    max_iters: int = _flag(SolverConfig.max_iters, "fixed-point iteration cap per solve")
+    anderson_depth: int = _flag(SolverConfig.anderson_depth,
+                                "0 = plain Picard; N >= 2 = Anderson over N residuals")
+    kappa: float = _flag(PromptBlock.kappa, "contraction bound, in (0,1)")
     protocol: str = _flag("lion", " | ".join(PROTOCOL_CHOICES))
     dataset: str = _flag("blobs", " | ".join(DATASET_CHOICES))
     shift: str = _flag("invertible_linear", " | ".join(SHIFT_CHOICES))
@@ -48,48 +50,31 @@ class RunConfig:
     feat_dim: int = 16
 
     def __post_init__(self):
-        def bad(key, why):
-            raise ConfigError(f"invalid value for {key!r}: {why}")
-
-        if self.seed < 0:
-            bad("seed", "must be >= 0")
-        if not 0.0 < self.tau < 1.0:
-            bad("tau", "must be strictly between 0 and 1")
-        if self.eta <= 0.0:
-            bad("eta", "must be positive")
-        if self.tol <= 0.0:
-            bad("tol", "must be positive")
-        if self.max_iters < 1:
-            bad("max_iters", "must be >= 1")
-        if self.anderson_depth < 0:
-            bad("anderson_depth", "must be >= 0")
-        if not 0.0 < self.kappa < 1.0:
-            bad("kappa", "must be strictly between 0 and 1")
+        require(self.seed >= 0, "seed", "must be >= 0")
+        self.optimizer, self.solver  # building them refuses their keys out of range
+        check_kappa(self.kappa)
         if self.protocol not in PROTOCOL_CHOICES:
             raise ConfigError(f"unsupported protocol {self.protocol!r} "
                               f"(choose from {', '.join(PROTOCOL_CHOICES)})")
-        if self.dataset not in DATASET_CHOICES:
-            bad("dataset", f"choose from {', '.join(DATASET_CHOICES)}")
-        if self.shift not in SHIFT_CHOICES:
-            bad("shift", f"choose from {', '.join(SHIFT_CHOICES)}")
-        if self.ir < 1.0:
-            bad("ir", "must be >= 1")
-        if self.shots < 0:
-            bad("shots", "must be >= 0")
-        if self.epochs < 1:
-            bad("epochs", "must be >= 1")
-        if set("#\0") & set(self.out) or self.out.strip().splitlines() != [self.out]:
-            bad("out", "must be a non-empty one-line path without '#', NUL or outer spaces")
-        if self.cases < 1:
-            bad("cases", "must be >= 1")
-        if not 1 <= self.hidden <= 4096:
-            bad("hidden", "must be between 1 and 4096")
-        if not 1 <= self.feat_dim <= 256:
-            bad("feat_dim", "must be between 1 and 256")
+        require(self.dataset in DATASET_CHOICES, "dataset",
+                f"choose from {', '.join(DATASET_CHOICES)}")
+        require(self.shift in SHIFT_CHOICES, "shift", f"choose from {', '.join(SHIFT_CHOICES)}")
+        require(not self.ir < 1.0, "ir", "must be >= 1")
+        require(self.shots >= 0, "shots", "must be >= 0")
+        require(self.epochs >= 1, "epochs", "must be >= 1")
+        require(not set("#\0") & set(self.out) and self.out.strip().splitlines() == [self.out],
+                "out", "must be a non-empty one-line path without '#', NUL or outer spaces")
+        require(self.cases >= 1, "cases", "must be >= 1")
+        require(1 <= self.hidden <= 4096, "hidden", "must be between 1 and 4096")
+        require(1 <= self.feat_dim <= 256, "feat_dim", "must be between 1 and 256")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                bad(f.name, f"must be finite, got {value!r}")
+            if isinstance(getattr(self, f.name), float):
+                require_finite(f.name, getattr(self, f.name))
+
+    @property
+    def optimizer(self) -> OptState:
+        """The optimizer settings these knobs select."""
+        return OptState(eta=self.eta, tau=self.tau)
 
     @property
     def solver(self) -> SolverConfig:

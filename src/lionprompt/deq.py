@@ -36,13 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError, within
+from .errors import DivergenceError, ShapeMismatchError, require, require_finite, within
 from .numerics import Param, tanh_deriv
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver settings.
+    """Fixed-point solver settings: the one home of their ranges and defaults.
 
     `anderson_depth=0` (the default) selects plain Picard, z <- f(z). A
     depth N >= 2 selects Anderson mixing over the last N residuals; depth 1
@@ -54,12 +54,10 @@ class SolverConfig:
     anderson_depth: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.anderson_depth < 0:
-            raise ValueError(f"anderson_depth must be >= 0, got {self.anderson_depth}")
+        require(not self.tol <= 0.0, "tol", "must be positive")
+        require_finite("tol", self.tol)     # no point is certified against NaN or inf
+        require(self.max_iters >= 1, "max_iters", "must be >= 1")
+        require(self.anderson_depth >= 0, "anderson_depth", "must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +103,7 @@ class PromptBlock:
             raise ShapeMismatchError(f"U must be {h}x*, got {u.shape}")
         if b.shape != (h,):
             raise ShapeMismatchError(f"b must have shape ({h},), got {b.shape}")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+        check_kappa(self.kappa)
 
     def params(self) -> list[Param]:
         return [self.W, self.U, self.b]
@@ -155,6 +152,11 @@ class PromptBlock:
         return t @ self.U.value
 
 
+def check_kappa(kappa: float) -> None:
+    """Refuse a contraction bound outside (0, 1), NaN included, with `ConfigError`."""
+    require(0.0 < kappa < 1.0, "kappa", "must be strictly between 0 and 1")
+
+
 def estimate_spectral_norm(w: np.ndarray) -> float:
     """Largest singular value of a float64 matrix, ||W||_2, from a dense SVD."""
     return float(np.linalg.norm(w, 2))
@@ -172,20 +174,20 @@ def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg: SolverConfig,
     whose eps is nonzero. Stops once the worst row residual
     max_r ||f(z_r) - z_r|| is <= tol, taken only where one dot product
     t = ||f(Z) - Z||_F^2 <= n tol^2 (1 + 1e-6) (the worst square is >=
-    t / n; the margin covers t's rounding; a NaN t fails `bound < t`), on the
-    last evaluation, and for a subnormal tol^2. Returns (point, evaluations,
-    worst-row residual at point, converged); the residual always belongs to
-    the returned point, so `converged` iff every row is within tol. Picard
-    steps z <- f(z). Anderson mixing (type II) extrapolates the whole stack
-    over the last `anderson_depth` residuals with one least-squares
-    combination, taking a Picard step while the history holds fewer than two
-    entries. Iterates alternate between a copy of the start and one spare
-    buffer, so the caller owns the returned point.
+    t / n; the margin covers t's rounding; a NaN t fails `bound < t`) and on
+    the last evaluation. Returns (point, evaluations, worst-row residual at
+    point, converged); the residual always belongs to the returned point, so
+    `converged` iff every row is within tol. Picard steps z <- f(z). Anderson
+    mixing (type II) extrapolates the whole stack over the last
+    `anderson_depth` residuals with one least-squares combination, taking a
+    Picard step while the history holds fewer than two entries. Iterates
+    alternate between a copy of the start and one spare buffer, so the caller
+    owns the returned point.
     """
     v = np.array(z0_rows, dtype=np.float64, order="C")
     g, r = np.empty_like(v), np.empty_like(v)
     tol, max_iters, depth = cfg.tol, cfg.max_iters, cfg.anderson_depth
-    bound = len(v) * tol * tol * (1.0 + 1e-6) if tol * tol >= np.finfo(float).tiny else math.inf
+    bound = len(v) * tol * tol * (1.0 + 1e-6)
     if shift is not None:  # flat positions in the (n, h) stack of the rows that move
         m = np.flatnonzero(shift[2])
         at, src, eps = m * len(w) + shift[0][m], m * len(w) + shift[1][m], shift[2][m]

@@ -1,6 +1,7 @@
-"""Exception taxonomy shared across the package, and `within`, which names a failure's phase."""
+"""Exception taxonomy, `require` (a setting out of range) and `within` (a failure's phase)."""
 
 import contextlib
+import math
 
 
 class LionPromptError(Exception):
@@ -25,6 +26,16 @@ class StateError(LionPromptError, RuntimeError):
 
 class ConfigError(LionPromptError, ValueError):
     """A config file or flag value is invalid; the message names the key."""
+
+
+def require(ok: bool, key: str, why: str) -> None:
+    """Unless `ok`, raise `ConfigError`: `invalid value for 'key': why`."""
+    if not ok:
+        raise ConfigError(f"invalid value for {key!r}: {why}")
+
+
+def require_finite(key: str, value: float) -> None:
+    require(math.isfinite(value), key, f"must be finite, got {value!r}")
 
 
 class MissingArtifactError(LionPromptError, FileNotFoundError):

@@ -272,7 +272,7 @@ class ClassifierTask:
 
 
 def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
-                      epochs: int = 300, eta: float = 0.3) -> tuple[Backbone, float]:
+                      epochs: int = 300, eta: float = RunConfig.eta) -> tuple[Backbone, float]:
     """Fit a fresh backbone (plus throwaway head) on the source task.
 
     Returns the backbone and the reached source train accuracy; refuses to
@@ -280,8 +280,8 @@ def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
     """
     backbone = m.make_backbone(source_train.d, hidden, h, seed)
     task = ClassifierTask(backbone, m.make_head(h, source_train.n_classes), backbone.params())
-    log = robust_opt.train(task, source_train, robust_opt.OptState(eta=eta), epochs)
-    accuracy = log.final_accuracy
+    accuracy = robust_opt.train(task, (source_train.inputs, source_train.labels),
+                                robust_opt.OptState(eta=eta), epochs).final_accuracy
     if accuracy < MIN_SOURCE_ACCURACY:
         raise SetupError(f"backbone pretraining reached {accuracy:.3f} < "
                          f"{MIN_SOURCE_ACCURACY} train accuracy")
@@ -333,7 +333,7 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     """
     start = time.perf_counter()
     task = make_task(cfg, backbone, train_ds.n_classes)
-    log = robust_opt.train(task, train_ds, robust_opt.OptState(eta=cfg.eta, tau=cfg.tau),
+    log = robust_opt.train(task, (train_ds.inputs, train_ds.labels), cfg.optimizer,
                            cfg.epochs, patience=PATIENCE)
     return ProtocolResult(
         accuracy=held_out_accuracy(task, test_ds),

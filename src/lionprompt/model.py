@@ -263,7 +263,8 @@ def clone_backbone(backbone: Backbone) -> Backbone:
                      for s in backbone.stages])
 
 
-def build_prompt_model(backbone: Backbone, n_classes: int, seed: int, kappa: float = 0.9,
+def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
+                       kappa: float = PromptBlock.kappa,
                        solver: SolverConfig | None = None) -> PromptModel:
     """Fresh trainable parts wrapped around an existing (frozen) backbone.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, StateError, within
+from .errors import EvaluationError, StateError, require, require_finite, within
 from .numerics import Param
 
 PLATEAU_TOL = 1e-6      # a loss must fall by more than this to count as improving
@@ -45,7 +45,8 @@ PLATEAU_TOL = 1e-6      # a loss must fall by more than this to count as improvi
 
 @dataclass(frozen=True)
 class OptState:
-    """Optimizer settings. `eta = 0` is allowed as the degenerate null step.
+    """Optimizer settings: the one home of their ranges and defaults. `eta = 0`
+    is allowed as the degenerate null step.
 
     `tau` is a quantile fraction over scores (the paper-style sweep range
     0.2-0.8 only makes sense relative to the score distribution).
@@ -56,12 +57,10 @@ class OptState:
     repartition_every: int = 1
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0,1), got {self.tau}")
-        if self.repartition_every < 1:
-            raise ValueError(f"repartition_every must be >= 1, got {self.repartition_every}")
+        require(0.0 < self.tau < 1.0, "tau", "must be strictly between 0 and 1")
+        require(not self.eta < 0.0, "eta", "must be >= 0")
+        require_finite("eta", self.eta)
+        require(self.repartition_every >= 1, "repartition_every", "must be >= 1")
 
 
 def flat_values(params: list[Param]) -> np.ndarray:
@@ -149,9 +148,9 @@ class TrainLog:
         return [r["loss"] for r in self.rows]
 
 
-def train(task, dataset, state: OptState, epochs: int,
+def train(task, dataset: tuple, state: OptState, epochs: int,
           patience: int | None = None) -> TrainLog:
-    """Full-batch partitioned training; returns the per-epoch log.
+    """Full-batch partitioned training on `dataset` = (inputs, labels); returns the log.
 
     The partition covers `task.partitioned_params()` when the task has that
     hook, and every trainable parameter otherwise; the rest descend. It is
@@ -166,8 +165,7 @@ def train(task, dataset, state: OptState, epochs: int,
     """
     if patience is not None and patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
-    x, y = dataset if isinstance(dataset, tuple) else (dataset.inputs, dataset.labels)
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    x, y = np.asarray(dataset[0], dtype=np.float64), np.asarray(dataset[1])
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
     params = task.trainable_params()

@@ -138,7 +138,8 @@ def test_criterion_4_frozen_backbone(source_backbone):
         post_step = pm.post_step
 
     before = [p.value.tobytes() for p in pm.backbone.params()]
-    robust_opt.train(Task(), train, robust_opt.OptState(eta=0.3, tau=0.4), epochs=30)
+    robust_opt.train(Task(), (train.inputs, train.labels), robust_opt.OptState(eta=0.3, tau=0.4),
+                     epochs=30)
     after = [p.value.tobytes() for p in pm.backbone.params()]
     grads = [p.grad for p in pm.backbone.params()]
     ok = before == after and all(g is None for g in grads)
@@ -199,7 +200,7 @@ def test_criterion_6_partitioned_optimizer():
 
     ds = make_blobs(3, 6, 120, seed=11)
     trained = _PlainSoftmax(6, 3, seed=5)
-    robust_opt.train(trained, ds, robust_opt.OptState(eta=0.2), epochs=25)
+    robust_opt.train(trained, (ds.inputs, ds.labels), robust_opt.OptState(eta=0.2), epochs=25)
     manual = _Softmax(6, 3, seed=5)
     for _ in range(25):
         for p in manual.trainable_params():
@@ -212,7 +213,7 @@ def test_criterion_6_partitioned_optimizer():
                                   manual.trainable_params()))
 
     shrink_task = _Softmax(6, 3, seed=6)
-    log = robust_opt.train(shrink_task, ds,
+    log = robust_opt.train(shrink_task, (ds.inputs, ds.labels),
                            robust_opt.OptState(eta=0.2, tau=0.4, repartition_every=5),
                            epochs=25)
     monotone = True

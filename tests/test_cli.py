@@ -458,6 +458,18 @@ def test_tune_then_eval_reproduces_accuracy_exactly(workdir, capsys):
     assert float(row[4]) == float(_accuracy_line(tune_out))
 
 
+def test_a_null_step_tune_runs_and_evals_exactly(workdir, tmp_path, capsys):
+    # eta = 0 is the optimizer's degenerate null step: no trained value moves
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0", "--eta", "0",
+            "--epochs", "3"]
+    rc, tune_out, _ = run_cli(capsys, ["tune", *base])
+    assert rc == 0
+    assert "gates alpha1     0.5000 -> 0.5000" in tune_out
+    rc, eval_out, _ = run_cli(capsys, ["eval", *base])
+    assert rc == 0
+    assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
+
+
 def test_tune_lion_reports_gates_and_evals_exactly(workdir, capsys):
     base = ["--out", str(workdir), "--seed", "0", "--protocol", "lion",
             "--epochs", "40"]

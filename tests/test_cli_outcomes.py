@@ -40,9 +40,9 @@ def run_configs(seed, dataset, hidden, feat_dim):
     Epochs, cases, the iteration cap and the Anderson depth are bounded so
     that every example runs in milliseconds; every other key spans its domain.
     """
-    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
     return st.builds(
-        RunConfig, seed=seed, tau=open_unit(), eta=positive, tol=positive,
+        RunConfig, seed=seed, tau=open_unit(), eta=st.floats(0.0, allow_infinity=False),
+        tol=st.floats(0.0, exclude_min=True, allow_infinity=False),
         max_iters=st.integers(1, 200), anderson_depth=st.integers(0, 5), kappa=open_unit(),
         protocol=st.sampled_from(PROTOCOL_CHOICES), dataset=dataset,
         shift=st.sampled_from(SHIFT_CHOICES),

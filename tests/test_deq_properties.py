@@ -134,20 +134,24 @@ def test_the_screened_driver_returns_what_the_exact_loop_returns(p, tol):
         outcome(exact_solve, w, c, np.ascontiguousarray(z0), cfg, shift)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 16), st.integers(1, 40),
-       st.sampled_from([1.0, 1e-150, 1e-156, 1e-160]), st.integers(0, 2**32 - 1))
-def test_a_tolerance_equal_to_the_residual_stops_where_the_exact_loop_does(n, h, k, scale, seed):
+       st.one_of(st.sampled_from([1.0, 1e-150, 1e-156, 1e-160, 1e-163, 1e-200, 1e-300]),
+                 st.floats(-170.0, -150.0).map(lambda e: 10.0 ** e)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_tolerance_equal_to_the_residual_stops_where_the_exact_loop_does(n, h, k, scale, up,
+                                                                           seed):
     # n equal rows put the total squared residual at n times the worst row's
-    # square, on the screen's bound when tol is the residual at evaluation k; a
-    # small scale makes the squares subnormal
+    # square, on the screen's bound when tol is the residual at evaluation k (or
+    # the next float up). Below a scale of about 1e-154 tol^2 is subnormal, and
+    # below about 1.5e-162 it rounds to 0
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(h, h))
     w *= 0.9 / max(estimate_spectral_norm(w), 1e-300)
     c, z0 = np.tile(rng.normal(size=h) * scale, (n, 1)), np.zeros((n, h))
     resid = exact_solve(w, c, z0, SolverConfig(tol=1e-300, max_iters=k))[2]
     if resid > 0.0:
-        cfg = SolverConfig(tol=resid, max_iters=k + 5)
+        cfg = SolverConfig(tol=np.nextafter(resid, np.inf) if up else resid, max_iters=k + 5)
         exact = outcome(exact_solve, w, c, z0, cfg)
         assert exact[3] and exact[1] <= k
         assert outcome(deq._solve, w, c, z0, cfg) == exact

@@ -337,7 +337,7 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
             # keep no features and no fixed points: every solve starts from zero
             monkeypatch.setattr(task, "prepare", lambda x: None)
         nfe.clear()
-        robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=30)
+        robust_opt.train(task, (tr.inputs, tr.labels), robust_opt.OptState(eta=0.3), epochs=30)
         counts.append(sum(nfe))
         preds.append(task.predict(te.inputs))
     # measured 1,114 warm against 1,558 cold evaluations (0.72)
@@ -372,7 +372,7 @@ def briefly_trained_lion_task(source_backbone):
         bb, _ = source_backbone
         tr, te = target_task(RunConfig(seed=0))
         task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
-        robust_opt.train(task, tr, robust_opt.OptState(eta=0.3), epochs=20)
+        robust_opt.train(task, (tr.inputs, tr.labels), robust_opt.OptState(eta=0.3), epochs=20)
         alone = np.vstack([m.forward(task, x[None]).logits for x in te.inputs])
         _TRAINED.update(task=task, test=te, alone=alone)
     return _TRAINED["task"], _TRAINED["test"], _TRAINED["alone"]
@@ -441,7 +441,8 @@ def test_patience_must_be_positive(source_backbone):
     bb, _ = source_backbone
     task = make_task(RunConfig(protocol="head_tuning"), bb, ds.n_classes)
     with pytest.raises(ValueError, match="patience"):
-        robust_opt.train(task, ds, robust_opt.OptState(eta=0.3), 5, patience=0)
+        robust_opt.train(task, (ds.inputs, ds.labels), robust_opt.OptState(eta=0.3), 5,
+                         patience=0)
 
 
 # --- prompt-position experiment ---------------------------------------------------
@@ -548,7 +549,7 @@ def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatc
     tr, _ = target_task(cfg)
     task = make_task(cfg, source_backbone[0], tr.n_classes)
     del pulls[:]
-    robust_opt.train(task, tr, robust_opt.OptState(eta=cfg.eta), epochs=2)
+    robust_opt.train(task, (tr.inputs, tr.labels), cfg.optimizer, epochs=2)
     assert pulls == ["p2", "p1"] * 2        # each epoch's one loss_and_grads
 
 
