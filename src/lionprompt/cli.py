@@ -43,9 +43,11 @@ from .errors import (
 )
 
 CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
+RUN_COLUMNS = CSV_HEADER.split(",")
 DIGEST_LINE = "# checkpoint sha256 "
 TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
-_NUMERIC_COLUMNS = ("seed", "accuracy", "trainable_params", "epochs", "wall_time_s")
+_INTEGER_COLUMNS = ("seed", "trainable_params", "epochs")      # plain ASCII decimals
+_FLOAT_COLUMNS = ("accuracy", "wall_time_s")                    # finite
 
 
 # --- config plumbing -----------------------------------------------------------
@@ -125,18 +127,17 @@ def cmd_pretrain(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> str:
-    return (f"{_run_id(cfg)},{cfg.protocol},{cfg.dataset},{cfg.seed},"
-            f"{res.accuracy!r},{res.trainable_params},{len(res.log.rows)},"
-            f"{res.wall_time_s!r}")
+def _csv(columns, rows: list[dict]) -> bytes:
+    """A `columns` header, then one line per row; a cell is `str(value)` (`repr`
+    for a float), and a key the row lacks is an empty cell."""
+    lines = [columns] + [[str(row[k]) if k in row else "" for k in columns] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines).encode()
 
 
-def _trace_csv(res: harness.ProtocolResult) -> str:
-    """One line per epoch row; a column the row lacks is an empty cell."""
-    lines = [",".join(TRACE_COLUMNS)]
-    lines += [",".join(repr(row[k]) if k in row else "" for k in TRACE_COLUMNS)
-              for row in res.log.rows]
-    return "\n".join(lines) + "\n"
+def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> dict:
+    return {"run_id": _run_id(cfg), "protocol": cfg.protocol, "dataset": cfg.dataset,
+            "seed": cfg.seed, "accuracy": res.accuracy, "trainable_params": res.trainable_params,
+            "epochs": len(res.log.rows), "wall_time_s": res.wall_time_s}
 
 
 def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -147,8 +148,8 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     # The .cfg, which binds the checkpoint by its digest, comes last, so a tune
     # cut short leaves a checkpoint that `eval` refuses rather than misattributes.
     digest = checkpoint.save(paths["model"], res.task.named_params())
-    checkpoint.write_atomic(paths["run_csv"], f"{CSV_HEADER}\n{_run_row(cfg, res)}\n".encode())
-    checkpoint.write_atomic(paths["trace_csv"], _trace_csv(res).encode())
+    checkpoint.write_atomic(paths["run_csv"], _csv(RUN_COLUMNS, [_run_row(cfg, res)]))
+    checkpoint.write_atomic(paths["trace_csv"], _csv(TRACE_COLUMNS, res.log.rows))
     checkpoint.write_atomic(paths["config"],
                             f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n".encode())
     print(f"protocol         {cfg.protocol}")
@@ -194,7 +195,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     backbone = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
     digest = _check_tuned_config(cfg)
-    task = harness.make_task(cfg, backbone, harness.N_CLASSES)
+    task = harness.make_task(cfg, backbone)
     checkpoint.restore(task.named_params(), checkpoint.load(path, sha256=digest))
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
@@ -233,11 +234,9 @@ def cmd_prop1(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"output-side loss (B=-I, retrain v) {rep.output_side_loss:.4f} (exact minimum)")
     print(f"control loss (B=+I, retrain v)    {rep.control_loss:.3e}")
     print(f"verdict: {rep.verdict}")
-    checkpoint.write_atomic(
-        _artifact_paths(cfg)["prop1_csv"],
-        ("seed,input_side_loss,output_side_loss,control_loss,feasibility_gap,verdict\n"
-         f"{cfg.seed},{rep.input_side_loss!r},{rep.output_side_loss!r},"
-         f"{rep.control_loss!r},{rep.feasibility_gap!r},{rep.verdict}\n").encode())
+    columns = "seed input_side_loss output_side_loss control_loss feasibility_gap verdict"
+    row = {**vars(rep), "seed": cfg.seed, "verdict": rep.verdict}
+    checkpoint.write_atomic(_artifact_paths(cfg)["prop1_csv"], _csv(columns.split(), [row]))
     if not rep.asymmetry_confirmed:
         raise SetupError(f"proposition 1: {rep.verdict}")
     return 0
@@ -254,14 +253,13 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
         if not lines or lines[0] != CSV_HEADER:
             raise MissingArtifactError(
                 f"{path!r} is not a run report (expected header {CSV_HEADER!r})")
-        keys = CSV_HEADER.split(",")
         for ln in lines[1:]:
-            row = dict(zip(keys, ln.split(",")))
+            row = dict(zip(RUN_COLUMNS, ln.split(",")))
             try:
-                if ln.count(",") != len(keys) - 1:
+                if (ln.count(",") != len(RUN_COLUMNS) - 1
+                        or not all(row[k].isascii() and row[k].isdigit() for k in _INTEGER_COLUMNS)
+                        or not all(np.isfinite(float(row[k])) for k in _FLOAT_COLUMNS)):
                     raise ValueError
-                for key in _NUMERIC_COLUMNS:
-                    float(row[key])
             except ValueError:
                 raise MissingArtifactError(f"{path!r}: malformed row {ln!r}") from None
             rows.append(row)
@@ -282,8 +280,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     for name, count in m.param_count_report(768, 64, 12, 50, 16, 10):
         print(f"  {name:<8} {count:>10,}")
     out_path = _artifact_paths(cfg)["report_csv"]
-    lines = [CSV_HEADER] + [",".join(r[k] for k in CSV_HEADER.split(",")) for r in rows]
-    checkpoint.write_atomic(out_path, ("\n".join(lines) + "\n").encode())
+    checkpoint.write_atomic(out_path, _csv(RUN_COLUMNS, rows))
     print(f"\naggregated {len(rows)} runs -> {out_path}")
     return 0
 

@@ -22,7 +22,9 @@ every row, and raises `DivergenceError` otherwise.
 `solve_forward_batch` is the one forward solve and `PromptBlock.vjp` the
 one implicit VJP, a single row being a one-row batch; training and the
 gradient cross-checks both pull through that method, and the cross-checks
-call the solve by its alias `solve_forward`.
+call the solve by its alias `solve_forward`. Both VJPs add the W, U and b
+gradients to the block's Params and return nothing: the cell's inputs
+take no gradient in training.
 
 `unrolled_vjp` is a deliberately brute-force reference implementation
 (backpropagation through a fixed number of recorded Picard steps) kept for
@@ -139,17 +141,16 @@ class PromptBlock:
         with within(f"block {self.name}"):
             return solve_forward_batch(self, x_rows, cfg, z0_rows=start).certified(cfg.tol)
 
-    def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    def vjp(self, x_rows: np.ndarray, z_star: np.ndarray, y_rows: np.ndarray) -> None:
         """Pull row cotangents y on the fixed point `z_star` back through the
         cell: solve the adjoint equation for o, then take one backward step of
-        the cell body seeded with o. Returns the input gradient per row; the
-        W, U and b gradients, summed over the rows, go into the block's Params."""
+        the cell body seeded with o, adding the W, U and b gradients, summed
+        over the rows, to the block's Params. The inputs take no gradient."""
         o, s = solve_adjoint_batch(self, z_star, x_rows, y_rows)
         t = s * o
         self.W.add_grad(t.T @ z_star)
         self.U.add_grad(t.T @ x_rows)
         self.b.add_grad(np.sum(t, axis=0))
-        return t @ self.U.value
 
 
 def check_kappa(kappa: float) -> None:
@@ -275,7 +276,7 @@ def solve_adjoint_batch(block: PromptBlock, z_rows: np.ndarray, x_rows: np.ndarr
     return np.linalg.solve(mats, y_rows[:, :, None])[:, :, 0], s
 
 
-def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int) -> np.ndarray:
+def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int) -> None:
     """Brute-force reference gradient: backprop through recorded Picard steps.
 
     Runs n_iters plain Picard iterations from z0 = 0, each written in place
@@ -284,12 +285,12 @@ def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int)
     in place. tanh' at step k is read off the recorded output z_{k+1} as
     1 - z^2, and the parameter gradients are sums over steps, taken as one
     product over the stacked per-step vectors, added to the block's Params
-    as `PromptBlock.vjp` adds them; returns the input gradient. Exists to
-    cross-check `PromptBlock.vjp`; shares nothing with the solver or the
-    adjoint, and is never used in the training path.
+    as `PromptBlock.vjp` adds them. Exists to cross-check `PromptBlock.vjp`;
+    shares nothing with the solver or the adjoint, and is never used in the
+    training path.
     """
-    wa, ua = block.W.value, block.U.value
-    c = ua @ x + block.b.value
+    wa = block.W.value
+    c = block.U.value @ x + block.b.value
     zs = np.zeros((n_iters + 1, len(wa)))
     for k in range(n_iters):
         z = np.dot(wa, zs[k], out=zs[k + 1])
@@ -307,4 +308,3 @@ def unrolled_vjp(block: PromptBlock, x: np.ndarray, y: np.ndarray, n_iters: int)
     block.W.add_grad(ts.T @ zs[:-1])
     block.U.add_grad(np.outer(t_sum, x))
     block.b.add_grad(t_sum)
-    return t_sum @ ua

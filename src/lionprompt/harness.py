@@ -6,7 +6,7 @@ factory and run of the tuning protocols (head / bias / full, each a
 `ClassifierTask`; prompted, a `model.PromptModel`), long-tail and few-shot
 resamplers, the input-vs-output prompt-position experiment, and the
 gradient cross-check suite used by the CLI, which pulls through
-`PromptBlock.vjp` as training does.
+`PromptBlock.vjp` as training does and reads x's gradient off b's.
 
 Everything here is a pure function of (spec, seed): all randomness flows
 through named substreams, so any artifact can be regenerated bit-identically
@@ -80,19 +80,18 @@ def _balanced_labels(n: int, c: int) -> np.ndarray:
     return np.repeat(np.arange(c), np.full(c, n // c) + (np.arange(c) < n % c))
 
 
-def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train",
-               separation: float = 6.0) -> Dataset:
-    """Gaussian clusters (sigma = 1) with pairwise mean distance = separation.
+def make_blobs(n_classes: int, d: int, n: int, seed: int, split: str = "train") -> Dataset:
+    """Gaussian clusters (sigma = 1) with pairwise mean distance 6.
 
-    Class means sit on the first n_classes axes at radius separation/sqrt(2),
-    so every pair of means is exactly `separation` apart. The means depend
-    only on the seed — train and test splits share them and differ in noise.
+    Class means sit on the first n_classes axes at radius 6/sqrt(2), so
+    every pair of means is exactly 6 apart. The means depend only on the
+    seed — train and test splits share them and differ in noise.
     """
     if n_classes < 2 or n_classes > d:
         raise ValueError(f"need 2 <= n_classes <= d, got C={n_classes}, d={d}")
     labels = _balanced_labels(n, n_classes)
     means = np.zeros((n_classes, d))
-    means[np.arange(n_classes), np.arange(n_classes)] = separation / np.sqrt(2.0)
+    means[np.arange(n_classes), np.arange(n_classes)] = 6.0 / np.sqrt(2.0)
     noise_rng = substream(seed, "blob-noise", split)
     inputs = means[labels] + noise_rng.normal(size=(n, d))
     order = noise_rng.permutation(n)
@@ -152,6 +151,13 @@ def shift(ds: Dataset, kind: str, seed: int) -> Dataset:
 
 # --- resamplers ----------------------------------------------------------------
 
+def _keep_per_class(ds: Dataset, stream: str, keep: list[int]) -> Dataset:
+    """`keep[c]` rows of each class c, drawn from its own `stream` substream, in row order."""
+    idx = np.sort(np.concatenate([substream(ds.seed, stream, c).choice(
+        np.flatnonzero(ds.labels == c), size=k, replace=False) for c, k in enumerate(keep)]))
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+
+
 def resample_longtail(ds: Dataset, imbalance_ratio: float) -> Dataset:
     """Exponential long-tail profile: class c keeps N_max * IR^(-c/(C-1)).
 
@@ -163,34 +169,24 @@ def resample_longtail(ds: Dataset, imbalance_ratio: float) -> Dataset:
     counts = ds.class_counts()
     n_max = int(counts.max())
     c = ds.n_classes
-    keep_idx = []
+    keep = []
     for cls in range(c):
         frac = 1.0 if c == 1 else cls / (c - 1)
         target = int(round(n_max * imbalance_ratio ** (-frac)))
         if target == 0:
             raise ValueError(f"imbalance ratio {imbalance_ratio} empties class {cls}")
-        target = min(target, int(counts[cls]))
-        members = np.flatnonzero(ds.labels == cls)
-        rng = substream(ds.seed, "longtail", cls)
-        keep_idx.append(rng.choice(members, size=target, replace=False))
-    idx = np.sort(np.concatenate(keep_idx))
-    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+        keep.append(min(target, int(counts[cls])))
+    return _keep_per_class(ds, "longtail", keep)
 
 
 def resample_fewshot(ds: Dataset, shots: int) -> Dataset:
     """Exactly `shots` seed-chosen samples per class."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    keep_idx = []
-    for cls in range(ds.n_classes):
-        members = np.flatnonzero(ds.labels == cls)
-        if len(members) < shots:
-            raise ValueError(
-                f"class {cls} has {len(members)} samples, fewer than {shots} shots")
-        rng = substream(ds.seed, "fewshot", cls)
-        keep_idx.append(rng.choice(members, size=shots, replace=False))
-    idx = np.sort(np.concatenate(keep_idx))
-    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+    for cls, n in enumerate(ds.class_counts()):
+        if n < shots:
+            raise ValueError(f"class {cls} has {n} samples, fewer than {shots} shots")
+    return _keep_per_class(ds, "fewshot", [shots] * ds.n_classes)
 
 
 # --- the source and target tasks ---------------------------------------------------
@@ -299,7 +295,7 @@ class ProtocolResult:
     task: object               # the trained PromptModel or ClassifierTask, for checkpointing
 
 
-def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
+def make_task(cfg: RunConfig, backbone: Backbone):
     """Fresh, untrained task for `cfg.protocol` around a clone of the backbone:
     the `PromptModel` itself for `lion`, else a `ClassifierTask`.
 
@@ -309,10 +305,10 @@ def make_task(cfg: RunConfig, backbone: Backbone, n_classes: int):
     """
     bb = m.clone_backbone(backbone)
     if cfg.protocol == "lion":
-        return m.build_prompt_model(bb, n_classes, cfg.seed, kappa=cfg.kappa, solver=cfg.solver)
+        return m.build_prompt_model(bb, N_CLASSES, cfg.seed, kappa=cfg.kappa, solver=cfg.solver)
     trainable = {"head_tuning": [], "bias_tuning": [s.b for s in bb.stages],
                  "full_finetune": bb.params()}[cfg.protocol]
-    return ClassifierTask(bb, m.make_head(bb.out_dim, n_classes), trainable)
+    return ClassifierTask(bb, m.make_head(bb.out_dim, N_CLASSES), trainable)
 
 
 def held_out_accuracy(task, test_ds: Dataset) -> float:
@@ -332,7 +328,7 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     Training stops early after `PATIENCE` epochs without improvement.
     """
     start = time.perf_counter()
-    task = make_task(cfg, backbone, train_ds.n_classes)
+    task = make_task(cfg, backbone)
     log = robust_opt.train(task, (train_ds.inputs, train_ds.labels), cfg.optimizer,
                            cfg.epochs, patience=PATIENCE)
     return ProtocolResult(
@@ -507,6 +503,12 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     """
     cfg = replace(solver, tol=min(solver.tol, GRADCHECK_TOL))
     fd_tol, fd_step = 1e-4, 1e-5
+
+    # the flat (W, U, b, x) gradient on the block; x enters only via U x + b, so g_x = U^T g_b
+    def pulled(block: PromptBlock) -> np.ndarray:
+        return np.concatenate([p.grad.reshape(-1) for p in block.params()]
+                              + [block.b.grad @ block.U.value])
+
     rows = []
     for case in range(n_cases):
         rng = substream(seed, "gradcheck", case)
@@ -525,15 +527,14 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))
             continue
-        grad_x = block.vjp(x[None, :], z_star, y[None, :])
-        analytic = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [grad_x[0]])
+        block.vjp(x[None, :], z_star, y[None, :])
+        analytic = pulled(block)
         fd_err = rel_error(analytic, fd)
 
         for p in block.params():
             p.zero_grad()
-        gx_u = deq.unrolled_vjp(block, x, y, n_iters=UNROLL_DEPTH)
-        unrolled = np.concatenate([p.grad.reshape(-1) for p in block.params()] + [gx_u])
-        unrolled_err = rel_error(analytic, unrolled)
+        deq.unrolled_vjp(block, x, y, n_iters=UNROLL_DEPTH)
+        unrolled_err = rel_error(analytic, pulled(block))
         status = "ok" if fd_err <= fd_tol and unrolled_err <= UNROLLED_TOL else "gradient_failed"
         rows.append(GradCheckRow(case, h, d, fd_err, unrolled_err, status))
     return rows

@@ -11,11 +11,15 @@ unrolled reference that computes every one of its Picard steps and
 allocates each step's vectors afresh. `finite_diff_grad` perturbs every
 coordinate itself, where the package's cross-check differences U, b and x
 through the input term c = U x + b only (an exact first-order map).
+`resample_longtail_loop` and `resample_fewshot_loop` are the two resamplers
+as separate loops, each drawing its own classes, which the package folds
+into one per-class draw.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -24,6 +28,7 @@ import numpy as np
 from lionprompt.deq import PromptBlock
 from lionprompt.errors import DivergenceError, EvaluationError, ShapeMismatchError
 from lionprompt.numerics import Param, tanh_deriv
+from lionprompt.rng import substream
 
 
 def make_cell(W, U, b, kappa: float = 0.9) -> PromptBlock:
@@ -32,12 +37,14 @@ def make_cell(W, U, b, kappa: float = 0.9) -> PromptBlock:
 
 
 def vjp_grads(vjp, cell: PromptBlock, *args, **kwargs):
-    """Run `vjp` (`PromptBlock.vjp` or `unrolled_vjp`) on `cell` from zeroed gradients;
-    return (its input gradient, the W, U and b gradients as `.W`, `.U` and `.b`)."""
+    """Run `vjp` (`PromptBlock.vjp` or `unrolled_vjp`) on `cell` from zeroed gradients,
+    which returns nothing; return (the input gradient U^T g_b, exact for one row since x
+    enters only through U x + b, and the W, U and b gradients as `.W`, `.U` and `.b`)."""
     for p in cell.params():
         p.zero_grad()
-    grad_x = vjp(cell, *args, **kwargs)
-    return grad_x, SimpleNamespace(W=cell.W.grad, U=cell.U.grad, b=cell.b.grad)
+    assert vjp(cell, *args, **kwargs) is None
+    grads = SimpleNamespace(W=cell.W.grad, U=cell.U.grad, b=cell.b.grad)
+    return grads.b @ cell.U.value, grads
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -136,11 +143,11 @@ def exact_solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg,
 
 
 def unrolled_vjp_every_step(block: PromptBlock, x: np.ndarray, y: np.ndarray,
-                            n_iters: int) -> np.ndarray:
+                            n_iters: int) -> None:
     """`deq.unrolled_vjp` computing all n_iters forward steps, a repeated
     iterate included, with the same reverse sweep and products."""
-    wa, ua = block.W.value, block.U.value
-    c = ua @ x + block.b.value
+    wa = block.W.value
+    c = block.U.value @ x + block.b.value
     zs = np.zeros((n_iters + 1, len(wa)))
     for k in range(n_iters):
         zs[k + 1] = np.tanh(wa @ zs[k] + c)
@@ -154,4 +161,40 @@ def unrolled_vjp_every_step(block: PromptBlock, x: np.ndarray, y: np.ndarray,
     block.W.add_grad(ts.T @ zs[:-1])
     block.U.add_grad(np.outer(t_sum, x))
     block.b.add_grad(t_sum)
-    return t_sum @ ua
+
+
+def resample_longtail_loop(ds, imbalance_ratio: float):
+    """`harness.resample_longtail` drawing each class inside its own loop."""
+    if imbalance_ratio < 1.0:
+        raise ValueError(f"imbalance ratio must be >= 1, got {imbalance_ratio}")
+    counts = ds.class_counts()
+    n_max = int(counts.max())
+    c = ds.n_classes
+    keep_idx = []
+    for cls in range(c):
+        frac = 1.0 if c == 1 else cls / (c - 1)
+        target = int(round(n_max * imbalance_ratio ** (-frac)))
+        if target == 0:
+            raise ValueError(f"imbalance ratio {imbalance_ratio} empties class {cls}")
+        target = min(target, int(counts[cls]))
+        members = np.flatnonzero(ds.labels == cls)
+        rng = substream(ds.seed, "longtail", cls)
+        keep_idx.append(rng.choice(members, size=target, replace=False))
+    idx = np.sort(np.concatenate(keep_idx))
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])
+
+
+def resample_fewshot_loop(ds, shots: int):
+    """`harness.resample_fewshot` drawing each class inside its own loop."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    keep_idx = []
+    for cls in range(ds.n_classes):
+        members = np.flatnonzero(ds.labels == cls)
+        if len(members) < shots:
+            raise ValueError(
+                f"class {cls} has {len(members)} samples, fewer than {shots} shots")
+        rng = substream(ds.seed, "fewshot", cls)
+        keep_idx.append(rng.choice(members, size=shots, replace=False))
+    idx = np.sort(np.concatenate(keep_idx))
+    return replace(ds, inputs=ds.inputs[idx], labels=ds.labels[idx])

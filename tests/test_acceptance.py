@@ -272,13 +272,13 @@ def test_criterion_9_persistence(tmp_path, source_backbone):
                     dataset="glyphs", shift="rotation", ir=7.5, shots=3)
     config_ok = parse(serialize(cfg)) == cfg and parse(serialize(RunConfig())) == RunConfig()
 
-    from lionprompt.cli import CSV_HEADER, _run_row
+    from lionprompt.cli import CSV_HEADER, _csv, _run_row
     tr, te = target_task(RunConfig(seed=0, shift="none"))
     res = run_protocol(RunConfig(protocol="head_tuning", seed=0, epochs=5), source_backbone[0],
                        tr, te)
     row_cfg = RunConfig(protocol="head_tuning", epochs=5)
     path = tmp_path / "run.csv"
-    path.write_text(CSV_HEADER + "\n" + _run_row(row_cfg, res) + "\n")
+    path.write_bytes(_csv(CSV_HEADER.split(","), [_run_row(row_cfg, res)]))
     keys = CSV_HEADER.split(",")
     values = dict(zip(keys, path.read_text().splitlines()[1].split(",")))
     csv_ok = (float(values["accuracy"]) == res.accuracy

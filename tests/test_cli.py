@@ -945,6 +945,24 @@ def test_report_on_any_run_file_succeeds_or_is_one_missing_artifact_line(blob):
                                     and err[0].startswith("missing artifact: ")), (rc, err)
 
 
+@pytest.mark.parametrize("column, value", [
+    ("seed", "0.5"), ("accuracy", "nan"), ("trainable_params", "1e3"), ("epochs", "inf"),
+    ("wall_time_s", "-inf"), ("seed", "-1"), ("epochs", "+200"), ("epochs", "\u0662"),
+    ("accuracy", "1e999")])
+def test_report_refuses_a_number_a_run_never_writes(tmp_path, capsys, column, value):
+    row = dict(zip(CSV_HEADER.split(","), _RUN_ROW))
+    good = tmp_path / "good.csv"
+    good.write_text(f"{CSV_HEADER}\n" + ",".join(row.values()) + "\n")   # a valid run rescues none
+    row[column] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{CSV_HEADER}\n" + ",".join(row.values()) + "\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["report", "--out", str(tmp_path), str(good), str(bad)])
+    assert (rc, out) == (3, "")
+    assert [ln for ln in err.splitlines() if ln != "blas: unpinned"] == [
+        f"missing artifact: {str(bad)!r}: malformed row {','.join(row.values())!r}"]
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_gradcheck_never_solves_looser_than_its_own_tolerance(tmp_path, capsys):
     cfgfile = tmp_path / "g.cfg"
     cfgfile.write_text("cases = 3\n")

@@ -420,7 +420,7 @@ def test_vjp_grad_x_matches_finite_differences():
         rep = solve_forward_batch(cell, t[None], cfg)
         return float(y @ rep.z_star[0])
 
-    assert rel_error(grad_x[0], finite_diff_grad(objective, x)) <= 1e-5
+    assert rel_error(grad_x, finite_diff_grad(objective, x)) <= 1e-5
 
 
 def test_vjp_param_grads_match_finite_differences():
@@ -454,7 +454,7 @@ def test_vjp_matches_unrolled_backprop():
         z = solve_forward_batch(cell, x[None], cfg).z_star
         gx_i, g_i = vjp_grads(PromptBlock.vjp, cell, x[None], z, y[None])
         gx_u, g_u = vjp_grads(unrolled_vjp, cell, x, y, n_iters=500)
-        assert rel_error(gx_i[0], gx_u) <= 1e-5
+        assert rel_error(gx_i, gx_u) <= 1e-5
         assert rel_error(g_i.W, g_u.W) <= 1e-5
         assert rel_error(g_i.U, g_u.U) <= 1e-5
         assert rel_error(g_i.b, g_u.b) <= 1e-5
@@ -511,13 +511,12 @@ def test_batch_vjp_matches_per_row():
     ys = rng.normal(size=(4, 6))
     cfg = SolverConfig(tol=1e-12)
     zrep = solve_forward_batch(cell, xs, cfg)
-    gx_b, g_b = vjp_grads(PromptBlock.vjp, cell, xs, zrep.z_star, ys)
+    _, g_b = vjp_grads(PromptBlock.vjp, cell, xs, zrep.z_star, ys)
     acc = SimpleNamespace(W=np.zeros((6, 6)), U=np.zeros((6, 4)),
                           b=np.zeros(6))
     for i in range(4):
         z = solve_forward_batch(cell, xs[i][None], cfg).z_star
-        gx, g = vjp_grads(PromptBlock.vjp, cell, xs[i][None], z, ys[i][None])
-        assert rel_error(gx_b[i], gx[0]) <= 1e-8
+        _, g = vjp_grads(PromptBlock.vjp, cell, xs[i][None], z, ys[i][None])
         acc = SimpleNamespace(W=acc.W + g.W,
                               U=acc.U + g.U,
                               b=acc.b + g.b)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +34,8 @@ from lionprompt.harness import (
 )
 from lionprompt.numerics import rel_error
 from lionprompt.rng import substream
-from reference import (exact_solve, finite_diff_grad, make_cell, unrolled_vjp_every_step,
-                       vjp_grads)
+from reference import (exact_solve, finite_diff_grad, make_cell, resample_fewshot_loop,
+                       resample_longtail_loop, unrolled_vjp_every_step, vjp_grads)
 
 # --- datasets ---------------------------------------------------------------
 
@@ -58,15 +59,15 @@ def test_blob_splits_share_means_but_not_noise():
 
 
 def test_blob_means_pairwise_separation():
-    ds = make_blobs(4, 16, 4000, seed=5, separation=6.0)
+    ds = make_blobs(4, 16, 4000, seed=5)
     mus = np.stack([ds.inputs[ds.labels == c].mean(axis=0) for c in range(4)])
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(np.linalg.norm(mus[i] - mus[j]) - 6.0) < 0.3
 
 
-def test_wide_separation_is_linearly_separable():
-    ds = make_blobs(4, 16, 400, seed=3, separation=10.0)
+def test_blobs_are_linearly_separable():
+    ds = make_blobs(4, 16, 400, seed=3)
     x = ds.inputs
     means = np.stack([x[ds.labels == c].mean(axis=0) for c in range(4)])
     # nearest class mean is a linear rule: argmax_c x . mu_c - |mu_c|^2 / 2
@@ -217,6 +218,35 @@ def test_fewshot_counts_and_determinism():
     assert resample_fewshot(make_blobs(5, 16, 400, seed=1), 8).n == 40
 
 
+def _resampled(resample, ds, arg):
+    """(inputs bytes, labels bytes) of `resample(ds, arg)`, or its ValueError text."""
+    try:
+        out = resample(ds, arg)
+    except ValueError as exc:
+        return str(exc)
+    return out.inputs.tobytes(), out.labels.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda c, s: make_blobs(c, 16, 200, seed=s),
+                                  lambda c, s: make_glyphs(c, 200, seed=s)],
+                         ids=["blobs", "glyphs"])
+def test_resamplers_draw_what_the_per_resampler_loops_draw(make):
+    refusals = set()
+    for n_classes, seed in itertools.product(range(2, 6), (0, 1, 7, 123)):
+        ds = make(n_classes, seed)
+        tail = resample_longtail(ds, 7.5)          # few-shot also runs on a long-tail split
+        for resample, loop, data, args in (
+                (resample_longtail, resample_longtail_loop, ds, (1.0, 1.5, 7.5, 50.0, 100.0)),
+                (resample_fewshot, resample_fewshot_loop, ds, (1, 3, 8, 50)),
+                (resample_fewshot, resample_fewshot_loop, tail, (1, 3, 8, 50))):
+            for arg in args:
+                got = _resampled(resample, data, arg)
+                assert got == _resampled(loop, data, arg), (n_classes, seed, resample, arg)
+                if isinstance(got, str):
+                    refusals.add(got.split()[-1])
+    assert refusals >= {"shots", "3", "4"}      # too few rows, and emptied tail classes
+
+
 # --- pretraining and protocols ---------------------------------------------------
 
 def test_pretraining_fits_the_source_task(source_backbone):
@@ -332,7 +362,7 @@ def test_lion_epochs_warm_start_their_solves_and_predictions_stay_cold(monkeypat
     monkeypatch.setattr(deq, "solve_forward_batch", counting)
     counts, preds = [], []
     for cold in (False, True):
-        task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
+        task = make_task(RunConfig(protocol="lion", seed=0), bb)
         if cold:
             # keep no features and no fixed points: every solve starts from zero
             monkeypatch.setattr(task, "prepare", lambda x: None)
@@ -371,7 +401,7 @@ def briefly_trained_lion_task(source_backbone):
     if "task" not in _TRAINED:
         bb, _ = source_backbone
         tr, te = target_task(RunConfig(seed=0))
-        task = make_task(RunConfig(protocol="lion", seed=0), bb, tr.n_classes)
+        task = make_task(RunConfig(protocol="lion", seed=0), bb)
         robust_opt.train(task, (tr.inputs, tr.labels), robust_opt.OptState(eta=0.3), epochs=20)
         alone = np.vstack([m.forward(task, x[None]).logits for x in te.inputs])
         _TRAINED.update(task=task, test=te, alone=alone)
@@ -429,7 +459,7 @@ def test_predictions_do_not_depend_on_batch_composition(source_backbone, data):
 # --- optimizer plateau stop -----------------------------------------------------
 
 def test_patience_stops_training_early(source_backbone):
-    ds = make_blobs(4, 16, 400, seed=3, separation=10.0)
+    ds = make_blobs(4, 16, 400, seed=3)
     bb, _ = source_backbone
     # a vanishing step leaves the loss flat after the first epoch
     res = run_protocol(RunConfig(protocol="head_tuning", eta=1e-9, epochs=5000), bb, ds, ds)
@@ -439,7 +469,7 @@ def test_patience_stops_training_early(source_backbone):
 def test_patience_must_be_positive(source_backbone):
     ds = make_blobs(4, 16, 200, seed=3)
     bb, _ = source_backbone
-    task = make_task(RunConfig(protocol="head_tuning"), bb, ds.n_classes)
+    task = make_task(RunConfig(protocol="head_tuning"), bb)
     with pytest.raises(ValueError, match="patience"):
         robust_opt.train(task, (ds.inputs, ds.labels), robust_opt.OptState(eta=0.3), 5,
                          patience=0)
@@ -547,7 +577,7 @@ def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatc
     assert pulls == ["case"]
     cfg = RunConfig(seed=0)
     tr, _ = target_task(cfg)
-    task = make_task(cfg, source_backbone[0], tr.n_classes)
+    task = make_task(cfg, source_backbone[0])
     del pulls[:]
     robust_opt.train(task, (tr.inputs, tr.labels), cfg.optimizer, epochs=2)
     assert pulls == ["p2", "p1"] * 2        # each epoch's one loss_and_grads
@@ -596,7 +626,6 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
         got = vjp_grads(unrolled, cell, x, y, n_iters=n_iters)
         depths.append(n_iters)
         gaps.append(rel_error(flat(*got), flat(*deep)))
-        return got[0]
 
     monkeypatch.setattr(deq, "unrolled_vjp", against_500)
     for seed in range(4):
