@@ -42,12 +42,11 @@ from .errors import (
     SetupError,
 )
 
-CSV_HEADER = "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs,wall_time_s"
-RUN_COLUMNS = CSV_HEADER.split(",")
+RUN_COLUMNS = {"run_id": str, "protocol": str, "dataset": str, "seed": int,  # column: cell type
+               "accuracy": float, "trainable_params": int, "epochs": int, "wall_time_s": float}
+CSV_HEADER = ",".join(RUN_COLUMNS)
 DIGEST_LINE = "# checkpoint sha256 "
 TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
-_INTEGER_COLUMNS = ("seed", "trainable_params", "epochs")      # plain ASCII decimals
-_FLOAT_COLUMNS = ("accuracy", "wall_time_s")                    # finite
 
 
 # --- config plumbing -----------------------------------------------------------
@@ -102,23 +101,15 @@ def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
     return {key: os.path.join(cfg.out, name) for key, name in names.items()}
 
 
-def _load_backbone(cfg: RunConfig) -> m.Backbone:
-    path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
-    bb = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
-    checkpoint.restore(bb.params(), checkpoint.load(path))
-    return bb
-
-
 # --- commands ---------------------------------------------------------------------
 
 def cmd_pretrain(cfg: RunConfig, args: argparse.Namespace) -> int:
-    src = harness.source_task(cfg)
-    backbone, accuracy = harness.pretrain_backbone(
-        src, cfg.hidden, cfg.feat_dim, cfg.seed, epochs=max(cfg.epochs, 300), eta=cfg.eta)
+    backbone, accuracy = harness.pretrain_backbone(cfg)
     paths = _artifact_paths(cfg)
     checkpoint.save(paths["backbone"], backbone.params())
     n_params = sum(p.size for p in backbone.params())
-    report = (f"source dataset   {cfg.dataset} (seed {cfg.seed}, {src.n} samples)\n"
+    report = (f"source dataset   {cfg.dataset} (seed {cfg.seed}, "
+              f"{harness.source_task(cfg).n} samples)\n"
               f"train accuracy   {accuracy:.4f}\n"
               f"backbone params  {n_params}\n"
               f"checkpoint       {paths['backbone']}\n")
@@ -141,7 +132,9 @@ def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> dict:
 
 
 def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
-    backbone = _load_backbone(cfg)
+    path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
+    backbone = harness.initial_backbone(cfg)
+    checkpoint.restore(backbone.params(), checkpoint.load(path))
     train, test = harness.target_task(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
     paths = _artifact_paths(cfg)
@@ -191,11 +184,10 @@ def _check_tuned_config(cfg: RunConfig) -> str:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    # shapes only: the tuned checkpoint holds every backbone value, bound by the .cfg digest
-    backbone = m.make_backbone(harness.source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
     digest = _check_tuned_config(cfg)
-    task = harness.make_task(cfg, backbone)
+    # the tuned checkpoint holds every backbone value, bound by the .cfg digest
+    task = harness.make_task(cfg, harness.initial_backbone(cfg))
     checkpoint.restore(task.named_params(), checkpoint.load(path, sha256=digest))
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
@@ -206,7 +198,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows = harness.gradcheck_suite(n_cases=cfg.cases, seed=cfg.seed, solver=cfg.solver)
+    rows = harness.gradcheck_suite(cfg)
     print(f"{'case':>4}  {'dims':>7}  {'vs finite diff':>14}  "
           f"{'vs unrolled':>14}  status")
     for r in rows:
@@ -243,6 +235,8 @@ def cmd_prop1(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _read_run_rows(paths: list[str]) -> list[dict]:
+    """The parsed rows of run CSVs. A row is refused unless `_csv` writes its cells back
+    as the same line, its numbers are finite and >= 0, and its accuracy is <= 1."""
     rows = []
     for path in paths:
         try:
@@ -254,11 +248,12 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
             raise MissingArtifactError(
                 f"{path!r} is not a run report (expected header {CSV_HEADER!r})")
         for ln in lines[1:]:
-            row = dict(zip(RUN_COLUMNS, ln.split(",")))
             try:
-                if (ln.count(",") != len(RUN_COLUMNS) - 1
-                        or not all(row[k].isascii() and row[k].isdigit() for k in _INTEGER_COLUMNS)
-                        or not all(np.isfinite(float(row[k])) for k in _FLOAT_COLUMNS)):
+                row = {key: kind(cell) for (key, kind), cell
+                       in zip(RUN_COLUMNS.items(), ln.split(","), strict=True)}
+                if (_csv(RUN_COLUMNS, [row]) != f"{CSV_HEADER}\n{ln}\n".encode()
+                        or not all(0 <= v < np.inf for v in row.values() if not isinstance(v, str))
+                        or row["accuracy"] > 1):
                     raise ValueError
             except ValueError:
                 raise MissingArtifactError(f"{path!r}: malformed row {ln!r}") from None
@@ -268,12 +263,12 @@ def _read_run_rows(paths: list[str]) -> list[dict]:
 
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = _read_run_rows(args.paths)
-    rows.sort(key=lambda r: float(r["accuracy"]), reverse=True)
+    rows.sort(key=lambda r: r["accuracy"], reverse=True)
     print(f"{'run_id':<28} {'protocol':<14} {'dataset':<7} {'seed':>4} "
           f"{'accuracy':>9} {'params':>7} {'epochs':>6}")
     for r in rows:
         print(f"{r['run_id']:<28} {r['protocol']:<14} {r['dataset']:<7} "
-              f"{r['seed']:>4} {float(r['accuracy']):>9.4f} "
+              f"{r['seed']:>4} {r['accuracy']:>9.4f} "
               f"{r['trainable_params']:>7} {r['epochs']:>6}")
     print()
     print("trainable-parameter formulas at d=768, d~=64, L=12, n=50, m=16, C=10:")

@@ -4,9 +4,9 @@ Synthetic source/target task pairs with controlled domain shift (one recipe
 for both, `source_task` and `target_task`), backbone pretraining, the task
 factory and run of the tuning protocols (head / bias / full, each a
 `ClassifierTask`; prompted, a `model.PromptModel`), long-tail and few-shot
-resamplers, the input-vs-output prompt-position experiment, and the
-gradient cross-check suite used by the CLI, which pulls through
-`PromptBlock.vjp` as training does and reads x's gradient off b's.
+resamplers, the input-vs-output prompt-position experiment, and the gradient
+cross-check suite, which pulls through `PromptBlock.vjp` as training does and
+reads x's gradient off b's. A command's entry point takes its whole `RunConfig`.
 
 Everything here is a pure function of (spec, seed): all randomness flows
 through named substreams, so any artifact can be regenerated bit-identically
@@ -32,6 +32,7 @@ from .rng import substream
 # Epochs without a loss improvement after which a protocol run stops early.
 PATIENCE = 20
 MIN_SOURCE_ACCURACY = 0.95     # source train accuracy a pretrained backbone must reach
+PRETRAIN_MIN_EPOCHS = 300      # the fewest epochs a backbone pretrains for
 N_CLASSES = 4                  # classes of every source and target task
 GRADCHECK_TOL = 1e-13          # the loosest solver tolerance gradient checks run at
 UNROLLED_TOL = 1e-5            # gradcheck's bound on implicit vs unrolled gradient error
@@ -267,17 +268,19 @@ class ClassifierTask:
         return np.argmax(self.forward(x), axis=1)
 
 
-def pretrain_backbone(source_train: Dataset, hidden: int, h: int, seed: int,
-                      epochs: int = 300, eta: float = RunConfig.eta) -> tuple[Backbone, float]:
-    """Fit a fresh backbone (plus throwaway head) on the source task.
+def initial_backbone(cfg: RunConfig) -> Backbone:
+    """The backbone `pretrain_backbone(cfg)` fits, at its initial values."""
+    return m.make_backbone(source_task(cfg).d, cfg.hidden, cfg.feat_dim, cfg.seed)
 
-    Returns the backbone and the reached source train accuracy; refuses to
-    hand back a feature extractor that never learned the task.
-    """
-    backbone = m.make_backbone(source_train.d, hidden, h, seed)
-    task = ClassifierTask(backbone, m.make_head(h, source_train.n_classes), backbone.params())
-    accuracy = robust_opt.train(task, (source_train.inputs, source_train.labels),
-                                robust_opt.OptState(eta=eta), epochs).final_accuracy
+
+def pretrain_backbone(cfg: RunConfig) -> tuple[Backbone, float]:
+    """Fit `initial_backbone(cfg)` and a throwaway head on `source_task(cfg)` at `cfg.eta`
+    for `cfg.epochs`, at least `PRETRAIN_MIN_EPOCHS`. Returns the backbone and its source
+    train accuracy; refuses a feature extractor that never learned the task."""
+    backbone, src = initial_backbone(cfg), source_task(cfg)
+    task = ClassifierTask(backbone, m.make_head(backbone.out_dim, N_CLASSES), backbone.params())
+    accuracy = robust_opt.train(task, (src.inputs, src.labels), cfg.optimizer,
+                                max(cfg.epochs, PRETRAIN_MIN_EPOCHS)).final_accuracy
     if accuracy < MIN_SOURCE_ACCURACY:
         raise SetupError(f"backbone pretraining reached {accuracy:.3f} < "
                          f"{MIN_SOURCE_ACCURACY} train accuracy")
@@ -486,14 +489,13 @@ def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, cfg: 
     return np.concatenate([g_w, np.outer(g_c, x).ravel(), g_c, g_c @ u])
 
 
-def gradcheck_suite(n_cases: int = 20, seed: int = 0,
-                    solver: SolverConfig = SolverConfig()) -> list[GradCheckRow]:
-    """Implicit vs finite-difference vs unrolled gradients on seeded cells.
+def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
+    """Implicit vs finite-difference vs unrolled gradients on `cfg.cases` seeded cells.
 
     The implicit gradient is taken at the base solve's fixed point through
     `deq.solve_forward`, the alias of `deq.solve_forward_batch`, and
     `PromptBlock.vjp` on one-row batches: the functions training runs.
-    Every solve runs at `solver`'s settings, its tol capped at
+    Every solve runs at `cfg.solver`'s settings, its tol capped at
     `GRADCHECK_TOL`: a training-grade tol would drown the finite-difference
     signal. Each case's central differences are one more solve, of a block
     (W, I, 0), and its unrolled reference runs `UNROLL_DEPTH` steps, a depth
@@ -501,7 +503,7 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
     solve or in any row of the stack, is its own status so a hopeless
     tolerance setting is distinguishable from a wrong gradient.
     """
-    cfg = replace(solver, tol=min(solver.tol, GRADCHECK_TOL))
+    solver = replace(cfg.solver, tol=min(cfg.tol, GRADCHECK_TOL))
     fd_tol, fd_step = 1e-4, 1e-5
 
     # the flat (W, U, b, x) gradient on the block; x enters only via U x + b, so g_x = U^T g_b
@@ -510,8 +512,8 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
                               + [block.b.grad @ block.U.value])
 
     rows = []
-    for case in range(n_cases):
-        rng = substream(seed, "gradcheck", case)
+    for case in range(cfg.cases):
+        rng = substream(cfg.seed, "gradcheck", case)
         h = int(rng.integers(4, 17))
         d = int(rng.integers(2, 17))
         block = PromptBlock("case", Param("W", rng.normal(size=(h, h))),
@@ -521,8 +523,8 @@ def gradcheck_suite(n_cases: int = 20, seed: int = 0,
         x = rng.normal(size=d)
         y = rng.normal(size=h)
         try:
-            z_star = deq.solve_forward(block, x[None, :], cfg).certified(cfg.tol)
-            fd = _central_differences(block, x, y, cfg, fd_step)
+            z_star = deq.solve_forward(block, x[None, :], solver).certified(solver.tol)
+            fd = _central_differences(block, x, y, solver, fd_step)
         except DivergenceError:
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))

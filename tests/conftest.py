@@ -23,4 +23,4 @@ def source_backbone(one_blas_thread):
 
     Tests clone it before training (`make_task` does), so it stays as pretrained.
     """
-    return harness.pretrain_backbone(harness.source_task(RunConfig()), hidden=448, h=16, seed=0)
+    return harness.pretrain_backbone(RunConfig())

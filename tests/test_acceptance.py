@@ -69,7 +69,7 @@ def random_cell(seed, h, d):
 
 def test_criterion_1_implicit_gradients():
     start = time.perf_counter()
-    rows = gradcheck_suite(n_cases=20, seed=0)
+    rows = gradcheck_suite(RunConfig())
     elapsed = time.perf_counter() - start
     worst_fd = max(r.fd_rel_err for r in rows)
     worst_unrolled = max(r.unrolled_rel_err for r in rows)

@@ -344,7 +344,7 @@ def run_cli(capsys, argv):
     return rc, captured.out, captured.err
 
 
-def test_pretrain_reports_and_reruns_identically(tmp_path, capsys):
+def test_pretrain_reports_and_reruns_identically(tmp_path, capsys, source_backbone):
     a, b = tmp_path / "a", tmp_path / "b"
     rc1, out1, _ = run_cli(capsys, ["pretrain", "--out", str(a), "--seed", "0"])
     rc2, out2, _ = run_cli(capsys, ["pretrain", "--out", str(b), "--seed", "0"])
@@ -352,6 +352,9 @@ def test_pretrain_reports_and_reruns_identically(tmp_path, capsys):
     assert "train accuracy   1.0000" in out1
     ckpt = "backbone-blobs-s0.ckpt"
     assert (a / ckpt).read_bytes() == (b / ckpt).read_bytes()
+    # the library tests' session backbone is this command's
+    checkpoint.save(str(tmp_path / ckpt), source_backbone[0].params())
+    assert (tmp_path / ckpt).read_bytes() == (a / ckpt).read_bytes()
 
 
 def test_pretrain_trains_at_the_given_eta(tmp_path, capsys):
@@ -948,7 +951,8 @@ def test_report_on_any_run_file_succeeds_or_is_one_missing_artifact_line(blob):
 @pytest.mark.parametrize("column, value", [
     ("seed", "0.5"), ("accuracy", "nan"), ("trainable_params", "1e3"), ("epochs", "inf"),
     ("wall_time_s", "-inf"), ("seed", "-1"), ("epochs", "+200"), ("epochs", "\u0662"),
-    ("accuracy", "1e999")])
+    ("accuracy", "1e999"), ("accuracy", "1e3"), ("accuracy", "1_0"), ("accuracy", "1.5"),
+    ("wall_time_s", " 0.5 "), ("seed", "007")])
 def test_report_refuses_a_number_a_run_never_writes(tmp_path, capsys, column, value):
     row = dict(zip(CSV_HEADER.split(","), _RUN_ROW))
     good = tmp_path / "good.csv"
@@ -998,9 +1002,9 @@ def test_commands_run_on_one_blas_thread_and_restore_the_callers_count(tmp_path,
     get, set_ = _blas()
     suite, seen = harness.gradcheck_suite, []
 
-    def recording(**kwargs):
+    def recording(*args, **kwargs):
         seen.append(get())
-        return suite(**kwargs)
+        return suite(*args, **kwargs)
 
     monkeypatch.setattr(harness, "gradcheck_suite", recording)
     cfgfile = tmp_path / "g.cfg"

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from lionprompt import harness, model
+from lionprompt import model
 from lionprompt.config import RunConfig
 from lionprompt.deq import PromptBlock, SolverConfig
 from lionprompt.errors import ConfigError
@@ -76,4 +76,3 @@ def test_run_config_defaults_are_the_owners_defaults():
     assert cfg.optimizer == OptState(eta=cfg.eta)
     assert cfg.kappa == PromptBlock.kappa
     assert inspect.signature(model.build_prompt_model).parameters["kappa"].default == cfg.kappa
-    assert inspect.signature(harness.pretrain_backbone).parameters["eta"].default == cfg.eta

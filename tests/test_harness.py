@@ -15,6 +15,7 @@ from lionprompt.config import PROTOCOL_CHOICES, RunConfig
 from lionprompt.deq import SolverConfig
 from lionprompt.errors import ConfigError, DivergenceError, SetupError
 from lionprompt.harness import (
+    GRADCHECK_TOL,
     PATIENCE,
     Dataset,
     _central_differences,
@@ -256,9 +257,8 @@ def test_pretraining_fits_the_source_task(source_backbone):
 
 
 def test_pretraining_refuses_a_failed_fit():
-    src = source_task(RunConfig())
     with pytest.raises(SetupError):
-        pretrain_backbone(src, hidden=448, h=16, seed=0, epochs=2, eta=1e-9)
+        pretrain_backbone(RunConfig(hidden=8, eta=1e-9))
 
 
 def test_unknown_protocol_rejected(source_backbone):
@@ -504,7 +504,7 @@ def test_asymmetry_holds_across_seeds():
 # --- gradient cross-check suite ------------------------------------------------------
 
 def test_gradcheck_rows_all_pass():
-    rows = gradcheck_suite(n_cases=5, seed=0)
+    rows = gradcheck_suite(RunConfig(cases=5, seed=0))
     assert len(rows) == 5
     assert all(r.status == "ok" for r in rows)
     assert max(r.fd_rel_err for r in rows) <= 1e-4
@@ -573,7 +573,7 @@ def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatc
         return vjp(block, *args)
 
     monkeypatch.setattr(deq.PromptBlock, "vjp", pulling)
-    assert [r.status for r in gradcheck_suite(n_cases=1, seed=0)] == ["ok"]
+    assert [r.status for r in gradcheck_suite(RunConfig(cases=1, seed=0))] == ["ok"]
     assert pulls == ["case"]
     cfg = RunConfig(seed=0)
     tr, _ = target_task(cfg)
@@ -585,13 +585,13 @@ def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatc
 
 def test_gradcheck_caps_a_looser_solver_tolerance_at_its_own():
     # at tol 1e-8 the fd errors would read 1.0e-7 and 1.9e-8, not 3.4e-11 and 1.2e-10
-    assert (gradcheck_suite(n_cases=3, seed=0, solver=SolverConfig(tol=1e-8))
-            == gradcheck_suite(n_cases=3, seed=0))
+    assert (gradcheck_suite(RunConfig(cases=3, tol=1e-8))
+            == gradcheck_suite(RunConfig(cases=3, tol=GRADCHECK_TOL)))
 
 
 def test_gradcheck_fails_every_case_whose_fd_solves_stop_short(monkeypatch):
     log = _log_gradcheck_calls(monkeypatch)
-    rows = gradcheck_suite(n_cases=5, seed=0, solver=SolverConfig(tol=1e-30))
+    rows = gradcheck_suite(RunConfig(cases=5, seed=0, tol=1e-30))
     _calls_per_case(rows, log)
     stopped_short = [e[2] for e in log if e[0] != "vjp" and not e[1]]
     failed = [r for r in rows if r.status == "solver_failed"]
@@ -604,7 +604,7 @@ def test_gradcheck_fails_a_case_whose_stack_stops_short_after_its_base_converged
         monkeypatch):
     log = _log_gradcheck_calls(
         monkeypatch, lambda rep, k: replace(rep, converged=False) if k == 2 else rep)
-    rows = gradcheck_suite(n_cases=4, seed=0)
+    rows = gradcheck_suite(RunConfig(cases=4, seed=0))
     # each case runs one stack; case 1's is reported short
     assert [r.status for r in rows] == ["ok", "solver_failed", "ok", "ok"]
     assert np.isnan(rows[1].fd_rel_err) and np.isnan(rows[1].unrolled_rel_err)
@@ -629,7 +629,7 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
 
     monkeypatch.setattr(deq, "unrolled_vjp", against_500)
     for seed in range(4):
-        assert all(r.status == "ok" for r in gradcheck_suite(n_cases=20, seed=seed))
+        assert all(r.status == "ok" for r in gradcheck_suite(RunConfig(cases=20, seed=seed)))
     assert len(gaps) == 80 and max(depths) < 500
     assert max(gaps) <= 1e-5 / 100
 
@@ -647,7 +647,7 @@ def test_gradcheck_and_tune_compute_what_the_plain_hot_loops_compute(
                      "--epochs", "10"]) == 0
         files = {name: (out / name).read_bytes() for name in ("lion-blobs-s0.ckpt",
                                                               "lion-blobs-s0-trace.csv")}
-        runs.append((gradcheck_suite(n_cases=8, seed=3), files))
+        runs.append((gradcheck_suite(RunConfig(cases=8, seed=3)), files))
 
     runs = []
     run()
@@ -682,7 +682,7 @@ def test_gradcheck_stacks_match_per_entry_solves(h, d):
 
 
 def test_gradcheck_reports_solver_failure_distinctly():
-    rows = gradcheck_suite(n_cases=5, seed=0, solver=SolverConfig(tol=1e-30))
+    rows = gradcheck_suite(RunConfig(cases=5, seed=0, tol=1e-30))
     statuses = {r.status for r in rows}
     assert "solver_failed" in statuses
     assert "gradient_failed" not in statuses

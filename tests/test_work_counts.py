@@ -13,7 +13,7 @@ from lionprompt.config import RunConfig
 from lionprompt.harness import gradcheck_suite, run_protocol, target_task
 
 # run -> (the tune's `RunConfig` keys beside seed 0, or None for
-# `gradcheck_suite(n_cases=5, seed=0)`; forward solves, total NFE, largest NFE
+# `gradcheck_suite(RunConfig(cases=5))`; forward solves, total NFE, largest NFE
 # of one solve, rows solved (the sum of every forward solve's row count), SVDs,
 # adjoint calls). A 200-epoch lion tune solves each block once per epoch, once
 # more for the final train predict and once for the held-out predict: 404
@@ -23,7 +23,7 @@ WORK = {
     "lion seed 0": ({}, (404, 4984, 36, 80800, 10, 400)),
     "lion seed 0 shots=8": ({"shots": 8}, (404, 4582, 36, 13264, 8, 400)),
     "lion seed 0 ir=50": ({"ir": 50.0}, (404, 4447, 31, 28138, 9, 400)),
-    "gradcheck_suite(n_cases=5, seed=0)": (None, (10, 342, 46, 1477, 5, 5)),
+    "gradcheck cases=5": (None, (10, 342, 46, 1477, 5, 5)),
 }
 
 
@@ -51,7 +51,7 @@ def test_the_solver_work_of_a_fixed_run_stays_as_counted(source_backbone, monkey
     monkeypatch.setattr(deq, "solve_adjoint_batch", counting_adjoint)
     keys, counts = WORK[run]
     if keys is None:
-        gradcheck_suite(n_cases=5, seed=0)
+        gradcheck_suite(RunConfig(cases=5))
     else:
         cfg = RunConfig(seed=0, **keys)
         run_protocol(cfg, source_backbone[0], *target_task(cfg))
