@@ -10,8 +10,9 @@ thread count changes how the larger products are summed, and the caller's
 count is restored on return (library calls outside a command run at the
 caller's count). A NumPy build whose OpenBLAS cannot be found runs unpinned
 and says `blas: unpinned` on stderr. `tune` saves its config next to the
-checkpoint, last of its files, with the checkpoint's sha256 as a comment,
-and `eval` refuses to score the checkpoint under any other config or digest.
+checkpoint, last of its files, with the checkpoint's sha256 and its held-out
+accuracy as comments; `eval` refuses to score the checkpoint under any other
+config or digest, and fails unless it reproduces that accuracy exactly.
 
 Exit codes, each but 0 with one stderr line: 0 success; 1 check failure;
 2 config error, an output that cannot be written included; 3 missing
@@ -46,6 +47,7 @@ RUN_COLUMNS = {"run_id": str, "protocol": str, "dataset": str, "seed": int,  # c
                "accuracy": float, "trainable_params": int, "epochs": int, "wall_time_s": float}
 CSV_HEADER = ",".join(RUN_COLUMNS)
 DIGEST_LINE = "# checkpoint sha256 "
+ACCURACY_LINE = "# held-out accuracy "
 TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
 
 
@@ -143,8 +145,8 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     digest = checkpoint.save(paths["model"], res.task.named_params())
     checkpoint.write_atomic(paths["run_csv"], _csv(RUN_COLUMNS, [_run_row(cfg, res)]))
     checkpoint.write_atomic(paths["trace_csv"], _csv(TRACE_COLUMNS, res.log.rows))
-    checkpoint.write_atomic(paths["config"],
-                            f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n".encode())
+    checkpoint.write_atomic(paths["config"], f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n"
+                                             f"{ACCURACY_LINE}{res.accuracy!r}\n".encode())
     print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
           f"shots={cfg.shots} (train n={train.n})")
@@ -165,9 +167,10 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_tuned_config(cfg: RunConfig) -> str:
-    """Refuse settings other than those the checkpoint was tuned under, and
-    return the checkpoint sha256 the config records ('' if none).
+def _check_tuned_config(cfg: RunConfig) -> tuple[str, str]:
+    """Refuse settings other than those the checkpoint was tuned under, or a
+    config that records no held-out accuracy, and return the checkpoint
+    sha256 ('' if none) and the held-out accuracy the config records.
 
     Every key but `out` must match: the seed and shift decide the test
     split, and the other keys decide what the checkpoint holds and how it
@@ -180,17 +183,24 @@ def _check_tuned_config(cfg: RunConfig) -> str:
         if f.name != "out" and mine != theirs:
             raise ConfigError(f"{f.name!r} is {mine!r} here but was {theirs!r} when "
                               f"the model was tuned ({path!r})")
-    return text.partition(f"\n{DIGEST_LINE}")[2].split("\n", 1)[0]
+    digest, accuracy = (text.partition(f"\n{line}")[2].split("\n", 1)[0]
+                        for line in (DIGEST_LINE, ACCURACY_LINE))
+    if not accuracy:
+        raise MissingArtifactError(f"tuned model config {path!r} records no held-out "
+                                   "accuracy — tune again")
+    return digest, accuracy
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
-    digest = _check_tuned_config(cfg)
+    digest, recorded = _check_tuned_config(cfg)
     # the tuned checkpoint holds every backbone value, bound by the .cfg digest
     task = harness.make_task(cfg, harness.initial_backbone(cfg))
     checkpoint.restore(task.named_params(), checkpoint.load(path, sha256=digest))
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
+    if repr(accuracy) != recorded:
+        raise EvaluationError(f"held-out accuracy {accuracy!r}, but the tune recorded {recorded}")
     print(f"run              {_run_id(cfg)}")
     print(f"held-out accuracy {accuracy!r}")
     print(f"test samples     {test.n}")

@@ -29,8 +29,6 @@ from .model import AffineStage, Backbone
 from .numerics import Param, batch_cross_entropy, rel_error
 from .rng import substream
 
-# Epochs without a loss improvement after which a protocol run stops early.
-PATIENCE = 20
 MIN_SOURCE_ACCURACY = 0.95     # source train accuracy a pretrained backbone must reach
 PRETRAIN_MIN_EPOCHS = 300      # the fewest epochs a backbone pretrains for
 N_CLASSES = 4                  # classes of every source and target task
@@ -328,12 +326,10 @@ def run_protocol(cfg: RunConfig, backbone: Backbone, train_ds: Dataset,
     Every protocol runs the one trainer, which partitions what the task
     names: the prompted protocol prunes its cells' W and U, and every other
     trainable scalar (the baselines' all) takes plain gradient descent.
-    Training stops early after `PATIENCE` epochs without improvement.
     """
     start = time.perf_counter()
     task = make_task(cfg, backbone)
-    log = robust_opt.train(task, (train_ds.inputs, train_ds.labels), cfg.optimizer,
-                           cfg.epochs, patience=PATIENCE)
+    log = robust_opt.train(task, (train_ds.inputs, train_ds.labels), cfg.optimizer, cfg.epochs)
     return ProtocolResult(
         accuracy=held_out_accuracy(task, test_ds),
         trainable_params=sum(p.size for p in task.trainable_params()),

@@ -40,8 +40,6 @@ import numpy as np
 from .errors import EvaluationError, StateError, require, require_finite, within
 from .numerics import Param
 
-PLATEAU_TOL = 1e-6      # a loss must fall by more than this to count as improving
-
 
 @dataclass(frozen=True)
 class OptState:
@@ -148,8 +146,7 @@ class TrainLog:
         return [r["loss"] for r in self.rows]
 
 
-def train(task, dataset: tuple, state: OptState, epochs: int,
-          patience: int | None = None) -> TrainLog:
+def train(task, dataset: tuple, state: OptState, epochs: int) -> TrainLog:
     """Full-batch partitioned training on `dataset` = (inputs, labels); returns the log.
 
     The partition covers `task.partitioned_params()` when the task has that
@@ -157,14 +154,11 @@ def train(task, dataset: tuple, state: OptState, epochs: int,
     refreshed from fresh scores every `repartition_every` epochs and reused
     in between; one that covers nothing is all crucial and never scored.
     A non-finite loss aborts immediately rather than letting the run limp
-    on. With `patience` set, training stops early once the loss has not
-    improved by more than `PLATEAU_TOL` for that many consecutive epochs.
+    on; otherwise every one of the `epochs` epochs runs.
     Each epoch runs inside `errors.within("epoch N")`, the final predict inside
     `within("final predict after N epochs")`: any numeric failure in them, `post_step`
     included, names its phase (e.g. `epoch 3: non-finite loss nan`).
     """
-    if patience is not None and patience < 1:
-        raise ValueError(f"patience must be >= 1, got {patience}")
     x, y = np.asarray(dataset[0], dtype=np.float64), np.asarray(dataset[1])
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -176,8 +170,6 @@ def train(task, dataset: tuple, state: OptState, epochs: int,
     pruned = np.concatenate([np.full(p.size, id(p) in named) for p in params])
     log = TrainLog()
     crucial = ~pruned
-    best_loss = math.inf
-    stale = 0
     prepare, post, metrics = (getattr(task, n, None) for n in ("prepare", "post_step", "metrics"))
     if prepare is not None:
         prepare(x)
@@ -200,14 +192,6 @@ def train(task, dataset: tuple, state: OptState, epochs: int,
                              "crucial_fraction": float(np.mean(crucial)),
                              "noncrucial_mean_abs": float(np.mean(np.abs(nc))) if nc.size else 0.0,
                              **(metrics() if metrics is not None else {})})
-            if patience is not None:
-                if value < best_loss - PLATEAU_TOL:
-                    best_loss = value
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
     with within(f"final predict after {len(log.rows)} epochs"):
         log.final_accuracy = float(np.mean(task.predict(x) == y))
     return log

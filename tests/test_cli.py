@@ -462,12 +462,15 @@ def test_tune_then_eval_reproduces_accuracy_exactly(workdir, capsys):
 
 
 def test_a_null_step_tune_runs_and_evals_exactly(workdir, tmp_path, capsys):
-    # eta = 0 is the optimizer's degenerate null step: no trained value moves
+    # eta = 0 is the optimizer's degenerate null step: no trained value moves, the
+    # loss stays flat, and the tune still runs every epoch it is given
     base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0", "--eta", "0",
-            "--epochs", "3"]
+            "--epochs", "25"]
     rc, tune_out, _ = run_cli(capsys, ["tune", *base])
     assert rc == 0
     assert "gates alpha1     0.5000 -> 0.5000" in tune_out
+    assert "epochs run       25\n" in tune_out
+    assert len((tmp_path / "lion-blobs-s0-trace.csv").read_text().splitlines()) == 26
     rc, eval_out, _ = run_cli(capsys, ["eval", *base])
     assert rc == 0
     assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
@@ -485,7 +488,7 @@ def test_tune_lion_reports_gates_and_evals_exactly(workdir, capsys):
     assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
     trace = (workdir / "lion-blobs-s0-trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,loss,accuracy,crucial_fraction,alpha1,alpha2"
-    assert len(trace) - 1 <= 40
+    assert len(trace) - 1 == 40
     first = trace[1].split(",")
     assert len(first) == 6 and first[4] != ""
 
@@ -738,6 +741,32 @@ def test_eval_refuses_a_checkpoint_its_cfg_does_not_vouch_for(workdir, tmp_path,
     assert rc == 3 and str(ckpt) in err and "(sha256 none)" in err
     cfg.write_text(tuned_cfg)
     rc, eval_out, err = run_cli(capsys, ["eval", *base, "--seed", "0"])
+    assert rc == 0 and err == ""
+    assert _accuracy_line(eval_out) == _accuracy_line(tune_out)
+
+
+def test_eval_fails_unless_it_reproduces_the_recorded_accuracy(workdir, tmp_path, capsys):
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "head_tuning", "--epochs", "5"]
+    rc, tune_out, _ = run_cli(capsys, ["tune", *base])
+    assert rc == 0
+    cfg = tmp_path / "head_tuning-blobs-s0.cfg"
+    tuned_cfg = cfg.read_text()
+    recorded = f"{cli.ACCURACY_LINE}{_accuracy_line(tune_out)}\n"
+    assert tuned_cfg.endswith(recorded)
+    cfg.write_text(tuned_cfg.replace(recorded, f"{cli.ACCURACY_LINE}0.125\n"))
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (1, "")
+    assert err == (f"check failed: held-out accuracy {_accuracy_line(tune_out)}, "
+                   "but the tune recorded 0.125\n")
+    cfg.write_text(tuned_cfg.replace(recorded, ""))
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (3, "")
+    assert err.startswith(f"missing artifact: tuned model config {str(cfg)!r} records no "
+                          "held-out accuracy")
+    assert err.count("\n") == 1
+    cfg.write_text(tuned_cfg)
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
     assert rc == 0 and err == ""
     assert _accuracy_line(eval_out) == _accuracy_line(tune_out)
 

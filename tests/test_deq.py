@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lionprompt import deq
 from lionprompt.deq import (
     PromptBlock,
     SolverConfig,
@@ -104,6 +105,22 @@ def test_renormalize_oracle_reestimate():
         assert estimate_spectral_norm(eff) <= 0.9 + 1e-6
         # cross-check the norm against a dense SVD
         assert float(np.linalg.svd(eff, compute_uv=False)[0]) <= 0.9 + 1e-6
+
+
+def test_renormalize_runs_the_svd_again_when_the_bound_sits_inside_its_margin(monkeypatch):
+    # ||W||_2 is kappa (1 - 1e-10): inside the ball, but too close to its edge for
+    # the bound sigma_0 + ||W - W_0||_F to rule out a clip, even with W unchanged
+    sigma = 0.9 * (1.0 - 1e-10)
+    w = np.diag([sigma, 0.5 * sigma, 0.25 * sigma])
+    cell = make_cell(W=w, U=np.zeros((3, 1)), b=np.zeros(3), kappa=0.9)
+    calls = []
+    monkeypatch.setattr(deq, "estimate_spectral_norm",
+                        lambda m: calls.append(m) or estimate_spectral_norm(m))
+    cell.renormalize()
+    assert len(calls) == 1 and cell._svd[0] == sigma
+    cell.renormalize()
+    assert len(calls) == 2
+    assert np.array_equal(cell.W.value, w)
 
 
 def test_spectral_norm_matches_svd():

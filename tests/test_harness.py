@@ -16,7 +16,6 @@ from lionprompt.deq import SolverConfig
 from lionprompt.errors import ConfigError, DivergenceError, SetupError
 from lionprompt.harness import (
     GRADCHECK_TOL,
-    PATIENCE,
     Dataset,
     _central_differences,
     _sq_loss,
@@ -454,25 +453,6 @@ def test_predictions_do_not_depend_on_batch_composition(source_backbone, data):
     clear = top2[:, 1] - top2[:, 0] > 2.0 * bound
     assert np.array_equal(task.predict(te.inputs[rows])[clear],
                           np.argmax(alone[rows], axis=1)[clear])
-
-
-# --- optimizer plateau stop -----------------------------------------------------
-
-def test_patience_stops_training_early(source_backbone):
-    ds = make_blobs(4, 16, 400, seed=3)
-    bb, _ = source_backbone
-    # a vanishing step leaves the loss flat after the first epoch
-    res = run_protocol(RunConfig(protocol="head_tuning", eta=1e-9, epochs=5000), bb, ds, ds)
-    assert len(res.log.rows) == PATIENCE + 1
-
-
-def test_patience_must_be_positive(source_backbone):
-    ds = make_blobs(4, 16, 200, seed=3)
-    bb, _ = source_backbone
-    task = make_task(RunConfig(protocol="head_tuning"), bb)
-    with pytest.raises(ValueError, match="patience"):
-        robust_opt.train(task, (ds.inputs, ds.labels), robust_opt.OptState(eta=0.3), 5,
-                         patience=0)
 
 
 # --- prompt-position experiment ---------------------------------------------------
