@@ -104,9 +104,9 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load(path: str, sha256: str | None = None) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as an ordered name -> float64 array mapping;
-    given `sha256` (a tuned model config's record), a valid file with another is refused."""
+def load(path: str, sha256: str | None = None) -> tuple[dict[str, np.ndarray], str]:
+    """Read a checkpoint back as an ordered name -> float64 array mapping, and its sha256
+    (hex); given `sha256` (a tuned model config's record), a valid file with another is refused."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -147,10 +147,11 @@ def load(path: str, sha256: str | None = None) -> dict[str, np.ndarray]:
         out[name] = arr
     if r.pos != len(blob):
         raise CheckpointError(f"{path!r}: {len(blob) - r.pos} trailing bytes")
-    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+    digest = hashlib.sha256(blob).hexdigest()
+    if sha256 is not None and digest != sha256:
         raise CheckpointError(f"{path!r} is not the checkpoint its tuned model config "
                               f"records (sha256 {sha256[:16] or 'none'})")
-    return out
+    return out, digest
 
 
 def restore(params: list[Param], loaded: dict[str, np.ndarray]) -> None:

@@ -9,10 +9,10 @@ outputs byte for byte. Each command runs on one OpenBLAS thread, since the
 thread count changes how the larger products are summed, and the caller's
 count is restored on return (library calls outside a command run at the
 caller's count). A NumPy build whose OpenBLAS cannot be found runs unpinned
-and says `blas: unpinned` on stderr. `tune` saves its config next to the
-checkpoint, last of its files, with the checkpoint's sha256 and its held-out
-accuracy as comments; `eval` refuses to score the checkpoint under any other
-config or digest, and fails unless it reproduces that accuracy exactly.
+and says `blas: unpinned` on stderr. `tune` checkpoints the trainable Params,
+then saves its config, with the sha256 of that checkpoint and of the backbone
+file and the held-out accuracy as comments; `eval` refuses any other config or
+digest, and fails unless it reproduces that accuracy exactly.
 
 Exit codes, each but 0 with one stderr line: 0 success; 1 check failure;
 2 config error, an output that cannot be written included; 3 missing
@@ -47,6 +47,7 @@ RUN_COLUMNS = {"run_id": str, "protocol": str, "dataset": str, "seed": int,  # c
                "accuracy": float, "trainable_params": int, "epochs": int, "wall_time_s": float}
 CSV_HEADER = ",".join(RUN_COLUMNS)
 DIGEST_LINE = "# checkpoint sha256 "
+BACKBONE_LINE = "# backbone sha256 "
 ACCURACY_LINE = "# held-out accuracy "
 TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
 
@@ -93,6 +94,15 @@ def _run_id(cfg: RunConfig) -> str:
     return f"{cfg.protocol}-{cfg.dataset}-s{cfg.seed}"
 
 
+def _backbone(cfg: RunConfig, sha256: str | None = None) -> tuple[m.Backbone, str]:
+    """The pretrained backbone and its file's sha256; given `sha256`, another file is refused."""
+    path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
+    backbone = harness.initial_backbone(cfg)
+    values, digest = checkpoint.load(path, sha256)
+    checkpoint.restore(backbone.params(), values)
+    return backbone, digest
+
+
 def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
     """Every file a command writes under `cfg.out`; `eval` and `gradcheck` write none."""
     source, run = f"{cfg.dataset}-s{cfg.seed}", _run_id(cfg)
@@ -134,18 +144,17 @@ def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> dict:
 
 
 def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
-    path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
-    backbone = harness.initial_backbone(cfg)
-    checkpoint.restore(backbone.params(), checkpoint.load(path))
+    backbone, backbone_digest = _backbone(cfg)
     train, test = harness.target_task(cfg)
     res = harness.run_protocol(cfg, backbone, train, test)
     paths = _artifact_paths(cfg)
-    # The .cfg, which binds the checkpoint by its digest, comes last, so a tune
-    # cut short leaves a checkpoint that `eval` refuses rather than misattributes.
-    digest = checkpoint.save(paths["model"], res.task.named_params())
+    # The .cfg, which binds the checkpoint and the backbone by their digests, comes last, so
+    # a tune cut short leaves a checkpoint that `eval` refuses rather than misattributes.
+    digest = checkpoint.save(paths["model"], res.task.trainable_params())
     checkpoint.write_atomic(paths["run_csv"], _csv(RUN_COLUMNS, [_run_row(cfg, res)]))
     checkpoint.write_atomic(paths["trace_csv"], _csv(TRACE_COLUMNS, res.log.rows))
     checkpoint.write_atomic(paths["config"], f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n"
+                                             f"{BACKBONE_LINE}{backbone_digest}\n"
                                              f"{ACCURACY_LINE}{res.accuracy!r}\n".encode())
     print(f"protocol         {cfg.protocol}")
     print(f"target           {cfg.dataset} shift={cfg.shift} ir={cfg.ir} "
@@ -167,10 +176,10 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_tuned_config(cfg: RunConfig) -> tuple[str, str]:
+def _check_tuned_config(cfg: RunConfig) -> tuple[str, str, str]:
     """Refuse settings other than those the checkpoint was tuned under, or a
-    config that records no held-out accuracy, and return the checkpoint
-    sha256 ('' if none) and the held-out accuracy the config records.
+    config that records no held-out accuracy, and return the checkpoint and
+    backbone sha256s ('' if none) and the held-out accuracy the config records.
 
     Every key but `out` must match: the seed and shift decide the test
     split, and the other keys decide what the checkpoint holds and how it
@@ -183,20 +192,19 @@ def _check_tuned_config(cfg: RunConfig) -> tuple[str, str]:
         if f.name != "out" and mine != theirs:
             raise ConfigError(f"{f.name!r} is {mine!r} here but was {theirs!r} when "
                               f"the model was tuned ({path!r})")
-    digest, accuracy = (text.partition(f"\n{line}")[2].split("\n", 1)[0]
-                        for line in (DIGEST_LINE, ACCURACY_LINE))
+    digest, backbone, accuracy = (text.partition(f"\n{line}")[2].split("\n", 1)[0]
+                                  for line in (DIGEST_LINE, BACKBONE_LINE, ACCURACY_LINE))
     if not accuracy:
         raise MissingArtifactError(f"tuned model config {path!r} records no held-out "
                                    "accuracy — tune again")
-    return digest, accuracy
+    return digest, backbone, accuracy
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
-    digest, recorded = _check_tuned_config(cfg)
-    # the tuned checkpoint holds every backbone value, bound by the .cfg digest
-    task = harness.make_task(cfg, harness.initial_backbone(cfg))
-    checkpoint.restore(task.named_params(), checkpoint.load(path, sha256=digest))
+    digest, backbone_digest, recorded = _check_tuned_config(cfg)
+    task = harness.make_task(cfg, _backbone(cfg, backbone_digest)[0])
+    checkpoint.restore(task.trainable_params(), checkpoint.load(path, sha256=digest)[0])
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
     if repr(accuracy) != recorded:

@@ -242,10 +242,6 @@ class ClassifierTask:
     def trainable_params(self):
         return self.backbone_trainable + [self.head.w, self.head.b]
 
-    def named_params(self):
-        """Everything needed to reconstruct the classifier, trained or not."""
-        return self.backbone.params() + [self.head.w, self.head.b]
-
     def forward(self, x):
         feats, _ = m.backbone_forward(self.backbone, x, self.workspace)
         return feats @ self.head.w.value.T + self.head.b.value

@@ -222,10 +222,6 @@ class PromptModel:
         """The implicit layers' weights, W and U of P1 and P2; the rest descend."""
         return [self.p1.W, self.p1.U, self.p2.W, self.p2.U]
 
-    def named_params(self) -> list[Param]:
-        """Everything needed to reconstruct the model, frozen parts included."""
-        return self.backbone.params() + self.trainable_params()
-
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         return loss_and_grads(self, x, y)
 
@@ -276,7 +272,6 @@ def build_prompt_model(backbone: Backbone, n_classes: int, seed: int,
     rng = substream(seed, "prompt-init")
 
     def block(name: str, dim: int) -> PromptBlock:
-        # the ".0" in the names keeps checkpoints written by earlier versions loadable
         blk = PromptBlock(name, Param(f"{name}.0.W", _uniform(rng, (dim, dim), dim)),
                           Param(f"{name}.0.U", _uniform(rng, (dim, dim), dim)),
                           Param(f"{name}.0.b", np.zeros(dim)), kappa=kappa)

@@ -50,6 +50,7 @@ class Mutant:
 
 CLI, DEQ, HARNESS = "src/lionprompt/cli.py", "src/lionprompt/deq.py", "src/lionprompt/harness.py"
 MODEL, OPT = "src/lionprompt/model.py", "src/lionprompt/robust_opt.py"
+CKPT = "src/lionprompt/checkpoint.py"
 T_CLI = "tests/test_cli.py"
 
 MUTANTS = (
@@ -98,8 +99,24 @@ MUTANTS = (
            "mats = np.ascontiguousarray(w)[None, :, :]",
            ("tests/test_deq.py",)),
     Mutant("eval loads without the digest", CLI,
-           "checkpoint.load(path, sha256=digest)", "checkpoint.load(path)",
+           "checkpoint.load(path, sha256=digest)[0]", "checkpoint.load(path)[0]",
            (T_CLI,)),
+    Mutant("backbone loads without its digest", CLI,
+           "values, digest = checkpoint.load(path, sha256)",
+           "values, digest = checkpoint.load(path)",
+           (f"{T_CLI}::test_eval_refuses_a_backbone_replaced_after_the_tune",)),
+    Mutant("an unrecorded backbone digest goes unchecked", CLI,
+           "values, digest = checkpoint.load(path, sha256)",
+           "values, digest = checkpoint.load(path, sha256 or None)",
+           (f"{T_CLI}::test_eval_refuses_a_tune_whose_backbone_is_gone_or_unrecorded",)),
+    Mutant("tune saves the backbone too", CLI,
+           'checkpoint.save(paths["model"], res.task.trainable_params())',
+           'checkpoint.save(paths["model"], res.task.backbone.params()'
+           ' + res.task.trainable_params())',
+           (f"{T_CLI}::test_a_tuned_checkpoint_holds_exactly_the_trainable_params",)),
+    Mutant("restore ignores extra entries", CKPT,
+           "    if extra:\n", "    if False:\n",
+           (f"{T_CLI}::test_a_checkpoint_that_still_holds_backbone_values_is_refused",)),
     Mutant("BLAS pin keeps the caller's count", CLI,
            "    set_(1)\n", "    set_(before)\n",
            (f"{T_CLI}::test_artifacts_do_not_depend_on_the_callers_blas_thread_count",)),

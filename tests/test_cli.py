@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from lionprompt import checkpoint, cli, deq, harness
 from lionprompt.cli import CSV_HEADER, _build_parser, _resolve_config, main
-from lionprompt.config import RunConfig, parse, serialize
+from lionprompt.config import PROTOCOL_CHOICES, RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
 from lionprompt.numerics import Param
 from lionprompt.rng import substream
@@ -38,8 +38,9 @@ def sample_params(seed=0):
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     params = sample_params()
     path = str(tmp_path / "m.ckpt")
-    checkpoint.save(path, params)
-    loaded = checkpoint.load(path)
+    digest = checkpoint.save(path, params)
+    loaded, loaded_digest = checkpoint.load(path)
+    assert loaded_digest == digest
     assert list(loaded) == [p.name for p in params]
     for p in params:
         assert loaded[p.name].tobytes() == p.value.tobytes()
@@ -52,7 +53,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     second = str(tmp_path / "b.ckpt")
     checkpoint.save(first, params)
     restored = [Param(p.name, np.zeros(p.value.shape)) for p in params]
-    checkpoint.restore(restored, checkpoint.load(first))
+    checkpoint.restore(restored, checkpoint.load(first)[0])
     checkpoint.save(second, restored)
     assert open(first, "rb").read() == open(second, "rb").read()
 
@@ -148,7 +149,7 @@ def test_save_load_save_is_byte_identical_for_fuzzed_names_and_shapes(entry_name
         first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
         checkpoint.save(first, params)
         blank = [Param(p.name, np.zeros(p.value.shape)) for p in params]
-        checkpoint.restore(blank, checkpoint.load(first))
+        checkpoint.restore(blank, checkpoint.load(first)[0])
         checkpoint.save(second, blank)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
@@ -214,7 +215,7 @@ def test_a_forged_checkpoint_is_refused_only_with_a_checkpoint_error(edits):
 def test_restore_rejects_architecture_mismatch(tmp_path):
     path = str(tmp_path / "m.ckpt")
     checkpoint.save(path, sample_params())
-    loaded = checkpoint.load(path)
+    loaded = checkpoint.load(path)[0]
     with pytest.raises(CheckpointError, match="lacks"):
         checkpoint.restore([Param("nope", 0.0)] + sample_params(), loaded)
     with pytest.raises(CheckpointError, match="unexpected"):
@@ -493,12 +494,18 @@ def test_tune_lion_reports_gates_and_evals_exactly(workdir, capsys):
     assert len(first) == 6 and first[4] != ""
 
 
-@pytest.mark.parametrize("protocol", ["lion", "head_tuning"])
-def test_the_trace_holds_exactly_what_the_rows_hold(workdir, tmp_path, monkeypatch, capsys,
-                                                    protocol):
+def _record_protocol_runs(monkeypatch):
+    """The `ProtocolResult` of every `harness.run_protocol` call from here on."""
     run, results = harness.run_protocol, []
     monkeypatch.setattr(harness, "run_protocol",
                         lambda *args: results.append(run(*args)) or results[-1])
+    return results
+
+
+@pytest.mark.parametrize("protocol", ["lion", "head_tuning"])
+def test_the_trace_holds_exactly_what_the_rows_hold(workdir, tmp_path, monkeypatch, capsys,
+                                                    protocol):
+    results = _record_protocol_runs(monkeypatch)
     rc, tune_out, _ = run_cli(capsys, ["tune", "--out", _own_outdir(workdir, tmp_path),
                                        "--seed", "0", "--protocol", protocol, "--epochs", "8"])
     assert rc == 0
@@ -594,9 +601,8 @@ def test_tune_prints_how_many_trainable_scalars_end_at_zero(workdir, tmp_path, c
                                        "--protocol", "lion", "--epochs", "20"])
     assert rc == 0
     printed = [line.split() for line in tune_out.splitlines() if line.startswith("zero params")]
-    saved = checkpoint.load(os.path.join(out, "lion-blobs-s0.ckpt"))
-    zeros = sum(int(np.count_nonzero(v == 0.0)) for name, v in saved.items()
-                if not name.startswith("backbone."))
+    saved = checkpoint.load(os.path.join(out, "lion-blobs-s0.ckpt"))[0]
+    zeros = sum(int(np.count_nonzero(v == 0.0)) for v in saved.values())
     assert zeros > 0 and printed == [["zero", "params", str(zeros)]]
 
 
@@ -675,16 +681,78 @@ def test_eval_names_the_phase_of_a_nonfinite_held_out_solve(workdir, tmp_path, m
     assert "check failed: held-out predict: block p1: non-finite iterate" in err
 
 
-def test_eval_reads_no_backbone_file(workdir, tmp_path, capsys):
-    # the tuned checkpoint holds every backbone value, and its .cfg binds it by digest
+@pytest.mark.parametrize("protocol", PROTOCOL_CHOICES)
+def test_a_tuned_checkpoint_holds_exactly_the_trainable_params(workdir, tmp_path, monkeypatch,
+                                                               capsys, protocol):
+    results = _record_protocol_runs(monkeypatch)
+    rc, tune_out, _ = run_cli(capsys, ["tune", "--out", _own_outdir(workdir, tmp_path),
+                                       "--seed", "0", "--protocol", protocol, "--epochs", "3"])
+    assert rc == 0
+    saved = checkpoint.load(str(tmp_path / f"{protocol}-blobs-s0.ckpt"))[0]
+    assert list(saved) == [p.name for p in results[0].task.trainable_params()]
+    scalars = sum(v.size for v in saved.values())
+    assert f"trainable params {scalars}\n" in tune_out
+    assert scalars == {"lion": 1400, "head_tuning": 68}.get(protocol, scalars)
+
+
+def test_eval_refuses_a_backbone_replaced_after_the_tune(workdir, tmp_path, capsys):
+    out = _own_outdir(workdir, tmp_path)
+    base = ["--out", out, "--seed", "0", "--protocol", "lion", "--epochs", "20"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    # a pretrain at other settings writes the same file name
+    assert run_cli(capsys, ["pretrain", "--out", out, "--seed", "0", "--epochs", "400",
+                            "--eta", "0.1"])[0] == 0
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (3, "")
+    path = os.path.join(out, "backbone-blobs-s0.ckpt")
+    assert err.startswith(f"missing artifact: {path!r} is not the checkpoint")
+    assert err.count("\n") == 1
+
+
+def test_eval_refuses_a_tune_whose_backbone_is_gone_or_unrecorded(workdir, tmp_path, capsys):
     out = _own_outdir(workdir, tmp_path)
     base = ["--out", out, "--seed", "0", "--protocol", "lion", "--epochs", "20"]
     rc, tune_out, _ = run_cli(capsys, ["tune", *base])
     assert rc == 0
-    os.remove(os.path.join(out, "backbone-blobs-s0.ckpt"))
-    rc, eval_out, _ = run_cli(capsys, ["eval", *base])
-    assert rc == 0
-    assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
+    path = os.path.join(out, "backbone-blobs-s0.ckpt")
+    cfg = tmp_path / "lion-blobs-s0.cfg"
+    tuned_cfg, backbone = cfg.read_text(), open(path, "rb").read()
+    assert f"\n{cli.BACKBONE_LINE}" in tuned_cfg
+    cfg.write_text("".join(line for line in tuned_cfg.splitlines(keepends=True)
+                           if not line.startswith(cli.BACKBONE_LINE)))
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (3, "")
+    assert err.startswith(f"missing artifact: {path!r} is not the checkpoint")
+    assert "(sha256 none)" in err and err.count("\n") == 1
+    cfg.write_text(tuned_cfg)
+    os.remove(path)
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (3, "")
+    assert err.startswith(f"missing artifact: backbone checkpoint not found at {path!r}")
+    assert err.count("\n") == 1
+    open(path, "wb").write(backbone)
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert rc == 0 and err == ""
+    assert _accuracy_line(eval_out) == _accuracy_line(tune_out)
+
+
+def test_a_checkpoint_that_still_holds_backbone_values_is_refused(workdir, tmp_path, capsys):
+    # the layout before tuned checkpoints held only the trainable Params
+    out = _own_outdir(workdir, tmp_path)
+    base = ["--out", out, "--seed", "0", "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    ckpt, cfg = tmp_path / "head_tuning-blobs-s0.ckpt", tmp_path / "head_tuning-blobs-s0.cfg"
+    tuned = checkpoint.load(str(ckpt))[0]
+    backbone, _ = checkpoint.load(os.path.join(out, "backbone-blobs-s0.ckpt"))
+    digest = checkpoint.save(str(ckpt), [Param(name, value) for name, value
+                                         in {**backbone, **tuned}.items()])
+    text = cfg.read_text()
+    old = text.partition(cli.DIGEST_LINE)[2].split("\n", 1)[0]
+    cfg.write_text(text.replace(old, digest))
+    rc, eval_out, err = run_cli(capsys, ["eval", *base])
+    assert (rc, eval_out) == (3, "")
+    assert err == (f"missing artifact: checkpoint has unexpected entries "
+                   f"{sorted(backbone)}\n")
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):
@@ -813,17 +881,17 @@ def test_a_backbone_with_a_forged_header_is_one_missing_artifact_line(workdir, t
     out = _own_outdir(workdir, tmp_path)
     base = ["--out", out, "--seed", "0", "--epochs", "3"]
     assert run_cli(capsys, ["tune", *base])[0] == 0
-    # the tuned checkpoint holds the backbone too, and `eval` reads it before its digest
-    for command, file in (("eval", "lion-blobs-s0.ckpt"), ("tune", "backbone-blobs-s0.ckpt")):
+    # each file is parsed before its digest is compared
+    for command, file, name in (("eval", "lion-blobs-s0.ckpt", "p1.0.W"),
+                                ("tune", "backbone-blobs-s0.ckpt", "backbone.0.W")):
         path = os.path.join(out, file)
         blob = bytearray(open(path, "rb").read())
-        name = b"backbone.0.W"
-        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        at = blob.index(struct.pack("<I", len(name)) + name.encode()) + 4 + len(name)
         struct.pack_into("<III", blob, at, 2, 2**32 - 1, 2**32 - 1)
         open(path, "wb").write(bytes(blob))
         rc, _, err = run_cli(capsys, [command, *base])
         assert rc == 3, command
-        assert err.startswith(f"missing artifact: {path!r}: entry 'backbone.0.W' dims ")
+        assert err.startswith(f"missing artifact: {path!r}: entry {name!r} dims ")
         assert err.count("\n") == 1
 
 

@@ -284,7 +284,7 @@ def test_protocol_runs_do_not_touch_the_shared_backbone(source_backbone):
     for protocol in PROTOCOL_CHOICES:
         task = run_protocol(RunConfig(protocol=protocol, seed=0, epochs=20), bb, tr, te).task
         trained = {id(p) for p in task.trainable_params()}
-        untrained = [p for p in task.named_params() if id(p) not in trained]
+        untrained = [p for p in task.backbone.params() if id(p) not in trained]
         assert untrained or protocol == "full_finetune"
         for p in untrained:      # what a task does not list as trainable stays as pretrained
             assert p.value.tobytes() == pretrained[p.name], (protocol, p.name)
