@@ -154,24 +154,27 @@ def load(path: str, sha256: str | None = None) -> tuple[dict[str, np.ndarray], s
     return out, digest
 
 
-def restore(params: list[Param], loaded: dict[str, np.ndarray]) -> None:
-    """Overwrite each parameter's value from the mapping, by name.
+def restore(params: list[Param], path: str, sha256: str | None = None) -> str:
+    """Overwrite each parameter's value, by name, from the checkpoint at `path`,
+    read by `load(path, sha256)`, and return the file's sha256.
 
     Every parameter must be present with a matching shape, and every loaded
     entry must be consumed — a checkpoint for a different architecture is
-    rejected rather than partially applied.
+    rejected, naming its file, rather than partially applied.
     """
+    loaded, digest = load(path, sha256)
     missing = [p.name for p in params if p.name not in loaded]
     if missing:
-        raise CheckpointError(f"checkpoint lacks entries {missing}")
+        raise CheckpointError(f"checkpoint {path!r} lacks entries {missing}")
     extra = sorted(set(loaded) - {p.name for p in params})
     if extra:
-        raise CheckpointError(f"checkpoint has unexpected entries {extra}")
+        raise CheckpointError(f"checkpoint {path!r} has unexpected entries {extra}")
     for p in params:
         t = loaded[p.name]
         if t.shape != p.value.shape:
-            raise CheckpointError(
-                f"entry {p.name!r} has shape {t.shape}, model expects {p.value.shape}")
+            raise CheckpointError(f"{path!r}: entry {p.name!r} has shape {t.shape}, "
+                                  f"model expects {p.value.shape}")
     for p in params:
         p.value = loaded[p.name]
         p.grad = None
+    return digest

@@ -98,9 +98,7 @@ def _backbone(cfg: RunConfig, sha256: str | None = None) -> tuple[m.Backbone, st
     """The pretrained backbone and its file's sha256; given `sha256`, another file is refused."""
     path = _require(_artifact_paths(cfg)["backbone"], "backbone checkpoint")
     backbone = harness.initial_backbone(cfg)
-    values, digest = checkpoint.load(path, sha256)
-    checkpoint.restore(backbone.params(), values)
-    return backbone, digest
+    return backbone, checkpoint.restore(backbone.params(), path, sha256)
 
 
 def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
@@ -204,7 +202,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
     digest, backbone_digest, recorded = _check_tuned_config(cfg)
     task = harness.make_task(cfg, _backbone(cfg, backbone_digest)[0])
-    checkpoint.restore(task.trainable_params(), checkpoint.load(path, sha256=digest)[0])
+    checkpoint.restore(task.trainable_params(), path, digest)
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
     if repr(accuracy) != recorded:

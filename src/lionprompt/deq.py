@@ -13,12 +13,10 @@ step of the cell body seeded with o. Because ||W||_2 <= kappa and
 most (1 + kappa) / (1 - kappa).
 
 Every forward solve runs through one driver on an (n, h) float64 stack of
-rows that evolve independently, each with its input term c_i = U x_i + b.
-The rows share one state weight and its product; the gradient cross-checks
-shift one entry of W per row, an indexed add after that product on the rows
-that move. The driver stops once the worst row residual max_i ||f(z_i) - z_i||
-is within tol; `SolveReport.certified(tol)` returns z* only then, certifying
-every row, and raises `DivergenceError` otherwise.
+rows that evolve independently, each with its input term c_i = U x_i + b,
+under one shared state weight. The driver stops once the worst row residual
+max_i ||f(z_i) - z_i|| is within tol; `SolveReport.certified(tol)` returns
+z* only then, certifying every row, and raises `DivergenceError` otherwise.
 `solve_forward_batch` is the one forward solve and `PromptBlock.vjp` the
 one implicit VJP, a single row being a one-row batch; training and the
 gradient cross-checks both pull through that method, and the cross-checks
@@ -165,40 +163,32 @@ def estimate_spectral_norm(w: np.ndarray) -> float:
 
 # --- forward ---------------------------------------------------------------
 
-def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg: SolverConfig,
-           shift=None) -> tuple[np.ndarray, int, float, bool]:
-    """Fixed-point driver on an (n, h) stack of rows z_r = tanh(W_r z_r + c_r).
+def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray,
+           cfg: SolverConfig) -> tuple[np.ndarray, int, float, bool]:
+    """Fixed-point driver on an (n, h) stack of rows z_r = tanh(W z_r + c_r).
 
-    `c` holds each row's input term U x_r + b. Row r runs the shared (h, h)
-    `w`, shifted by eps_r in entry (i_r, j_r) if `shift` = (i, j, eps) is
-    given: (W + eps E_ij) z = W z + eps z_j e_i, one indexed add on the rows
-    whose eps is nonzero. Stops once the worst row residual
-    max_r ||f(z_r) - z_r|| is <= tol, taken only where one dot product
-    t = ||f(Z) - Z||_F^2 <= n tol^2 (1 + 1e-6) (the worst square is >=
-    t / n; the margin covers t's rounding; a NaN t fails `bound < t`) and on
-    the last evaluation. Returns (point, evaluations, worst-row residual at
-    point, converged); the residual always belongs to the returned point, so
-    `converged` iff every row is within tol. Picard steps z <- f(z). Anderson
-    mixing (type II) extrapolates the whole stack over the last
-    `anderson_depth` residuals with one least-squares combination, taking a
-    Picard step while the history holds fewer than two entries. Iterates
-    alternate between a copy of the start and one spare buffer, so the caller
-    owns the returned point.
+    `c` holds each row's input term U x_r + b; every row runs the shared
+    (h, h) `w`. Stops once the worst row residual max_r ||f(z_r) - z_r|| is
+    <= tol, taken only where one dot product t = ||f(Z) - Z||_F^2 <=
+    n tol^2 (1 + 1e-6) (the worst square is >= t / n; the margin covers t's
+    rounding; a NaN t fails `bound < t`) and on the last evaluation. Returns
+    (point, evaluations, worst-row residual at point, converged); the
+    residual always belongs to the returned point, so `converged` iff every
+    row is within tol. Picard steps z <- f(z). Anderson mixing (type II)
+    extrapolates the whole stack over the last `anderson_depth` residuals
+    with one least-squares combination, taking a Picard step while the
+    history holds fewer than two entries. Iterates alternate between a copy
+    of the start and one spare buffer, so the caller owns the returned point.
     """
     v = np.array(z0_rows, dtype=np.float64, order="C")
     g, r = np.empty_like(v), np.empty_like(v)
     tol, max_iters, depth = cfg.tol, cfg.max_iters, cfg.anderson_depth
     bound = len(v) * tol * tol * (1.0 + 1e-6)
-    if shift is not None:  # flat positions in the (n, h) stack of the rows that move
-        m = np.flatnonzero(shift[2])
-        at, src, eps = m * len(w) + shift[0][m], m * len(w) + shift[1][m], shift[2][m]
     hist_r: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iters + 1):
             np.matmul(v, w.T, out=g)
-            if shift is not None:
-                g.reshape(-1)[at] += eps * v.reshape(-1)[src]
             g += c
             np.tanh(g, out=g)
             np.subtract(g, v, out=r)
@@ -224,14 +214,13 @@ def _solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg: SolverConfig,
     raise AssertionError("unreachable")
 
 
-def solve_forward_batch(block: PromptBlock, x_rows: np.ndarray, cfg: SolverConfig | None = None,
-                        z0_rows: np.ndarray | None = None, shift=None) -> SolveReport:
+def solve_forward_batch(block: PromptBlock, x_rows: np.ndarray, cfg: SolverConfig,
+                        z0_rows: np.ndarray | None = None) -> SolveReport:
     """Solve a batch of inputs (rows) as one stacked fixed-point problem.
 
-    Row r starts from `z0_rows[r]` (copied, never written), else from zero,
-    and runs W + eps_r E_{i_r j_r}, of operator norm < 1, if `shift` =
-    (i, j, eps), three length-n arrays, is given. `z_star` holds one state
-    per row; `residual` is the worst row's, so converged certifies every row.
+    Row r starts from `z0_rows[r]` (copied, never written), else from zero.
+    `z_star` holds one state per row; `residual` is the worst row's, so
+    converged certifies every row.
     """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     h, d = block.U.value.shape
@@ -242,14 +231,8 @@ def solve_forward_batch(block: PromptBlock, x_rows: np.ndarray, cfg: SolverConfi
         z0_rows = np.zeros((n, h))
     elif np.shape(z0_rows) != (n, h):
         raise ShapeMismatchError(f"start shape {np.shape(z0_rows)} != {(n, h)}")
-    if shift is not None:
-        shift = tuple(np.asarray(a) for a in shift)
-        if ([a.shape for a in shift] != [(n,)] * 3
-                or np.any([(a < 0) | (a >= h) for a in shift[:2]])):
-            raise ShapeMismatchError(f"shift must be three ({n},) arrays with indices in "
-                                     f"[0, {h}), got shapes {[a.shape for a in shift]}")
     return SolveReport(*_solve(block.W.value, x_rows @ block.U.value.T + block.b.value,
-                               z0_rows, cfg or SolverConfig(), shift))
+                               z0_rows, cfg))
 
 
 solve_forward = solve_forward_batch  # the same function; profiles count gradcheck's calls apart

@@ -455,30 +455,27 @@ class GradCheckRow:
     status: str                 # "ok" | "solver_failed" | "gradient_failed"
 
 
-def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, cfg: SolverConfig,
-                         step: float) -> np.ndarray:
+def _central_differences(block: PromptBlock, x: np.ndarray, y: np.ndarray, z_star: np.ndarray,
+                         cfg: SolverConfig, step: float) -> np.ndarray:
     """Central differences of y . z* in every scalar of (W, U, b, x), in that order.
 
-    U, b and x reach z* only through c = U x + b, so the 2 (h^2 + h) perturbed
-    fixed points, W's entries then c's coordinates, + step rows first, are one
-    batch solve of a block (W, I, 0) whose input rows are the shifted c terms
-    (c I^T + 0 = c exactly); a W row shifts its entry of W by +-step. The c
-    gradient g_c maps exactly onto the rest: g_U = g_c x^T, g_b = g_c and
+    W, U, b and x reach z* only through the pre-activation W z + c, with
+    c = U x + b, so only c's h coordinates are differenced: the 2h perturbed
+    fixed points, + step rows first, are one batch solve of a block (W, I, 0)
+    whose input rows are the shifted c terms (c I^T + 0 = c exactly). The c
+    gradient g_c maps exactly onto every Param and the input: g_W = g_c z*^T
+    at the base fixed point `z_star`, g_U = g_c x^T, g_b = g_c and
     g_x = U^T g_c. Raises DivergenceError if any row stops short of tol.
     """
     u = block.U.value
     h, c = len(u), u @ x + block.b.value
-    shifts = np.vstack([np.zeros((h * h, h)), np.eye(h)])
-    # row k < h^2 shifts W[k // h, k % h]; the c rows take eps 0 at wrapped indices
-    eps = np.repeat([step, 0.0], [h * h, h])
-    i, j = np.divmod(np.tile(np.arange(h * h + h) % (h * h), 2), h)
     stack = PromptBlock("fd", block.W, Param("fd.U", np.eye(h)), Param("fd.b", np.zeros(h)),
                         block.kappa)
-    rep = deq.solve_forward(stack, c + step * np.vstack([shifts, -shifts]), cfg,
-                            shift=(i, j, np.concatenate([eps, -eps])))
+    rep = deq.solve_forward(stack, c + step * np.vstack([np.eye(h), -np.eye(h)]), cfg)
     plus, minus = np.split(rep.certified(cfg.tol), 2)
-    g_w, g_c = np.split((plus - minus) @ y / (2.0 * step), [h * h])
-    return np.concatenate([g_w, np.outer(g_c, x).ravel(), g_c, g_c @ u])
+    g_c = (plus - minus) @ y / (2.0 * step)
+    return np.concatenate([np.outer(g_c, z_star).ravel(), np.outer(g_c, x).ravel(), g_c,
+                           g_c @ u])
 
 
 def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
@@ -490,7 +487,8 @@ def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
     Every solve runs at `cfg.solver`'s settings, its tol capped at
     `GRADCHECK_TOL`: a training-grade tol would drown the finite-difference
     signal. Each case's central differences are one more solve, of a block
-    (W, I, 0), and its unrolled reference runs `UNROLL_DEPTH` steps, a depth
+    (W, I, 0) on 2h rows, mapped onto every Param through the base fixed
+    point, and its unrolled reference runs `UNROLL_DEPTH` steps, a depth
     computed once, at import. Solver non-convergence, in the base
     solve or in any row of the stack, is its own status so a hopeless
     tolerance setting is distinguishable from a wrong gradient.
@@ -516,7 +514,7 @@ def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
         y = rng.normal(size=h)
         try:
             z_star = deq.solve_forward(block, x[None, :], solver).certified(solver.tol)
-            fd = _central_differences(block, x, y, solver, fd_step)
+            fd = _central_differences(block, x, y, z_star[0], solver, fd_step)
         except DivergenceError:
             rows.append(GradCheckRow(case, h, d, float("nan"), float("nan"),
                                      "solver_failed"))

@@ -99,16 +99,25 @@ MUTANTS = (
            "mats = np.ascontiguousarray(w)[None, :, :]",
            ("tests/test_deq.py",)),
     Mutant("eval loads without the digest", CLI,
-           "checkpoint.load(path, sha256=digest)[0]", "checkpoint.load(path)[0]",
+           "checkpoint.restore(task.trainable_params(), path, digest)",
+           "checkpoint.restore(task.trainable_params(), path)",
            (T_CLI,)),
     Mutant("backbone loads without its digest", CLI,
-           "values, digest = checkpoint.load(path, sha256)",
-           "values, digest = checkpoint.load(path)",
+           "checkpoint.restore(backbone.params(), path, sha256)",
+           "checkpoint.restore(backbone.params(), path)",
            (f"{T_CLI}::test_eval_refuses_a_backbone_replaced_after_the_tune",)),
     Mutant("an unrecorded backbone digest goes unchecked", CLI,
-           "values, digest = checkpoint.load(path, sha256)",
-           "values, digest = checkpoint.load(path, sha256 or None)",
+           "checkpoint.restore(backbone.params(), path, sha256)",
+           "checkpoint.restore(backbone.params(), path, sha256 or None)",
            (f"{T_CLI}::test_eval_refuses_a_tune_whose_backbone_is_gone_or_unrecorded",)),
+    Mutant("an unexpected-entries refusal names no file", CKPT,
+           'f"checkpoint {path!r} has unexpected entries {extra}"',
+           'f"checkpoint has unexpected entries {extra}"',
+           (f"{T_CLI}::test_a_checkpoint_that_still_holds_backbone_values_is_refused",)),
+    Mutant("a shape refusal names no file", CKPT,
+           'f"{path!r}: entry {p.name!r} has shape {t.shape}, "',
+           'f"entry {p.name!r} has shape {t.shape}, "',
+           (f"{T_CLI}::test_a_backbone_with_a_wrong_shaped_entry_is_refused_naming_it",)),
     Mutant("tune saves the backbone too", CLI,
            'checkpoint.save(paths["model"], res.task.trainable_params())',
            'checkpoint.save(paths["model"], res.task.backbone.params()'
@@ -136,6 +145,9 @@ MUTANTS = (
     Mutant("pretrain floor of 299 epochs", HARNESS,
            "PRETRAIN_MIN_EPOCHS = 300 ", "PRETRAIN_MIN_EPOCHS = 299 ",
            ("tests/test_work_counts.py",)),
+    Mutant("central differences map g_c onto W off z*", HARNESS,
+           "np.outer(g_c, z_star)", "np.outer(g_c, 1.001 * z_star)",
+           ("tests/test_harness.py::test_gradcheck_stacks_match_per_entry_solves",)),
     Mutant("logged accuracy taken after the step", OPT,
            '"accuracy": float(np.mean(np.argmax(logits, axis=1) == y)),',
            '"accuracy": float(np.mean(task.predict(x) == y)),',

@@ -5,12 +5,12 @@ body, its fixed point and its adjoint taken one state at a time with dense
 matrices, sharing no code with the solver. Also the two fixtures that build
 a cell from plain arrays and read a VJP's parameter gradients, and the
 plain forms of two hot loops the package shortcuts byte-identically:
-`exact_solve`, the fixed-point driver that takes every row's residual and
-shifts every row on every evaluation, and `unrolled_vjp_every_step`, the
-unrolled reference that computes every one of its Picard steps and
-allocates each step's vectors afresh. `finite_diff_grad` perturbs every
-coordinate itself, where the package's cross-check differences U, b and x
-through the input term c = U x + b only (an exact first-order map).
+`exact_solve`, the fixed-point driver that takes every row's residual on
+every evaluation, and `unrolled_vjp_every_step`, the unrolled reference
+that computes every one of its Picard steps and allocates each step's
+vectors afresh. `finite_diff_grad` perturbs every coordinate itself, where
+the package's cross-check differences only the input term c = U x + b and
+maps its gradient onto W, U, b and x (an exact first-order map).
 `resample_longtail_loop` and `resample_fewshot_loop` are the two resamplers
 as separate loops, each drawing its own classes, which the package folds
 into one per-class draw.
@@ -102,22 +102,18 @@ def dense_adjoint(cell: PromptBlock, z: np.ndarray, x: np.ndarray, y: np.ndarray
     return np.linalg.solve(np.eye(len(jac)) - jac.T, y)
 
 
-def exact_solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray, cfg,
-                shift=None) -> tuple[np.ndarray, int, float, bool]:
-    """`deq._solve` without its screen or sparse shift: every evaluation adds
-    eps_r z_j to every row r, eps 0 included, and takes the exact worst-row
-    residual and the non-finite check."""
+def exact_solve(w: np.ndarray, c: np.ndarray, z0_rows: np.ndarray,
+                cfg) -> tuple[np.ndarray, int, float, bool]:
+    """`deq._solve` without its screen: every evaluation takes the exact
+    worst-row residual and the non-finite check."""
     v = np.array(z0_rows, dtype=np.float64)
     g, r, sq = np.empty_like(v), np.empty_like(v), np.empty(len(v))
-    rows = np.arange(len(v))
     depth = cfg.anderson_depth
     hist_r: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             np.matmul(v, w.T, out=g)
-            if shift is not None:
-                g[rows, shift[0]] += shift[2] * v[rows, shift[1]]
             g += c
             np.tanh(g, out=g)
             np.subtract(g, v, out=r)

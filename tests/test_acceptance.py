@@ -264,7 +264,7 @@ def test_criterion_9_persistence(tmp_path, source_backbone):
     first, second = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     checkpoint.save(first, params)
     blank = [Param(p.name, np.zeros(p.value.shape)) for p in params]
-    checkpoint.restore(blank, checkpoint.load(first)[0])
+    checkpoint.restore(blank, first)
     checkpoint.save(second, blank)
     ckpt_ok = open(first, "rb").read() == open(second, "rb").read()
 

@@ -53,7 +53,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     second = str(tmp_path / "b.ckpt")
     checkpoint.save(first, params)
     restored = [Param(p.name, np.zeros(p.value.shape)) for p in params]
-    checkpoint.restore(restored, checkpoint.load(first)[0])
+    checkpoint.restore(restored, first)
     checkpoint.save(second, restored)
     assert open(first, "rb").read() == open(second, "rb").read()
 
@@ -149,7 +149,7 @@ def test_save_load_save_is_byte_identical_for_fuzzed_names_and_shapes(entry_name
         first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
         checkpoint.save(first, params)
         blank = [Param(p.name, np.zeros(p.value.shape)) for p in params]
-        checkpoint.restore(blank, checkpoint.load(first)[0])
+        checkpoint.restore(blank, first)
         checkpoint.save(second, blank)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
@@ -215,15 +215,14 @@ def test_a_forged_checkpoint_is_refused_only_with_a_checkpoint_error(edits):
 def test_restore_rejects_architecture_mismatch(tmp_path):
     path = str(tmp_path / "m.ckpt")
     checkpoint.save(path, sample_params())
-    loaded = checkpoint.load(path)[0]
     with pytest.raises(CheckpointError, match="lacks"):
-        checkpoint.restore([Param("nope", 0.0)] + sample_params(), loaded)
+        checkpoint.restore([Param("nope", 0.0)] + sample_params(), path)
     with pytest.raises(CheckpointError, match="unexpected"):
-        checkpoint.restore(sample_params()[:2], loaded)
+        checkpoint.restore(sample_params()[:2], path)
     wrong = sample_params()
     wrong[2] = Param("mat.W", np.zeros((5, 3)))
     with pytest.raises(CheckpointError, match="shape"):
-        checkpoint.restore(wrong, loaded)
+        checkpoint.restore(wrong, path)
 
 
 # --- config ---------------------------------------------------------------------
@@ -535,9 +534,9 @@ def test_unconverged_forward_solve_fails_the_tune(workdir, capsys):
 def _record_solver_depths(monkeypatch):
     solve, depths = deq.solve_forward_batch, set()
 
-    def recording(cell, x_rows, cfg=None, z0_rows=None, shift=None):
+    def recording(cell, x_rows, cfg, z0_rows=None):
         depths.add(cfg.anderson_depth)
-        return solve(cell, x_rows, cfg, z0_rows, shift)
+        return solve(cell, x_rows, cfg, z0_rows)
 
     monkeypatch.setattr(deq, "solve_forward_batch", recording)
     return depths
@@ -751,8 +750,26 @@ def test_a_checkpoint_that_still_holds_backbone_values_is_refused(workdir, tmp_p
     cfg.write_text(text.replace(old, digest))
     rc, eval_out, err = run_cli(capsys, ["eval", *base])
     assert (rc, eval_out) == (3, "")
-    assert err == (f"missing artifact: checkpoint has unexpected entries "
+    assert err == (f"missing artifact: checkpoint {str(ckpt)!r} has unexpected entries "
                    f"{sorted(backbone)}\n")
+
+
+def test_a_backbone_with_a_wrong_shaped_entry_is_refused_naming_it(workdir, tmp_path, capsys):
+    out = _own_outdir(workdir, tmp_path)
+    base = ["--out", out, "--seed", "0", "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    path, cfg = os.path.join(out, "backbone-blobs-s0.ckpt"), tmp_path / "head_tuning-blobs-s0.cfg"
+    values = checkpoint.load(path)[0]
+    shape = values["backbone.0.b"].shape
+    values["backbone.0.b"] = values["backbone.0.b"][1:]
+    digest = checkpoint.save(path, [Param(name, value) for name, value in values.items()])
+    text = cfg.read_text()
+    cfg.write_text(text.replace(text.partition(cli.BACKBONE_LINE)[2].split("\n", 1)[0], digest))
+    # `eval` finds the file its .cfg records, and `tune` checks no digest
+    for command in ("eval", "tune"):
+        assert run_cli(capsys, [command, *base]) == (
+            3, "", f"missing artifact: {path!r}: entry 'backbone.0.b' has shape "
+                   f"{(shape[0] - 1,)}, model expects {shape}\n")
 
 
 def test_eval_without_tuned_model_exits_3(workdir, capsys):

@@ -315,7 +315,7 @@ def test_batch_start_of_the_wrong_shape_raises():
     xs = np.zeros((4, 3))
     for bad in (np.zeros((4, 4)), np.zeros((3, 5)), np.zeros(5), np.zeros((1, 4, 5))):
         with pytest.raises(ShapeMismatchError, match="start shape"):
-            solve_forward_batch(cell, xs, z0_rows=bad)
+            solve_forward_batch(cell, xs, SolverConfig(), z0_rows=bad)
 
 
 @pytest.mark.parametrize("depth", [0, 5])
@@ -334,24 +334,13 @@ def test_a_returned_fixed_point_survives_the_next_solve(depth):
 def test_stack_solve_validates_shapes():
     # the gradient cross-checks' stack: identity input weight, so each row is its input term
     cell = make_cell(W=np.zeros((4, 4)), U=np.eye(4), b=np.zeros(4))
-    c = np.zeros((3, 4))
     # one weight per row is not a form a cell takes
     with pytest.raises(ShapeMismatchError):
         make_cell(W=np.zeros((3, 4, 4)), U=np.eye(4), b=np.zeros(4))
     with pytest.raises(ShapeMismatchError):
-        solve_forward_batch(cell, np.zeros(4))
+        solve_forward_batch(cell, np.zeros(4), SolverConfig())
     with pytest.raises(ShapeMismatchError):
-        solve_forward_batch(cell, np.zeros((3, 5)))
-    ok = (np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.zeros(3))
-    assert solve_forward_batch(cell, c, None, shift=ok).converged
-    with pytest.raises(ShapeMismatchError, match="shift"):
-        solve_forward_batch(cell, c, None, shift=(ok[0], ok[1], np.zeros(2)))
-    with pytest.raises(ShapeMismatchError, match="shift"):
-        solve_forward_batch(cell, c, None, shift=(np.array([0, 4, 1]), ok[1], ok[2]))
-    with pytest.raises(ShapeMismatchError, match="shift"):
-        solve_forward_batch(cell, c, None, shift=(ok[0], np.array([0, -1, 1]), ok[2]))
-    with pytest.raises(ShapeMismatchError, match="shift"):
-        solve_forward_batch(cell, c, None, shift=ok[:2])
+        solve_forward_batch(cell, np.zeros((3, 5)), SolverConfig())
 
 
 # --- adjoint and implicit gradients ----------------------------------------

@@ -500,18 +500,16 @@ def _log_gradcheck_calls(monkeypatch, stack_report=lambda rep, k: rep):
     """Log gradcheck's calls of the one forward solve (by its alias) and the one VJP.
 
     A solve logs ("base" or "stack", converged, evaluations, rows), where a
-    stack is a call with a per-row shift; a VJP logs ("vjp",).
-    `stack_report(rep, k)` may replace the report that the k-th stack returns.
+    stack is a solve of the central differences' block, named "fd"; a VJP
+    logs ("vjp",). `stack_report(rep, k)` may replace the report that the
+    k-th stack returns.
     """
     solve, vjp, log = deq.solve_forward, deq.PromptBlock.vjp, []
 
-    def solving(cell, x_rows, cfg=None, z0_rows=None, shift=None):
-        rep = solve(cell, x_rows, cfg, z0_rows, shift)
-        log.append(("base" if shift is None else "stack", rep.converged, rep.iterations,
-                    len(x_rows)))
-        if shift is None:
-            return rep
-        return stack_report(rep, sum(event[0] == "stack" for event in log))
+    def solving(cell, x_rows, cfg, z0_rows=None):
+        rep, stack = solve(cell, x_rows, cfg, z0_rows), cell.name == "fd"
+        log.append(("stack" if stack else "base", rep.converged, rep.iterations, len(x_rows)))
+        return stack_report(rep, sum(event[0] == "stack" for event in log)) if stack else rep
 
     def pulling(block, *args):
         log.append(("vjp",))
@@ -526,7 +524,7 @@ def _calls_per_case(rows, log):
     """Split the log at each base solve; a case that passed made two solves and one VJP.
 
     Every case's base solve is one row and its stack, if it got that far,
-    2 (h^2 + h): W's entries and the input term's coordinates, each +- step.
+    2h: the input term's coordinates, each +- step.
     """
     cases = []
     for event in log:
@@ -536,7 +534,7 @@ def _calls_per_case(rows, log):
     assert len(cases) == len(rows)
     for row, case in zip(rows, cases):
         solves = [e[3] for e in case if e[0] != "vjp"]
-        assert solves == [1, 2 * (row.state_dim ** 2 + row.state_dim)][:len(solves)]
+        assert solves == [1, 2 * row.state_dim][:len(solves)]
         if row.status == "ok":
             assert [e[0] for e in case] == ["base", "stack", "vjp"]
             assert case[0][1] and case[1][1]
@@ -564,7 +562,8 @@ def test_gradcheck_and_training_pull_through_one_vjp(source_backbone, monkeypatc
 
 
 def test_gradcheck_caps_a_looser_solver_tolerance_at_its_own():
-    # at tol 1e-8 the fd errors would read 1.0e-7 and 1.9e-8, not 3.4e-11 and 1.2e-10
+    # at tol 1e-8 the fd errors would read 2.6e-8, 1.1e-8 and 5.5e-9, not 2.6e-11,
+    # 6.4e-11 and 6.0e-11
     assert (gradcheck_suite(RunConfig(cases=3, tol=1e-8))
             == gradcheck_suite(RunConfig(cases=3, tol=GRADCHECK_TOL)))
 
@@ -616,9 +615,9 @@ def test_gradcheck_unroll_depth_agrees_with_500_steps(monkeypatch):
 
 def test_gradcheck_and_tune_compute_what_the_plain_hot_loops_compute(
         source_backbone, tmp_path, monkeypatch):
-    # the driver's screen and sparse shift and the unrolled reference's fill of a
-    # repeated iterate are byte-identical shortcuts: swapping in the plain loops
-    # of `reference` must leave gradcheck's rows and a lion tune's files unchanged
+    # the driver's screen and the unrolled reference's fill of a repeated iterate
+    # are byte-identical shortcuts: swapping in the plain loops of `reference`
+    # must leave gradcheck's rows and a lion tune's files unchanged
     def run():
         out = tmp_path / f"run{len(runs)}"
         out.mkdir()
@@ -657,7 +656,8 @@ def test_gradcheck_stacks_match_per_entry_solves(h, d):
         return float(y @ deq.solve_forward_batch(c, xv[None], cfg).z_star[0])
 
     one_by_one = finite_diff_grad(objective, packed, step=step)
-    stacked = _central_differences(cell, x, y, cfg, step)
+    z_star = deq.solve_forward_batch(cell, x[None], cfg).certified(cfg.tol)[0]
+    stacked = _central_differences(cell, x, y, z_star, cfg, step)
     assert np.max(np.abs(stacked - one_by_one)) <= 1e-7
 
 

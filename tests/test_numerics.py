@@ -48,7 +48,7 @@ def test_param_values_are_read_only_and_finite(tmp_path):
     _assert_read_only(params)
     path = str(tmp_path / "m.ckpt")
     checkpoint.save(path, params)
-    checkpoint.restore(params, checkpoint.load(path)[0])
+    checkpoint.restore(params, path)
     _assert_read_only(params)
 
     w = pm.p1.W

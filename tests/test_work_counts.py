@@ -18,12 +18,12 @@ from lionprompt.harness import gradcheck_suite, run_protocol, target_task
 # adjoint calls). A 200-epoch lion tune solves each block once per epoch, once
 # more for the final train predict and once for the held-out predict: 404
 # forward solves. Each gradcheck case solves one base row and a stack of
-# 2 (h^2 + h) rows.
+# 2h rows.
 WORK = {
     "lion seed 0": ({}, (404, 4984, 36, 80800, 10, 400)),
     "lion seed 0 shots=8": ({"shots": 8}, (404, 4582, 36, 13264, 8, 400)),
     "lion seed 0 ir=50": ({"ir": 50.0}, (404, 4447, 31, 28138, 9, 400)),
-    "gradcheck cases=5": (None, (10, 342, 46, 1477, 5, 5)),
+    "gradcheck cases=5": (None, (10, 342, 46, 115, 5, 5)),
 }
 
 
