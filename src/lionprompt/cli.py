@@ -11,8 +11,11 @@ count is restored on return (library calls outside a command run at the
 caller's count). A NumPy build whose OpenBLAS cannot be found runs unpinned
 and says `blas: unpinned` on stderr. `tune` checkpoints the trainable Params,
 then saves its config, with the sha256 of that checkpoint and of the backbone
-file and the held-out accuracy as comments; `eval` refuses any other config or
-digest, and fails unless it reproduces that accuracy exactly.
+file and the held-out accuracy as comments. That `.cfg` is the run's one
+record, read by `_tuned_record`: `eval` refuses any other config or digest and
+fails unless it reproduces that accuracy exactly, and `report` ranks runs by
+it. The wall time goes to a timing file of its own, the one output that is
+not a pure function of the config.
 
 Exit codes, each but 0 with one stderr line: 0 success; 1 check failure;
 2 config error, an output that cannot be written included; 3 missing
@@ -43,13 +46,12 @@ from .errors import (
     SetupError,
 )
 
-RUN_COLUMNS = {"run_id": str, "protocol": str, "dataset": str, "seed": int,  # column: cell type
-               "accuracy": float, "trainable_params": int, "epochs": int, "wall_time_s": float}
-CSV_HEADER = ",".join(RUN_COLUMNS)
+RUN_COLUMNS = ("run_id", "protocol", "dataset", "seed", "accuracy", "trainable_params", "epochs")
 DIGEST_LINE = "# checkpoint sha256 "
 BACKBONE_LINE = "# backbone sha256 "
 ACCURACY_LINE = "# held-out accuracy "
 TRACE_COLUMNS = ("epoch", "loss", "accuracy", "crucial_fraction", "alpha1", "alpha2")
+TIMING_COLUMNS = ("wall_time_s",)
 
 
 # --- config plumbing -----------------------------------------------------------
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
-    sub.choices["report"].add_argument("paths", nargs="+", help="run CSV files to aggregate")
+    sub.choices["report"].add_argument("paths", nargs="+", help="tuned .cfg files to aggregate")
     return parser
 
 
@@ -105,7 +107,7 @@ def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
     """Every file a command writes under `cfg.out`; `eval` and `gradcheck` write none."""
     source, run = f"{cfg.dataset}-s{cfg.seed}", _run_id(cfg)
     names = {"backbone": f"backbone-{source}.ckpt", "pretrain_report": f"pretrain-{source}.txt",
-             "model": f"{run}.ckpt", "config": f"{run}.cfg", "run_csv": f"{run}.csv",
+             "model": f"{run}.ckpt", "config": f"{run}.cfg", "timing_csv": f"{run}-timing.csv",
              "trace_csv": f"{run}-trace.csv", "prop1_csv": f"prop1-s{cfg.seed}.csv",
              "report_csv": "report.csv"}
     return {key: os.path.join(cfg.out, name) for key, name in names.items()}
@@ -135,12 +137,6 @@ def _csv(columns, rows: list[dict]) -> bytes:
     return "".join(",".join(line) + "\n" for line in lines).encode()
 
 
-def _run_row(cfg: RunConfig, res: harness.ProtocolResult) -> dict:
-    return {"run_id": _run_id(cfg), "protocol": cfg.protocol, "dataset": cfg.dataset,
-            "seed": cfg.seed, "accuracy": res.accuracy, "trainable_params": res.trainable_params,
-            "epochs": len(res.log.rows), "wall_time_s": res.wall_time_s}
-
-
 def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     backbone, backbone_digest = _backbone(cfg)
     train, test = harness.target_task(cfg)
@@ -149,8 +145,8 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
     # The .cfg, which binds the checkpoint and the backbone by their digests, comes last, so
     # a tune cut short leaves a checkpoint that `eval` refuses rather than misattributes.
     digest = checkpoint.save(paths["model"], res.task.trainable_params())
-    checkpoint.write_atomic(paths["run_csv"], _csv(RUN_COLUMNS, [_run_row(cfg, res)]))
     checkpoint.write_atomic(paths["trace_csv"], _csv(TRACE_COLUMNS, res.log.rows))
+    checkpoint.write_atomic(paths["timing_csv"], _csv(TIMING_COLUMNS, [vars(res)]))
     checkpoint.write_atomic(paths["config"], f"{cfgmod.serialize(cfg)}{DIGEST_LINE}{digest}\n"
                                              f"{BACKBONE_LINE}{backbone_digest}\n"
                                              f"{ACCURACY_LINE}{res.accuracy!r}\n".encode())
@@ -170,43 +166,44 @@ def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"crucial fraction {first['crucial_fraction']:.3f} -> "
               f"{last['crucial_fraction']:.3f}")
     print(f"checkpoint       {paths['model']}")
-    print(f"run csv          {paths['run_csv']}")
     return 0
 
 
-def _check_tuned_config(cfg: RunConfig) -> tuple[str, str, str]:
-    """Refuse settings other than those the checkpoint was tuned under, or a
-    config that records no held-out accuracy, and return the checkpoint and
-    backbone sha256s ('' if none) and the held-out accuracy the config records.
+def _tuned_record(path: str) -> tuple[RunConfig, str, str, float]:
+    """The config a tuned `.cfg` holds, the checkpoint and backbone sha256s it records
+    ('' if none) and its held-out accuracy. A missing accuracy line, or one that is not
+    the `repr` of a value in [0, 1], is a missing artifact."""
+    tuned, text = cfgmod.load_file(_require(path, "tuned model config"),
+                                   unreadable=MissingArtifactError)
+    digest, backbone, accuracy = (text.partition(f"\n{line}")[2].split("\n", 1)[0]
+                                  for line in (DIGEST_LINE, BACKBONE_LINE, ACCURACY_LINE))
+    try:
+        if repr(float(accuracy)) != accuracy or not 0.0 <= float(accuracy) <= 1.0:
+            raise ValueError
+    except ValueError:
+        raise MissingArtifactError(f"tuned model config {path!r} records no held-out "
+                                   "accuracy — tune again") from None
+    return tuned, digest, backbone, float(accuracy)
 
-    Every key but `out` must match: the seed and shift decide the test
-    split, and the other keys decide what the checkpoint holds and how it
-    is solved.
-    """
-    path = _require(_artifact_paths(cfg)["config"], "tuned model config")
-    tuned, text = cfgmod.load_file(path, unreadable=MissingArtifactError)
+
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    paths = _artifact_paths(cfg)
+    path = _require(paths["model"], "tuned model checkpoint")
+    tuned, digest, backbone_digest, recorded = _tuned_record(paths["config"])
+    # every key but `out` must match: the seed and shift decide the test split, and the
+    # other keys decide what the checkpoint holds and how it is solved
     for f in fields(RunConfig):
         mine, theirs = getattr(cfg, f.name), getattr(tuned, f.name)
         if f.name != "out" and mine != theirs:
             raise ConfigError(f"{f.name!r} is {mine!r} here but was {theirs!r} when "
-                              f"the model was tuned ({path!r})")
-    digest, backbone, accuracy = (text.partition(f"\n{line}")[2].split("\n", 1)[0]
-                                  for line in (DIGEST_LINE, BACKBONE_LINE, ACCURACY_LINE))
-    if not accuracy:
-        raise MissingArtifactError(f"tuned model config {path!r} records no held-out "
-                                   "accuracy — tune again")
-    return digest, backbone, accuracy
-
-
-def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    path = _require(_artifact_paths(cfg)["model"], "tuned model checkpoint")
-    digest, backbone_digest, recorded = _check_tuned_config(cfg)
+                              f"the model was tuned ({paths['config']!r})")
     task = harness.make_task(cfg, _backbone(cfg, backbone_digest)[0])
     checkpoint.restore(task.trainable_params(), path, digest)
     _, test = harness.target_task(cfg)
     accuracy = harness.held_out_accuracy(task, test)
-    if repr(accuracy) != recorded:
-        raise EvaluationError(f"held-out accuracy {accuracy!r}, but the tune recorded {recorded}")
+    if repr(accuracy) != repr(recorded):
+        raise EvaluationError(f"held-out accuracy {accuracy!r}, but the tune recorded "
+                              f"{recorded!r}")
     print(f"run              {_run_id(cfg)}")
     print(f"held-out accuracy {accuracy!r}")
     print(f"test samples     {test.n}")
@@ -250,35 +247,16 @@ def cmd_prop1(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_run_rows(paths: list[str]) -> list[dict]:
-    """The parsed rows of run CSVs. A row is refused unless `_csv` writes its cells back
-    as the same line, its numbers are finite and >= 0, and its accuracy is <= 1."""
-    rows = []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MissingArtifactError(f"cannot read run file {path!r}: {exc}") from exc
-        if not lines or lines[0] != CSV_HEADER:
-            raise MissingArtifactError(
-                f"{path!r} is not a run report (expected header {CSV_HEADER!r})")
-        for ln in lines[1:]:
-            try:
-                row = {key: kind(cell) for (key, kind), cell
-                       in zip(RUN_COLUMNS.items(), ln.split(","), strict=True)}
-                if (_csv(RUN_COLUMNS, [row]) != f"{CSV_HEADER}\n{ln}\n".encode()
-                        or not all(0 <= v < np.inf for v in row.values() if not isinstance(v, str))
-                        or row["accuracy"] > 1):
-                    raise ValueError
-            except ValueError:
-                raise MissingArtifactError(f"{path!r}: malformed row {ln!r}") from None
-            rows.append(row)
-    return rows
-
-
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows = _read_run_rows(args.paths)
+    rows = []
+    for path in args.paths:
+        tuned, _, _, accuracy = _tuned_record(path)
+        # the trainable Params of the task `eval` builds: the count `tune` printed
+        task = harness.make_task(tuned, harness.initial_backbone(tuned))
+        rows.append({"run_id": _run_id(tuned), "protocol": tuned.protocol,
+                     "dataset": tuned.dataset, "seed": tuned.seed, "accuracy": accuracy,
+                     "trainable_params": sum(p.size for p in task.trainable_params()),
+                     "epochs": tuned.epochs})
     rows.sort(key=lambda r: r["accuracy"], reverse=True)
     print(f"{'run_id':<28} {'protocol':<14} {'dataset':<7} {'seed':>4} "
           f"{'accuracy':>9} {'params':>7} {'epochs':>6}")
@@ -302,7 +280,7 @@ COMMANDS = {
     "eval": (cmd_eval, "re-score a tuned checkpoint on the held-out split"),
     "gradcheck": (cmd_gradcheck, "implicit vs finite-difference vs unrolled gradients"),
     "prop1": (cmd_prop1, "input-side vs output-side prompt capacity experiment"),
-    "report": (cmd_report, "aggregate run CSVs into one comparison table"),
+    "report": (cmd_report, "rank tuned runs by their .cfg records in one table"),
 }
 
 

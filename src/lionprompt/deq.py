@@ -45,8 +45,8 @@ class SolverConfig:
     """Fixed-point solver settings: the one home of their ranges and defaults.
 
     `anderson_depth=0` (the default) selects plain Picard, z <- f(z). A
-    depth N >= 2 selects Anderson mixing over the last N residuals; depth 1
-    keeps a single history entry, never mixes, and so also runs Picard.
+    depth N >= 2 selects Anderson mixing over the last N residuals. Depth 1
+    is refused: one history entry never mixes, so it would be Picard again.
     """
 
     tol: float = 1e-8
@@ -57,7 +57,8 @@ class SolverConfig:
         require(not self.tol <= 0.0, "tol", "must be positive")
         require_finite("tol", self.tol)     # no point is certified against NaN or inf
         require(self.max_iters >= 1, "max_iters", "must be >= 1")
-        require(self.anderson_depth >= 0, "anderson_depth", "must be >= 0")
+        require(self.anderson_depth == 0 or self.anderson_depth >= 2, "anderson_depth",
+                "must be 0 (Picard) or >= 2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,11 +34,7 @@ PRETRAIN_MIN_EPOCHS = 300      # the fewest epochs a backbone pretrains for
 N_CLASSES = 4                  # classes of every source and target task
 GRADCHECK_TOL = 1e-13          # the loosest solver tolerance gradient checks run at
 UNROLLED_TOL = 1e-5            # gradcheck's bound on implicit vs unrolled gradient error
-# K unrolled steps drop the adjoint series past K (<= kappa^K / (1 - kappa)) and take
-# Jacobians at iterates ~kappa^k off z*, about K times more; gradcheck unrolls the fewest
-# K with K kappa^K / (1 - kappa) 100x under UNROLLED_TOL (227 at kappa 0.9).
-UNROLL_DEPTH = next(k for k in itertools.count(1) if k * PromptBlock.kappa ** k
-                    <= (1.0 - PromptBlock.kappa) * UNROLLED_TOL / 100.0)
+MAX_UNROLL_DEPTH = 100_000     # the most steps gradcheck unrolls: kappa up to about 0.99964
 
 
 # --- datasets ---------------------------------------------------------------
@@ -488,13 +484,20 @@ def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
     `GRADCHECK_TOL`: a training-grade tol would drown the finite-difference
     signal. Each case's central differences are one more solve, of a block
     (W, I, 0) on 2h rows, mapped onto every Param through the base fixed
-    point, and its unrolled reference runs `UNROLL_DEPTH` steps, a depth
-    computed once, at import. Solver non-convergence, in the base
-    solve or in any row of the stack, is its own status so a hopeless
-    tolerance setting is distinguishable from a wrong gradient.
+    point. Every cell is projected to `cfg.kappa`, and its unrolled reference runs
+    the fewest steps K with K kappa^K / (1 - kappa) 100x under `UNROLLED_TOL` (227 at
+    kappa 0.9): K steps drop the adjoint series past K (<= kappa^K / (1 - kappa)) and
+    take Jacobians at iterates ~kappa^k off z*, about K times more. Solver
+    non-convergence, in the base solve or in any row of the stack, is its own status
+    so a hopeless tolerance setting is distinguishable from a wrong gradient.
     """
     solver = replace(cfg.solver, tol=min(cfg.tol, GRADCHECK_TOL))
     fd_tol, fd_step = 1e-4, 1e-5
+    depth = next(k for k in itertools.count(1) if k > MAX_UNROLL_DEPTH
+                 or k * cfg.kappa ** k <= (1.0 - cfg.kappa) * UNROLLED_TOL / 100.0)
+    if depth > MAX_UNROLL_DEPTH:
+        raise ConfigError(f"invalid value for 'kappa': gradcheck's unrolled reference "
+                          f"would need more than {MAX_UNROLL_DEPTH:,} steps")
 
     # the flat (W, U, b, x) gradient on the block; x enters only via U x + b, so g_x = U^T g_b
     def pulled(block: PromptBlock) -> np.ndarray:
@@ -508,7 +511,7 @@ def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
         d = int(rng.integers(2, 17))
         block = PromptBlock("case", Param("W", rng.normal(size=(h, h))),
                             Param("U", rng.normal(size=(h, d))),
-                            Param("b", rng.normal(size=h) * 0.1))
+                            Param("b", rng.normal(size=h) * 0.1), cfg.kappa)
         block.renormalize()
         x = rng.normal(size=d)
         y = rng.normal(size=h)
@@ -525,7 +528,7 @@ def gradcheck_suite(cfg: RunConfig) -> list[GradCheckRow]:
 
         for p in block.params():
             p.zero_grad()
-        deq.unrolled_vjp(block, x, y, n_iters=UNROLL_DEPTH)
+        deq.unrolled_vjp(block, x, y, n_iters=depth)
         unrolled_err = rel_error(analytic, pulled(block))
         status = "ok" if fd_err <= fd_tol and unrolled_err <= UNROLLED_TOL else "gradient_failed"
         rows.append(GradCheckRow(case, h, d, fd_err, unrolled_err, status))

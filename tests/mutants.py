@@ -65,11 +65,34 @@ MUTANTS = (
            ("tests/test_deq.py::test_renormalize_runs_the_svd_again_when_the_bound_sits_"
             "inside_its_margin",)),
     Mutant("eval ignores the recorded accuracy", CLI,
-           "    if repr(accuracy) != recorded:", "    if False:",
+           "    if repr(accuracy) != repr(recorded):", "    if False:",
            (f"{T_CLI}::test_eval_fails_unless_it_reproduces_the_recorded_accuracy",)),
-    Mutant("eval accepts a config without an accuracy", CLI,
-           "    if not accuracy:", "    if False:",
+    Mutant("a record without an accuracy reads as 0", CLI,
+           "    except ValueError:\n        raise MissingArtifactError(",
+           "    except ValueError:\n        return tuned, digest, backbone, 0.0\n"
+           "        raise MissingArtifactError(",
            (f"{T_CLI}::test_eval_fails_unless_it_reproduces_the_recorded_accuracy",)),
+    Mutant("a non-canonical accuracy line is read", CLI,
+           "repr(float(accuracy)) != accuracy or ", "",
+           (f"{T_CLI}::test_report_refuses_a_number_a_run_never_writes",)),
+    Mutant("an accuracy line outside [0, 1] is read", CLI,
+           " or not 0.0 <= float(accuracy) <= 1.0", "",
+           (f"{T_CLI}::test_report_refuses_a_number_a_run_never_writes",)),
+    Mutant("report counts the params of its own config", CLI,
+           "task = harness.make_task(tuned, harness.initial_backbone(tuned))",
+           "task = harness.make_task(cfg, harness.initial_backbone(tuned))",
+           (f"{T_CLI}::test_report_counts_the_params_tune_printed",)),
+    Mutant("gradcheck cells at the default kappa", HARNESS,
+           'Param("b", rng.normal(size=h) * 0.1), cfg.kappa)',
+           'Param("b", rng.normal(size=h) * 0.1))',
+           (f"{T_CLI}::test_gradcheck_runs_at_the_configured_kappa",)),
+    Mutant("gradcheck unrolls to the default kappa's depth", HARNESS,
+           "k * cfg.kappa ** k <= (1.0 - cfg.kappa)", "k * 0.9 ** k <= (1.0 - 0.9)",
+           (f"{T_CLI}::test_gradcheck_runs_at_the_configured_kappa",)),
+    Mutant("Anderson depth 1 accepted", DEQ,
+           "self.anderson_depth == 0 or self.anderson_depth >= 2",
+           "self.anderson_depth >= 0",
+           ("tests/test_config.py",)),
     Mutant("table check misses an unmatched old text", "tests/mutants.py",
            # split, so that this row does not match itself
            "text.count(m.old) " "!= 1", "text.count(m.old) > 1",

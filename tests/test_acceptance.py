@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from lionprompt import checkpoint, model, robust_opt
+from lionprompt import checkpoint, cli, harness, model, robust_opt
 from lionprompt.config import RunConfig, parse, serialize
 from lionprompt.deq import SolverConfig, solve_forward_batch
 from lionprompt.harness import (
@@ -256,7 +256,7 @@ def test_criterion_8_complexity_formulas():
           f"(expect 1,179,648 / 460,800 / 1,024)")
 
 
-def test_criterion_9_persistence(tmp_path, source_backbone):
+def test_criterion_9_persistence(tmp_path, monkeypatch, source_backbone):
     rng = substream(3, "accept-ckpt")
     params = [Param("a.scalar", float(rng.normal())),
               Param("b.vec", rng.normal(size=9)),
@@ -272,19 +272,24 @@ def test_criterion_9_persistence(tmp_path, source_backbone):
                     dataset="glyphs", shift="rotation", ir=7.5, shots=3)
     config_ok = parse(serialize(cfg)) == cfg and parse(serialize(RunConfig())) == RunConfig()
 
-    from lionprompt.cli import CSV_HEADER, _csv, _run_row
-    tr, te = target_task(RunConfig(seed=0, shift="none"))
-    res = run_protocol(RunConfig(protocol="head_tuning", seed=0, epochs=5), source_backbone[0],
-                       tr, te)
-    row_cfg = RunConfig(protocol="head_tuning", epochs=5)
-    path = tmp_path / "run.csv"
-    path.write_bytes(_csv(CSV_HEADER.split(","), [_run_row(row_cfg, res)]))
-    keys = CSV_HEADER.split(",")
-    values = dict(zip(keys, path.read_text().splitlines()[1].split(",")))
-    csv_ok = (float(values["accuracy"]) == res.accuracy
+    # each value a tune reports round-trips through the CSV that now carries it: accuracy,
+    # params and epochs through `report`'s, the wall time through the tune's timing file
+    results, run = [], harness.run_protocol
+    monkeypatch.setattr(harness, "run_protocol", lambda *a: results.append(run(*a)) or results[-1])
+    checkpoint.save(str(tmp_path / "backbone-blobs-s0.ckpt"), source_backbone[0].params())
+    out = ["--out", str(tmp_path)]
+    ran = (cli.main(["tune", *out, "--protocol", "head_tuning", "--epochs", "5"]) == 0
+           and cli.main(["report", *out, str(tmp_path / "head_tuning-blobs-s0.cfg")]) == 0)
+
+    def parsed(name):
+        return dict(zip(*(ln.split(",") for ln in (tmp_path / name).read_text().splitlines())))
+
+    res, values = results[0], parsed("report.csv")
+    csv_ok = (ran and float(values["accuracy"]) == res.accuracy
               and int(values["trainable_params"]) == res.trainable_params
               and int(values["epochs"]) == len(res.log.rows)
-              and float(values["wall_time_s"]) == res.wall_time_s)
+              and float(parsed("head_tuning-blobs-s0-timing.csv")["wall_time_s"])
+              == res.wall_time_s)
     ok = ckpt_ok and config_ok and csv_ok
     check(9, "persistence", ok,
           f"checkpoint save->load->save byte-identical: {ckpt_ok}; config "

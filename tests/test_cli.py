@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lionprompt import checkpoint, cli, deq, harness
-from lionprompt.cli import CSV_HEADER, _build_parser, _resolve_config, main
+from lionprompt.cli import _build_parser, _resolve_config, main
 from lionprompt.config import PROTOCOL_CHOICES, RunConfig, parse, serialize
 from lionprompt.errors import CheckpointError, ConfigError
 from lionprompt.numerics import Param
@@ -323,8 +323,9 @@ def test_one_parser_serves_every_call_and_no_call_sees_anothers_flags(monkeypatc
 def test_anderson_depth_zero_selects_picard_and_negative_is_rejected():
     assert RunConfig().anderson_depth == 0
     assert RunConfig(anderson_depth=0).anderson_depth == 0
-    with pytest.raises(ConfigError, match="'anderson_depth'"):
-        RunConfig(anderson_depth=-1)
+    for depth in (-1, 1):       # depth 1 never mixes: a second spelling of Picard
+        with pytest.raises(ConfigError, match="'anderson_depth': must be 0 \\(Picard\\) or >= 2"):
+            RunConfig(anderson_depth=depth)
 
 
 # --- command-line surface ----------------------------------------------------------
@@ -454,11 +455,28 @@ def test_tune_then_eval_reproduces_accuracy_exactly(workdir, capsys):
     rc, eval_out, _ = run_cli(capsys, ["eval", *base])
     assert rc == 0
     assert _accuracy_line(tune_out) == _accuracy_line(eval_out)
-    run_csv = (workdir / "head_tuning-blobs-s0.csv").read_text().splitlines()
-    assert run_csv[0] == CSV_HEADER
-    row = run_csv[1].split(",")
-    assert row[1] == "head_tuning"
-    assert float(row[4]) == float(_accuracy_line(tune_out))
+    assert (workdir / "head_tuning-blobs-s0.cfg").read_text().endswith(
+        f"{cli.ACCURACY_LINE}{_accuracy_line(tune_out)}\n")
+    timing = (workdir / "head_tuning-blobs-s0-timing.csv").read_text().splitlines()
+    assert timing[0] == "wall_time_s" and len(timing) == 2 and float(timing[1]) > 0.0
+
+
+def test_a_rerun_tune_rewrites_every_file_but_its_timing_byte_for_byte(workdir, tmp_path,
+                                                                       monkeypatch, capsys):
+    argv = ["tune", "--out", _own_outdir(workdir, tmp_path), "--seed", "0", "--epochs", "5"]
+    write, order, written = checkpoint.write_atomic, [], []
+    monkeypatch.setattr(checkpoint, "write_atomic", lambda path, data: (
+        order.append(os.path.basename(path)), write(path, data)))
+    for _ in range(2):
+        rc, tune_out, _ = run_cli(capsys, argv)
+        assert rc == 0 and " csv " not in tune_out
+        written.append({name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)})
+    run = ["lion-blobs-s0.ckpt", "lion-blobs-s0-trace.csv", "lion-blobs-s0-timing.csv",
+           "lion-blobs-s0.cfg"]
+    assert order == run + run           # the .cfg, which vouches for the others, comes last
+    assert set(written[0]) == set(written[1]) == {"backbone-blobs-s0.ckpt", *run}
+    assert [name for name in run if written[0][name] != written[1][name]] in (
+        [], ["lion-blobs-s0-timing.csv"])
 
 
 def test_a_null_step_tune_runs_and_evals_exactly(workdir, tmp_path, capsys):
@@ -873,8 +891,8 @@ def test_an_output_under_a_regular_file_is_one_config_error_line(tmp_path, capsy
 
 def test_an_output_onto_a_directory_is_one_config_error_line_and_leaves_no_temporary(
         tmp_path, capsys):
-    run = tmp_path / "run.csv"
-    run.write_text(f"{CSV_HEADER}\nlion-blobs-s0,lion,blobs,0,0.98,1068,200,0.5\n")
+    run = tmp_path / "run.cfg"
+    run.write_text(f"{serialize(RunConfig())}{cli.ACCURACY_LINE}0.98\n")
     (tmp_path / "report.csv").mkdir()
     rc, _, err = run_cli(capsys, ["report", "--out", str(tmp_path), str(run)])
     assert rc == 2
@@ -940,7 +958,7 @@ def test_a_failed_write_leaves_neither_the_file_nor_its_temporary(tmp_path, monk
 
 # Which `cli._artifact_paths` entries each command writes.
 _WRITES = {"pretrain": {"backbone", "pretrain_report"},
-           "tune": {"model", "run_csv", "trace_csv", "config"},
+           "tune": {"model", "trace_csv", "timing_csv", "config"},
            "eval": set(), "gradcheck": set(), "prop1": {"prop1_csv"},
            "report": {"report_csv"}}
 
@@ -958,7 +976,7 @@ def test_each_command_writes_exactly_the_files_the_table_names(workdir, tmp_path
             ("gradcheck", str(tmp_path / "gradcheck"), ["--config", str(cases)]),
             ("prop1", str(tmp_path / "prop1"), []),
             ("report", str(tmp_path / "report"),
-             [os.path.join(tuned, "head_tuning-blobs-s0.csv")])]
+             [os.path.join(tuned, "head_tuning-blobs-s0.cfg")])]
     for command, out, flags in runs:
         before = set(os.listdir(out)) if os.path.isdir(out) else set()
         rc, _, err = run_cli(capsys, [command, "--out", out, "--seed", "0", *flags])
@@ -1001,8 +1019,8 @@ def test_prop1_confirms_asymmetry(tmp_path, capsys):
 
 
 def test_report_aggregates_and_sorts(workdir, tmp_path, capsys):
-    paths = [str(workdir / "head_tuning-blobs-s0.csv"),
-             str(workdir / "lion-blobs-s0.csv")]
+    paths = [str(workdir / "head_tuning-blobs-s0.cfg"),
+             str(workdir / "lion-blobs-s0.cfg")]
     rc, out, _ = run_cli(capsys, ["report", "--out", str(tmp_path), *paths])
     assert rc == 0
     lines = out.splitlines()
@@ -1014,70 +1032,103 @@ def test_report_aggregates_and_sorts(workdir, tmp_path, capsys):
     assert accs == sorted(accs, reverse=True)
     assert "1,179,648" in out and "460,800" in out and "1,024" in out
     report_csv = (tmp_path / "report.csv").read_text().splitlines()
-    assert report_csv[0] == CSV_HEADER
+    assert report_csv[0] == "run_id,protocol,dataset,seed,accuracy,trainable_params,epochs"
     assert len(report_csv) == 3
+
+
+@pytest.mark.parametrize("protocol", ["lion", "head_tuning"])
+def test_report_counts_the_params_tune_printed(workdir, tmp_path, capsys, protocol):
+    out = _own_outdir(workdir, tmp_path)
+    rc, tune_out, _ = run_cli(capsys, ["tune", "--out", out, "--seed", "0",
+                                       "--protocol", protocol, "--epochs", "3"])
+    assert rc == 0
+    rc, _, _ = run_cli(capsys, ["report", "--out", out,
+                                os.path.join(out, f"{protocol}-blobs-s0.cfg")])
+    assert rc == 0
+    header, row = (tmp_path / "report.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert f"trainable params {row['trainable_params']}\n" in tune_out
+    assert row["trainable_params"] == {"lion": "1400", "head_tuning": "68"}[protocol]
+    assert (row["accuracy"], row["epochs"]) == (_accuracy_line(tune_out), "3")
 
 
 def test_report_rejects_unreadable_run_file(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("not,a,run\n1,2,3\n")
     rc, _, err = run_cli(capsys, ["report", str(junk)])
-    assert rc == 3
+    assert rc == 2
     assert "junk.csv" in err
-    bad_number = tmp_path / "bad-number.csv"
-    bad_number.write_text(f"{CSV_HEADER}\nlion-blobs-s0,lion,blobs,0,abc,1068,200,0.5\n")
+    bad_number = tmp_path / "bad-number.cfg"
+    bad_number.write_text(f"{serialize(RunConfig())}{cli.ACCURACY_LINE}abc\n")
     rc, _, err = run_cli(capsys, ["report", str(bad_number)])
     assert rc == 3
-    assert "bad-number.csv" in err and "abc" in err
-    rc, _, err = run_cli(capsys, ["report", str(tmp_path / "absent.csv")])
+    assert "bad-number.cfg" in err and "records no held-out accuracy" in err
+    rc, _, err = run_cli(capsys, ["report", str(tmp_path / "absent.cfg")])
     assert rc == 3
-    binary = tmp_path / "binary.csv"
-    binary.write_bytes(CSV_HEADER.encode() + b"\n\xff\n")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed = 0\n\xff\n")
     rc, _, err = run_cli(capsys, ["report", str(binary)])
-    assert rc == 3
-    assert "binary.csv" in err
+    assert rc == 2
+    assert "binary.cfg" in err
 
 
-_RUN_ROW = ["lion-blobs-s0", "lion", "blobs", "0", "0.98", "1068", "200", "0.5"]
-_cells = st.one_of(st.sampled_from(_RUN_ROW), st.text(max_size=12),
-                   st.sampled_from(["", "nan", "-inf", "1e999", "1_0", " 7 ", "0x1", "\ufeff"]))
-_run_csvs = st.one_of(
-    st.binary(max_size=300),
-    st.lists(st.lists(_cells, max_size=10).map(",".join), max_size=4).map(
-        lambda rows: "\n".join([CSV_HEADER, *rows]).encode()))
+_RECORD = (f"{serialize(RunConfig(protocol='head_tuning', epochs=5))}{cli.DIGEST_LINE}{'0' * 64}\n"
+           f"{cli.BACKBONE_LINE}{'0' * 64}\n{cli.ACCURACY_LINE}0.98\n")
+_record_lines = st.one_of(
+    st.sampled_from(_RECORD.splitlines()), st.text(max_size=20),
+    st.sampled_from([f"{cli.ACCURACY_LINE}{v}" for v in
+                     ("nan", "-1.0", "1e999", "1_0", " 0.5", "1.0", "0.0", "0.5 ", "")]),
+    st.sampled_from(["seed = 007", "epochs = +3", "hidden = 4096", "feat_dim = 256",
+                     "protocol = lion", "kappa = 1.0", "anderson_depth = 1", "layers = 1"]))
+_records = st.one_of(st.binary(max_size=300),
+                     st.lists(_record_lines, max_size=24).map(lambda ls: "\n".join(ls).encode()))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_run_csvs)
-def test_report_on_any_run_file_succeeds_or_is_one_missing_artifact_line(blob):
+@given(_records)
+def test_report_on_any_record_succeeds_or_is_one_refusal_line(blob):
     with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "run.csv")
+        path = os.path.join(out, "run.cfg")
         with open(path, "wb") as fh:
             fh.write(blob)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(["report", "--out", out, path])
     err = [ln for ln in stderr.getvalue().splitlines() if ln != "blas: unpinned"]
-    assert (rc, err) == (0, []) or (rc == 3 and len(err) == 1
-                                    and err[0].startswith("missing artifact: ")), (rc, err)
+    prefix = {2: "config error: ", 3: "missing artifact: "}
+    assert (rc, err) == (0, []) or (rc in prefix and len(err) == 1
+                                    and err[0].startswith(prefix[rc])), (rc, err)
 
 
 @pytest.mark.parametrize("column, value", [
     ("seed", "0.5"), ("accuracy", "nan"), ("trainable_params", "1e3"), ("epochs", "inf"),
-    ("wall_time_s", "-inf"), ("seed", "-1"), ("epochs", "+200"), ("epochs", "\u0662"),
-    ("accuracy", "1e999"), ("accuracy", "1e3"), ("accuracy", "1_0"), ("accuracy", "1.5"),
-    ("wall_time_s", " 0.5 "), ("seed", "007")])
-def test_report_refuses_a_number_a_run_never_writes(tmp_path, capsys, column, value):
-    row = dict(zip(CSV_HEADER.split(","), _RUN_ROW))
-    good = tmp_path / "good.csv"
-    good.write_text(f"{CSV_HEADER}\n" + ",".join(row.values()) + "\n")   # a valid run rescues none
-    row[column] = value
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f"{CSV_HEADER}\n" + ",".join(row.values()) + "\n", encoding="utf-8")
-    rc, out, err = run_cli(capsys, ["report", "--out", str(tmp_path), str(good), str(bad)])
-    assert (rc, out) == (3, "")
-    assert [ln for ln in err.splitlines() if ln != "blas: unpinned"] == [
-        f"missing artifact: {str(bad)!r}: malformed row {','.join(row.values())!r}"]
+    ("wall_time_s", "-inf"), ("seed", "-1"), ("accuracy", "1e999"), ("accuracy", "1e3"),
+    ("accuracy", "1_0"), ("accuracy", "1.5"), ("wall_time_s", " 0.5 "), ("accuracy", "-0.5"),
+    ("accuracy", " 0.98"), ("accuracy", "0.98 "), ("accuracy", "")])
+def test_report_refuses_a_number_a_run_never_writes(workdir, tmp_path, capsys, column, value):
+    # a tuned record holding it is refused by `report` as by `eval`, with one line and one
+    # exit code; a record has no line for the parameter count or the wall time at all
+    base = ["--out", _own_outdir(workdir, tmp_path), "--seed", "0",
+            "--protocol", "head_tuning", "--epochs", "5"]
+    assert run_cli(capsys, ["tune", *base])[0] == 0
+    cfg = tmp_path / "head_tuning-blobs-s0.cfg"
+    good = tmp_path / "good.cfg"
+    good.write_text(cfg.read_text())                # a valid record rescues none
+    key = cli.ACCURACY_LINE if column == "accuracy" else f"{column} = "
+    cfg.write_text("".join(f"{line}\n" for line in cfg.read_text().splitlines()
+                           if not line.startswith(key)) + f"{key}{value}\n")
+    report = run_cli(capsys, ["report", *base, str(good), str(cfg)])
+    assert report == run_cli(capsys, ["eval", *base])
+    rc, out, err = report
+    (line,) = [ln for ln in err.splitlines() if ln != "blas: unpinned"]
+    if column == "accuracy":
+        assert (rc, out, line) == (3, "", f"missing artifact: tuned model config {str(cfg)!r} "
+                                          "records no held-out accuracy — tune again")
+    else:
+        why = (f"invalid value for {column!r}: " if column in ("seed", "epochs")
+               else f"unknown config key {column!r}")
+        assert (rc, out) == (2, "")
+        assert line.startswith(f"config error: config file {str(cfg)!r}: {why}")
     assert not (tmp_path / "report.csv").exists()
 
 
@@ -1090,6 +1141,21 @@ def test_gradcheck_never_solves_looser_than_its_own_tolerance(tmp_path, capsys):
     rc, loose_out, _ = run_cli(capsys, [*argv, "--tol", "1e-8"])
     assert rc == 0
     assert loose_out == default_out
+
+
+def test_gradcheck_runs_at_the_configured_kappa(tmp_path, capsys):
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text("cases = 3\n")
+    argv = ["gradcheck", "--config", str(cfgfile)]
+    tables = {kappa: run_cli(capsys, [*argv, "--kappa", kappa]) for kappa in ("0.5", "0.9", "0.99")}
+    assert run_cli(capsys, argv) == tables["0.9"]
+    for rc, out, err in tables.values():
+        assert (rc, err) == (0, "") and "3/3 ok" in out
+    assert len({out for _, out, _ in tables.values()}) == 3
+    rc, out, err = run_cli(capsys, [*argv, "--kappa", "0.9999"])
+    assert (rc, out) == (2, "")
+    assert err == ("config error: invalid value for 'kappa': gradcheck's unrolled reference "
+                   f"would need more than {harness.MAX_UNROLL_DEPTH:,} steps\n")
 
 
 def test_gradcheck_with_anderson_mixes_the_stacks(tmp_path, capsys):

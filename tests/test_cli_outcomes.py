@@ -43,7 +43,8 @@ def run_configs(seed, dataset, hidden, feat_dim):
     return st.builds(
         RunConfig, seed=seed, tau=open_unit(), eta=st.floats(0.0, allow_infinity=False),
         tol=st.floats(0.0, exclude_min=True, allow_infinity=False),
-        max_iters=st.integers(1, 200), anderson_depth=st.integers(0, 5), kappa=open_unit(),
+        max_iters=st.integers(1, 200), anderson_depth=st.sampled_from((0, 2, 3, 4, 5)),
+        kappa=open_unit(),
         protocol=st.sampled_from(PROTOCOL_CHOICES), dataset=dataset,
         shift=st.sampled_from(SHIFT_CHOICES),
         ir=st.one_of(st.just(1.0), st.floats(1.0, 60.0), st.floats(1.0, allow_infinity=False)),

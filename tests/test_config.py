@@ -29,14 +29,14 @@ def block(kappa):
                        Param("p.b", np.zeros(2)), kappa=kappa)
 
 
-# key -> (the owner built with that key at a value, the values to try)
+# key -> (the owner built with that key at a value, the values to try, those it accepts)
 OWNERS = {
-    "tol": (lambda v: SolverConfig(tol=v), FLOATS),
-    "max_iters": (lambda v: SolverConfig(max_iters=v), INTS),
-    "anderson_depth": (lambda v: SolverConfig(anderson_depth=v), INTS),
-    "eta": (lambda v: OptState(eta=v), FLOATS),
-    "tau": (lambda v: OptState(eta=RunConfig.eta, tau=v), FLOATS),
-    "kappa": (block, FLOATS),
+    "tol": (lambda v: SolverConfig(tol=v), FLOATS, (5e-324, 0.5, 1.0, 2.0)),
+    "max_iters": (lambda v: SolverConfig(max_iters=v), INTS, (1, 2)),
+    "anderson_depth": (lambda v: SolverConfig(anderson_depth=v), INTS, (0, 2)),
+    "eta": (lambda v: OptState(eta=v), FLOATS, (0.0, 5e-324, 0.5, 1.0, 2.0)),
+    "tau": (lambda v: OptState(eta=RunConfig.eta, tau=v), FLOATS, (5e-324, 0.5)),
+    "kappa": (block, FLOATS, (5e-324, 0.5)),
 }
 
 
@@ -51,16 +51,22 @@ def refusal(build, value):
 
 @pytest.mark.parametrize("key", OWNERS)
 def test_run_config_refuses_exactly_what_the_owner_refuses(key):
-    build, values = OWNERS[key]
+    build, values, _ = OWNERS[key]
     for value in values:
         owner = refusal(build, value)
         assert refusal(lambda v: RunConfig(**{key: v}), value) == owner, (key, value)
         assert owner is None or owner.startswith(f"invalid value for {key!r}: "), owner
 
 
-@pytest.mark.parametrize("key", [k for k, (_, values) in OWNERS.items() if values is FLOATS])
+@pytest.mark.parametrize("key", OWNERS)
+def test_each_owner_accepts_exactly_its_range(key):
+    build, values, accepted = OWNERS[key]
+    assert tuple(v for v in values if refusal(build, v) is None) == accepted
+
+
+@pytest.mark.parametrize("key", [k for k, (_, values, _) in OWNERS.items() if values is FLOATS])
 def test_no_owner_accepts_a_nonfinite_value(key):
-    build, _ = OWNERS[key]
+    build, _, _ = OWNERS[key]
     for value in (math.nan, math.inf, -math.inf):
         assert refusal(build, value) is not None, (key, value)
 
